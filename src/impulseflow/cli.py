@@ -4,9 +4,10 @@ outputs.
     impulseflow <experiment> --config cfg.json [--system NAME] [--seed N] [--out DIR]
 
 Experiments: simulate, check-hypotheses, measure, entropy, quotient.  Outputs
-are written atomically (temp file + rename) and every run emits manifest.json
-with the fully resolved configuration, so identical config and seed reproduce
-byte-identical files at any worker count.
+are written into a staging directory and moved into the output directory only
+when the whole run succeeds, and every run emits manifest.json with the fully
+resolved configuration, so identical config and seed reproduce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys as _sys
 import tempfile
 from pathlib import Path
@@ -252,7 +254,7 @@ def _run_measure(sys_spec, params, rng, outdir: Path) -> dict:
     }
 
 
-def _run_entropy(sys_spec, params, rng, outdir: Path, seed: int, workers: int) -> dict:
+def _run_entropy(sys_spec, params, rng, outdir: Path, seed: int) -> dict:
     cfg = EntropyConfig(
         T_list=tuple(params.get("T_list", (2, 3, 4, 5, 6, 7, 8, 9, 10))),
         eps_list=tuple(params.get("eps_list", (0.1,))),
@@ -260,7 +262,6 @@ def _run_entropy(sys_spec, params, rng, outdir: Path, seed: int, workers: int) -
         candidate_count=int(params.get("candidate_count", 4096)),
         dt_check=params.get("dt_check"),
         seed=seed,
-        workers=workers,
     )
     est = entropy_estimate(sys_spec, cfg)
 
@@ -343,51 +344,51 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="measure grid as lo:hi:bins per coordinate, comma-separated")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads for the entropy experiment")
+                   help="accepted for compatibility and ignored (no-op): the "
+                        "entropy experiment propagates its candidate cloud as "
+                        "one batch")
     return p
 
 
 def run(config: dict, experiment: str) -> dict:
-    """Execute one experiment from a resolved config; returns the manifest."""
+    """Execute one experiment from a resolved config; returns the manifest.
+
+    The experiment writes into a staging directory inside the output
+    directory; its files move into place, manifest.json last, only once the
+    run has succeeded.  A failed run leaves the output directory as it was.
+    """
     outdir = Path(config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     sys_spec = build_fixture(config["system"]["name"],
                              config["system"].get("overrides", {}))
     rng = np.random.default_rng(config["seed"])
     params = config.get("params", {})
-    # worker count cannot affect any output, so it is kept out of the
-    # manifest: reruns are byte-identical at any parallelism
-    workers = int(config.pop("workers", 1))
 
-    written: list[str] = []
+    stage = Path(tempfile.mkdtemp(dir=outdir, prefix=".impulseflow-stage-"))
     try:
         if experiment == "simulate":
-            results = _run_simulate(sys_spec, params, rng, outdir)
+            results = _run_simulate(sys_spec, params, rng, stage)
         elif experiment == "check-hypotheses":
-            results = _run_check_hypotheses(sys_spec, params, rng, outdir)
+            results = _run_check_hypotheses(sys_spec, params, rng, stage)
         elif experiment == "measure":
-            results = _run_measure(sys_spec, params, rng, outdir)
+            results = _run_measure(sys_spec, params, rng, stage)
         elif experiment == "entropy":
-            results = _run_entropy(sys_spec, params, rng, outdir,
-                                   config["seed"], workers)
+            results = _run_entropy(sys_spec, params, rng, stage, config["seed"])
         elif experiment == "quotient":
-            results = _run_quotient(sys_spec, params, rng, outdir)
+            results = _run_quotient(sys_spec, params, rng, stage)
         else:
             raise ConfigError(f"unknown experiment {experiment!r}")
-        written = results.get("outputs", [])
-    except BaseException:
-        for name in written:
-            f = outdir / name
-            if f.exists():
-                f.unlink()
-        raise
-    manifest = {
-        "artifact_version": __version__,
-        "experiment": experiment,
-        "resolved_config": _jsonable(config),
-        "results": _jsonable(results),
-    }
-    _write_json(outdir / "manifest.json", manifest)
+        manifest = {
+            "artifact_version": __version__,
+            "experiment": experiment,
+            "resolved_config": _jsonable(config),
+            "results": _jsonable(results),
+        }
+        _write_json(stage / "manifest.json", manifest)
+        for name in [*results.get("outputs", []), "manifest.json"]:
+            os.replace(stage / name, outdir / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return manifest
 
 
@@ -395,8 +396,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         config = _resolve(args)
-        if args.workers is not None:
-            config["workers"] = args.workers
         run(config, args.experiment)
     except ConfigError as e:
         print(f"error: {e}", file=_sys.stderr)

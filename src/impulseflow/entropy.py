@@ -13,14 +13,19 @@ information.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .flow_core import IntegratorConfig
-from .impulsive_system import ImpulsiveTrajectory, SystemSpec, impulsive_trajectory_batch
+from .impulsive_system import (
+    ImpulsiveTrajectory,
+    RunStats,
+    SystemSpec,
+    hit_times_batch,
+    impulsive_trajectory_batch,
+)
 from .systems import candidate_cloud
 
 __all__ = [
@@ -37,7 +42,11 @@ __all__ = [
     "admissibility_check",
 ]
 
-_TRAJ_CHUNK = 256   # fixed batch size, so results never depend on worker count
+# Orbits per shared integration.  The batch's sample array holds
+# chunk x grid x dim floats: 8192 keeps it near 50 MB at 4096 candidates,
+# T = 60, dt 0.15, so acceptance-scale clouds run as one batch.  The shared
+# step depends on the batch, so this stays a fixed constant.
+_TRAJ_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -320,7 +329,6 @@ class EntropyConfig:
     candidate_count: int = 4096
     dt_check: float | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "T_list", tuple(float(v) for v in self.T_list))
@@ -384,15 +392,16 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig,
     """Separated-set growth table and fitted rates over a candidate cloud.
 
     The headline estimate is the rate at the smallest radius and smallest
-    window width.  Diagnostics record the measured gap bound, saturation, and
-    monotonicity defects of the table.
+    window width.  Diagnostics record the measured gap bound, saturation,
+    monotonicity defects of the table, and the propagation work counters.
     """
     integrator = integrator or IntegratorConfig()
     rng = np.random.default_rng(cfg.seed)
     candidates = candidate_cloud(sys, cfg.candidate_count, rng)
     T_max = max(cfg.T_list)
+    stats = RunStats()
     trajs = _build_trajectories(sys, candidates, T_max, cfg.dt_check,
-                                integrator, cfg.workers)
+                                integrator, stats)
     adm = AdmissibleTimes.from_trajectories(trajs)
     if not max(cfg.delta_list) < adm.eta / 2:
         raise ValueError(
@@ -432,6 +441,7 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig,
             "eta_est": adm.eta,
             "saturated_cells": int(sum(r.saturated for r in rows)),
             "eps_monotonicity_defects": mono_defects,
+            "propagation": asdict(stats),
         },
     )
 
@@ -448,19 +458,10 @@ def _monotonicity_defects(rows) -> int:
     return defects
 
 
-def _build_trajectories(sys, candidates, T, dt, integrator, workers):
-    chunks = [candidates[i:i + _TRAJ_CHUNK]
-              for i in range(0, len(candidates), _TRAJ_CHUNK)]
-
-    def work(chunk):
-        return impulsive_trajectory_batch(sys, chunk, T, dt, integrator)
-
-    if workers <= 1:
-        parts = [work(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, chunks))
-    return [tr for part in parts for tr in part]
+def _build_trajectories(sys, candidates, T, dt, integrator, stats):
+    return [tr for i in range(0, len(candidates), _TRAJ_CHUNK)
+            for tr in impulsive_trajectory_batch(
+                sys, candidates[i:i + _TRAJ_CHUNK], T, dt, integrator, stats=stats)]
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +514,7 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
             expect.append(taus[k:] - t)
         starts = np.stack([trajs[i].evaluate(t) for i, t in zip(idx, t_eval)])
         rem = np.array([trajs[i].horizon - t for i, t in zip(idx, t_eval)])
-        shifted = impulsive_trajectory_batch_varied(sys, starts, rem, dt, cfg)
+        shifted = hit_times_batch(sys, starts, rem, cfg)
         for row in range(n_triples):
             got = shifted[row]
             want = expect[row]
@@ -531,10 +532,3 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
         n_triples=done,
         max_deviation=max_dev,
     )
-
-
-def impulsive_trajectory_batch_varied(sys, X, durations, dt, cfg):
-    """Hit-time sequences for a batch with per-member horizons."""
-    from .impulsive_system import _propagate
-    run = _propagate(sys, X, np.asarray(durations, dtype=float), cfg)
-    return [np.array(ht) for ht in run.hit_times]

@@ -234,6 +234,9 @@ _LEVELS: dict[str, tuple[Callable, Callable]] = {
     "angle": _level_angle(),
 }
 
+# levels of the form L(x) = w . x, whose gradient is the constant w
+_LINEAR_LEVELS = frozenset({"coord0", "coord1", "coord2", "sum"})
+
 
 def level_value(level_id: str, x: np.ndarray) -> np.ndarray:
     """Evaluate a builtin level function L at x (batched)."""
@@ -251,6 +254,14 @@ def level_gradient(level_id: str, x: np.ndarray) -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown level_id {level_id!r}") from None
     return grad(np.asarray(x, dtype=float))
+
+
+def linear_level_weights(level_id: str, dim: int) -> np.ndarray | None:
+    """The weights w of a linear level L(x) = w . x (coordinates and the
+    coordinate sum), or None for a nonlinear level."""
+    if level_id not in _LINEAR_LEVELS:
+        return None
+    return level_gradient(level_id, np.zeros(dim))
 
 
 # --------------------------------------------------------------------------
@@ -321,6 +332,7 @@ class BatchStepper:
         self.n, self.dim = self.y.shape
         self.k1 = rhs(self.y)
         self.active = np.ones(self.n, dtype=bool)
+        self.rejected = 0   # steps rejected by the error test, over the stepper's life
         self._err_prev = 1.0
         self.h = self._initial_step()
 
@@ -381,6 +393,7 @@ class BatchStepper:
                 self.h = min(cfg.max_step, h * factor)
                 self._err_prev = max(err, 1e-4)
                 return h, y_new, K
+            self.rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-_ERR_EXP))
 
     def commit(self, y_new, K):
@@ -389,16 +402,27 @@ class BatchStepper:
         self.k1 = K[6].copy()
 
 
+def dense_coefficients(K) -> np.ndarray:
+    """Per-member quartic coefficients q = K^T P of the in-step interpolant,
+    shape (n, dim, 4): y(t0 + u*h) = y0 + h * q @ [u, u^2, u^3, u^4]."""
+    return np.einsum("snd,sj->ndj", K, _RK_P)
+
+
+def dense_eval_coefficients(y0, q, h, u):
+    """Evaluate the in-step interpolant from coefficients ``dense_coefficients``
+    computed once per step; ``u`` has one entry per member, in [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    powers = u[..., None] ** np.arange(1, 5)
+    return y0 + h * np.einsum("ndj,nj->nd", q, powers)
+
+
 def dense_eval(y0, K, h, u):
     """Evaluate the in-step quartic interpolant at fractions ``u`` of the step.
 
     y0, K are the per-member slices returned by ``BatchStepper.step``; ``u``
     has one entry per member, in [0, 1].
     """
-    u = np.asarray(u, dtype=float)
-    powers = u[..., None] ** np.arange(1, 5)
-    q = np.einsum("snd,sj->ndj", K, _RK_P)
-    return y0 + h * np.einsum("ndj,nj->nd", q, powers)
+    return dense_eval_coefficients(y0, dense_coefficients(K), h, u)
 
 
 def _flow_batch(rhs, x0: np.ndarray, durations: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:

@@ -2,15 +2,16 @@
 map, and realize the hit-time recursion.
 
 The propagation engine advances a whole batch of independent initial states
-with one shared adaptive step, locating level-set crossings per member by
-bisection on the integrator's dense output.  Trajectories are right-continuous
-across impulses: the value at a hit time is the post-impulse state.
+with one shared adaptive step, locating level-set crossings per member by a
+bracketed secant (Illinois) iteration on the integrator's dense output.
+Trajectories are right-continuous across impulses: the value at a hit time is
+the post-impulse state.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -21,9 +22,12 @@ from .flow_core import (
     IntegratorConfig,
     RegionEscape,
     VectorFieldSpec,
+    dense_coefficients,
     dense_eval,
+    dense_eval_coefficients,
     eval_vector_field,
     level_value,
+    linear_level_weights,
     make_rhs,
     system_dimension,
 )
@@ -35,18 +39,20 @@ __all__ = [
     "ImpulsiveTrajectory",
     "AmbiguousCrossing",
     "GapUnderflow",
+    "RunStats",
     "first_hitting_time",
     "apply_impulse",
     "impulse_preimages",
     "impulsive_trajectory",
     "impulsive_trajectory_batch",
+    "hit_times_batch",
     "psi",
     "psi_batch",
     "write_trajectory_csv",
     "write_impulses_csv",
 ]
 
-_TIME_TOL = 1e-12          # bisection tolerance for hit times
+_TIME_TOL = 1e-12          # hit times are located to a bracket this wide
 _HORIZON_SLACK = 1e-9      # hits this close past a horizon still count (right continuity)
 _COINCIDE_TOL = 1e-9       # sample time equals a hit time within this -> post state
 _DEFAULT_MIN_GAP = 1e-9
@@ -306,23 +312,227 @@ def impulse_preimages(sys: SystemSpec, p: np.ndarray) -> list[np.ndarray]:
 # Batch propagation with event handling
 # --------------------------------------------------------------------------
 
+@dataclass
+class RunStats:
+    """Work counters of impulsive propagations.  For a fixed batch they are
+    deterministic, so they can be recorded beside the outputs."""
+
+    steps: int = 0
+    rejected_steps: int = 0
+    hits: int = 0
+    discarded_crossings: int = 0
+    root_passes: int = 0
+
+    def add(self, other: "RunStats") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
 class _BatchRun:
     """Mutable state of one batched impulsive propagation."""
 
-    def __init__(self, n, dim, sample_grid, durations):
+    def __init__(self, n, dim, sample_grid):
+        self.n = n
+        self.dim = dim
         self.final = np.zeros((n, dim))
         self.final_t = np.zeros(n)
-        self.hit_times = [[] for _ in range(n)]
-        self.hit_pre = [[] for _ in range(n)]
-        self.hit_post = [[] for _ in range(n)]
-        self.discarded = 0
-        self.durations = durations
+        self.stats = RunStats()
+        self._hits = []     # one (members, taus, pre, post) block per step with hits
+        self._last_tau = np.full(n, np.nan)
         if sample_grid is not None:
             self.samples = np.full((n, len(sample_grid), dim), np.nan)
             self.ptr = np.zeros(n, dtype=int)
         else:
             self.samples = None
             self.ptr = None
+
+    def record_hits(self, members, taus, pre, post, min_gap):
+        gap = taus - self._last_tau[members]
+        bad = np.flatnonzero(gap < min_gap)     # NaN for a member's first hit
+        if len(bad):
+            raise GapUnderflow(
+                f"hit gap {gap[bad[0]]:.3e} below {min_gap:.0e}; the impulse "
+                "image is numerically touching the impulsive set"
+            )
+        self._last_tau[members] = taus
+        self._hits.append((members, taus, pre, post))
+        self.stats.hits += len(members)
+
+    def hits_by_member(self):
+        """Per member: hit times, pre-impulse and post-impulse states, in
+        time order."""
+        if self._hits:
+            members, taus, pre, post = (np.concatenate(a) for a in zip(*self._hits))
+        else:
+            members, taus = np.zeros(0, dtype=int), np.zeros(0)
+            pre = post = np.zeros((0, self.dim))
+        order = np.argsort(members, kind="stable")
+        cuts = np.searchsorted(members[order], np.arange(self.n + 1))
+        taus, pre, post = taus[order], pre[order], post[order]
+        return [(taus[a:b], pre[a:b], post[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+class _LevelAlongStep:
+    """f(u) = L_j(y(t0 + u*h)) - c_j for each (member, piece) crossing
+    candidate of one step.
+
+    Linear levels are a quartic in u whose coefficients come straight from
+    the interpolant's; other levels evaluate the interpolated state.
+    """
+
+    def __init__(self, sets, cvals, weights, y0, q, h, cand_set, f0):
+        self.sets, self.cvals = sets, cvals
+        self.y0, self.q, self.h = y0, q, h
+        self.cand_set = cand_set
+        w = np.stack([np.zeros(y0.shape[1]) if wj is None else wj for wj in weights])
+        self.linear = np.array([wj is not None for wj in weights])[cand_set]
+        # Horner coefficients, highest power first: c4, c3, c2, c1, c0
+        coef = h * np.einsum("mdk,md->mk", q, w[cand_set])
+        self.coef = np.column_stack([coef[:, ::-1], f0])
+
+    def __call__(self, u, rows):
+        out = np.empty(len(rows))
+        lin = self.linear[rows]
+        if lin.any():
+            c = self.coef[rows[lin]]
+            ul = u[lin]
+            acc = c[:, 0]
+            for k in range(1, 5):
+                acc = acc * ul + c[:, k]
+            out[lin] = acc
+        if not lin.all():
+            r = rows[~lin]
+            states = dense_eval_coefficients(self.y0[r], self.q[r], self.h, u[~lin])
+            sets = self.cand_set[r]
+            vals = np.empty(len(r))
+            for j in np.unique(sets):
+                sel = sets == j
+                vals[sel] = level_value(self.sets[j].level_id, states[sel]) - self.cvals[j]
+            out[~lin] = vals
+        return out
+
+
+def _bracketed_roots(f, a, b, fa, fb, tol):
+    """Roots of f in the brackets [a, b] (f changes sign, fa != 0), by the
+    Illinois variant of regula falsi with a bisection fallback.
+
+    Each root is located to a bracket no wider than ``tol`` (returned as its
+    midpoint) or where f evaluates to exactly zero.  Trial points keep tol/2
+    clear of both ends, so a secant estimate that is already accurate
+    collapses the bracket on the next pass.  A member whose bracket failed
+    to halve on two consecutive passes is bisected.  ``f(u, rows)`` evaluates
+    the members ``rows`` at ``u``.  Returns (roots, passes).
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    sign_a = np.sign(fa)
+    root = np.full(len(a), np.nan)
+    kept = np.zeros(len(a), dtype=np.int8)   # end kept by the last pass: -1 a, +1 b
+    poor = np.zeros(len(a), dtype=np.int8)   # consecutive passes that did not halve
+    live = np.flatnonzero(b - a > tol)
+    passes = 0
+    while len(live):
+        passes += 1
+        A, B, FA, FB = a[live], b[live], fa[live], fb[live]
+        c = (A * FB - B * FA) / (FB - FA)
+        bisect = (poor[live] >= 2) | ~np.isfinite(c)
+        c = np.where(bisect, 0.5 * (A + B), c)
+        c = np.clip(c, A + 0.5 * tol, B - 0.5 * tol)
+        fc = f(c, live)
+        zero = fc == 0
+        root[live[zero]] = c[zero]
+        left = (np.sign(fc) == sign_a[live]) & ~zero
+        right = ~left & ~zero
+        # Illinois: an end kept twice in a row has its value halved
+        i = live[left]
+        a[i], fa[i] = c[left], fc[left]
+        fb[i[kept[i] == 1]] *= 0.5
+        kept[i] = 1
+        i = live[right]
+        b[i], fb[i] = c[right], fc[right]
+        fa[i[kept[i] == -1]] *= 0.5
+        kept[i] = -1
+        poor[live] = np.where(b[live] - a[live] > 0.5 * (B - A), poor[live] + 1, 0)
+        live = live[~zero & (b[live] - a[live] > tol)]
+    todo = np.isnan(root)
+    root[todo] = 0.5 * (a[todo] + b[todo])
+    return root, passes
+
+
+def _sign_changes(L_lo, L_hi, dirs):
+    """Which (member, piece) levels cross zero between two scan points,
+    counting an exact zero at the end and honouring each piece's direction
+    (dirs: +1 upward only, -1 downward only, 0 either)."""
+    s_lo = np.sign(L_lo)
+    return (s_lo != 0) & (s_lo * np.sign(L_hi) <= 0) & (dirs * s_lo <= 0)
+
+
+def _first_crossings(sets, cvals, weights, dirs, levels_at, y0, K, h, L_here,
+                     L_new, active, adv_cap, stats):
+    """Earliest admissible crossing of each active member inside one step.
+
+    Crossings are located by ``_bracketed_roots`` on the level along the
+    dense output, to _TIME_TOL in time.  The earliest crossing per member
+    (ties to the lowest piece index) counts when it lies within the member's
+    remaining horizon and satisfies the piece's halfspace constraints;
+    otherwise it is discarded and that member's scan resumes just past it.
+
+    Returns (members, u, piece, state) of the hits, in member order: the step
+    fraction, the piece index and the pre-impulse state of each.
+    """
+    n = len(y0)
+    crosses = _sign_changes(L_here, L_new, dirs) & active[:, None]
+    if not crosses.any():
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int), y0[:0]
+    hit_u = np.full(n, np.inf)
+    hit_set = np.full(n, -1, dtype=int)
+    hit_state = np.empty_like(y0)
+    scan_lo = np.zeros(n)
+    L_lo = L_here
+    # coefficients once per step; later rounds rescan members of this round
+    members = np.flatnonzero(crosses.any(axis=1))
+    qrow = np.full(n, -1)
+    qrow[members] = np.arange(len(members))
+    q = dense_coefficients(K[:, members])
+    idx = np.arange(n)
+    while True:
+        rows, cand_set = np.nonzero(crosses)
+        if not len(rows):
+            break
+        cand = idx[rows]
+        qc = q[qrow[cand]]
+        f = _LevelAlongStep(sets, cvals, weights, y0[cand], qc, h, cand_set,
+                            L_here[cand, cand_set])
+        u, passes = _bracketed_roots(f, scan_lo[cand], np.ones(len(cand)),
+                                     L_lo[cand, cand_set], L_new[cand, cand_set],
+                                     _TIME_TOL / h)
+        stats.root_passes += passes
+
+        order = np.lexsort((cand_set, u, cand))
+        pick = order[np.unique(cand[order], return_index=True)[1]]
+        pick = pick[u[pick] * h <= adv_cap[cand[pick]]]   # beyond the horizon
+        i, u_pick, j_pick = cand[pick], u[pick], cand_set[pick]
+        states = dense_eval_coefficients(y0[i], qc[pick], h, u_pick)
+        ok = np.empty(len(pick), dtype=bool)
+        for j in np.unique(j_pick):
+            sel = j_pick == j
+            ok[sel] = sets[j].constraint_mask(states[sel])
+        hit_u[i[ok]] = u_pick[ok]
+        hit_set[i[ok]] = j_pick[ok]
+        hit_state[i[ok]] = states[ok]
+        if ok.all():
+            break
+        bad = ~ok
+        idx = i[bad]
+        stats.discarded_crossings += len(idx)
+        # resume the scan just past the discarded crossing
+        u_next = np.minimum(1.0, u_pick[bad] + max(8 * _TIME_TOL, 1e-9) / h)
+        scan_lo[idx] = u_next
+        if L_lo is L_here:
+            L_lo = L_here.copy()
+        L_lo[idx] = levels_at(dense_eval_coefficients(y0[idx], qc[pick[bad]], h, u_next))
+        crosses = _sign_changes(L_lo[idx], L_new[idx], dirs)
+    hit = np.flatnonzero(np.isfinite(hit_u))
+    return hit, hit_u[hit], hit_set[hit], hit_state[hit]
 
 
 def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig,
@@ -335,9 +545,10 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
     """Advance a batch of states through the impulsive semiflow.
 
     Each member runs for its own duration.  Hits of every impulsive-set piece
-    are located by bisection of the dense output to _TIME_TOL, filtered by the
-    piece's halfspace constraints and crossing direction; discarded crossings
-    resume the scan inside the same step.
+    are located on the dense output by a bracketed secant (Illinois)
+    iteration to _TIME_TOL, filtered by the piece's halfspace constraints and
+    crossing direction; discarded crossings resume the scan inside the same
+    step.
 
     time_sign=-1 integrates the reversed field (meaningful for the invertible
     builtin flows; used by backward reachability probes), in which case
@@ -348,7 +559,8 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
     durations = np.broadcast_to(np.asarray(durations, dtype=float), (n,)).copy()
     if (durations < 0).any():
         raise ValueError("durations must be nonnegative")
-    run = _BatchRun(n, dim, sample_grid, durations)
+    run = _BatchRun(n, dim, sample_grid)
+    stats = run.stats
     grid = sample_grid
     if grid is not None and len(grid) and grid[0] <= _COINCIDE_TOL:
         run.samples[:, 0] = X0
@@ -360,6 +572,8 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
     run.final_t[done] = 0.0
     sets = sys.impulsive_sets
     cvals = np.array([p.level_value for p in sets])
+    weights = [linear_level_weights(p.level_id, dim) for p in sets]
+    dirs = np.array([0 if ignore_directions else p.direction for p in sets])
     imp_fn, _ = _IMPULSE_MAPS[sys.impulse.map_id]
 
     stepper = BatchStepper(make_rhs(sys.field, sign=time_sign), X0, cfg)
@@ -397,7 +611,7 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
             run.samples[m, g_idx] = y0[m] + h * (powers @ q.T)
         else:
             rows = np.repeat(np.arange(len(members)), counts)
-            offs = np.concatenate([np.arange(c) for c in counts if c > 0])
+            offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
             g_idx = k0[rows] + offs
             m_rep = members[rows]
             u = np.clip((grid[g_idx] - t[m_rep]) / h, 0.0, 1.0)
@@ -413,16 +627,10 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
         rem_ext = np.where(done, -np.inf, dur_ext - t)
         h_cap = max(float(rem_ext[~done].max()), 10 * cfg.min_step)
         h, y_prop, K = stepper.step(h_cap)
+        stats.steps += 1
         y0 = stepper.y
         active = ~done
         L_new = levels_at(y_prop)
-
-        # crossing scan; rescans handle constraint-discarded crossings
-        hit_u = np.full(n, np.inf)
-        hit_set = np.full(n, -1, dtype=int)
-        scan_lo = np.zeros(n)
-        L_lo = L_here.copy()
-        scan = active.copy()
         adv_cap = np.where(active, np.minimum(rem_ext, h), 0.0)
 
         # guard against a double crossing hidden inside one step: probe the
@@ -443,73 +651,12 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
                     "level sign changes twice inside one step; reduce max_step"
                 )
 
-        while scan.any():
-            idx = np.flatnonzero(scan)
-            scan[idx] = False
-            cand_member, cand_set = [], []
-            for j, piece in enumerate(sets):
-                lo = L_lo[idx, j]
-                hi = L_new[idx, j]
-                # an exact zero at the step end counts as a crossing reached
-                crosses = (np.sign(lo) != 0) & (np.sign(lo) * np.sign(hi) <= 0)
-                if not ignore_directions:
-                    if piece.direction > 0:
-                        crosses &= lo < 0
-                    elif piece.direction < 0:
-                        crosses &= lo > 0
-                for i in idx[crosses]:
-                    cand_member.append(i)
-                    cand_set.append(j)
-            if not cand_member:
-                continue
-            cand_member = np.array(cand_member)
-            cand_set = np.array(cand_set)
-            lo_u = scan_lo[cand_member].copy()
-            hi_u = np.ones(len(cand_member))
-            sign_lo = np.sign(L_lo[cand_member, cand_set])
-            n_iter = int(np.ceil(np.log2(max(h / _TIME_TOL, 2.0))))
-            for _ in range(n_iter):
-                mid_u = 0.5 * (lo_u + hi_u)
-                states = dense_eval(y0[cand_member], K[:, cand_member], h, mid_u)
-                for j in np.unique(cand_set):
-                    sel = cand_set == j
-                    lmid = level_value(sets[j].level_id, states[sel]) - cvals[j]
-                    same = np.sign(lmid) == sign_lo[sel]
-                    lo_sel = lo_u[sel]
-                    hi_sel = hi_u[sel]
-                    lo_sel[same] = mid_u[sel][same]
-                    hi_sel[~same] = mid_u[sel][~same]
-                    lo_u[sel] = lo_sel
-                    hi_u[sel] = hi_sel
-            cross_u = 0.5 * (lo_u + hi_u)
+        hit_members, hit_u, hit_set, pre_states = _first_crossings(
+            sets, cvals, weights, dirs, levels_at, y0, K, h, L_here, L_new,
+            active, adv_cap, stats)
 
-            # earliest candidate per member, ties to the lowest piece index
-            order = np.lexsort((cand_set, cross_u, cand_member))
-            member_sorted = cand_member[order]
-            first = np.unique(member_sorted, return_index=True)[1]
-            pick = order[first]
-            for k in pick:
-                i = cand_member[k]
-                u = cross_u[k]
-                if u * h > adv_cap[i]:
-                    continue  # crossing beyond this member's horizon
-                state = dense_eval(y0[i:i + 1], K[:, i:i + 1], h, np.array([u]))[0]
-                piece = sets[cand_set[k]]
-                if piece.constraint_mask(state[None, :])[0]:
-                    hit_u[i] = u
-                    hit_set[i] = cand_set[k]
-                else:
-                    run.discarded += 1
-                    # resume the scan just past the discarded crossing
-                    u_next = min(1.0, u + max(8 * _TIME_TOL, 1e-9) / h)
-                    scan_lo[i] = u_next
-                    probe = dense_eval(y0[i:i + 1], K[:, i:i + 1], h, np.array([u_next]))
-                    L_lo[i] = levels_at(probe)[0]
-                    scan[i] = True
-
-        hit_members = np.flatnonzero(np.isfinite(hit_u))
-        adv = np.where(active, np.minimum(rem_ext, h), 0.0)
-        adv[hit_members] = hit_u[hit_members] * h
+        adv = adv_cap.copy()
+        adv[hit_members] = hit_u * h
         tau_map = None
         if len(hit_members):
             tau_map = np.full(n, np.inf)
@@ -521,24 +668,16 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
         y_commit[done] = y0[done]
 
         if len(hit_members):
-            pre_states = dense_eval(y0[hit_members], K[:, hit_members], h,
-                                    hit_u[hit_members])
-            post_states = imp_fn(sys.impulse.params, pre_states, hit_set[hit_members])
-            for row, i in enumerate(hit_members):
-                tau = t[i] + adv[i]
-                prev = run.hit_times[i][-1] if run.hit_times[i] else 0.0
-                if run.hit_times[i] and tau - prev < min_gap:
-                    raise GapUnderflow(
-                        f"hit gap {tau - prev:.3e} below {min_gap:.0e}; the impulse "
-                        "image is numerically touching the impulsive set"
-                    )
-                run.hit_times[i].append(tau)
-                run.hit_pre[i].append(pre_states[row])
-                run.hit_post[i].append(post_states[row])
-                if grid is not None and run.ptr[i] < len(grid) \
-                        and abs(grid[run.ptr[i]] - tau) <= _COINCIDE_TOL:
-                    run.samples[i, run.ptr[i]] = post_states[row]
-                    run.ptr[i] += 1
+            post_states = imp_fn(sys.impulse.params, pre_states, hit_set)
+            taus = tau_map[hit_members]
+            run.record_hits(hit_members, taus, pre_states, post_states, min_gap)
+            if grid is not None:
+                # a sample on the hit time carries the post-impulse state
+                p = run.ptr[hit_members]
+                on = p < len(grid)
+                on[on] = np.abs(grid[p[on]] - taus[on]) <= _COINCIDE_TOL
+                run.samples[hit_members[on], p[on]] = post_states[on]
+                run.ptr[hit_members[on]] += 1
             if stop_at_first_hit:
                 y_commit[hit_members] = pre_states
             else:
@@ -556,15 +695,13 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
         if stop_at_first_hit and len(hit_members):
             run.final[hit_members] = y_commit[hit_members]
             run.final_t[hit_members] = t_new[hit_members]
-            finish = finish.copy()
             finish[hit_members] = True
         newly_hit_done = hit_members[durations[hit_members] - t_new[hit_members]
-                                     <= _HORIZON_SLACK] if len(hit_members) else []
+                                     <= _HORIZON_SLACK]
         if len(newly_hit_done):
             run.final[newly_hit_done] = y_commit[newly_hit_done]
             run.final_t[newly_hit_done] = durations[newly_hit_done]
             t_new[newly_hit_done] = durations[newly_hit_done]
-            finish = finish.copy()
             finish[newly_hit_done] = True
 
         done = done | finish
@@ -591,6 +728,7 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
                     f"near state {stepper.y[bad]}"
                 )
 
+    stats.rejected_steps = stepper.rejected
     return run
 
 
@@ -698,9 +836,13 @@ def impulsive_trajectory(sys: SystemSpec, x: np.ndarray, T: float, dt_sample: fl
 def impulsive_trajectory_batch(sys: SystemSpec, X: np.ndarray, T: float,
                                dt_sample: float,
                                cfg: IntegratorConfig | None = None,
-                               min_gap: float = _DEFAULT_MIN_GAP
+                               min_gap: float = _DEFAULT_MIN_GAP,
+                               stats: RunStats | None = None
                                ) -> list[ImpulsiveTrajectory]:
-    """Batch form of ``impulsive_trajectory``; one shared integration."""
+    """Batch form of ``impulsive_trajectory``; one shared integration.
+
+    When ``stats`` is given, the run's work counters are added to it.
+    """
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if dt_sample <= 0:
@@ -710,18 +852,18 @@ def impulsive_trajectory_batch(sys: SystemSpec, X: np.ndarray, T: float,
     grid = _grid_for(T, dt_sample)
     run = _propagate(sys, X, np.full(len(X), float(T)), cfg,
                      sample_grid=grid, min_gap=min_gap)
+    if stats is not None:
+        stats.add(run.stats)
     out = []
-    for i in range(len(X)):
+    for i, (taus, pre, post) in enumerate(run.hits_by_member()):
         out.append(ImpulsiveTrajectory(
             system=sys,
             initial_state=X[i].copy(),
             horizon=float(T),
             dt_sample=float(dt_sample),
-            impulse_times=np.array(run.hit_times[i]),
-            pre_impulse_states=(np.array(run.hit_pre[i])
-                                if run.hit_times[i] else np.zeros((0, X.shape[1]))),
-            post_impulse_states=(np.array(run.hit_post[i])
-                                 if run.hit_times[i] else np.zeros((0, X.shape[1]))),
+            impulse_times=taus,
+            pre_impulse_states=pre,
+            post_impulse_states=post,
             sample_times=grid.copy(),
             sample_states=run.samples[i],
             final_state=run.final[i],
@@ -736,8 +878,9 @@ def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
     """First time in (0, t_max] at which the orbit of x reaches the impulsive
     set, together with the hit state; None when the set is not reached.
 
-    The crossing is bracketed by integration steps and refined by bisection of
-    the dense output to 1e-12 in time; crossings failing the set's halfspace
+    The crossing is bracketed by integration steps and refined by a bracketed
+    secant iteration on the dense output to 1e-12 in time; crossings failing
+    the set's halfspace
     constraints are discarded and the search continues.  reverse=True probes
     the time-reversed flow (any crossing direction) for backward reachability.
     """
@@ -750,8 +893,9 @@ def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
                      time_sign=-1.0 if reverse else 1.0,
                      ignore_directions=reverse,
                      check_region=check_region)
-    if run.hit_times[0]:
-        return run.hit_times[0][0], run.hit_pre[0][0]
+    taus, pre, _ = run.hits_by_member()[0]
+    if len(taus):
+        return taus[0], pre[0]
     return None
 
 
@@ -771,6 +915,15 @@ def psi_batch(sys: SystemSpec, X: np.ndarray, times: np.ndarray,
         raise ValueError("the impulsive semiflow is defined for t >= 0")
     run = _propagate(sys, X, times, cfg)
     return run.final
+
+
+def hit_times_batch(sys: SystemSpec, X: np.ndarray, durations: np.ndarray,
+                    cfg: IntegratorConfig | None = None) -> list[np.ndarray]:
+    """Hit-time sequences for a batch of states, each member running for its
+    own duration."""
+    cfg = cfg or IntegratorConfig()
+    run = _propagate(sys, X, np.asarray(durations, dtype=float), cfg)
+    return [taus for taus, _, _ in run.hits_by_member()]
 
 
 # --------------------------------------------------------------------------

@@ -68,6 +68,41 @@ class TestSimulate:
         assert "artifact_version" in manifest
 
 
+class TestFailureLeavesNoOutputs:
+    CFG = {"system": {"name": "annulus"},
+           "params": {"horizon": 8.0, "dt_sample": 0.05,
+                      "initial_state": [0.0, 1.5]}}
+
+    @staticmethod
+    def _break_impulses_writer(monkeypatch):
+        import impulseflow.cli as cli
+
+        def broken(traj, path):
+            raise OSError("disk full")
+        monkeypatch.setattr(cli, "write_impulses_csv", broken)
+
+    def test_failed_second_write_removes_first(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(self.CFG))
+        out = tmp_path / "run"
+        self._break_impulses_writer(monkeypatch)
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 1
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_failed_rerun_keeps_previous_run(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(self.CFG))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # the rerun would write a different trajectory.csv
+        cfg.write_text(json.dumps({**self.CFG, "params": {
+            **self.CFG["params"], "horizon": 12.0}}))
+        self._break_impulses_writer(monkeypatch)
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestHypothesesExperiment:
     def test_prey_predator_passes(self, tmp_path):
         out = tmp_path / "run"

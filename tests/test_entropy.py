@@ -201,6 +201,21 @@ class TestEntropyEstimate:
             candidate_count=512, seed=0))
         for row in est.table:
             assert row.s_count == doubling_separated_count(512, int(row.T), 0.1)
+        # every orbit hits at t = 1, ..., 6, the last one on the horizon
+        work = est.diagnostics["propagation"]
+        assert work["hits"] == 512 * 6
+        assert work["discarded_crossings"] == 0
+        assert work["steps"] > 0 and work["root_passes"] > 0
+
+    def test_counts_independent_of_batch_chunking(self, annulus, monkeypatch):
+        import impulseflow.entropy as entropy_mod
+        cfg = EntropyConfig(T_list=(5.0, 10.0, 15.0), eps_list=(0.2, 0.1),
+                            delta_list=(0.3,), candidate_count=256, seed=4)
+        one_batch = entropy_estimate(annulus, cfg)
+        monkeypatch.setattr(entropy_mod, "_TRAJ_CHUNK", 64)
+        chunked = entropy_estimate(annulus, cfg)
+        assert ([r.s_count for r in chunked.table]
+                == [r.s_count for r in one_batch.table])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from impulseflow import (
     ImpulseMapSpec,
@@ -9,11 +10,14 @@ from impulseflow import (
     apply_impulse,
     first_hitting_time,
     impulse_preimages,
+    candidate_cloud,
     impulsive_trajectory,
+    impulsive_trajectory_batch,
     psi,
 )
 from impulseflow.impulsive_system import (
     GapUnderflow,
+    _bracketed_roots,
     write_impulses_csv,
     write_trajectory_csv,
 )
@@ -64,6 +68,39 @@ class TestFirstHittingTime:
     def test_t_max_validation(self, annulus):
         with pytest.raises(ValueError):
             first_hitting_time(annulus, polar(1.5, 1.0), 0.0)
+
+
+class TestBracketedRoots:
+    TOL = 1e-11
+
+    def _solve(self, fn, a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return _bracketed_roots(lambda u, rows: fn(u, rows), a, b,
+                                fn(a, np.arange(len(a))), fn(b, np.arange(len(a))),
+                                self.TOL)
+
+    def test_roots_within_tolerance(self):
+        # a linear, a curved, and a flat-then-steep level (regula falsi keeps
+        # one end there; the Illinois step and the bisection fallback must
+        # still shrink the bracket)
+        r = np.array([0.3, 0.61, 0.9])
+        fns = (lambda u: u - r[0], lambda u: np.expm1(3 * (u - r[1])),
+               lambda u: (u / r[2]) ** 25 - 1.0)
+
+        def f(u, rows):
+            return np.array([fns[k](x) for k, x in zip(rows, u)])
+        roots, passes = self._solve(f, np.zeros(3), np.ones(3))
+        assert np.abs(roots - r).max() <= self.TOL
+        assert passes <= 3 * 37
+
+    def test_exact_zero_is_returned(self):
+        roots, passes = self._solve(lambda u, rows: u - 0.5, [0.0], [1.0])
+        assert roots[0] == 0.5 and passes == 1
+
+    def test_zero_at_bracket_end(self):
+        # an exact zero at the step end counts as the crossing
+        roots, _ = self._solve(lambda u, rows: u - 1.0, [0.25], [1.0])
+        assert 1.0 - self.TOL <= roots[0] <= 1.0
 
 
 class TestApplyImpulse:
@@ -169,6 +206,35 @@ class TestTrajectory:
         )
         with pytest.raises(GapUnderflow):
             impulsive_trajectory(degenerate, polar(1.5, np.pi / 2), 30.0, 0.1)
+
+    @pytest.mark.parametrize("T", [3, 10])
+    def test_doubling_hit_on_integer_horizon_is_recorded(self, doubling, T):
+        # every orbit hits at t = 1, 2, ..., T; the last hit sits exactly on
+        # the horizon and must be counted, with the post-impulse state as the
+        # final state (right continuity at the horizon)
+        X = candidate_cloud(doubling, 64, np.random.default_rng(0))
+        trajs = impulsive_trajectory_batch(doubling, X, float(T), 0.05)
+        for tr in trajs:
+            assert tr.n_impulses == T
+            assert np.abs(tr.impulse_times - np.arange(1, T + 1)).max() < 1e-9
+            assert np.array_equal(tr.final_state, tr.post_impulse_states[-1])
+
+    @settings(max_examples=12, deadline=None)
+    @given(starts=st.lists(st.tuples(st.floats(1.0, 2.0),
+                                     st.floats(0.05, 2 * np.pi - 0.05)),
+                           min_size=1, max_size=6))
+    def test_annulus_batch_matches_analytic_schedule(self, annulus, starts):
+        # hit times of every batch member follow t1 + k*pi, whatever the
+        # other members of the batch are doing
+        T = 20.0
+        X = np.stack([polar(r, th) for r, th in starts])
+        trajs = impulsive_trajectory_batch(annulus, X, T, 0.1)
+        for (r, th), tr in zip(starts, trajs):
+            taus, _ = annulus_impulse_schedule(r, th, 8)
+            assume(np.abs(taus - T).min() > 1e-6)
+            want = taus[taus <= T]
+            assert tr.n_impulses == len(want)
+            assert np.abs(tr.impulse_times - want).max() < 1e-8
 
     def test_input_validation(self, annulus):
         with pytest.raises(ValueError):
