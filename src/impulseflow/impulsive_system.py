@@ -880,9 +880,9 @@ def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
 
     The crossing is bracketed by integration steps and refined by a bracketed
     secant iteration on the dense output to 1e-12 in time; crossings failing
-    the set's halfspace
-    constraints are discarded and the search continues.  reverse=True probes
-    the time-reversed flow (any crossing direction) for backward reachability.
+    the set's halfspace constraints are discarded and the search continues.
+    reverse=True probes the time-reversed flow (any crossing direction) for
+    backward reachability.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
