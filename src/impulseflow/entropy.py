@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 # Orbits per shared integration.  The batch's sample array holds
-# chunk x grid x dim floats: 8192 keeps it near 50 MB at 4096 candidates,
-# T = 60, dt 0.15, so acceptance-scale clouds run as one batch.  The shared
-# step depends on the batch, so this stays a fixed constant.
+# chunk x grid x dim floats, about 50 MB for a full chunk at T = 60, dt 0.15,
+# dim 2, so acceptance-scale clouds (4096 candidates) run as one batch.  The
+# shared step depends on the batch, so this stays a fixed constant.
 _TRAJ_CHUNK = 8192
 
 

@@ -8,9 +8,9 @@ from impulseflow import (
     SystemSpec,
     VectorFieldSpec,
     apply_impulse,
+    candidate_cloud,
     first_hitting_time,
     impulse_preimages,
-    candidate_cloud,
     impulsive_trajectory,
     impulsive_trajectory_batch,
     psi,
@@ -75,9 +75,8 @@ class TestBracketedRoots:
 
     def _solve(self, fn, a, b):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return _bracketed_roots(lambda u, rows: fn(u, rows), a, b,
-                                fn(a, np.arange(len(a))), fn(b, np.arange(len(a))),
-                                self.TOL)
+        rows = np.arange(len(a))
+        return _bracketed_roots(fn, a, b, fn(a, rows), fn(b, rows), self.TOL)
 
     def test_roots_within_tolerance(self):
         # a linear, a curved, and a flat-then-steep level (regula falsi keeps
