@@ -116,20 +116,20 @@ def _parse_grid(text: str, dim: int) -> GridPartition:
 
 
 def _atomic_write(path: Path, writer) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write one output file with ``writer(path)``.
+
+    Every output goes through here, into the run's staging directory, which
+    ``run`` moves into place only when the whole run has succeeded; that
+    makes the write all-or-nothing, so no temp file of its own is needed.
+    Output writing stays in this one function so that it can be timed in
+    one place (perfbench traces it as ``cli.write``).
+    """
+    writer(path)
 
 
 def _write_json(path: Path, obj) -> None:
-    def w(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
+    def w(dest):
+        with open(dest, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
     _atomic_write(path, w)
@@ -174,9 +174,9 @@ def _run_simulate(sys_spec, params, rng, outdir: Path) -> dict:
         x0 = candidate_cloud(sys_spec, 1, rng)[0]
     traj = impulsive_trajectory(sys_spec, x0, horizon, dt)
     _atomic_write(outdir / "trajectory.csv",
-                  lambda tmp: write_trajectory_csv(traj, tmp))
+                  lambda path: write_trajectory_csv(traj, path))
     _atomic_write(outdir / "impulses.csv",
-                  lambda tmp: write_impulses_csv(traj, tmp))
+                  lambda path: write_impulses_csv(traj, path))
     return {
         "initial_state": x0.tolist(),
         "n_impulses": traj.n_impulses,
@@ -245,7 +245,7 @@ def _run_measure(sys_spec, params, rng, outdir: Path) -> dict:
     traj = impulsive_trajectory(sys_spec, x0, horizon, dt)
     mu = occupation_measure(traj, grid, burn_in)
     disc = pushforward_discrepancy(sys_spec, traj, grid, t_shift, burn_in)
-    _atomic_write(outdir / "measure.csv", lambda tmp: write_measure_csv(mu, tmp))
+    _atomic_write(outdir / "measure.csv", lambda path: write_measure_csv(mu, path))
     return {
         "initial_state": x0.tolist(),
         "escaped_frac": mu.escaped_frac,
@@ -265,8 +265,8 @@ def _run_entropy(sys_spec, params, rng, outdir: Path, seed: int) -> dict:
     )
     est = entropy_estimate(sys_spec, cfg)
 
-    def write_table(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    def write_table(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["T", "eps", "delta", "s_count", "saturated"])
             for r in est.table:
@@ -297,8 +297,8 @@ def _run_quotient(sys_spec, params, rng, outdir: Path) -> dict:
             D[i, j] = D[j, i] = quotient_distance(classes[i], classes[j])
     audit = metric_axiom_audit(sys_spec, pts)
 
-    def write_classes(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    def write_classes(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["point_index", "member_index",
                         *sys_spec.state_names])
@@ -306,8 +306,8 @@ def _run_quotient(sys_spec, params, rng, outdir: Path) -> dict:
                 for k, m in enumerate(cl.members):
                     w.writerow([i, k, *(repr(float(v)) for v in m)])
 
-    def write_dmat(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    def write_dmat(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["i", "j", "dtilde"])
             for i in range(n):
@@ -363,6 +363,10 @@ def run(config: dict, experiment: str) -> dict:
                              config["system"].get("overrides", {}))
     rng = np.random.default_rng(config["seed"])
     params = config.get("params", {})
+    # the worker count cannot affect any output (the entropy cloud runs as
+    # one batch), so a config file's key is dropped and manifests stay
+    # byte-identical whatever it says
+    config.pop("workers", None)
 
     stage = Path(tempfile.mkdtemp(dir=outdir, prefix=".impulseflow-stage-"))
     try:

@@ -42,10 +42,12 @@ __all__ = [
     "admissibility_check",
 ]
 
-# Orbits per shared integration.  The batch's sample array holds
-# chunk x grid x dim floats, about 50 MB for a full chunk at T = 60, dt 0.15,
-# dim 2, so acceptance-scale clouds (4096 candidates) run as one batch.  The
-# shared step depends on the batch, so this stays a fixed constant.
+# Orbits per shared integration.  The shared step depends on which orbits
+# share it, so a cloud is split at this fixed constant and never by machine
+# or worker count; every cloud in use (up to the default 4096 candidates)
+# runs as one batch.  The chunk bounds only the per-step temporaries
+# (O(chunk x dim) states, stages and levels), not sample memory: each
+# returned trajectory keeps a view into its batch's sample array.
 _TRAJ_CHUNK = 8192
 
 

@@ -234,9 +234,6 @@ _LEVELS: dict[str, tuple[Callable, Callable]] = {
     "angle": _level_angle(),
 }
 
-# levels of the form L(x) = w . x, whose gradient is the constant w
-_LINEAR_LEVELS = frozenset({"coord0", "coord1", "coord2", "sum"})
-
 
 def level_value(level_id: str, x: np.ndarray) -> np.ndarray:
     """Evaluate a builtin level function L at x (batched)."""
@@ -254,14 +251,6 @@ def level_gradient(level_id: str, x: np.ndarray) -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown level_id {level_id!r}") from None
     return grad(np.asarray(x, dtype=float))
-
-
-def linear_level_weights(level_id: str, dim: int) -> np.ndarray | None:
-    """The weights w of a linear level L(x) = w . x (coordinates and the
-    coordinate sum), or None for a nonlinear level."""
-    if level_id not in _LINEAR_LEVELS:
-        return None
-    return level_gradient(level_id, np.zeros(dim))
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .flow_core import (
     dense_eval_coefficients,
     eval_vector_field,
     level_value,
-    linear_level_weights,
     make_rhs,
     system_dimension,
 )
@@ -374,41 +373,20 @@ class _BatchRun:
 
 class _LevelAlongStep:
     """f(u) = L_j(y(t0 + u*h)) - c_j for each (member, piece) crossing
-    candidate of one step.
+    candidate of one step, evaluated on the interpolant's coefficients."""
 
-    Linear levels are a quartic in u whose coefficients come straight from
-    the interpolant's; other levels evaluate the interpolated state.
-    """
-
-    def __init__(self, sets, cvals, weights, y0, q, h, cand_set, f0):
+    def __init__(self, sets, cvals, y0, q, h, cand_set):
         self.sets, self.cvals = sets, cvals
         self.y0, self.q, self.h = y0, q, h
         self.cand_set = cand_set
-        w = np.stack([np.zeros(y0.shape[1]) if wj is None else wj for wj in weights])
-        self.linear = np.array([wj is not None for wj in weights])[cand_set]
-        # Horner coefficients, highest power first: c4, c3, c2, c1, c0
-        coef = h * np.einsum("mdk,md->mk", q, w[cand_set])
-        self.coef = np.column_stack([coef[:, ::-1], f0])
 
     def __call__(self, u, rows):
+        states = dense_eval_coefficients(self.y0[rows], self.q[rows], self.h, u)
+        sets = self.cand_set[rows]
         out = np.empty(len(rows))
-        lin = self.linear[rows]
-        if lin.any():
-            c = self.coef[rows[lin]]
-            ul = u[lin]
-            acc = c[:, 0]
-            for k in range(1, 5):
-                acc = acc * ul + c[:, k]
-            out[lin] = acc
-        if not lin.all():
-            r = rows[~lin]
-            states = dense_eval_coefficients(self.y0[r], self.q[r], self.h, u[~lin])
-            sets = self.cand_set[r]
-            vals = np.empty(len(r))
-            for j in np.unique(sets):
-                sel = sets == j
-                vals[sel] = level_value(self.sets[j].level_id, states[sel]) - self.cvals[j]
-            out[~lin] = vals
+        for j in np.unique(sets):
+            sel = sets == j
+            out[sel] = level_value(self.sets[j].level_id, states[sel]) - self.cvals[j]
         return out
 
 
@@ -466,8 +444,8 @@ def _sign_changes(L_lo, L_hi, dirs):
     return (s_lo != 0) & (s_lo * np.sign(L_hi) <= 0) & (dirs * s_lo <= 0)
 
 
-def _first_crossings(sets, cvals, weights, dirs, levels_at, y0, K, h, L_here,
-                     L_new, active, adv_cap, stats):
+def _first_crossings(sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new,
+                     active, adv_cap, stats):
     """Earliest admissible crossing of each active member inside one step.
 
     Crossings are located by ``_bracketed_roots`` on the level along the
@@ -500,8 +478,7 @@ def _first_crossings(sets, cvals, weights, dirs, levels_at, y0, K, h, L_here,
             break
         cand = idx[rows]
         qc = q[qrow[cand]]
-        f = _LevelAlongStep(sets, cvals, weights, y0[cand], qc, h, cand_set,
-                            L_here[cand, cand_set])
+        f = _LevelAlongStep(sets, cvals, y0[cand], qc, h, cand_set)
         u, passes = _bracketed_roots(f, scan_lo[cand], np.ones(len(cand)),
                                      L_lo[cand, cand_set], L_new[cand, cand_set],
                                      _TIME_TOL / h)
@@ -572,7 +549,6 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
     run.final_t[done] = 0.0
     sets = sys.impulsive_sets
     cvals = np.array([p.level_value for p in sets])
-    weights = [linear_level_weights(p.level_id, dim) for p in sets]
     dirs = np.array([0 if ignore_directions else p.direction for p in sets])
     imp_fn, _ = _IMPULSE_MAPS[sys.impulse.map_id]
 
@@ -652,8 +628,8 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
                 )
 
         hit_members, hit_u, hit_set, pre_states = _first_crossings(
-            sets, cvals, weights, dirs, levels_at, y0, K, h, L_here, L_new,
-            active, adv_cap, stats)
+            sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new, active,
+            adv_cap, stats)
 
         adv = adv_cap.copy()
         adv[hit_members] = hit_u * h

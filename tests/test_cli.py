@@ -218,6 +218,19 @@ class TestDeterminism:
         assert blobs[0]["table"] == blobs[1]["table"]
         assert blobs[0]["manifest"] == blobs[1]["manifest"]
 
+    def test_config_workers_key_kept_out_of_manifest(self, tmp_path, monkeypatch):
+        base = {"system": {"name": "annulus"}, "seed": 5,
+                "params": {"horizon": 5.0, "dt_sample": 0.1}}
+        manifests = []
+        for sub, cfg in (("a", base), ("b", {**base, "workers": 8})):
+            (tmp_path / sub).mkdir()
+            monkeypatch.chdir(tmp_path / sub)
+            (tmp_path / sub / "c.json").write_text(json.dumps(cfg))
+            assert run_cli("simulate", "--config", "c.json", "--out", "out") == 0
+            manifests.append((tmp_path / sub / "out" / "manifest.json").read_bytes())
+        assert b"workers" not in manifests[1]
+        assert manifests[0] == manifests[1]
+
     def test_simulate_rerun_identical(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
