@@ -272,14 +272,14 @@ class SystemSpec:
         return -1
 
 
-def apply_impulse(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
+def apply_impulse(sys: SystemSpec, x: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Apply the impulse map at a state of the impulsive set.
 
-    Raises ValueError when x is not on the set within its membership
-    tolerance.
+    Raises ValueError when x is not on the set within ``tol`` (default: each
+    piece's membership tolerance).
     """
     x = np.asarray(x, dtype=float)
-    j = sys.in_impulsive_set(x)
+    j = sys.in_impulsive_set(x, tol)
     if j < 0:
         raise ValueError("state is not on the impulsive set")
     fn, _ = _IMPULSE_MAPS[sys.impulse.map_id]

@@ -66,7 +66,7 @@ def equivalence_class(sys: SystemSpec, x: np.ndarray) -> EquivalenceClass:
         raise ValueError("state outside the admissible region")
     members = [x]
     if sys.in_impulsive_set(x, tol=1e-7) >= 0:
-        image = apply_impulse(sys, x)
+        image = apply_impulse(sys, x, tol=1e-7)
         members.append(image)
         members.extend(impulse_preimages(sys, x))      # empty when sets are disjoint
         members.extend(impulse_preimages(sys, image))  # includes x itself

@@ -24,6 +24,14 @@ class TestEquivalenceClass:
         got = sorted(map(tuple, c.members.tolist()))
         assert got == [(-1.0, 0.0), (1.0, 0.0)]
 
+    def test_point_within_class_tolerance_of_the_set(self, annulus):
+        # 1.5e-9 off the segment: outside the set's own 1e-9 membership
+        # tolerance, inside the 1e-7 tolerance that classes are built with
+        x = polar(1.5, 1e-9)
+        c = equivalence_class(annulus, x)
+        assert np.array_equal(c.members[0], x)
+        assert np.allclose(c.members[1], [-1.25, 0.0])
+
     def test_image_point_pairs_with_preimage(self, annulus):
         c = equivalence_class(annulus, np.array([-1.25, 0.0]))
         got = sorted(map(tuple, c.members.tolist()))
