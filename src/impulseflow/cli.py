@@ -37,7 +37,7 @@ from .measures import (
     pushforward_discrepancy,
     write_measure_csv,
 )
-from .quotient import equivalence_class, metric_axiom_audit, quotient_distance
+from .quotient import metric_axiom_audit
 from .systems import build_fixture, candidate_cloud, fixture_names, sample_impulsive_set
 
 EXPERIMENTS = ("simulate", "check-hypotheses", "measure", "entropy", "quotient")
@@ -94,6 +94,16 @@ def _resolve(args) -> dict:
     if not isinstance(cfg["seed"], int):
         _fail("seed", "must be an integer")
     return cfg
+
+
+def _count_param(params: dict, name: str, default: int, minimum: int) -> int:
+    """An integer parameter that must be at least ``minimum``."""
+    value = params.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        _fail(f"params.{name}", "must be an integer")
+    if value < minimum:
+        _fail(f"params.{name}", f"must be at least {minimum}")
+    return value
 
 
 def _parse_grid(text: str, dim: int) -> GridPartition:
@@ -185,7 +195,7 @@ def _run_simulate(sys_spec, params, rng, outdir: Path) -> dict:
 
 
 def _run_check_hypotheses(sys_spec, params, rng, outdir: Path) -> dict:
-    n = int(params.get("n_samples", 1000))
+    n = _count_param(params, "n_samples", 1000, 1)
     margin_tol = float(params.get("margin_tol", 1e-6))
     rep_d = transversality_margin(sys_spec, "D", n, margin_tol)
     rep_id = transversality_margin(sys_spec, "ID", n, margin_tol)
@@ -288,14 +298,10 @@ def _run_quotient(sys_spec, params, rng, outdir: Path) -> dict:
         if pts.shape[1] != sys_spec.dim:
             _fail("params.points_csv", "column count does not match state dimension")
     else:
-        pts = candidate_cloud(sys_spec, int(params.get("n_points", 200)), rng)
-    classes = [equivalence_class(sys_spec, p) for p in pts]
-    n = len(classes)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = quotient_distance(classes[i], classes[j])
+        pts = candidate_cloud(sys_spec, _count_param(params, "n_points", 200, 0),
+                              rng)
     audit = metric_axiom_audit(sys_spec, pts)
+    classes, D, n = audit.classes, audit.distances, audit.n_points
 
     def write_classes(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,11 +39,6 @@ class EquivalenceClass:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def intersects(self, other: "EquivalenceClass", tol: float = _MERGE_TOL) -> bool:
-        d2 = np.sum((self.members[:, None, :] - other.members[None, :, :]) ** 2,
-                    axis=2)
-        return bool(d2.min() <= tol * tol)
 
 
 def _dedupe(points: list[np.ndarray]) -> np.ndarray:
@@ -93,6 +88,25 @@ def representative_pair(a: EquivalenceClass, b: EquivalenceClass):
     return a.members[i].copy(), b.members[j].copy()
 
 
+def _sq_distance_matrix(classes: list[EquivalenceClass]) -> np.ndarray:
+    """Squared class distances, one class row at a time: the squared member
+    distances from class i to every stacked member, minimised over i's
+    members and then over each class's block of the stack.  Each entry is
+    bit-identical to quotient_distance(a, b) ** 2 before the root (same
+    differences, same sum over coordinates), and row i against column i is
+    exactly symmetric because (p - q) ** 2 == (q - p) ** 2."""
+    n = len(classes)
+    if n == 0:
+        return np.zeros((0, 0))
+    stacked = np.concatenate([c.members for c in classes])
+    starts = np.cumsum([0] + [len(c) for c in classes[:-1]])
+    D2 = np.empty((n, n))
+    for i, c in enumerate(classes):
+        d2 = np.sum((c.members[:, None, :] - stacked[None, :, :]) ** 2, axis=2)
+        D2[i] = np.minimum.reduceat(d2.min(axis=0), starts)
+    return D2
+
+
 @dataclass(frozen=True)
 class MetricAuditReport:
     n_points: int
@@ -101,6 +115,10 @@ class MetricAuditReport:
     triangle_violations: int
     worst_triangle_excess: float
     witnesses: tuple
+    # the audited classes and their distance matrix, for callers that
+    # write them out
+    classes: tuple = field(repr=False, compare=False)
+    distances: np.ndarray = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -112,38 +130,30 @@ def metric_axiom_audit(sys: SystemSpec, points: np.ndarray,
                        tol: float = 1e-9) -> MetricAuditReport:
     """Audit the class distance on the classes generated by ``points``.
 
-    Checks symmetry (exact), identity of indiscernibles (zero distance iff
-    the classes intersect, within tol), and the triangle inequality over all
-    triples with slack tol.  Violations are reported with witnesses, not
+    The squared class-distance matrix is computed once, one class row at a
+    time against all stacked class members, and every check reads it:
+    symmetry (row i against column i, exactly), identity of indiscernibles
+    (distance <= tol iff the classes share a member, i.e. squared distance
+    <= the 1e-9 merge tolerance squared), and the triangle inequality over
+    all triples with slack tol.  Violations are reported with witnesses, not
     asserted away: non-injective impulse maps can genuinely break the
-    triangle inequality off the recurrent set.
+    triangle inequality off the recurrent set.  The report also carries the
+    classes and the distance matrix.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     classes = [equivalence_class(sys, p) for p in points]
     n = len(classes)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = quotient_distance(classes[i], classes[j])
+    D2 = _sq_distance_matrix(classes)
+    D = np.sqrt(D2)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
 
-    # symmetry: recompute with swapped arguments and compare exactly
-    sym_viol = 0
-    for i in range(0, n, max(1, n // 16)):
-        for j in range(i + 1, n):
-            if quotient_distance(classes[j], classes[i]) != D[i, j]:
-                sym_viol += 1
+    sym_viol = int((upper & (D != D.T)).sum())
 
-    ident_viol = 0
-    witnesses: list[dict] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            zero = D[i, j] <= tol
-            meet = classes[i].intersects(classes[j])
-            if zero != meet:
-                ident_viol += 1
-                if len(witnesses) < 8:
-                    witnesses.append({"kind": "identity", "i": i, "j": j,
-                                      "distance": float(D[i, j])})
+    ident_mask = upper & ((D <= tol) != (D2 <= _MERGE_TOL * _MERGE_TOL))
+    ident_viol = int(ident_mask.sum())
+    witnesses = [{"kind": "identity", "i": int(i), "j": int(j),
+                  "distance": float(D[i, j])}
+                 for i, j in np.argwhere(ident_mask)[:8]]
 
     # triangle: d(a,c) <= min_b d(a,b) + d(b,c) + tol
     best = np.full((n, n), np.inf)
@@ -163,4 +173,6 @@ def metric_axiom_audit(sys: SystemSpec, points: np.ndarray,
         triangle_violations=tri_viol,
         worst_triangle_excess=float(excess.max()) if n else 0.0,
         witnesses=tuple(witnesses),
+        classes=tuple(classes),
+        distances=D,
     )

@@ -98,3 +98,10 @@ def prey_predator_rhs(x, params=None):
         -(p["gamma2"] * x2 + p["nu2"] * x3) * x2 / den,
         -p["mu1"] * x3 / den,
     ])
+
+
+def min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest distance between a point of a and a point of b, over every
+    pair at once (brute force, no spatial index)."""
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    return float(np.sqrt(d2.min()))

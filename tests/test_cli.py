@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from impulseflow.cli import main
 
@@ -42,6 +43,23 @@ class TestValidation:
                                    "system": {"name": "annulus"}}))
         assert run_cli("simulate", "--config", str(cfg),
                        "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("experiment,field,value", [
+        ("quotient", "n_points", "abc"),
+        ("quotient", "n_points", -3),
+        ("quotient", "n_points", 2.5),
+        ("check-hypotheses", "n_samples", "abc"),
+        ("check-hypotheses", "n_samples", -3),
+        ("check-hypotheses", "n_samples", 0),
+    ])
+    def test_bad_count_exits_2(self, tmp_path, capsys, experiment, field, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": {"name": "annulus"},
+                                   "params": {field: value}}))
+        out = tmp_path / "run"
+        assert run_cli(experiment, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"params.{field}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestSimulate:
@@ -173,6 +191,19 @@ class TestQuotientExperiment:
         assert (out / "quotient_classes.csv").exists()
         manifest = read_json(out / "manifest.json")
         assert manifest["results"]["audit"]["triangle_violations"] == 0
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_point_counts(self, tmp_path, n):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": {"name": "doubling_suspension"},
+                                   "params": {"n_points": n}}))
+        out = tmp_path / "run"
+        assert run_cli("quotient", "--config", str(cfg), "--out", str(out)) == 0
+        with open(out / "quotient_dmatrix.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["i"], r["j"], r["dtilde"]) for r in rows] == \
+            [("0", "0", "0.0")] * n
+        assert read_json(out / "manifest.json")["results"]["n_points"] == n
 
     def test_points_csv_input(self, tmp_path):
         pts = tmp_path / "pts.csv"

@@ -4,10 +4,15 @@ import pytest
 from impulseflow import (
     build_fixture,
     hitting_continuity_probe,
+    sample_impulsive_set,
     separation_report,
     transversality_margin,
 )
+from impulseflow.hypotheses import _min_distance_to
 from dataclasses import replace
+from scipy.spatial import cKDTree
+
+from oracles import min_cross_distance
 
 
 class TestTransversality:
@@ -65,6 +70,26 @@ class TestSeparation:
     def test_doubling_positive(self, doubling):
         rep = separation_report(doubling, 200)
         assert rep.dist_D_ID > 0.9
+
+    @pytest.mark.parametrize("name", ["annulus", "prey_predator",
+                                      "doubling_suspension"])
+    def test_distance_equals_brute_force(self, name):
+        sys_spec = build_fixture(name)
+        rep = separation_report(sys_spec, 400)
+        want = min_cross_distance(sample_impulsive_set(sys_spec, "D", 400),
+                                  sample_impulsive_set(sys_spec, "ID", 400))
+        assert rep.dist_D_ID == want
+
+    def test_tree_distance_on_tied_grids(self, rng):
+        # on shifted grids many points tie for the nearest distance, so the
+        # brute-force recheck runs over several points at once
+        g = np.arange(-3.0, 4.0)
+        grid = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3)
+        for points in (grid + 0.5, grid + 1 / 3, grid * 0.1 + np.pi,
+                       rng.normal(size=(50, 3))):
+            tree = cKDTree(grid)
+            assert (_min_distance_to(tree, grid, points)
+                    == min_cross_distance(points, grid))
 
 
 class TestContinuityProbe:

@@ -261,6 +261,21 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(annulus, polar(1.5, 1.0), -0.5)
 
+    @settings(max_examples=25, deadline=None)
+    @given(r=st.floats(1.0, 2.0), theta=st.floats(0.05, 2 * np.pi - 0.05),
+           s=st.floats(0.0, 12.0), t=st.floats(0.0, 12.0))
+    def test_semigroup_across_impulses(self, annulus, r, theta, s, t):
+        # psi(x, s + t) = psi(psi(x, s), t) when s and s + t stay away from
+        # the hit times t1 + k*pi; the second leg crosses at least one hit
+        taus, _ = annulus_impulse_schedule(r, theta, 12)
+        assume(np.abs(taus - s).min() > 1e-3)
+        assume(np.abs(taus - (s + t)).min() > 1e-3)
+        assume(((taus > s) & (taus < s + t)).any())
+        x = polar(r, theta)
+        once = psi(annulus, x, s + t)
+        twice = psi(annulus, psi(annulus, x, s), t)
+        assert np.abs(once - twice).max() < 1e-9
+
     def test_matches_trajectory_evaluation(self, annulus, rng):
         x = polar(1.62, 2.8)
         traj = impulsive_trajectory(annulus, x, 20.0, 0.05)

@@ -14,6 +14,50 @@ from impulseflow import (
 from conftest import polar
 
 
+def _pairwise_matrix(classes):
+    n = len(classes)
+    return np.array([[quotient_distance(a, b) for b in classes]
+                     for a in classes]).reshape(n, n)
+
+
+def _mixed_points(sys_spec, rng, n_cloud, n_set):
+    return np.vstack([
+        candidate_cloud(sys_spec, n_cloud, rng),
+        sample_impulsive_set(sys_spec, "D", n_set),
+        sample_impulsive_set(sys_spec, "ID", n_set),
+    ])
+
+
+def _pairwise_audit(sys_spec, points, tol=1e-9):
+    """The metric audit computed pair by pair with quotient_distance, as a
+    reference: (symmetry, identity, triangle) counts and the witnesses."""
+    classes = [equivalence_class(sys_spec, p) for p in points]
+    n = len(classes)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            D[i, j] = D[j, i] = quotient_distance(classes[i], classes[j])
+    sym = ident = 0
+    witnesses = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            sym += quotient_distance(classes[j], classes[i]) != D[i, j]
+            a, b = classes[i].members, classes[j].members
+            meet = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2).min() <= 1e-18
+            if (D[i, j] <= tol) != meet:
+                ident += 1
+                if len(witnesses) < 8:
+                    witnesses.append({"kind": "identity", "i": i, "j": j,
+                                      "distance": float(D[i, j])})
+    excess = D - (D[:, :, None] + D[None, :, :]).min(axis=1)
+    tri = int((excess > tol).sum()) // 2
+    if tri and len(witnesses) < 8:
+        i, j = np.argwhere(excess > tol)[0]
+        witnesses.append({"kind": "triangle", "i": int(i), "j": int(j),
+                          "excess": float(excess[i, j])})
+    return (sym, ident, tri), tuple(witnesses)
+
+
 class TestEquivalenceClass:
     def test_interior_point_is_singleton(self, annulus):
         c = equivalence_class(annulus, polar(1.5, np.pi / 2))
@@ -137,7 +181,41 @@ class TestMetricAudit:
         assert rep.worst_triangle_excess > 0.5
         assert any(w["kind"] == "triangle" for w in rep.witnesses)
 
+    def test_bridging_classes_match_pairwise_reference(self, annulus, rng):
+        pts = _mixed_points(annulus, rng, 60, 20)
+        rep = metric_axiom_audit(annulus, pts)
+        counts, witnesses = _pairwise_audit(annulus, pts)
+        assert (rep.symmetry_violations, rep.identity_violations,
+                rep.triangle_violations) == counts
+        assert rep.witnesses == witnesses
+
     def test_prey_predator_random_points_pass(self, prey_predator, rng):
         pts = candidate_cloud(prey_predator, 120, rng)
         rep = metric_axiom_audit(prey_predator, pts)
+        assert rep.passed
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("name", ["annulus", "prey_predator"])
+    def test_mixed_points_match_pairwise(self, name, rng):
+        # candidates are singletons, D and I(D) samples come in pairs
+        sys_spec = build_fixture(name)
+        rep = metric_axiom_audit(sys_spec, _mixed_points(sys_spec, rng, 30, 10))
+        assert {len(c) for c in rep.classes} == {1, 2}
+        assert np.array_equal(rep.distances, _pairwise_matrix(rep.classes))
+
+    def test_doubling_triples_match_pairwise(self, doubling, rng):
+        # a class of the two-to-one map holds a point and both of its
+        # angle-halving preimages
+        rep = metric_axiom_audit(doubling, _mixed_points(doubling, rng, 30, 10))
+        assert {len(c) for c in rep.classes} == {3}
+        assert np.array_equal(rep.distances, _pairwise_matrix(rep.classes))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_point_sets(self, annulus, n):
+        pts = np.array([[1.0, 0.0], [-1.25, 0.0]])[:n].reshape(n, 2)
+        rep = metric_axiom_audit(annulus, pts)
+        assert rep.n_points == n
+        assert rep.distances.shape == (n, n)
+        assert np.array_equal(rep.distances, _pairwise_matrix(rep.classes))
         assert rep.passed
