@@ -106,6 +106,21 @@ def _count_param(params: dict, name: str, default: int, minimum: int) -> int:
     return value
 
 
+def _number_list(params: dict, name: str, default, min_len: int) -> list:
+    """A list of at least ``min_len`` finite numbers."""
+    value = params.get(name, default)
+    if (not isinstance(value, (list, tuple)) or len(value) < min_len
+            or not all(_is_number(v) for v in value)):
+        _fail(f"params.{name}",
+              f"must be a list of at least {min_len} finite numbers")
+    return [float(v) for v in value]
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
 def _parse_grid(text: str, dim: int) -> GridPartition:
     """Parse 'lo:hi:bins,lo:hi:bins,...'; a single triple is broadcast."""
     parts = text.split(",")
@@ -265,12 +280,25 @@ def _run_measure(sys_spec, params, rng, outdir: Path) -> dict:
 
 
 def _run_entropy(sys_spec, params, rng, outdir: Path, seed: int) -> dict:
+    T_list = _number_list(params, "T_list", (2, 3, 4, 5, 6, 7, 8, 9, 10), 2)
+    if T_list != sorted(T_list) or T_list[0] < 0 or T_list[-1] <= 0:
+        _fail("params.T_list", "must be nonnegative, in increasing order, "
+              "and end above 0")
+    eps_list = _number_list(params, "eps_list", (0.1,), 1)
+    delta_list = _number_list(params, "delta_list", (0.1,), 1)
+    for name, values in (("eps_list", eps_list), ("delta_list", delta_list)):
+        if min(values) <= 0 or values != sorted(values, reverse=True):
+            _fail(f"params.{name}", "must be positive and nonincreasing")
+    dt_check = params.get("dt_check")
+    if dt_check is not None and not (
+            _is_number(dt_check) and 0 < dt_check <= min(delta_list) / 2):
+        _fail("params.dt_check", "must be a number in (0, min(delta_list)/2]")
     cfg = EntropyConfig(
-        T_list=tuple(params.get("T_list", (2, 3, 4, 5, 6, 7, 8, 9, 10))),
-        eps_list=tuple(params.get("eps_list", (0.1,))),
-        delta_list=tuple(params.get("delta_list", (0.1,))),
-        candidate_count=int(params.get("candidate_count", 4096)),
-        dt_check=params.get("dt_check"),
+        T_list=tuple(T_list),
+        eps_list=tuple(eps_list),
+        delta_list=tuple(delta_list),
+        candidate_count=_count_param(params, "candidate_count", 4096, 1),
+        dt_check=dt_check,
         seed=seed,
     )
     est = entropy_estimate(sys_spec, cfg)

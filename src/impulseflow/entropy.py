@@ -5,6 +5,14 @@ hit time (the gap set), which makes the notion robust to the jump
 discontinuities.  The estimator builds maximal separated sets greedily over a
 candidate cloud and regresses log counts against the time horizon.
 
+The whole (eps, T) table comes from one pass over the cloud's trajectories
+at the largest horizon for each window width delta.  k-d tree queries at the
+largest radius on a few sample times give the candidate pairs; for each pair
+the largest squared distance at the check times of either orbit's gap set is
+kept as a running maximum over the horizons, so every (eps, T) cell is a
+threshold on the same numbers, and its count a linear greedy scan of the
+pairs that conflict there.
+
 Counts are exact lower bounds for the separated-set supremum over the cloud;
 candidate exhaustion (the greedy admitting the whole cloud) is flagged and
 saturated cells are excluded from the growth fit, since they carry no growth
@@ -14,9 +22,8 @@ information.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
-
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .flow_core import IntegratorConfig
 from .impulsive_system import (
@@ -170,92 +177,214 @@ def in_dynamical_ball(sys: SystemSpec, x: np.ndarray, y: np.ndarray,
 # Separated sets
 # --------------------------------------------------------------------------
 
-class _OrbitCache:
-    """Shared per-cell data: orbit samples on the global grid, gap masks, and
-    interval endpoints per candidate."""
+# Pair x column entries (grid columns, or gap-set endpoints) per block of the
+# pair pass, so that its difference and distance temporaries stay near a
+# megabyte whatever the size of the cloud.
+_PAIR_BLOCK = 1 << 15
 
-    def __init__(self, trajs, T, delta, dt_check):
-        if trajs[0].horizon < T - 1e-9:
-            raise ValueError("trajectories are shorter than the ball horizon")
-        self.trajs = trajs
-        self.T = T
-        self.delta = delta
-        self.dt = dt_check
-        grid = trajs[0].sample_times
-        keep = grid <= T + 1e-12
-        self.grid = grid[keep]
-        self.orbits = np.stack([tr.sample_states[: len(self.grid)] for tr in trajs])
-        n, m = len(trajs), len(self.grid)
-        self.mask = np.ones((n, m), dtype=bool)
-        self.gap_sets = []
-        for i, tr in enumerate(trajs):
-            gs = gap_set(tr.impulse_times, T, delta)
-            self.gap_sets.append(gs)
-            for tau in tr.impulse_times:
-                if tau - delta > T:
-                    break
-                lo = np.searchsorted(self.grid, tau - delta, side="right")
-                hi = np.searchsorted(self.grid, tau + delta, side="left")
-                self.mask[i, lo:hi] = False
-
-    def endpoints(self, i: int) -> np.ndarray:
-        gs = self.gap_sets[i]
-        out = np.empty(2 * len(gs.intervals))
-        out[0::2] = [a for a, _ in gs.intervals]
-        out[1::2] = [b for _, b in gs.intervals]
-        return out
-
-    def eval_at(self, j: int, times: np.ndarray) -> np.ndarray:
-        return self.trajs[j].evaluate(times)
-
-    def pair_in_ball(self, center: int, other: int, eps: float) -> bool:
-        """Full ball predicate for one ordered pair: grid times inside the
-        center's gap set plus its interval endpoints."""
-        mask = self.mask[center]
-        diff = self.orbits[other, mask] - self.orbits[center, mask]
-        if (np.einsum("td,td->t", diff, diff) >= eps * eps).any():
-            return False
-        tt = self.endpoints(center)
-        a = self.eval_at(center, tt)
-        b = self.eval_at(other, tt)
-        return bool((np.sum((a - b) ** 2, axis=1) < eps * eps).all())
+# Probe columns of the candidate-pair query, as fractions of the grid up to
+# the shortest horizon.
+_PROBE_FRACTIONS = (0.93, 0.65, 0.37, 0.11)
 
 
-def _greedy_separated(cache: _OrbitCache, eps: float) -> np.ndarray:
-    """Greedy mutual-exclusion scan in candidate order; returns admitted
-    indices."""
-    n, m = cache.orbits.shape[:2]
-    orb = cache.orbits
-    mask = cache.mask
-    # probe columns for the cheap prefilter, spread over the grid
-    probe_idx = np.unique((np.array([0.93, 0.65, 0.37, 0.11]) * (m - 1)).astype(int))
-    admitted: list[int] = []
-    adm_orb = np.empty((n, m, orb.shape[2]))
-    adm_mask = np.empty((n, m), dtype=bool)
-    eps2 = eps * eps
-    for j in range(n):
-        if admitted:
-            A = len(admitted)
-            d2p = np.sum(
-                (adm_orb[:A, probe_idx] - orb[j, probe_idx]) ** 2, axis=2)
-            far = d2p >= eps2
-            # pair excluded on the probes only if far at a time valid for the
-            # admitted center AND far at a time valid for candidate j
-            viol_a = (far & adm_mask[:A, probe_idx]).any(axis=1)
-            viol_j = (far & mask[j, probe_idx]).any(axis=1)
-            alive = np.flatnonzero(~(viol_a & viol_j))
-            blocked = False
-            for k in alive:
-                a = admitted[k]
-                if cache.pair_in_ball(a, j, eps) or cache.pair_in_ball(j, a, eps):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-        adm_orb[len(admitted)] = orb[j]
-        adm_mask[len(admitted)] = mask[j]
-        admitted.append(j)
-    return np.array(admitted, dtype=int)
+@dataclass(frozen=True)
+class _PairTable:
+    """The pairs of one window width that conflict at some horizon.
+
+    ``lo < hi`` are candidate indices, sorted by ``hi``.  ``dmin[p, k]`` is
+    min(D_T(lo, hi), D_T(hi, lo)) at T = T_list[k], where D_T(a, j) is the
+    largest squared distance between the orbits of a and j over the check
+    times of a's gap set on [0, T].  The pair conflicts at (eps, T_list[k])
+    exactly when dmin[p, k] < eps**2; entries are exact wherever they fall
+    below eps_max**2, which is all that a radius up to eps_max reads.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    dmin: np.ndarray
+    kd_pairs: int
+    prefilter_pairs: int
+
+
+def _valid_columns(trajs, grid: np.ndarray, delta: float) -> np.ndarray:
+    """Per trajectory, the grid columns outside the open windows
+    (tau - delta, tau + delta) of its hits."""
+    owner = np.repeat(np.arange(len(trajs)), [tr.n_impulses for tr in trajs])
+    taus = np.concatenate([tr.impulse_times for tr in trajs])
+    opens = np.searchsorted(grid, taus - delta, side="right")
+    closes = np.searchsorted(grid, taus + delta, side="left")
+    valid = np.ones((len(trajs), len(grid)), dtype=bool)
+    for i, a, b in zip(owner.tolist(), opens.tolist(), closes.tolist()):
+        valid[i, a:b] = False
+    return valid
+
+
+def _endpoint_max(trajs, E, own, n_ends, center, other, t_last):
+    """Largest squared distance between the orbits of center[r] and
+    other[r] at the center's gap-set endpoints up to each horizon (-inf for
+    none), for every row r.
+
+    ``E``, ``own`` and ``n_ends`` hold each center's padded endpoints, its
+    states there, and the number of endpoints up to each horizon.  Endpoints
+    after t_last[r] are skipped.  Rows are taken by other orbit, so that each
+    is evaluated once for a run of its centers.
+    """
+    R, L = len(center), E.shape[1]
+    out = np.full((R, n_ends.shape[1]), -np.inf)
+    order = np.argsort(other, kind="stable")
+    step = max(1, _PAIR_BLOCK // max(L, 1))
+    for s in range(0, R if L else 0, step):
+        blk = order[s:s + step]
+        c, o = center[blk], other[blk]
+        tq = E[c]
+        real = tq <= t_last[blk, None]
+        cross = np.zeros((len(blk), L, own.shape[2]))
+        cuts = [0, *(np.flatnonzero(np.diff(o)) + 1), len(blk)]
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            if real[u:v].any():
+                cross[u:v][real[u:v]] = trajs[o[u]].evaluate(tq[u:v][real[u:v]])
+        d2 = np.where(real, np.sum((own[c] - cross) ** 2, axis=-1), -np.inf)
+        run = np.maximum.accumulate(d2, axis=1)
+        k = n_ends[c]
+        out[blk] = np.where(k > 0, np.take_along_axis(
+            run, np.maximum(k - 1, 0), axis=1), -np.inf)
+    return out
+
+
+def _pair_tables(trajs, T_list, eps_max: float, delta_list):
+    """Conflict pairs of the trajectories for every horizon in T_list, one
+    pass per window width in delta_list (a generator of _PairTable).
+
+    j is in the ball of the center a at horizon T when the orbits stay
+    closer than eps at a's check times: the sample-grid columns up to T
+    outside a's windows, and the interval endpoints of a's gap set on
+    [0, T].  Those endpoints are the ones of its gap set on [0, max(T_list)]
+    up to T, plus T itself when T lies in the gap set, so one pass over the
+    trajectories at max(T_list) gives D_T(a, j) for every T as a running
+    maximum plus a term at T.  Squared distances are einsum sums on grid
+    columns and sum((a - b)**2) at endpoints, bit for bit the arithmetic of
+    a pair-by-pair test.
+
+    Candidate pairs come from k-d tree radius queries at eps_max on probe
+    columns up to min(T_list); a pair is dropped only when it is far at a
+    probe valid for each of its two members, since then neither orbit is in
+    the other's ball at any horizon.  A member with no valid probe keeps all
+    of its pairs.
+    """
+    T_list = np.asarray(T_list, dtype=float)
+    if (T_list < 0).any():
+        raise ValueError("t must be nonnegative")
+    T_max = float(T_list.max())
+    if trajs[0].horizon < T_max - 1e-9:
+        raise ValueError("trajectories are shorter than the ball horizon")
+    n, nT = len(trajs), len(T_list)
+    grid = trajs[0].sample_times
+    # Grid columns checked at each T (at least column 0, as T >= 0), taken as
+    # runs of segments.  The windows of every hit mask them, as at max(T_list):
+    # a window opening after a smaller T could only cover a column inside the
+    # 1e-12 slack above that T.
+    cols = np.searchsorted(grid, T_list + 1e-12, side="right")
+    bounds = np.unique(cols)
+    seg_starts = np.concatenate([[0], bounds[:-1]])
+    seg_of = np.searchsorted(bounds, cols)
+    m = int(bounds[-1])
+    grid = grid[:m]
+    orbits = np.stack([tr.sample_states[:m] for tr in trajs])
+    dim = orbits.shape[2]
+    eps2 = eps_max * eps_max
+
+    probes = np.unique(
+        (np.array(_PROBE_FRACTIONS) * (bounds[0] - 1)).astype(int))
+    at_probes = orbits[:, probes]
+    near = [cKDTree(at_probes[:, k]).query_pairs(eps_max * (1 + 1e-9),
+                                                output_type="ndarray")
+            for k in range(len(probes))]
+    near = np.concatenate([p[:, 0] * n + p[:, 1] for p in near])
+    step = max(1, _PAIR_BLOCK // m)
+
+    for delta in delta_list:
+        gaps = [gap_set(tr.impulse_times, T_max, delta) for tr in trajs]
+        ends = [np.asarray(gs.intervals, dtype=float).reshape(-1) for gs in gaps]
+        L = max(len(e) for e in ends)
+        E = np.full((n, L), np.inf)
+        own = np.zeros((n, L, dim))
+        at_T = np.empty((n, nT, dim))
+        for i, (tr, e) in enumerate(zip(trajs, ends)):
+            E[i, :len(e)] = e
+            states = tr.evaluate(np.concatenate([e, T_list]))
+            own[i, :len(e)] = states[:len(e)]
+            at_T[i] = states[len(e):]
+        n_ends = np.count_nonzero(E[:, None, :] <= T_list[:, None], axis=2)
+        T_in_gap = ((E[:, None, 0::2] <= T_list[:, None])
+                    & (T_list[:, None] <= E[:, None, 1::2])).any(axis=2)
+        valid = _valid_columns(trajs, grid, delta)
+
+        # candidate pairs and the probe prefilter
+        vp = valid[:, probes]
+        blind = np.flatnonzero(~vp.any(axis=1))
+        members = np.arange(n)
+        blind_pairs = [np.minimum(b, members[members != b]) * n
+                       + np.maximum(b, members[members != b]) for b in blind]
+        codes = np.sort(np.concatenate([near, *blind_pairs]))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        lo, hi = np.divmod(codes, n)
+        keep = np.empty(len(codes), dtype=bool)
+        pstep = _PAIR_BLOCK // len(probes)
+        for s in range(0, len(codes), pstep):
+            a, b = lo[s:s + pstep], hi[s:s + pstep]
+            diff = at_probes[b] - at_probes[a]
+            far = np.einsum("ptd,ptd->pt", diff, diff) >= eps2
+            keep[s:s + pstep] = ~((far & vp[a]).any(axis=1)
+                                  & (far & vp[b]).any(axis=1))
+        lo, hi = lo[keep], hi[keep]
+        P = len(lo)
+
+        # directed distances on the grid and at T: D[0] centers lo, D[1] hi
+        D = np.empty((2, P, nT))
+        for s in range(0, P, step):
+            a, b = lo[s:s + step], hi[s:s + step]
+            diff = orbits[b] - orbits[a]
+            d2 = np.einsum("ptd,ptd->pt", diff, diff)
+            at_t = np.sum((at_T[a] - at_T[b]) ** 2, axis=-1)
+            for side, c in enumerate((a, b)):
+                Dc = np.maximum.accumulate(np.maximum.reduceat(
+                    np.where(valid[c], d2, -np.inf), seg_starts, axis=1),
+                    axis=1)[:, seg_of]
+                D[side, s:s + step] = np.maximum(
+                    Dc, np.where(T_in_gap[c], at_t, -np.inf))
+
+        # gap-set endpoints, for the directions still below eps_max at some
+        # T; the second direction only where it can still lower the minimum
+        for side, (centers, others) in enumerate(((lo, hi), (hi, lo))):
+            need = D[side] < eps2
+            if side == 1:
+                need &= D[1] < D[0]
+            rows = np.flatnonzero(need.any(axis=1))
+            t_last = np.where(need[rows], T_list, -np.inf).max(axis=1)
+            D[side, rows] = np.maximum(D[side, rows], _endpoint_max(
+                trajs, E, own, n_ends, centers[rows], others[rows], t_last))
+
+        dmin = np.minimum(D[0], D[1])
+        live = np.flatnonzero((dmin < eps2).any(axis=1))
+        live = live[np.lexsort((lo[live], hi[live]))]
+        yield _PairTable(lo=lo[live], hi=hi[live], dmin=dmin[live],
+                         kd_pairs=len(codes), prefilter_pairs=P)
+
+
+def _greedy_scan(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Greedy mutual-exclusion scan in candidate order over the conflict
+    pairs lo < hi (sorted by hi): a candidate is admitted when no admitted
+    earlier candidate conflicts with it.  Returns the admitted indices."""
+    admitted = [True] * n
+    starts = np.searchsorted(hi, np.arange(n + 1))
+    later = np.flatnonzero(np.diff(starts)).tolist()
+    starts, lo = starts.tolist(), lo.tolist()
+    for j in later:
+        for k in range(starts[j], starts[j + 1]):
+            if admitted[lo[k]]:
+                admitted[j] = False
+                break
+    return np.flatnonzero(admitted)
 
 
 def max_separated_set(sys: SystemSpec, candidates: np.ndarray, T: float,
@@ -276,8 +405,8 @@ def max_separated_set(sys: SystemSpec, candidates: np.ndarray, T: float,
     if trajectories is None:
         trajectories = impulsive_trajectory_batch(
             sys, candidates, max(T, dt_check), dt_check, cfg)
-    cache = _OrbitCache(trajectories, T, delta, dt_check)
-    admitted = _greedy_separated(cache, eps)
+    table = next(_pair_tables(trajectories, (T,), eps, (delta,)))
+    admitted = _greedy_scan(len(candidates), table.lo, table.hi)
     return candidates[admitted], int(len(admitted))
 
 
@@ -295,12 +424,11 @@ def exhaustive_max_separated(sys: SystemSpec, candidates: np.ndarray, T: float,
     if trajectories is None:
         trajectories = impulsive_trajectory_batch(
             sys, candidates, max(T, dt_check), dt_check, cfg)
-    cache = _OrbitCache(trajectories, T, delta, dt_check)
+    table = next(_pair_tables(trajectories, (T,), eps, (delta,)))
     conflict = np.zeros(n, dtype=np.int64)
-    for i, j in combinations(range(n), 2):
-        if cache.pair_in_ball(i, j, eps) or cache.pair_in_ball(j, i, eps):
-            conflict[i] |= 1 << j
-            conflict[j] |= 1 << i
+    for i, j in zip(table.lo.tolist(), table.hi.tolist()):
+        conflict[i] |= 1 << j
+        conflict[j] |= 1 << i
     best = 0
     for subset in range(1 << n):
         size = int(subset).bit_count()
@@ -395,7 +523,10 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig,
 
     The headline estimate is the rate at the smallest radius and smallest
     window width.  Diagnostics record the measured gap bound, saturation,
-    monotonicity defects of the table, and the propagation work counters.
+    monotonicity defects of the table, the propagation work counters, and
+    the separated-set work counters: passes (one per delta), k-d candidate
+    pairs and the pairs left by the probe prefilter (per delta), and the
+    conflicting pairs of each cell (in table order).
     """
     integrator = integrator or IntegratorConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -410,15 +541,22 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig,
             f"max delta {max(cfg.delta_list)} violates the gap bound "
             f"eta/2 = {adm.eta / 2:.6g}"
         )
+    n = len(candidates)
     rows = []
-    for delta in cfg.delta_list:
+    work = {"passes": 0, "kd_pairs": [], "prefilter_pairs": [],
+            "conflict_pairs": []}
+    tables = _pair_tables(trajs, cfg.T_list, max(cfg.eps_list), cfg.delta_list)
+    for delta, table in zip(cfg.delta_list, tables):
+        work["passes"] += 1
+        work["kd_pairs"].append(table.kd_pairs)
+        work["prefilter_pairs"].append(table.prefilter_pairs)
         for eps in cfg.eps_list:
-            for T in cfg.T_list:
-                cache = _OrbitCache(trajs, T, delta, cfg.dt_check)
-                admitted = _greedy_separated(cache, eps)
-                s = len(admitted)
+            for k, T in enumerate(cfg.T_list):
+                hit = table.dmin[:, k] < eps * eps
+                s = len(_greedy_scan(n, table.lo[hit], table.hi[hit]))
+                work["conflict_pairs"].append(int(hit.sum()))
                 rows.append(CellCount(T=T, eps=eps, delta=delta, s_count=s,
-                                      saturated=s >= len(candidates)))
+                                      saturated=s >= n))
     rates = {}
     lower_bound_any = False
     for delta in cfg.delta_list:
@@ -444,6 +582,7 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig,
             "saturated_cells": int(sum(r.saturated for r in rows)),
             "eps_monotonicity_defects": mono_defects,
             "propagation": asdict(stats),
+            "separated": work,
         },
     )
 

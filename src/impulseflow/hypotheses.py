@@ -170,7 +170,8 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
     along approach_dirs tangent directions and flowing backward for time s;
     their first-hitting time is then measured forward (0 on the set itself).
     Probes that fall outside the impulsive set's backward-reachable complement
-    within xi are counted as escaped, not fatal.
+    within xi, or whose forward orbit leaves the admissible region before
+    hitting, are counted as escaped, not fatal.
 
     Returns one row per scale: {"scale", "tau_star_max", "escaped"}.
     """
@@ -200,7 +201,11 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
             if _in_forward_tube(sys, xk, xi, cfg):
                 escaped += 1
                 continue
-            hit = first_hitting_time(sys, xk, t_max=max(10.0, 4 * s), cfg=cfg)
+            try:
+                hit = first_hitting_time(sys, xk, t_max=max(10.0, 4 * s),
+                                         cfg=cfg)
+            except RegionEscape:
+                hit = None
             if hit is None:
                 escaped += 1
             else:

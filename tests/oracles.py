@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 
+from impulseflow import gap_set
+
 
 def annulus_position(r0: float, theta0: float, t: float) -> np.ndarray:
     """Closed-form rotation flow: radius constant, angle advances at unit
@@ -105,3 +107,56 @@ def min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
     pair at once (brute force, no spatial index)."""
     d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
     return float(np.sqrt(d2.min()))
+
+
+def ball_distances(trajs, T: float, delta: float) -> dict:
+    """For every candidate pair (i < j), min(D(i, j), D(j, i)) at horizon T,
+    computed pair by pair.
+
+    D(c, o) is the largest squared distance between the orbits of the
+    center c and o at c's check times: every grid sample up to T outside
+    c's windows (tau - delta, tau + delta), and every interval endpoint of
+    c's gap set on [0, T]; -inf when there are none.  o is in the eps-ball
+    of c when D(c, o) < eps**2, so the pair conflicts when the minimum is.
+    """
+    grid = trajs[0].sample_times
+    grid = grid[grid <= T + 1e-12]
+    orbits = np.stack([tr.sample_states[:len(grid)] for tr in trajs])
+    n = len(trajs)
+    mask = np.ones((n, len(grid)), dtype=bool)
+    ends = []
+    for i, tr in enumerate(trajs):
+        gs = gap_set(tr.impulse_times, T, delta)
+        ends.append(np.array([t for ab in gs.intervals for t in ab]))
+        for tau in tr.impulse_times:
+            if tau - delta > T:
+                break
+            lo = np.searchsorted(grid, tau - delta, side="right")
+            hi = np.searchsorted(grid, tau + delta, side="left")
+            mask[i, lo:hi] = False
+
+    def directed(center, other):
+        keep = mask[center]
+        diff = orbits[other, keep] - orbits[center, keep]
+        a = trajs[center].evaluate(ends[center])
+        b = trajs[other].evaluate(ends[center])
+        return max(np.einsum("td,td->t", diff, diff).max(initial=-np.inf),
+                   np.sum((a - b) ** 2, axis=1).max(initial=-np.inf))
+
+    return {(i, j): min(directed(i, j), directed(j, i))
+            for i, j in combinations(range(n), 2)}
+
+
+def ball_conflicts(trajs, T: float, eps: float, delta: float) -> set:
+    """Conflicting candidate pairs (i < j) at horizon T and radius eps."""
+    return {p for p, d in ball_distances(trajs, T, delta).items()
+            if d < eps * eps}
+
+
+def greedy_count(n: int, conflicts: set) -> int:
+    """Size of the set admitted by the greedy scan in candidate order."""
+    admitted = []
+    for j in range(n):
+        if not any((a, j) in conflicts for a in admitted):
+            admitted.append(j)
+    return len(admitted)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The entropy criteria are
-the long ones (a few minutes together); everything else is seconds.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Criteria 2, 4 and 9 are
+the long ones (10-15 s each on a 2-vCPU machine); everything else is seconds.
 """
 
 import json

@@ -62,6 +62,34 @@ class TestValidation:
         assert not (out / "manifest.json").exists()
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("T_list", [5, 3]),
+        ("T_list", [-1, 3]),
+        ("T_list", [4]),
+        ("T_list", "abc"),
+        ("eps_list", [0.1, 0.2]),
+        ("eps_list", [0.0]),
+        ("delta_list", [0.05, 0.1]),
+        ("delta_list", ["x"]),
+        ("candidate_count", "abc"),
+        ("candidate_count", 0),
+        ("candidate_count", 2.5),
+        ("dt_check", 0.2),
+        ("dt_check", "abc"),
+    ])
+    def test_bad_entropy_params_exit_2(self, tmp_path, capsys, field, value):
+        params = {"T_list": [2, 3], "eps_list": [0.1], "delta_list": [0.1],
+                  "candidate_count": 16}
+        params[field] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": {"name": "doubling_suspension"},
+                                   "params": params}))
+        out = tmp_path / "run"
+        assert run_cli("entropy", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"params.{field}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestSimulate:
     def test_annulus_schedule(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -132,6 +160,16 @@ class TestHypothesesExperiment:
         assert rep["transversality_D"]["min_abs_inner"] > 1e-3
         assert rep["separation"]["dist_D_ID"] > 0.5
         assert len(rep["continuity_table"]) >= 3
+
+    def test_doubling_default_params(self, tmp_path):
+        # the probe at scale 0.1 slides off the cylinder and its forward
+        # orbit leaves the admissible region: counted as escaped
+        out = tmp_path / "run"
+        assert run_cli("check-hypotheses", "--system", "doubling_suspension",
+                       "--out", str(out)) == 0
+        table = read_json(out / "hypotheses.json")["continuity_table"]
+        assert table[0]["escaped"] > 0
+        assert len(table) == 5
 
     def test_degenerate_fails(self, tmp_path):
         out = tmp_path / "run"

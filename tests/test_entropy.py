@@ -14,7 +14,14 @@ from impulseflow import (
     impulsive_trajectory_batch,
     max_separated_set,
 )
-from oracles import doubling_separated_count, packing_number
+from impulseflow.entropy import _pair_tables
+from oracles import (
+    ball_conflicts,
+    ball_distances,
+    doubling_separated_count,
+    greedy_count,
+    packing_number,
+)
 
 
 def cylinder(theta, h=0.0):
@@ -166,6 +173,21 @@ class TestMaxSeparated:
                                           trajectories=trajs)
             assert ex / 2 <= g <= ex
 
+    def test_doubling_greedy_within_factor_two_of_exhaustive(self, doubling,
+                                                             rng):
+        for _ in range(12):
+            n = int(rng.integers(6, 14))
+            ang = rng.uniform(0.0, 2 * np.pi, n)
+            C = np.c_[np.cos(ang), np.sin(ang), rng.uniform(0.0, 0.9, n)]
+            T = float(rng.integers(2, 5))
+            eps = float(rng.uniform(0.1, 0.8))
+            trajs = impulsive_trajectory_batch(doubling, C, T, 0.05)
+            _, g = max_separated_set(doubling, C, T, eps, 0.1, 0.05,
+                                     trajectories=trajs)
+            ex = exhaustive_max_separated(doubling, C, T, eps, 0.1, 0.05,
+                                          trajectories=trajs)
+            assert ex / 2 <= g <= ex
+
     def test_time_zero_equals_packing_number(self, annulus, rng):
         # with first hits clear of the window, the horizon-zero ball is the
         # plain eps-ball at time zero, so the exhaustive maximum must equal
@@ -182,6 +204,76 @@ class TestMaxSeparated:
             ex = exhaustive_max_separated(annulus, C, 0.0, eps, 0.3, 0.15,
                                           trajectories=trajs)
             assert ex == packing_number(C, eps)
+
+
+def _small_cloud(sys_spec, n, rng):
+    if sys_spec.name == "doubling_suspension":
+        # staggered heights, so that the hit windows differ between members;
+        # the first third starts on the base circle and hits at integer times
+        ang = rng.uniform(0.0, 2 * np.pi, n)
+        z = np.where(np.arange(n) < n // 3, 0.0, rng.uniform(0.0, 0.9, n))
+        return np.c_[np.cos(ang), np.sin(ang), z]
+    return candidate_cloud(sys_spec, n, rng)
+
+
+class TestConflictPass:
+    # T = 0 everywhere, and T between grid samples (2.5, 0.27, 1.17, 1.92),
+    # where the check at T itself can set the distance; on the doubling
+    # suspension T = 2 falls on a hit and T = 3.05 inside the window
+    # (2.9, 3.1) of the members starting on the base circle
+    CASES = [
+        ("annulus", (0.0, 2.5, 6.0, 9.0), (0.6, 0.3, 0.1), (0.3, 0.15)),
+        ("doubling", (0.0, 0.27, 2.0, 3.05, 4.5), (0.5, 0.2, 0.1),
+         (0.3, 0.1)),
+        ("prey_predator", (0.0, 1.17, 1.92, 5.0), (0.6, 0.3, 0.1),
+         (0.1, 0.05)),
+    ]
+
+    @pytest.mark.parametrize("name,T_list,eps_list,delta_list", CASES)
+    def test_conflicts_equal_pairwise_predicate(self, request, name, T_list,
+                                                eps_list, delta_list):
+        sys_spec = request.getfixturevalue(name)
+        C = _small_cloud(sys_spec, 36, np.random.default_rng(11))
+        dt = min(delta_list) / 2
+        trajs = impulsive_trajectory_batch(sys_spec, C, max(T_list), dt)
+        tables = _pair_tables(trajs, T_list, max(eps_list), delta_list)
+        n_conflicts = 0
+        for delta, table in zip(delta_list, tables):
+            for k, T in enumerate(T_list):
+                want = ball_distances(trajs, T, delta)
+                got = dict(zip(zip(table.lo.tolist(), table.hi.tolist()),
+                               table.dmin[:, k].tolist()))
+                # the table holds the exact value of every pair that can
+                # conflict at some eps up to max(eps_list)
+                cut = max(eps_list) ** 2
+                assert ({p: d for p, d in got.items() if d < cut}
+                        == {p: d for p, d in want.items() if d < cut}), (delta, T)
+                for eps in eps_list:
+                    conflicts = {p for p, d in got.items() if d < eps * eps}
+                    assert conflicts == {p for p, d in want.items()
+                                         if d < eps * eps}, (delta, T, eps)
+                    n_conflicts += len(conflicts)
+        assert n_conflicts > 0
+        T, eps, delta = T_list[2], eps_list[1], delta_list[0]
+        _, count = max_separated_set(sys_spec, C, T, eps, delta, dt,
+                                     trajectories=trajs)
+        assert count == greedy_count(len(C),
+                                     ball_conflicts(trajs, T, eps, delta))
+
+    def test_separated_counters(self, annulus):
+        cfg = EntropyConfig(T_list=(5.0, 10.0, 15.0), eps_list=(0.2, 0.1),
+                            delta_list=(0.3, 0.15), candidate_count=200, seed=4)
+        work = entropy_estimate(annulus, cfg).diagnostics["separated"]
+        assert entropy_estimate(annulus, cfg).diagnostics["separated"] == work
+        assert work["passes"] == 2
+        # table order: delta, then eps, then T
+        conflicts = np.reshape(work["conflict_pairs"], (2, 2, 3))
+        assert conflicts.max() > 0
+        assert (np.diff(conflicts, axis=2) <= 0).all()
+        assert (np.diff(conflicts, axis=1) <= 0).all()
+        for kd, kept, per_delta in zip(work["kd_pairs"],
+                                       work["prefilter_pairs"], conflicts):
+            assert kd >= kept >= per_delta.max()
 
 
 class TestEntropyEstimate:
