@@ -9,11 +9,13 @@ from impulseflow import (
     VectorFieldSpec,
     apply_impulse,
     candidate_cloud,
+    eval_vector_field,
     first_hitting_time,
     impulse_preimages,
     impulsive_trajectory,
     impulsive_trajectory_batch,
     psi,
+    psi_batch,
 )
 from impulseflow.impulsive_system import (
     GapUnderflow,
@@ -275,6 +277,37 @@ class TestPsi:
         once = psi(annulus, x, s + t)
         twice = psi(annulus, psi(annulus, x, s), t)
         assert np.abs(once - twice).max() < 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(which=st.sampled_from(["annulus", "doubling"]),
+           starts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                           min_size=1, max_size=4))
+    def test_right_continuous_at_hits(self, annulus, doubling, which, starts):
+        # at every recorded hit tau the semiflow and the trajectory carry the
+        # post-impulse state; just before tau they tend to the pre-impulse one
+        if which == "annulus":
+            sys, T = annulus, 12.0
+            X = np.stack([polar(1.0 + a, 0.05 + b * (2 * np.pi - 0.1))
+                          for a, b in starts])
+        else:
+            sys, T = doubling, 5.5
+            X = np.stack([[np.cos(2 * np.pi * a), np.sin(2 * np.pi * a), 0.9 * b]
+                          for a, b in starts])
+        trajs = impulsive_trajectory_batch(sys, X, T, 0.05)
+        for x, tr in zip(X, trajs):
+            assert tr.n_impulses >= 1
+            n = tr.n_impulses
+            at_hits = psi_batch(sys, np.repeat(x[None], n, axis=0), tr.impulse_times)
+            assert np.abs(at_hits - tr.post_impulse_states).max() < 1e-9
+            assert np.abs(tr.evaluate(tr.impulse_times)
+                          - tr.post_impulse_states).max() < 1e-9
+            speed = np.linalg.norm(eval_vector_field(sys.field, tr.pre_impulse_states),
+                                   axis=1)
+            for s in (1e-3, 1e-5, 1e-7):
+                before = psi_batch(sys, np.repeat(x[None], n, axis=0),
+                                   tr.impulse_times - s)
+                gap = np.linalg.norm(before - tr.pre_impulse_states, axis=1)
+                assert (gap <= 1.01 * speed * s + 1e-9).all()
 
     def test_matches_trajectory_evaluation(self, annulus, rng):
         x = polar(1.62, 2.8)
