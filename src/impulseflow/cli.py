@@ -90,7 +90,8 @@ def _resolve(args) -> dict:
         _fail("system.name", "required (or pass --system)")
     if system["name"] not in fixture_names():
         _fail("system.name", f"unknown; choose from {fixture_names()}")
-    system.setdefault("overrides", {})
+    if not isinstance(system.setdefault("overrides", {}), dict):
+        _fail("system.overrides", "must be an object")
     if not isinstance(cfg["seed"], int):
         _fail("seed", "must be an integer")
     return cfg
@@ -116,6 +117,24 @@ def _number_list(params: dict, name: str, default, min_len: int) -> list:
     return [float(v) for v in value]
 
 
+def _number_param(params: dict, name: str, default: float, ok, why: str) -> float:
+    """A finite number for which ``ok(value)`` holds."""
+    value = params.get(name, default)
+    if not (_is_number(value) and ok(value)):
+        _fail(f"params.{name}", f"must be a finite number {why}")
+    return float(value)
+
+
+def _initial_state(params: dict, sys_spec, rng) -> np.ndarray:
+    """``params.initial_state``, or one draw from the system's candidate cloud."""
+    if "initial_state" not in params:
+        return candidate_cloud(sys_spec, 1, rng)[0]
+    x0 = _number_list(params, "initial_state", None, sys_spec.dim)
+    if len(x0) != sys_spec.dim:
+        _fail("params.initial_state", f"must be a list of {sys_spec.dim} finite numbers")
+    return np.array(x0)
+
+
 def _is_number(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and bool(np.isfinite(value)))
@@ -137,6 +156,8 @@ def _parse_grid(text: str, dim: int) -> GridPartition:
             bins.append(int(n))
         except ValueError:
             _fail("params.grid", f"bad triple {p!r}")
+        if bins[-1] < 1 or not lo[-1] < hi[-1]:
+            _fail("params.grid", f"need lo < hi and at least 1 bin in {p!r}")
     return GridPartition(lo=tuple(lo), hi=tuple(hi), bins=tuple(bins))
 
 
@@ -191,12 +212,9 @@ def _default_box(sys_spec) -> tuple:
 # --------------------------------------------------------------------------
 
 def _run_simulate(sys_spec, params, rng, outdir: Path) -> dict:
-    horizon = float(params.get("horizon", 100.0))
-    dt = float(params.get("dt_sample", 0.01))
-    if "initial_state" in params:
-        x0 = np.asarray(params["initial_state"], dtype=float)
-    else:
-        x0 = candidate_cloud(sys_spec, 1, rng)[0]
+    horizon = _number_param(params, "horizon", 100.0, lambda v: v > 0, "> 0")
+    dt = _number_param(params, "dt_sample", 0.01, lambda v: v > 0, "> 0")
+    x0 = _initial_state(params, sys_spec, rng)
     traj = impulsive_trajectory(sys_spec, x0, horizon, dt)
     _atomic_write(outdir / "trajectory.csv",
                   lambda path: write_trajectory_csv(traj, path))
@@ -211,15 +229,16 @@ def _run_simulate(sys_spec, params, rng, outdir: Path) -> dict:
 
 def _run_check_hypotheses(sys_spec, params, rng, outdir: Path) -> dict:
     n = _count_param(params, "n_samples", 1000, 1)
-    margin_tol = float(params.get("margin_tol", 1e-6))
+    margin_tol = _number_param(params, "margin_tol", 1e-6, lambda v: v >= 0, ">= 0")
+    scales = _number_list(params, "scales", [10.0 ** (-k) for k in range(1, 6)], 1)
+    if min(scales) <= 0 or any(a <= b for a, b in zip(scales, scales[1:])):
+        _fail("params.scales", "must be positive and strictly decreasing")
+    approach_dirs = _count_param(params, "approach_dirs", 2, 1)
     rep_d = transversality_margin(sys_spec, "D", n, margin_tol)
     rep_id = transversality_margin(sys_spec, "ID", n, margin_tol)
     sep = separation_report(sys_spec, min(n, 400))
     probe_point = sample_impulsive_set(sys_spec, "D", 3)[-1]
-    scales = params.get("scales", [10.0 ** (-k) for k in range(1, 6)])
-    table = hitting_continuity_probe(
-        sys_spec, probe_point, int(params.get("approach_dirs", 2)),
-        [float(s) for s in scales])
+    table = hitting_continuity_probe(sys_spec, probe_point, approach_dirs, scales)
     decays = [row["tau_star_max"] for row in table if np.isfinite(row["tau_star_max"])]
     cont_ok = len(decays) >= 2 and all(a > b for a, b in zip(decays, decays[1:]))
     report = {
@@ -253,20 +272,19 @@ def _run_check_hypotheses(sys_spec, params, rng, outdir: Path) -> dict:
 
 
 def _run_measure(sys_spec, params, rng, outdir: Path) -> dict:
-    horizon = float(params.get("horizon", 1000.0))
-    dt = float(params.get("dt_sample", 0.005))
-    burn_in = float(params.get("burn_in", 0.1 * horizon))
-    t_shift = float(params.get("t_shift", 1.0))
+    horizon = _number_param(params, "horizon", 1000.0, lambda v: v > 0, "> 0")
+    dt = _number_param(params, "dt_sample", 0.005, lambda v: v > 0, "> 0")
+    burn_in = _number_param(params, "burn_in", 0.1 * horizon,
+                            lambda v: 0 <= v < horizon, "in [0, horizon)")
+    t_shift = _number_param(params, "t_shift", 1.0, lambda v: 0 < v < horizon / 10,
+                            "in (0, horizon/10)")
     if "grid" in params:
         grid = _parse_grid(params["grid"], sys_spec.dim)
     else:
         lo, hi = _default_box(sys_spec)
-        bins = (int(params.get("bins", 40)),) * sys_spec.dim
+        bins = (_count_param(params, "bins", 40, 1),) * sys_spec.dim
         grid = GridPartition(lo=lo, hi=hi, bins=bins)
-    if "initial_state" in params:
-        x0 = np.asarray(params["initial_state"], dtype=float)
-    else:
-        x0 = candidate_cloud(sys_spec, 1, rng)[0]
+    x0 = _initial_state(params, sys_spec, rng)
     traj = impulsive_trajectory(sys_spec, x0, horizon, dt)
     mu = occupation_measure(traj, grid, burn_in)
     disc = pushforward_discrepancy(sys_spec, traj, grid, t_shift, burn_in)
@@ -391,10 +409,13 @@ def run(config: dict, experiment: str) -> dict:
     directory; its files move into place, manifest.json last, only once the
     run has succeeded.  A failed run leaves the output directory as it was.
     """
+    try:
+        sys_spec = build_fixture(config["system"]["name"],
+                                 config["system"].get("overrides", {}))
+    except (TypeError, ValueError) as e:
+        _fail("system.overrides", str(e))
     outdir = Path(config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    sys_spec = build_fixture(config["system"]["name"],
-                             config["system"].get("overrides", {}))
     rng = np.random.default_rng(config["seed"])
     params = config.get("params", {})
     # the worker count cannot affect any output (the entropy cloud runs as

@@ -1,10 +1,15 @@
 """Continuous flows: builtin vector fields, level functions, and an adaptive
-embedded Runge-Kutta 5(4) integrator with PI step-size control and dense output.
+embedded Runge-Kutta 5(4) stepper with PI step-size control and dense output.
 
 States are plain float ndarrays.  Every field and level function is vectorized
-over a leading batch axis, and the integrator advances a whole batch of
+over a leading batch axis, and ``BatchStepper`` advances a whole batch of
 independent states with a shared adaptive step; this is what makes the
-separated-set entropy estimator affordable.
+separated-set entropy estimator affordable.  The quartic in-step interpolant
+(``dense_*``) is written here only.
+
+The stepping loop itself is the propagation engine of ``impulsive_system``:
+``flow`` runs it as its case with no impulsive-set pieces, for one time or
+for an increasing array of times sampled from one run.
 """
 
 from __future__ import annotations
@@ -405,6 +410,14 @@ def dense_eval_coefficients(y0, q, h, u):
     return y0 + h * np.einsum("ndj,nj->nd", q, powers)
 
 
+def dense_eval_member(y0, K, h, u):
+    """The in-step interpolant of one member (``y0`` of shape (dim,), ``K``
+    of shape (7, dim)) at several fractions ``u`` of the step; shape
+    (len(u), dim)."""
+    q = K.T @ _RK_P
+    return y0 + h * ((u[:, None] ** np.arange(1, 5)) @ q.T)
+
+
 def dense_eval(y0, K, h, u):
     """Evaluate the in-step quartic interpolant at fractions ``u`` of the step.
 
@@ -414,46 +427,39 @@ def dense_eval(y0, K, h, u):
     return dense_eval_coefficients(y0, dense_coefficients(K), h, u)
 
 
-def _flow_batch(rhs, x0: np.ndarray, durations: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    """Integrate each batch member for its own duration; no event handling."""
-    y = np.array(x0, dtype=float)
-    t = np.zeros(len(y))
-    durations = np.asarray(durations, dtype=float)
-    out = np.array(y)
-    done = durations <= 0
-    out[done] = y[done]
-    stepper = BatchStepper(rhs, y, cfg)
-    stepper.active = ~done
-    while not done.all():
-        remaining = np.where(done, np.inf, durations - t)
-        h_cap = max(float(remaining[~done].max()), 10 * cfg.min_step)
-        h, y_new, K = stepper.step(h_cap)
-        finish = ~done & (remaining <= h * (1 + 1e-12))
-        if finish.any():
-            u = np.clip(remaining[finish] / h, 0.0, 1.0)
-            out[finish] = dense_eval(stepper.y[finish], K[:, finish], h, u)
-            done |= finish
-            stepper.active = ~done
-        t += h
-        stepper.commit(y_new, K)
-    return out
-
-
-def flow(spec: VectorFieldSpec, x: np.ndarray, t: float,
+def flow(spec: VectorFieldSpec, x: np.ndarray, t,
          cfg: IntegratorConfig | None = None) -> np.ndarray:
     """Flow a state (or batch of states) of a builtin system for time ``t``.
 
-    Negative ``t`` integrates the reversed field, which is meaningful for the
-    builtin systems only because their flows are invertible.
+    ``t`` may also be a 1-D array of times of one sign whose magnitudes
+    strictly increase; all of them are sampled from one run on the
+    integrator's dense output, and the result gains a time axis before the
+    state axis: shape (..., len(t), dim).
+
+    Negative times integrate the reversed field, which is meaningful for the
+    builtin systems only because their flows are invertible.  The flow is
+    the propagation engine's case with no impulsive-set pieces.
     """
+    # imported on call: the engine's module imports this one
+    from .impulsive_system import _propagate
+
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
+    batch = np.atleast_2d(x)
     if batch.shape[-1] != system_dimension(spec):
         raise ValueError("state dimension does not match system")
-    if t == 0:
-        return x.copy()
-    rhs = make_rhs(spec, sign=1.0 if t > 0 else -1.0)
-    out = _flow_batch(rhs, batch, np.full(len(batch), abs(t)), cfg)
-    return out[0] if single else out
+    times = np.asarray(t, dtype=float)
+    sign = -1.0 if (times < 0).any() else 1.0
+    span = sign * times
+    if times.ndim == 0:
+        if t == 0:
+            return x.copy()
+        out = _propagate(spec, batch, span, cfg, time_sign=sign).final
+    else:
+        if (times.ndim != 1 or not len(span) or span[0] < 0
+                or (np.diff(span) <= 0).any()):
+            raise ValueError("times must be one sign with strictly increasing "
+                             "magnitude")
+        out = _propagate(spec, batch, span[-1], cfg, sample_grid=span,
+                         time_sign=sign).samples
+    return out[0] if x.ndim == 1 else out

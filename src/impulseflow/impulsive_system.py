@@ -1,11 +1,15 @@
 """Impulsive semiflows: detect hits of the impulsive set, apply the impulse
 map, and realize the hit-time recursion.
 
-The propagation engine advances a whole batch of independent initial states
-with one shared adaptive step, locating level-set crossings per member by a
-bracketed secant (Illinois) iteration on the integrator's dense output.
-Trajectories are right-continuous across impulses: the value at a hit time is
-the post-impulse state.
+The one propagation engine, ``_propagate``, advances a whole batch of
+independent initial states with one shared adaptive step (``BatchStepper``)
+and owns the step cap, the horizon and finish rule and the final dense
+evaluation.  ``_first_crossings`` locates level-set crossings per member by a
+bracketed secant (Illinois) iteration on the dense output, and ``_BatchRun``
+records grid samples, hits and final states.  ``flow_core.flow`` is the
+engine's case with no impulsive-set pieces.  Trajectories are
+right-continuous across impulses: the value at a hit time is the
+post-impulse state.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .flow_core import (
-    _RK_P,
     BatchStepper,
     IntegratorConfig,
     RegionEscape,
@@ -25,6 +28,7 @@ from .flow_core import (
     dense_coefficients,
     dense_eval,
     dense_eval_coefficients,
+    dense_eval_member,
     eval_vector_field,
     level_value,
     make_rhs,
@@ -328,22 +332,53 @@ class RunStats:
 
 
 class _BatchRun:
-    """Mutable state of one batched impulsive propagation."""
+    """Recorder of one batched propagation: the grid samples, final states,
+    hits and work counters of every member."""
 
-    def __init__(self, n, dim, sample_grid):
-        self.n = n
-        self.dim = dim
-        self.final = np.zeros((n, dim))
-        self.final_t = np.zeros(n)
+    def __init__(self, X0, sample_grid):
+        self.n, self.dim = X0.shape
+        self.final = np.zeros_like(X0)
         self.stats = RunStats()
         self._hits = []     # one (members, taus, pre, post) block per step with hits
-        self._last_tau = np.full(n, np.nan)
+        self._last_tau = np.full(self.n, np.nan)
+        self.grid = sample_grid
         if sample_grid is not None:
-            self.samples = np.full((n, len(sample_grid), dim), np.nan)
-            self.ptr = np.zeros(n, dtype=int)
+            self.samples = np.full((self.n, len(sample_grid), self.dim), np.nan)
+            self.ptr = np.zeros(self.n, dtype=int)
+            if len(sample_grid) and sample_grid[0] <= _COINCIDE_TOL:
+                self.samples[:, 0] = X0
+                self.ptr[:] = 1
+
+    def fill_samples(self, members, t0, adv, y0, K, h, tau=None):
+        """Write the grid samples that ``members`` pass while advancing by
+        ``adv`` from ``t0`` (one entry per member) on the step's dense output.
+        ``y0``, ``K`` and the hit times ``tau`` are indexed by member id;
+        samples on a hit time are left to ``record_hits``."""
+        grid = self.grid
+        if grid is None or len(members) == 0:
+            return
+        cut = t0 + adv + _COINCIDE_TOL
+        if tau is not None:
+            cut = np.minimum(cut, tau[members] - _COINCIDE_TOL)
+        k0 = self.ptr[members]
+        k1 = np.searchsorted(grid, cut, side="right")
+        counts = np.maximum(k1 - k0, 0)
+        total = int(counts.sum())
+        if total == 0:
+            return
+        if len(members) == 1:
+            m = members[0]
+            g_idx = np.arange(k0[0], k0[0] + counts[0])
+            u = np.clip((grid[g_idx] - t0[0]) / h, 0.0, 1.0)
+            self.samples[m, g_idx] = dense_eval_member(y0[m], K[:, m], h, u)
         else:
-            self.samples = None
-            self.ptr = None
+            rows = np.repeat(np.arange(len(members)), counts)
+            offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+            g_idx = k0[rows] + offs
+            m_rep = members[rows]
+            u = np.clip((grid[g_idx] - t0[rows]) / h, 0.0, 1.0)
+            self.samples[m_rep, g_idx] = dense_eval(y0[m_rep], K[:, m_rep], h, u)
+        self.ptr[members] = np.maximum(k0, k1)
 
     def record_hits(self, members, taus, pre, post, min_gap):
         gap = taus - self._last_tau[members]
@@ -356,6 +391,13 @@ class _BatchRun:
         self._last_tau[members] = taus
         self._hits.append((members, taus, pre, post))
         self.stats.hits += len(members)
+        if self.grid is not None:
+            # a sample on the hit time carries the post-impulse state
+            p = self.ptr[members]
+            on = p < len(self.grid)
+            on[on] = np.abs(self.grid[p[on]] - taus[on]) <= _COINCIDE_TOL
+            self.samples[members[on], p[on]] = post[on]
+            self.ptr[members[on]] += 1
 
     def hits_by_member(self):
         """Per member: hit times, pre-impulse and post-impulse states, in
@@ -453,10 +495,27 @@ def _first_crossings(sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new,
     (ties to the lowest piece index) counts when it lies within the member's
     remaining horizon and satisfies the piece's halfspace constraints;
     otherwise it is discarded and that member's scan resumes just past it.
+    A level whose sign changes twice inside the step raises
+    AmbiguousCrossing.
 
     Returns (members, u, piece, state) of the hits, in member order: the step
     fraction, the piece index and the pre-impulse state of each.
     """
+    # guard against a double crossing hidden inside one step: probe the
+    # midpoint, but only for members whose level runs near zero
+    near = active & (
+        np.minimum(np.abs(L_here), np.abs(L_new))
+        <= 4.0 * np.abs(L_new - L_here) + 1e-12
+    ).any(axis=1)
+    if near.any():
+        L_mid = levels_at(dense_eval(y0[near], K[:, near], h,
+                                     np.full(int(near.sum()), 0.5)))
+        s0 = np.sign(L_here[near])
+        sm = np.sign(L_mid)
+        if ((s0 == np.sign(L_new[near])) & (sm != s0) & (s0 != 0) & (sm != 0)).any():
+            raise AmbiguousCrossing(
+                "level sign changes twice inside one step; reduce max_step")
+
     n = len(y0)
     crosses = _sign_changes(L_here, L_new, dirs) & active[:, None]
     if not crosses.any():
@@ -512,93 +571,58 @@ def _first_crossings(sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new,
     return hit, hit_u[hit], hit_set[hit], hit_state[hit]
 
 
-def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig,
+def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
+               cfg: IntegratorConfig,
                sample_grid: np.ndarray | None = None,
                stop_at_first_hit: bool = False,
                min_gap: float = _DEFAULT_MIN_GAP,
                check_region: bool = True,
                time_sign: float = 1.0,
                ignore_directions: bool = False) -> _BatchRun:
-    """Advance a batch of states through the impulsive semiflow.
+    """Advance a batch of states through the impulsive semiflow: the one
+    propagation engine.
 
     Each member runs for its own duration.  Hits of every impulsive-set piece
-    are located on the dense output by a bracketed secant (Illinois)
-    iteration to _TIME_TOL, filtered by the piece's halfspace constraints and
-    crossing direction; discarded crossings resume the scan inside the same
-    step.
+    are located on the dense output by ``_first_crossings``, the impulse map
+    is applied, and ``_BatchRun`` records samples, hits and final states.
+    A bare VectorFieldSpec for ``sys`` is the continuous flow, the case with
+    no impulsive-set pieces: members then stop exactly at their durations,
+    with no horizon slack and no region check.
 
     time_sign=-1 integrates the reversed field (meaningful for the invertible
     builtin flows; used by backward reachability probes), in which case
     crossing directions are ignored unless stated.
     """
     X0 = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    n, dim = X0.shape
+    n = len(X0)
     durations = np.broadcast_to(np.asarray(durations, dtype=float), (n,)).copy()
     if (durations < 0).any():
         raise ValueError("durations must be nonnegative")
-    run = _BatchRun(n, dim, sample_grid)
+    if isinstance(sys, VectorFieldSpec):
+        field, sets, check_region = sys, (), False
+    else:
+        field, sets = sys.field, sys.impulsive_sets
+    run = _BatchRun(X0, sample_grid)
     stats = run.stats
-    grid = sample_grid
-    if grid is not None and len(grid) and grid[0] <= _COINCIDE_TOL:
-        run.samples[:, 0] = X0
-        run.ptr[:] = 1
+    cvals = np.array([p.level_value for p in sets])
+    dirs = np.array([0 if ignore_directions else p.direction for p in sets])
+
+    def levels_at(states):
+        out = np.empty((len(states), len(sets)))
+        for j, p in enumerate(sets):
+            out[:, j] = level_value(p.level_id, states) - cvals[j]
+        return out
 
     t = np.zeros(n)
     done = durations <= 0
     run.final[done] = X0[done]
-    run.final_t[done] = 0.0
-    sets = sys.impulsive_sets
-    cvals = np.array([p.level_value for p in sets])
-    dirs = np.array([0 if ignore_directions else p.direction for p in sets])
-    imp_fn, _ = _IMPULSE_MAPS[sys.impulse.map_id]
-
-    stepper = BatchStepper(make_rhs(sys.field, sign=time_sign), X0, cfg)
+    stepper = BatchStepper(make_rhs(field, sign=time_sign), X0, cfg)
     stepper.active = ~done
-
-    def levels_at(states):
-        return np.stack(
-            [level_value(p.level_id, states) - cvals[j] for j, p in enumerate(sets)],
-            axis=1,
-        )
-
     L_here = levels_at(stepper.y)
-
-    def fill_samples(members, adv, y0, K, h, tau_by_member=None):
-        """Fill grid samples for ``members`` advancing by adv (per member)."""
-        if grid is None or len(members) == 0:
-            return
-        cut = t[members] + adv + _COINCIDE_TOL
-        if tau_by_member is not None:
-            # samples landing on the hit itself are written afterwards;
-            # tau_by_member is indexed by global member id
-            cut = np.minimum(cut, tau_by_member[members] - _COINCIDE_TOL)
-        k0 = run.ptr[members]
-        k1 = np.searchsorted(grid, cut, side="right")
-        counts = np.maximum(k1 - k0, 0)
-        total = int(counts.sum())
-        if total == 0:
-            return
-        if len(members) == 1:
-            m = members[0]
-            g_idx = np.arange(k0[0], k0[0] + counts[0])
-            u = np.clip((grid[g_idx] - t[m]) / h, 0.0, 1.0)
-            powers = u[:, None] ** np.arange(1, 5)
-            q = K[:, m].T @ _RK_P
-            run.samples[m, g_idx] = y0[m] + h * (powers @ q.T)
-        else:
-            rows = np.repeat(np.arange(len(members)), counts)
-            offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            g_idx = k0[rows] + offs
-            m_rep = members[rows]
-            u = np.clip((grid[g_idx] - t[m_rep]) / h, 0.0, 1.0)
-            states = dense_eval(y0[m_rep], K[:, m_rep], h, u)
-            run.samples[m_rep, g_idx] = states
-        run.ptr[members] = np.maximum(k0, k1)
-
     # members run a hair past their horizon before freezing, so a hit sitting
     # exactly on the horizon always lands strictly inside some step; genuine
     # hits never occur at horizon + slack because gaps are bounded below
-    dur_ext = durations + _HORIZON_SLACK
+    dur_ext = durations + (_HORIZON_SLACK if sets else 0.0)
     while not done.all():
         rem_ext = np.where(done, -np.inf, dur_ext - t)
         h_cap = max(float(rem_ext[~done].max()), 10 * cfg.min_step)
@@ -607,81 +631,42 @@ def _propagate(sys: SystemSpec, x0: np.ndarray, durations, cfg: IntegratorConfig
         y0 = stepper.y
         active = ~done
         L_new = levels_at(y_prop)
-        adv_cap = np.where(active, np.minimum(rem_ext, h), 0.0)
-
-        # guard against a double crossing hidden inside one step: probe the
-        # midpoint, but only for members whose level runs near zero
-        near = active & (
-            np.minimum(np.abs(L_here), np.abs(L_new))
-            <= 4.0 * np.abs(L_new - L_here) + 1e-12
-        ).any(axis=1)
-        if near.any():
-            mid = dense_eval(y0[near], K[:, near], h, np.full(int(near.sum()), 0.5))
-            L_mid = levels_at(mid)
-            s0 = np.sign(L_here[near])
-            s1 = np.sign(L_new[near])
-            sm = np.sign(L_mid)
-            bad = (s0 == s1) & (sm != s0) & (s0 != 0) & (sm != 0)
-            if bad.any():
-                raise AmbiguousCrossing(
-                    "level sign changes twice inside one step; reduce max_step"
-                )
-
+        adv = np.where(active, np.minimum(rem_ext, h), 0.0)
         hit_members, hit_u, hit_set, pre_states = _first_crossings(
             sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new, active,
-            adv_cap, stats)
-
-        adv = adv_cap.copy()
-        adv[hit_members] = hit_u * h
+            adv, stats)
         tau_map = None
         if len(hit_members):
+            adv[hit_members] = hit_u * h
             tau_map = np.full(n, np.inf)
             tau_map[hit_members] = t[hit_members] + adv[hit_members]
-
-        fill_samples(np.flatnonzero(active), adv[active], y0, K, h, tau_map)
+        members = np.flatnonzero(active)
+        run.fill_samples(members, t[members], adv[members], y0, K, h, tau_map)
 
         y_commit = y_prop.copy()
         y_commit[done] = y0[done]
-
-        if len(hit_members):
-            post_states = imp_fn(sys.impulse.params, pre_states, hit_set)
-            taus = tau_map[hit_members]
-            run.record_hits(hit_members, taus, pre_states, post_states, min_gap)
-            if grid is not None:
-                # a sample on the hit time carries the post-impulse state
-                p = run.ptr[hit_members]
-                on = p < len(grid)
-                on[on] = np.abs(grid[p[on]] - taus[on]) <= _COINCIDE_TOL
-                run.samples[hit_members[on], p[on]] = post_states[on]
-                run.ptr[hit_members[on]] += 1
-            if stop_at_first_hit:
-                y_commit[hit_members] = pre_states
-            else:
-                y_commit[hit_members] = post_states
-
-        t_new = t + adv
-        finish = active & (rem_ext <= h)
+        finish = active & (rem_ext <= h * (1 + 1e-12))
         finish[hit_members] = False
         if finish.any():
             u_end = np.clip((durations[finish] - t[finish]) / h, 0.0, 1.0)
             run.final[finish] = dense_eval(y0[finish], K[:, finish], h, u_end)
-            run.final_t[finish] = durations[finish]
-            t_new[finish] = durations[finish]
             y_commit[finish] = run.final[finish]
-        if stop_at_first_hit and len(hit_members):
-            run.final[hit_members] = y_commit[hit_members]
-            run.final_t[hit_members] = t_new[hit_members]
-            finish[hit_members] = True
-        newly_hit_done = hit_members[durations[hit_members] - t_new[hit_members]
-                                     <= _HORIZON_SLACK]
-        if len(newly_hit_done):
-            run.final[newly_hit_done] = y_commit[newly_hit_done]
-            run.final_t[newly_hit_done] = durations[newly_hit_done]
-            t_new[newly_hit_done] = durations[newly_hit_done]
-            finish[newly_hit_done] = True
+        if len(hit_members):
+            taus = tau_map[hit_members]
+            imp_fn, _ = _IMPULSE_MAPS[sys.impulse.map_id]
+            post_states = imp_fn(sys.impulse.params, pre_states, hit_set)
+            run.record_hits(hit_members, taus, pre_states, post_states, min_gap)
+            y_commit[hit_members] = pre_states if stop_at_first_hit else post_states
+            # a hit ends its member's run when the run stops at the first hit,
+            # and on (or within the slack past) the horizon: right continuity
+            ended = hit_members
+            if not stop_at_first_hit:
+                ended = hit_members[durations[hit_members] - taus <= _HORIZON_SLACK]
+            run.final[ended] = y_commit[ended]
+            finish[ended] = True
+        t = t + adv
 
         done = done | finish
-        t = t_new
         stepper.commit(y_commit, K)
         if len(hit_members):
             stepper.refresh_derivative(hit_members)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.stats import qmc
 
 from .flow_core import VectorFieldSpec
 from .impulsive_system import ImpulseMapSpec, ImpulsiveSetSpec, SystemSpec
@@ -56,7 +55,14 @@ def _tuple_of(value) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+def _no_overrides(name: str, overrides) -> None:
+    if overrides:
+        raise ValueError(f"unknown {name} overrides {sorted(overrides)}: "
+                         "this fixture takes none")
+
+
 def _build_annulus(overrides) -> SystemSpec:
+    _no_overrides("annulus", overrides)
     d_set = ImpulsiveSetSpec(
         level_id="coord1", level_value=0.0,
         halfspaces=(((1.0, 0.0), 1.0), ((-1.0, 0.0), -2.0)),
@@ -106,6 +112,7 @@ def _build_prey_predator(overrides) -> SystemSpec:
 
 
 def _build_doubling(overrides) -> SystemSpec:
+    _no_overrides("doubling_suspension", overrides)
     d_set = ImpulsiveSetSpec(level_id="coord2", level_value=1.0, direction=+1)
     image = ImpulsiveSetSpec(level_id="coord2", level_value=0.0)
     return SystemSpec(
@@ -121,6 +128,7 @@ def _build_doubling(overrides) -> SystemSpec:
 
 
 def _build_static_null(overrides) -> SystemSpec:
+    _no_overrides("static_null", overrides)
     d_set = ImpulsiveSetSpec(
         level_id="coord0", level_value=1.0,
         halfspaces=(((0.0, 1.0), 0.0), ((0.0, -1.0), -1.0)),
@@ -142,6 +150,7 @@ def _build_static_null(overrides) -> SystemSpec:
 
 
 def _build_tangent_degenerate(overrides) -> SystemSpec:
+    _no_overrides("tangent_degenerate", overrides)
     d_set = ImpulsiveSetSpec(level_id="radius", level_value=1.5)
     image = ImpulsiveSetSpec(level_id="radius", level_value=0.75)
     return SystemSpec(
@@ -217,7 +226,18 @@ def build_fixture(name: str, overrides: Mapping[str, object] | None = None,
 # --------------------------------------------------------------------------
 
 def _halton(dim: int, n: int) -> np.ndarray:
-    return qmc.Halton(d=dim, scramble=False).random(n)
+    """The first n points of the unscrambled Halton sequence in bases 2 and 3:
+    radical inverses (van der Corput) of 0, 1, ..., n - 1, equal bit for bit
+    to ``scipy.stats.qmc.Halton(scramble=False)``, whose import is slow."""
+    out = np.zeros((n, dim))
+    for d, base in enumerate((2, 3)[:dim]):
+        i = np.arange(n)
+        f = 1.0
+        while i.any():
+            f /= base
+            out[:, d] += f * (i % base)
+            i //= base
+    return out
 
 
 def _pieces(sys: SystemSpec, which: str) -> tuple[ImpulsiveSetSpec, ...]:

@@ -90,6 +90,52 @@ class TestValidation:
         assert not (out / "manifest.json").exists()
 
 
+    @pytest.mark.parametrize("name,overrides", [
+        ("annulus", {"foo": 1}),
+        ("doubling_suspension", {"xi": 1.0}),
+        ("prey_predator", {"alpha9": 1.0}),
+        ("prey_predator", {"xi": 1.0, "eta": 1.0}),
+        ("annulus", [1, 2]),
+    ])
+    def test_bad_overrides_exit_2(self, tmp_path, capsys, name, overrides):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": {"name": name, "overrides": overrides},
+                                   "params": {"horizon": 1.0}}))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+        assert "system.overrides" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("experiment,field,value", [
+        ("simulate", "horizon", "abc"),
+        ("simulate", "dt_sample", 0),
+        ("simulate", "initial_state", [1.5]),
+        ("measure", "horizon", -1.0),
+        ("measure", "dt_sample", "abc"),
+        ("measure", "burn_in", 20.0),
+        ("measure", "t_shift", 0.0),
+        ("measure", "t_shift", 2.0),
+        ("measure", "bins", 0),
+        ("measure", "grid", "-2:2:0"),
+        ("measure", "grid", "2:-2:10"),
+        ("measure", "initial_state", [0.0, "x"]),
+        ("check-hypotheses", "margin_tol", -1.0),
+        ("check-hypotheses", "scales", [0.1, 0.2]),
+        ("check-hypotheses", "approach_dirs", 0),
+    ])
+    def test_bad_run_params_exit_2(self, tmp_path, capsys, experiment, field, value):
+        params = {"horizon": 20.0, "dt_sample": 0.05, "initial_state": [0.0, 1.5],
+                  "n_samples": 50}
+        params[field] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": {"name": "annulus"},
+                                   "params": params}))
+        out = tmp_path / "run"
+        assert run_cli(experiment, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"params.{field}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestSimulate:
     def test_annulus_schedule(self, tmp_path):
         cfg = tmp_path / "c.json"

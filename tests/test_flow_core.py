@@ -113,6 +113,43 @@ class TestFlow:
         bound = 10 * (cfg.abs_tol + cfg.rel_tol * np.linalg.norm(x))
         assert np.linalg.norm(a - b) <= bound
 
+    def test_time_array_matches_closed_form_and_single_calls(self, cfg):
+        spec = VectorFieldSpec("annulus")
+        starts = [(1.2, 0.3), (1.9, 4.0), (1.5, 2.0)]
+        X = np.stack([polar(r, th) for r, th in starts])
+        times = np.array([0.0, 0.05, 0.7, np.pi, 5.0, 12.5])
+        out = flow(spec, X, times, cfg)
+        assert out.shape == (3, len(times), 2)
+        assert np.array_equal(out[:, 0], X)
+        for (r, th), x, path in zip(starts, X, out):
+            for t, state in zip(times, path):
+                assert np.abs(state - annulus_position(r, th, t)).max() < 1e-9
+                assert np.abs(state - flow(spec, x, t, cfg)).max() < 1e-9
+
+    def test_time_array_backward_and_single_state(self, cfg):
+        spec = VectorFieldSpec("annulus")
+        times = -np.array([0.2, 1.0, 4.5])
+        out = flow(spec, polar(1.4, 1.0), times, cfg)
+        assert out.shape == (3, 2)
+        for t, state in zip(times, out):
+            assert np.abs(state - annulus_position(1.4, 1.0, t)).max() < 1e-9
+
+    def test_negative_time_and_batch(self, cfg):
+        spec = VectorFieldSpec("annulus")
+        X = np.stack([polar(1.1, 0.2), polar(1.8, 5.0)])
+        for t in (-2.5, 3.0):
+            out = flow(spec, X, t, cfg)
+            assert out.shape == X.shape
+            for (r, th), state in zip([(1.1, 0.2), (1.8, 5.0)], out):
+                assert np.abs(state - annulus_position(r, th, t)).max() < 1e-9
+        assert np.array_equal(flow(spec, X, 0.0, cfg), X)
+
+    @pytest.mark.parametrize("times", [[1.0, 0.5], [0.5, 0.5], [-1.0, 2.0],
+                                       [[0.5, 1.0]], []])
+    def test_time_array_validation(self, cfg, times):
+        with pytest.raises(ValueError, match="times"):
+            flow(VectorFieldSpec("annulus"), polar(1.5, 0.0), np.array(times), cfg)
+
     @pytest.mark.parametrize("t", [1.0, 10.0, 50.0, 100.0])
     def test_annulus_radius_conserved(self, cfg, t):
         x = polar(1.5, 0.7)

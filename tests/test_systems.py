@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import impulseflow
 from impulseflow import (
     build_fixture,
     candidate_cloud,
@@ -8,6 +14,7 @@ from impulseflow import (
     fixture_names,
     sample_impulsive_set,
 )
+from impulseflow.systems import _halton
 
 
 def test_all_fixtures_build():
@@ -20,6 +27,31 @@ def test_all_fixtures_build():
 def test_unknown_fixture():
     with pytest.raises(ValueError, match="unknown fixture"):
         build_fixture("moebius")
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_unknown_override_rejected(name):
+    with pytest.raises(ValueError, match="unknown"):
+        build_fixture(name, {"no_such_parameter": 1.0})
+
+
+def test_halton_matches_scipy():
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for n in (1, 2, 7, 64, 1000, 10007):
+        for dim in (1, 2):
+            assert np.array_equal(_halton(dim, n),
+                                  qmc.Halton(d=dim, scramble=False).random(n))
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes most of a second to import and the package needs
+    # nothing from it
+    code = "import sys, impulseflow; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(impulseflow.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_annulus_segment_endpoints(annulus):
