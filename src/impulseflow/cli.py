@@ -193,20 +193,6 @@ def _jsonable(obj):
     return obj
 
 
-def _default_box(sys_spec) -> tuple:
-    name = sys_spec.name
-    if name == "annulus":
-        return (-2.0, -2.0), (2.0, 2.0)
-    if name == "prey_predator":
-        eta = max(sys_spec.impulse.params["eta"])
-        return (0.0, 0.0, 0.0), (eta, eta, eta)
-    if name == "doubling_suspension":
-        return (-1.0, -1.0, 0.0), (1.0, 1.0, 1.0)
-    if name == "tangent_degenerate":
-        return (-2.5, -2.5), (2.5, 2.5)
-    return (0.0, 0.0), (1.0, 1.0)
-
-
 # --------------------------------------------------------------------------
 # Experiments
 # --------------------------------------------------------------------------
@@ -281,7 +267,7 @@ def _run_measure(sys_spec, params, rng, outdir: Path) -> dict:
     if "grid" in params:
         grid = _parse_grid(params["grid"], sys_spec.dim)
     else:
-        lo, hi = _default_box(sys_spec)
+        lo, hi = sys_spec.box
         bins = (_count_param(params, "bins", 40, 1),) * sys_spec.dim
         grid = GridPartition(lo=lo, hi=hi, bins=bins)
     x0 = _initial_state(params, sys_spec, rng)
@@ -360,11 +346,12 @@ def _run_quotient(sys_spec, params, rng, outdir: Path) -> dict:
 
     def write_dmat(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["i", "j", "dtilde"])
+            fh.write("i,j,dtilde\n")
+            # one joined string per matrix row: joining all n^2 entries at
+            # once would hold every line in memory together
             for i in range(n):
-                for j in range(n):
-                    w.writerow([i, j, repr(float(D[i, j]))])
+                fh.write("".join(f"{i},{j},{v!r}\n"
+                                 for j, v in enumerate(D[i].tolist())))
 
     _atomic_write(outdir / "quotient_classes.csv", write_classes)
     _atomic_write(outdir / "quotient_dmatrix.csv", write_dmat)

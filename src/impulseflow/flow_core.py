@@ -44,12 +44,6 @@ class RegionEscape(RuntimeError):
 # Specs
 # --------------------------------------------------------------------------
 
-_PREY_PREDATOR_PARAMS = (
-    "alpha1", "alpha2", "beta1", "beta2", "gamma1",
-    "gamma2", "nu1", "nu2", "mu1", "mu2",
-)
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and step bounds for the adaptive integrator.
@@ -72,7 +66,11 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
-    """A builtin right-hand side f in x' = f(x), selected by id."""
+    """A builtin right-hand side f in x' = f(x), selected by id.
+
+    ``params`` override the field's defaults by name; every builtin field
+    parameter is a positive rate.
+    """
 
     system_id: str
     params: Mapping[str, float] = field(default_factory=dict)
@@ -80,17 +78,15 @@ class VectorFieldSpec:
     def __post_init__(self):
         if self.system_id not in _FIELDS:
             raise ValueError(f"unknown system_id {self.system_id!r}")
-        object.__setattr__(self, "params", dict(self.params))
-        if self.system_id == "prey_predator":
-            merged = {k: 1.0 for k in _PREY_PREDATOR_PARAMS}
-            merged.update(self.params)
-            unknown = set(merged) - set(_PREY_PREDATOR_PARAMS)
-            if unknown:
-                raise ValueError(f"unknown prey_predator parameters {sorted(unknown)}")
-            for name, value in merged.items():
-                if not value > 0:
-                    raise ValueError(f"prey_predator parameter {name} must be > 0")
-            object.__setattr__(self, "params", merged)
+        defaults = _FIELDS[self.system_id][2]
+        unknown = set(self.params) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown {self.system_id} parameters {sorted(unknown)}")
+        merged = {**defaults, **self.params}
+        for name, value in merged.items():
+            if not value > 0:
+                raise ValueError(f"{self.system_id} parameter {name} must be > 0")
+        object.__setattr__(self, "params", merged)
 
 
 # --------------------------------------------------------------------------
@@ -132,12 +128,15 @@ def _field_static_null(params, x):
     return np.zeros_like(x)
 
 
-_FIELDS: dict[str, tuple[int, Callable]] = {
-    "annulus": (2, _field_annulus),
-    "prey_predator": (3, _field_prey_predator),
-    "doubling_suspension": (3, _field_doubling_suspension),
-    "static_null": (2, _field_static_null),
-    "tangent_degenerate": (2, _field_annulus),
+# system_id -> (state dimension, field, parameter defaults)
+_FIELDS: dict[str, tuple[int, Callable, Mapping[str, float]]] = {
+    "annulus": (2, _field_annulus, {}),
+    "prey_predator": (3, _field_prey_predator, dict.fromkeys(
+        ("alpha1", "alpha2", "beta1", "beta2", "gamma1",
+         "gamma2", "nu1", "nu2", "mu1", "mu2"), 1.0)),
+    "doubling_suspension": (3, _field_doubling_suspension, {}),
+    "static_null": (2, _field_static_null, {}),
+    "tangent_degenerate": (2, _field_annulus, {}),
 }
 
 
@@ -154,7 +153,7 @@ def eval_vector_field(spec: VectorFieldSpec, x: np.ndarray) -> np.ndarray:
     field was written for).
     """
     x = np.asarray(x, dtype=float)
-    dim, fn = _FIELDS[spec.system_id]
+    dim, fn, _ = _FIELDS[spec.system_id]
     if x.shape[-1] != dim:
         raise ValueError(
             f"state dimension {x.shape[-1]} does not match system "
@@ -169,7 +168,7 @@ def eval_vector_field(spec: VectorFieldSpec, x: np.ndarray) -> np.ndarray:
 def make_rhs(spec: VectorFieldSpec, sign: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     """Bind a field spec into a plain callable; sign=-1 gives the time-reversed
     field (valid for the builtin systems, whose flows are invertible)."""
-    dim, fn = _FIELDS[spec.system_id]
+    fn = _FIELDS[spec.system_id][1]
     params = spec.params
     if sign == 1.0:
         return lambda x: fn(params, x)

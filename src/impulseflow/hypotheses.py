@@ -22,7 +22,7 @@ from .flow_core import (
     level_gradient,
 )
 from .impulsive_system import SystemSpec, first_hitting_time
-from .systems import _pieces, _sample_piece, sample_impulsive_set
+from .systems import sample_impulsive_set, sample_pieces
 
 __all__ = [
     "TransversalityReport",
@@ -66,24 +66,14 @@ def transversality_margin(sys: SystemSpec, which: str, n_samples: int,
     inner product shares one sign and the smallest magnitude clears
     margin_tol.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    pieces = _pieces(sys, which)
-    per = [n_samples // len(pieces)] * len(pieces)
-    per[0] += n_samples - sum(per)
     inners, points = [], []
-    for piece, m in zip(pieces, per):
-        if m == 0:
-            continue
-        single = _sample_piece(sys, piece, m)
+    for piece, single in sample_pieces(sys, which, n_samples):
         grads = level_gradient(piece.level_id, single)
         f = eval_vector_field(sys.field, single)
         inners.append(np.einsum("nd,nd->n", grads, f))
         points.append(single)
     inner = np.concatenate(inners)
     pts = np.vstack(points)
-    if len(inner) == 0:
-        raise ValueError("sampling produced no points; constraints unsatisfiable")
     worst = int(np.argmin(np.abs(inner)))
     signs = np.sign(inner)
     consistent = bool((signs == signs[0]).all() and signs[0] != 0)
@@ -237,9 +227,5 @@ def _in_forward_tube(sys: SystemSpec, x: np.ndarray, xi: float,
                      cfg: IntegratorConfig) -> bool:
     """Whether x lies on a forward flow segment of length < xi emanating from
     the impulsive set: probed by reversed-time hit detection."""
-    try:
-        hit = first_hitting_time(sys, x, t_max=xi, cfg=cfg,
-                                 reverse=True, check_region=False)
-    except RegionEscape:
-        return False
+    hit = first_hitting_time(sys, x, t_max=xi, cfg=cfg, reverse=True)
     return hit is not None and hit[0] < xi

@@ -81,7 +81,8 @@ class ImpulsiveSetSpec:
     halfspaces: tuple of (normal, offset) pairs; a state x belongs to the set
     only if normal . x >= offset for each pair.  direction restricts the sign
     of dL/dt at a crossing: +1 means L increases through c, -1 decreases,
-    0 accepts both.
+    0 accepts both.  sampler, when given, maps a count n to n quasi-uniform
+    points of the piece, shape (n, dim).
     """
 
     level_id: str
@@ -89,6 +90,8 @@ class ImpulsiveSetSpec:
     halfspaces: tuple = ()
     direction: int = 0
     membership_tol: float = 1e-9
+    sampler: Callable[[int], np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
 
     def constraint_mask(self, x: np.ndarray, slack: float = 1e-9) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -239,7 +242,12 @@ _ADMISSIBLE: dict[str, Callable] = {
 class SystemSpec:
     """A complete impulsive dynamical system: continuous field, impulsive set
     (a finite union of constrained level-set pieces), its image description,
-    and the impulse map."""
+    and the impulse map.
+
+    A builtin system also carries its candidate cloud, ``cloud(n, rng)`` ->
+    (n, dim) states drawn from ``rng``, and its default measure box, a
+    ``(lo, hi)`` pair of corners.
+    """
 
     name: str
     field: VectorFieldSpec
@@ -249,6 +257,10 @@ class SystemSpec:
     admissible_id: str
     admissible_params: Mapping[str, object] = field(default_factory=dict)
     state_names: tuple[str, ...] = ()
+    cloud: Callable[[int, np.random.Generator], np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
+    box: tuple[tuple[float, ...], tuple[float, ...]] | None = field(
+        default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "admissible_params", dict(self.admissible_params))
@@ -576,9 +588,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
                sample_grid: np.ndarray | None = None,
                stop_at_first_hit: bool = False,
                min_gap: float = _DEFAULT_MIN_GAP,
-               check_region: bool = True,
-               time_sign: float = 1.0,
-               ignore_directions: bool = False) -> _BatchRun:
+               time_sign: float = 1.0) -> _BatchRun:
     """Advance a batch of states through the impulsive semiflow: the one
     propagation engine.
 
@@ -590,22 +600,23 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     with no horizon slack and no region check.
 
     time_sign=-1 integrates the reversed field (meaningful for the invertible
-    builtin flows; used by backward reachability probes), in which case
-    crossing directions are ignored unless stated.
+    builtin flows; used by backward reachability probes): the run then
+    accepts either crossing direction and skips the region check.
     """
     X0 = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     n = len(X0)
     durations = np.broadcast_to(np.asarray(durations, dtype=float), (n,)).copy()
     if (durations < 0).any():
         raise ValueError("durations must be nonnegative")
+    forward = time_sign > 0
     if isinstance(sys, VectorFieldSpec):
         field, sets, check_region = sys, (), False
     else:
-        field, sets = sys.field, sys.impulsive_sets
+        field, sets, check_region = sys.field, sys.impulsive_sets, forward
     run = _BatchRun(X0, sample_grid)
     stats = run.stats
     cvals = np.array([p.level_value for p in sets])
-    dirs = np.array([0 if ignore_directions else p.direction for p in sets])
+    dirs = np.array([p.direction if forward else 0 for p in sets])
 
     def levels_at(states):
         out = np.empty((len(states), len(sets)))
@@ -834,16 +845,15 @@ def impulsive_trajectory_batch(sys: SystemSpec, X: np.ndarray, T: float,
 
 def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
                        cfg: IntegratorConfig | None = None,
-                       reverse: bool = False,
-                       check_region: bool = True):
+                       reverse: bool = False):
     """First time in (0, t_max] at which the orbit of x reaches the impulsive
     set, together with the hit state; None when the set is not reached.
 
     The crossing is bracketed by integration steps and refined by a bracketed
     secant iteration on the dense output to 1e-12 in time; crossings failing
     the set's halfspace constraints are discarded and the search continues.
-    reverse=True probes the time-reversed flow (any crossing direction) for
-    backward reachability.
+    reverse=True probes the time-reversed flow (any crossing direction, no
+    region check) for backward reachability.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -851,9 +861,7 @@ def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
     x = np.asarray(x, dtype=float)
     run = _propagate(sys, x[None, :], np.array([float(t_max)]), cfg,
                      stop_at_first_hit=True,
-                     time_sign=-1.0 if reverse else 1.0,
-                     ignore_directions=reverse,
-                     check_region=check_region)
+                     time_sign=-1.0 if reverse else 1.0)
     taus, pre, _ = run.hits_by_member()[0]
     if len(taus):
         return taus[0], pre[0]

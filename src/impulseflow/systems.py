@@ -1,5 +1,14 @@
 """Builtin fixture catalog.
 
+Each builtin system is defined once, by one builder in this module.  The
+``SystemSpec`` it returns carries all of its per-system data: the field, the
+impulsive-set pieces and their images (each piece with its own Halton
+sampler), the impulse map, the admissible region, the candidate cloud and
+the default measure box.  The field, the impulse map and the region are
+named by id; only a new component needs an entry in ``flow_core._FIELDS``,
+``impulsive_system._IMPULSE_MAPS`` or ``impulsive_system._ADMISSIBLE``.  A
+builder's keyword arguments are the fixture's overrides.
+
 Five systems:
 
 * ``annulus`` -- rigid rotation on the annulus 1 <= r <= 2; the impulsive set
@@ -23,7 +32,8 @@ Five systems:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -32,197 +42,17 @@ from .flow_core import VectorFieldSpec
 from .impulsive_system import ImpulseMapSpec, ImpulsiveSetSpec, SystemSpec
 
 __all__ = [
-    "FixtureDescriptor",
     "FIXTURES",
     "fixture_names",
     "build_fixture",
+    "sample_pieces",
     "sample_impulsive_set",
     "candidate_cloud",
 ]
 
 
-@dataclass(frozen=True)
-class FixtureDescriptor:
-    name: str
-    summary: str
-    default_overrides: Mapping[str, object]
-    builder: Callable
-
-
-def _tuple_of(value) -> tuple[float, ...]:
-    if np.isscalar(value):
-        return (float(value),)
-    return tuple(float(v) for v in value)
-
-
-def _no_overrides(name: str, overrides) -> None:
-    if overrides:
-        raise ValueError(f"unknown {name} overrides {sorted(overrides)}: "
-                         "this fixture takes none")
-
-
-def _build_annulus(overrides) -> SystemSpec:
-    _no_overrides("annulus", overrides)
-    d_set = ImpulsiveSetSpec(
-        level_id="coord1", level_value=0.0,
-        halfspaces=(((1.0, 0.0), 1.0), ((-1.0, 0.0), -2.0)),
-        direction=+1,
-    )
-    image = ImpulsiveSetSpec(
-        level_id="coord1", level_value=0.0,
-        halfspaces=(((1.0, 0.0), -1.5), ((-1.0, 0.0), 1.0)),
-    )
-    return SystemSpec(
-        name="annulus",
-        field=VectorFieldSpec("annulus"),
-        impulsive_sets=(d_set,),
-        image_sets=(image,),
-        impulse=ImpulseMapSpec("annulus_fold"),
-        admissible_id="annulus_band",
-        admissible_params={"rmin": 1.0, "rmax": 2.0},
-    )
-
-
-def _build_prey_predator(overrides) -> SystemSpec:
-    ov = dict(overrides)
-    xi = _tuple_of(ov.pop("xi", 1.0))
-    eta = _tuple_of(ov.pop("eta", 2.0))
-    if len(eta) == 1 and len(xi) > 1:
-        eta = eta * len(xi)
-    if len(eta) != len(xi):
-        raise ValueError("xi and eta must pair up one-to-one")
-    if any(v <= 0 for v in xi + eta):
-        raise ValueError("plane offsets must be positive")
-    if set(xi) & set(eta):
-        raise ValueError("impulsive planes and their images must be disjoint")
-    octant = tuple(((float(i == 0), float(i == 1), float(i == 2)), 0.0)
-                   for i in range(3))
-    d_sets = tuple(
-        ImpulsiveSetSpec("sum", c, halfspaces=octant, direction=-1) for c in xi
-    )
-    images = tuple(ImpulsiveSetSpec("sum", c, halfspaces=octant) for c in eta)
-    return SystemSpec(
-        name="prey_predator",
-        field=VectorFieldSpec("prey_predator", ov),
-        impulsive_sets=d_sets,
-        image_sets=images,
-        impulse=ImpulseMapSpec("plane_rescale", {"xi": xi, "eta": eta}),
-        admissible_id="nonneg_octant",
-    )
-
-
-def _build_doubling(overrides) -> SystemSpec:
-    _no_overrides("doubling_suspension", overrides)
-    d_set = ImpulsiveSetSpec(level_id="coord2", level_value=1.0, direction=+1)
-    image = ImpulsiveSetSpec(level_id="coord2", level_value=0.0)
-    return SystemSpec(
-        name="doubling_suspension",
-        field=VectorFieldSpec("doubling_suspension"),
-        impulsive_sets=(d_set,),
-        image_sets=(image,),
-        impulse=ImpulseMapSpec("angle_double"),
-        # small headroom above the top circle keeps tube probes inside the chart
-        admissible_id="cylinder",
-        admissible_params={"hmax": 1.25},
-    )
-
-
-def _build_static_null(overrides) -> SystemSpec:
-    _no_overrides("static_null", overrides)
-    d_set = ImpulsiveSetSpec(
-        level_id="coord0", level_value=1.0,
-        halfspaces=(((0.0, 1.0), 0.0), ((0.0, -1.0), -1.0)),
-        direction=+1,
-    )
-    image = ImpulsiveSetSpec(
-        level_id="coord0", level_value=0.25,
-        halfspaces=(((0.0, 1.0), 0.0), ((0.0, -1.0), -1.0)),
-    )
-    return SystemSpec(
-        name="static_null",
-        field=VectorFieldSpec("static_null"),
-        impulsive_sets=(d_set,),
-        image_sets=(image,),
-        impulse=ImpulseMapSpec("translate", {"offset": (-0.75, 0.0)}),
-        admissible_id="box",
-        admissible_params={"lo": (0.0, 0.0), "hi": (1.0, 1.0)},
-    )
-
-
-def _build_tangent_degenerate(overrides) -> SystemSpec:
-    _no_overrides("tangent_degenerate", overrides)
-    d_set = ImpulsiveSetSpec(level_id="radius", level_value=1.5)
-    image = ImpulsiveSetSpec(level_id="radius", level_value=0.75)
-    return SystemSpec(
-        name="tangent_degenerate",
-        field=VectorFieldSpec("tangent_degenerate"),
-        impulsive_sets=(d_set,),
-        image_sets=(image,),
-        impulse=ImpulseMapSpec("radius_rescale", {"xi": 1.5, "eta": 0.75}),
-        admissible_id="annulus_band",
-        admissible_params={"rmin": 0.5, "rmax": 2.5},
-    )
-
-
-FIXTURES: dict[str, FixtureDescriptor] = {
-    "annulus": FixtureDescriptor(
-        "annulus",
-        "rotation on the annulus with a folding impulse; contracts to the "
-        "circle r = 1, zero entropy",
-        {},
-        _build_annulus,
-    ),
-    "prey_predator": FixtureDescriptor(
-        "prey_predator",
-        "controlled three-species system, plane impulsive sets rescaled "
-        "outward; all ten field parameters and xi/eta may be overridden",
-        {"xi": 1.0, "eta": 2.0},
-        _build_prey_predator,
-    ),
-    "doubling_suspension": FixtureDescriptor(
-        "doubling_suspension",
-        "unit-time suspension of angle doubling on a cylinder; entropy log 2, "
-        "two-to-one impulse map",
-        {},
-        _build_doubling,
-    ),
-    "static_null": FixtureDescriptor(
-        "static_null",
-        "zero field, unreachable impulsive edge; the null control",
-        {},
-        _build_static_null,
-    ),
-    "tangent_degenerate": FixtureDescriptor(
-        "tangent_degenerate",
-        "rotation with a tangent circle as impulsive set; transversality "
-        "must fail",
-        {},
-        _build_tangent_degenerate,
-    ),
-}
-
-
-def fixture_names() -> list[str]:
-    return sorted(FIXTURES)
-
-
-def build_fixture(name: str, overrides: Mapping[str, object] | None = None,
-                  **kw) -> SystemSpec:
-    """Construct a validated SystemSpec for a builtin fixture.
-
-    Overrides may be passed as a mapping or as keyword arguments; unknown
-    names and invalid values raise ValueError.
-    """
-    if name not in FIXTURES:
-        raise ValueError(f"unknown fixture {name!r}; choose from {fixture_names()}")
-    merged = dict(FIXTURES[name].default_overrides)
-    merged.update(overrides or {})
-    merged.update(kw)
-    return FIXTURES[name].builder(merged)
-
-
 # --------------------------------------------------------------------------
-# Set samplers and candidate clouds
+# Halton samplers and candidate clouds shared by several builders
 # --------------------------------------------------------------------------
 
 def _halton(dim: int, n: int) -> np.ndarray:
@@ -240,12 +70,243 @@ def _halton(dim: int, n: int) -> np.ndarray:
     return out
 
 
-def _pieces(sys: SystemSpec, which: str) -> tuple[ImpulsiveSetSpec, ...]:
+def _unit(n: int) -> np.ndarray:
+    return _halton(1, n)[:, 0]
+
+
+def _halton_circle(n: int, radius: float = 1.0) -> np.ndarray:
+    ang = 2 * np.pi * _unit(n)
+    return radius * np.c_[np.cos(ang), np.sin(ang)]
+
+
+def _halton_simplex(c: float, n: int) -> np.ndarray:
+    """Area-uniform points of the triangle {x >= 0, x1 + x2 + x3 = c}."""
+    uv = _halton(2, n)
+    s = np.sqrt(uv[:, 0])
+    return c * np.c_[1.0 - s, s * (1.0 - uv[:, 1]), s * uv[:, 1]]
+
+
+def _band_cloud(r2_lo: float, r2_hi: float) -> Callable:
+    """Area-uniform random states of the band r2_lo <= r^2 <= r2_hi."""
+    def cloud(n, rng):
+        r = np.sqrt(rng.uniform(r2_lo, r2_hi, n))
+        ang = rng.uniform(0.0, 2 * np.pi, n)
+        return np.c_[r * np.cos(ang), r * np.sin(ang)]
+    return cloud
+
+
+def _tuple_of(value) -> tuple[float, ...]:
+    if np.isscalar(value):
+        return (float(value),)
+    return tuple(float(v) for v in value)
+
+
+# --------------------------------------------------------------------------
+# Builders: one per builtin system
+# --------------------------------------------------------------------------
+
+def _build_annulus() -> SystemSpec:
+    d_set = ImpulsiveSetSpec(
+        level_id="coord1", level_value=0.0,
+        halfspaces=(((1.0, 0.0), 1.0), ((-1.0, 0.0), -2.0)),
+        direction=+1,
+        sampler=lambda n: np.c_[1.0 + _unit(n), np.zeros(n)],
+    )
+    image = ImpulsiveSetSpec(
+        level_id="coord1", level_value=0.0,
+        halfspaces=(((1.0, 0.0), -1.5), ((-1.0, 0.0), 1.0)),
+        sampler=lambda n: np.c_[-1.5 + 0.5 * _unit(n), np.zeros(n)],
+    )
+    return SystemSpec(
+        name="annulus",
+        field=VectorFieldSpec("annulus"),
+        impulsive_sets=(d_set,),
+        image_sets=(image,),
+        impulse=ImpulseMapSpec("annulus_fold"),
+        admissible_id="annulus_band",
+        admissible_params={"rmin": 1.0, "rmax": 2.0},
+        cloud=_band_cloud(1.0, 4.0),
+        box=((-2.0, -2.0), (2.0, 2.0)),
+    )
+
+
+def _build_prey_predator(xi=1.0, eta=2.0, **rates) -> SystemSpec:
+    """``rates`` override the field's ten parameters by name."""
+    xi = _tuple_of(xi)
+    eta = _tuple_of(eta)
+    if len(eta) == 1 and len(xi) > 1:
+        eta = eta * len(xi)
+    if len(eta) != len(xi):
+        raise ValueError("xi and eta must pair up one-to-one")
+    if any(v <= 0 for v in xi + eta):
+        raise ValueError("plane offsets must be positive")
+    if set(xi) & set(eta):
+        raise ValueError("impulsive planes and their images must be disjoint")
+    octant = tuple(((float(i == 0), float(i == 1), float(i == 2)), 0.0)
+                   for i in range(3))
+    d_sets = tuple(
+        ImpulsiveSetSpec("sum", c, halfspaces=octant, direction=-1,
+                         sampler=partial(_halton_simplex, c))
+        for c in xi
+    )
+    images = tuple(ImpulsiveSetSpec("sum", c, halfspaces=octant,
+                                    sampler=partial(_halton_simplex, c))
+                   for c in eta)
+    lo, hi = min(xi), max(eta)
+
+    def cloud(n, rng):
+        # random states between the lowest impulsive plane and the highest image
+        s = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), n)
+        bary = rng.dirichlet((1.0, 1.0, 1.0), size=n)
+        return bary * s[:, None]
+
+    return SystemSpec(
+        name="prey_predator",
+        field=VectorFieldSpec("prey_predator", rates),
+        impulsive_sets=d_sets,
+        image_sets=images,
+        impulse=ImpulseMapSpec("plane_rescale", {"xi": xi, "eta": eta}),
+        admissible_id="nonneg_octant",
+        cloud=cloud,
+        box=((0.0, 0.0, 0.0), (hi, hi, hi)),
+    )
+
+
+def _build_doubling() -> SystemSpec:
+    d_set = ImpulsiveSetSpec(
+        level_id="coord2", level_value=1.0, direction=+1,
+        sampler=lambda n: np.c_[_halton_circle(n), np.full(n, 1.0)],
+    )
+    image = ImpulsiveSetSpec(
+        level_id="coord2", level_value=0.0,
+        sampler=lambda n: np.c_[_halton_circle(n), np.full(n, 0.0)],
+    )
+
+    def cloud(n, rng):
+        # the deterministic uniform angular grid at height zero, the customary
+        # choice for counting distinguishable angle itineraries
+        ang = 2 * np.pi * np.arange(n) / n
+        return np.c_[np.cos(ang), np.sin(ang), np.zeros(n)]
+
+    return SystemSpec(
+        name="doubling_suspension",
+        field=VectorFieldSpec("doubling_suspension"),
+        impulsive_sets=(d_set,),
+        image_sets=(image,),
+        impulse=ImpulseMapSpec("angle_double"),
+        # small headroom above the top circle keeps tube probes inside the chart
+        admissible_id="cylinder",
+        admissible_params={"hmax": 1.25},
+        cloud=cloud,
+        box=((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0)),
+    )
+
+
+def _build_static_null() -> SystemSpec:
+    edge = (((0.0, 1.0), 0.0), ((0.0, -1.0), -1.0))
+    d_set = ImpulsiveSetSpec(
+        level_id="coord0", level_value=1.0, halfspaces=edge, direction=+1,
+        sampler=lambda n: np.c_[np.full(n, 1.0), _unit(n)],
+    )
+    image = ImpulsiveSetSpec(
+        level_id="coord0", level_value=0.25, halfspaces=edge,
+        sampler=lambda n: np.c_[np.full(n, 0.25), _unit(n)],
+    )
+    return SystemSpec(
+        name="static_null",
+        field=VectorFieldSpec("static_null"),
+        impulsive_sets=(d_set,),
+        image_sets=(image,),
+        impulse=ImpulseMapSpec("translate", {"offset": (-0.75, 0.0)}),
+        admissible_id="box",
+        admissible_params={"lo": (0.0, 0.0), "hi": (1.0, 1.0)},
+        cloud=lambda n, rng: rng.uniform(0.0, 1.0, size=(n, 2)),
+        box=((0.0, 0.0), (1.0, 1.0)),
+    )
+
+
+def _build_tangent_degenerate() -> SystemSpec:
+    d_set = ImpulsiveSetSpec(level_id="radius", level_value=1.5,
+                             sampler=partial(_halton_circle, radius=1.5))
+    image = ImpulsiveSetSpec(level_id="radius", level_value=0.75,
+                             sampler=partial(_halton_circle, radius=0.75))
+    return SystemSpec(
+        name="tangent_degenerate",
+        field=VectorFieldSpec("tangent_degenerate"),
+        impulsive_sets=(d_set,),
+        image_sets=(image,),
+        impulse=ImpulseMapSpec("radius_rescale", {"xi": 1.5, "eta": 0.75}),
+        admissible_id="annulus_band",
+        admissible_params={"rmin": 0.5, "rmax": 2.5},
+        cloud=_band_cloud(0.36, 5.76),
+        box=((-2.5, -2.5), (2.5, 2.5)),
+    )
+
+
+FIXTURES: dict[str, Callable[..., SystemSpec]] = {
+    "annulus": _build_annulus,
+    "prey_predator": _build_prey_predator,
+    "doubling_suspension": _build_doubling,
+    "static_null": _build_static_null,
+    "tangent_degenerate": _build_tangent_degenerate,
+}
+
+
+def fixture_names() -> list[str]:
+    return sorted(FIXTURES)
+
+
+def build_fixture(name: str, overrides: Mapping[str, object] | None = None,
+                  **kw) -> SystemSpec:
+    """Construct a validated SystemSpec for a builtin fixture.
+
+    Overrides, passed as a mapping or as keyword arguments, are keyword
+    arguments of the fixture's builder; unknown names and invalid values
+    raise ValueError.
+    """
+    if name not in FIXTURES:
+        raise ValueError(f"unknown fixture {name!r}; choose from {fixture_names()}")
+    builder = FIXTURES[name]
+    merged = {**(overrides or {}), **kw}
+    signature = inspect.signature(builder)
+    try:
+        signature.bind(**merged)
+    except TypeError:
+        unknown = sorted(set(merged) - set(signature.parameters))
+        raise ValueError(f"unknown {name} overrides {unknown}") from None
+    return builder(**merged)
+
+
+# --------------------------------------------------------------------------
+# Set samples and candidate clouds
+# --------------------------------------------------------------------------
+
+def sample_pieces(sys: SystemSpec, which: str,
+                  n: int) -> list[tuple[ImpulsiveSetSpec, np.ndarray]]:
+    """Quasi-uniform (Halton) samples of each piece of the impulsive set
+    (which='D') or of its image ('ID'), as (piece, samples) pairs.
+
+    The budget n is split evenly across pieces, the remainder going to the
+    first; a piece whose share is zero is left out.
+    """
+    if n < 1:
+        raise ValueError("need at least one sample")
     if which in ("D", "d"):
-        return sys.impulsive_sets
-    if which in ("ID", "I(D)", "id", "image"):
-        return sys.image_sets
-    raise ValueError("which must be 'D' or 'ID'")
+        pieces = sys.impulsive_sets
+    elif which in ("ID", "I(D)", "id", "image"):
+        pieces = sys.image_sets
+    else:
+        raise ValueError("which must be 'D' or 'ID'")
+    per = [n // len(pieces)] * len(pieces)
+    per[0] += n - sum(per)
+    out = []
+    for piece, m in zip(pieces, per):
+        if m == 0:
+            continue
+        if piece.sampler is None:
+            raise ValueError(f"a piece of system {sys.name!r} has no sampler")
+        out.append((piece, piece.sampler(m)))
+    return out
 
 
 def sample_impulsive_set(sys: SystemSpec, which: str, n: int) -> np.ndarray:
@@ -253,73 +314,12 @@ def sample_impulsive_set(sys: SystemSpec, which: str, n: int) -> np.ndarray:
 
     Multi-piece sets split the budget evenly across pieces.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    pieces = _pieces(sys, which)
-    per = [n // len(pieces)] * len(pieces)
-    per[0] += n - sum(per)
-    out = []
-    for piece, m in zip(pieces, per):
-        if m == 0:
-            continue
-        out.append(_sample_piece(sys, piece, m))
-    return np.vstack(out)
-
-
-def _sample_piece(sys: SystemSpec, piece: ImpulsiveSetSpec, n: int) -> np.ndarray:
-    name = sys.name
-    c = piece.level_value
-    if name == "annulus":
-        u = _halton(1, n)[:, 0]
-        if piece.halfspaces and piece.halfspaces[0][1] >= 1.0:   # the D segment
-            x = 1.0 + u
-        else:                                                    # the image segment
-            x = -1.5 + 0.5 * u
-        return np.c_[x, np.zeros(n)]
-    if name == "prey_predator":
-        uv = _halton(2, n)
-        s = np.sqrt(uv[:, 0])
-        b1 = 1.0 - s
-        b2 = s * (1.0 - uv[:, 1])
-        b3 = s * uv[:, 1]
-        return c * np.c_[b1, b2, b3]
-    if name == "doubling_suspension":
-        ang = 2 * np.pi * _halton(1, n)[:, 0]
-        return np.c_[np.cos(ang), np.sin(ang), np.full(n, c)]
-    if name == "static_null":
-        u = _halton(1, n)[:, 0]
-        return np.c_[np.full(n, c), u]
-    if name == "tangent_degenerate":
-        ang = 2 * np.pi * _halton(1, n)[:, 0]
-        return c * np.c_[np.cos(ang), np.sin(ang)]
-    raise ValueError(f"no sampler for system {name!r}")
+    return np.vstack([pts for _, pts in sample_pieces(sys, which, n)])
 
 
 def candidate_cloud(sys: SystemSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Candidate states for separated-set construction.
-
-    Random fixtures draw from ``rng``; the doubling suspension uses the
-    deterministic uniform angular grid at height zero, the customary choice
-    for counting distinguishable angle itineraries.
-    """
-    name = sys.name
-    if name == "annulus":
-        r = np.sqrt(rng.uniform(1.0, 4.0, n))
-        ang = rng.uniform(0.0, 2 * np.pi, n)
-        return np.c_[r * np.cos(ang), r * np.sin(ang)]
-    if name == "prey_predator":
-        xi = min(sys.impulse.params["xi"])
-        eta = max(sys.impulse.params["eta"])
-        s = rng.uniform(xi + 0.05 * (eta - xi), eta - 0.05 * (eta - xi), n)
-        bary = rng.dirichlet((1.0, 1.0, 1.0), size=n)
-        return bary * s[:, None]
-    if name == "doubling_suspension":
-        ang = 2 * np.pi * np.arange(n) / n
-        return np.c_[np.cos(ang), np.sin(ang), np.zeros(n)]
-    if name == "static_null":
-        return rng.uniform(0.0, 1.0, size=(n, 2))
-    if name == "tangent_degenerate":
-        r = np.sqrt(rng.uniform(0.36, 5.76, n))
-        ang = rng.uniform(0.0, 2 * np.pi, n)
-        return np.c_[r * np.cos(ang), r * np.sin(ang)]
-    raise ValueError(f"no candidate cloud for system {name!r}")
+    """Candidate states for separated-set construction, drawn by the system's
+    own cloud (random fixtures draw from ``rng``)."""
+    if sys.cloud is None:
+        raise ValueError(f"no candidate cloud for system {sys.name!r}")
+    return sys.cloud(n, rng)

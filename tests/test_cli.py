@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from impulseflow import build_fixture, candidate_cloud, metric_axiom_audit
 from impulseflow.cli import main
 
 from oracles import annulus_impulse_schedule
@@ -288,6 +290,25 @@ class TestQuotientExperiment:
         assert [(r["i"], r["j"], r["dtilde"]) for r in rows] == \
             [("0", "0", "0.0")] * n
         assert read_json(out / "manifest.json")["results"]["n_points"] == n
+
+    def test_matrix_bytes_match_csv_writer(self, tmp_path):
+        # the matrix is written as one joined string; one csv.writer row per
+        # entry, with repr, is the reference rendering
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": {"name": "prey_predator"}, "seed": 3,
+                                   "params": {"n_points": 25}}))
+        out = tmp_path / "run"
+        assert run_cli("quotient", "--config", str(cfg), "--out", str(out)) == 0
+        sys_spec = build_fixture("prey_predator")
+        pts = candidate_cloud(sys_spec, 25, np.random.default_rng(3))
+        D = metric_axiom_audit(sys_spec, pts).distances
+        want = io.StringIO()
+        w = csv.writer(want, lineterminator="\n")
+        w.writerow(["i", "j", "dtilde"])
+        for i in range(len(D)):
+            for j in range(len(D)):
+                w.writerow([i, j, repr(float(D[i, j]))])
+        assert (out / "quotient_dmatrix.csv").read_bytes() == want.getvalue().encode()
 
     def test_points_csv_input(self, tmp_path):
         pts = tmp_path / "pts.csv"

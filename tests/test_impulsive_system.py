@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from impulseflow import (
     ImpulseMapSpec,
+    IntegratorConfig,
     ImpulsiveSetSpec,
     SystemSpec,
     VectorFieldSpec,
@@ -17,7 +18,9 @@ from impulseflow import (
     psi,
     psi_batch,
 )
+from impulseflow.flow_core import RegionEscape
 from impulseflow.impulsive_system import (
+    AmbiguousCrossing,
     GapUnderflow,
     _bracketed_roots,
     write_impulses_csv,
@@ -355,3 +358,47 @@ class TestPreimages:
 
     def test_off_image_point_has_none(self, annulus):
         assert impulse_preimages(annulus, polar(1.5, 2.0)) == []
+
+
+class TestEngineGuards:
+    @staticmethod
+    def _annulus_variant(d_set, impulse):
+        return SystemSpec(
+            name="annulus_variant",
+            field=VectorFieldSpec("annulus"),
+            impulsive_sets=(d_set,),
+            image_sets=(ImpulsiveSetSpec("coord1", 0.0),),
+            impulse=impulse,
+            admissible_id="annulus_band",
+            admissible_params={"rmin": 1.0, "rmax": 2.0},
+        )
+
+    def test_double_crossing_in_one_step_raises(self):
+        # the chord y = 1.49 of the circle r = 1.5 is crossed twice, 0.23
+        # apart in time, near the orbit's top; a coarse step spans both
+        # crossings and only the midpoint probe sees the level's sign flip
+        chord = self._annulus_variant(
+            ImpulsiveSetSpec("coord1", 1.49),
+            ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
+        x0 = polar(1.5, 0.0)
+        coarse = IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, max_step=0.5)
+        with pytest.raises(AmbiguousCrossing, match="twice inside one step"):
+            impulsive_trajectory(chord, x0, 3.0, 0.1, coarse)
+        # at the default step cap the first crossing is located as usual
+        tr = impulsive_trajectory(chord, x0, 3.0, 0.1)
+        assert tr.n_impulses == 1
+        assert abs(tr.impulse_times[0] - np.arcsin(1.49 / 1.5)) < 1e-9
+
+    def test_single_orbit_escape_raises(self):
+        # the impulse throws the orbit from the segment [1, 2] out to
+        # x >= 2.5, outside the band 1 <= r <= 2
+        escaping = self._annulus_variant(
+            ImpulsiveSetSpec("coord1", 0.0,
+                             halfspaces=(((1.0, 0.0), 1.0), ((-1.0, 0.0), -2.0)),
+                             direction=+1),
+            ImpulseMapSpec("translate", {"offset": (1.5, 0.0)}))
+        with pytest.raises(RegionEscape, match="admissible region"):
+            impulsive_trajectory(escaping, polar(1.5, 0.5), 10.0, 0.1)
+        # before the hit at 2*pi - 0.5 the orbit stays inside the band
+        tr = impulsive_trajectory(escaping, polar(1.5, 0.5), 5.0, 0.1)
+        assert tr.n_impulses == 0

@@ -14,7 +14,7 @@ from impulseflow import (
     fixture_names,
     sample_impulsive_set,
 )
-from impulseflow.systems import _halton
+from impulseflow.systems import _halton, sample_pieces
 
 
 def test_all_fixtures_build():
@@ -116,3 +116,36 @@ def test_image_disjoint_from_set(annulus, prey_predator, doubling):
 def test_static_null_never_fires():
     static = build_fixture("static_null")
     assert first_hitting_time(static, np.array([0.5, 0.5]), 50.0) is None
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_builtin_per_system_data(name, rng):
+    sys_spec = build_fixture(name)
+    # every piece's samples lie on that piece, and the pieces' samples
+    # together are the set's samples
+    for which in ("D", "ID"):
+        pairs = sample_pieces(sys_spec, which, 50)
+        assert sum(len(pts) for _, pts in pairs) == 50
+        for piece, pts in pairs:
+            assert pts.shape[1] == sys_spec.dim
+            assert piece.contains(pts, tol=1e-9).all()
+        assert np.array_equal(np.vstack([pts for _, pts in pairs]),
+                              sample_impulsive_set(sys_spec, which, 50))
+    # the candidate cloud lies in the default measure box and in the
+    # admissible region
+    lo, hi = (np.array(corner) for corner in sys_spec.box)
+    assert lo.shape == hi.shape == (sys_spec.dim,) and (lo < hi).all()
+    pts = candidate_cloud(sys_spec, 200, rng)
+    assert pts.shape == (200, sys_spec.dim)
+    assert ((pts >= lo) & (pts <= hi)).all()
+    assert sys_spec.admissible(pts).all()
+
+
+def test_multi_plane_pieces_sample_their_own_planes():
+    sys_spec = build_fixture("prey_predator", {"xi": (0.5, 1.0), "eta": (2.0, 3.0)})
+    for which, levels in (("D", (0.5, 1.0)), ("ID", (2.0, 3.0))):
+        pairs = sample_pieces(sys_spec, which, 51)
+        assert [len(pts) for _, pts in pairs] == [26, 25]
+        for (piece, pts), c in zip(pairs, levels):
+            assert piece.level_value == c
+            assert np.allclose(pts.sum(axis=1), c, rtol=0, atol=1e-12)
