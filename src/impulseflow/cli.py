@@ -19,6 +19,7 @@ import os
 import shutil
 import sys as _sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from . import __version__
 from .entropy import EntropyConfig, entropy_estimate
 from .hypotheses import hitting_continuity_probe, separation_report, transversality_margin
 from .impulsive_system import (
-    impulsive_trajectory,
+    RunStats,
+    impulsive_trajectory_batch,
     write_impulses_csv,
     write_trajectory_csv,
 )
@@ -197,11 +199,20 @@ def _jsonable(obj):
 # Experiments
 # --------------------------------------------------------------------------
 
+def _orbit(sys_spec, x0, horizon, dt):
+    """The impulsive orbit of x0 and its propagation counters (deterministic,
+    so they belong in the manifest)."""
+    stats = RunStats()
+    traj = impulsive_trajectory_batch(sys_spec, x0[None, :], horizon, dt,
+                                      stats=stats)[0]
+    return traj, asdict(stats)
+
+
 def _run_simulate(sys_spec, params, rng, outdir: Path) -> dict:
     horizon = _number_param(params, "horizon", 100.0, lambda v: v > 0, "> 0")
     dt = _number_param(params, "dt_sample", 0.01, lambda v: v > 0, "> 0")
     x0 = _initial_state(params, sys_spec, rng)
-    traj = impulsive_trajectory(sys_spec, x0, horizon, dt)
+    traj, propagation = _orbit(sys_spec, x0, horizon, dt)
     _atomic_write(outdir / "trajectory.csv",
                   lambda path: write_trajectory_csv(traj, path))
     _atomic_write(outdir / "impulses.csv",
@@ -209,6 +220,7 @@ def _run_simulate(sys_spec, params, rng, outdir: Path) -> dict:
     return {
         "initial_state": x0.tolist(),
         "n_impulses": traj.n_impulses,
+        "propagation": propagation,
         "outputs": ["trajectory.csv", "impulses.csv"],
     }
 
@@ -271,7 +283,7 @@ def _run_measure(sys_spec, params, rng, outdir: Path) -> dict:
         bins = (_count_param(params, "bins", 40, 1),) * sys_spec.dim
         grid = GridPartition(lo=lo, hi=hi, bins=bins)
     x0 = _initial_state(params, sys_spec, rng)
-    traj = impulsive_trajectory(sys_spec, x0, horizon, dt)
+    traj, propagation = _orbit(sys_spec, x0, horizon, dt)
     mu = occupation_measure(traj, grid, burn_in)
     disc = pushforward_discrepancy(sys_spec, traj, grid, t_shift, burn_in)
     _atomic_write(outdir / "measure.csv", lambda path: write_measure_csv(mu, path))
@@ -279,6 +291,7 @@ def _run_measure(sys_spec, params, rng, outdir: Path) -> dict:
         "initial_state": x0.tolist(),
         "escaped_frac": mu.escaped_frac,
         "pushforward_discrepancy": disc,
+        "propagation": propagation,
         "outputs": ["measure.csv"],
     }
 

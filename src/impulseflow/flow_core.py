@@ -1,11 +1,12 @@
-"""Continuous flows: builtin vector fields, level functions, and an adaptive
-embedded Runge-Kutta 5(4) stepper with PI step-size control and dense output.
+"""Continuous flows: builtin vector fields, level functions, and the adaptive
+DOP853 stepper (the 8(5,3) Runge-Kutta pair of Dormand and Prince) with its
+degree-7 dense output.
 
 States are plain float ndarrays.  Every field and level function is vectorized
 over a leading batch axis, and ``BatchStepper`` advances a whole batch of
 independent states with a shared adaptive step; this is what makes the
-separated-set entropy estimator affordable.  The quartic in-step interpolant
-(``dense_*``) is written here only.
+separated-set entropy estimator affordable.  The in-step interpolant is built
+by ``BatchStepper.interpolant`` and evaluated by ``dense_eval``, here only.
 
 The stepping loop itself is the propagation engine of ``impulsive_system``:
 ``flow`` runs it as its case with no impulsive-set pieces, for one time or
@@ -258,49 +259,195 @@ def level_gradient(level_id: str, x: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Dormand-Prince 5(4) tableau and dense-output coefficients
+# DOP853: the 8(5,3) Runge-Kutta pair of Dormand and Prince with its degree-7
+# dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6), with
+# the coefficients of Hairer's Fortran code
 # --------------------------------------------------------------------------
 
-_RK_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_N_STAGES = 12          # stages of one step; stage 13 is f at the new state (FSAL)
+_N_STAGES_EXTENDED = 16  # the last 3 are computed only for the dense output
 
-_RK_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+# nodes: the builtin fields are autonomous, so the stepper never reads them
+_C = np.array([0.0,
+               0.526001519587677318785587544488e-01,
+               0.789002279381515978178381316732e-01,
+               0.118350341907227396726757197510,
+               0.281649658092772603273242802490,
+               0.333333333333333333333333333333,
+               0.25,
+               0.307692307692307692307692307692,
+               0.651282051282051282051282051282,
+               0.6,
+               0.857142857142857142857142857142,
+               1.0,
+               1.0,
+               0.1,
+               0.2,
+               0.777777777777777777777777777778])
 
-# weights of the propagated 5th-order solution (row 7 of A; FSAL scheme)
-_RK_B = _RK_A[6]
+_A = np.zeros((_N_STAGES_EXTENDED, _N_STAGES_EXTENDED))
+_A[1, 0] = 5.26001519587677318785587544488e-2
+_A[2, [0, 1]] = (1.97250569845378994544595329183e-2,
+                 5.91751709536136983633785987549e-2)
+_A[3, [0, 2]] = (2.95875854768068491816892993775e-2,
+                 8.87627564304205475450678981324e-2)
+_A[4, [0, 2, 3]] = (2.41365134159266685502369798665e-1,
+                    -8.84549479328286085344864962717e-1,
+                    9.24834003261792003115737966543e-1)
+_A[5, [0, 3, 4]] = (3.7037037037037037037037037037e-2,
+                    1.70828608729473871279604482173e-1,
+                    1.25467687566822425016691814123e-1)
+_A[6, [0, 3, 4, 5]] = (3.7109375e-2,
+                       1.70252211019544039314978060272e-1,
+                       6.02165389804559606850219397283e-2,
+                       -1.7578125e-2)
+_A[7, [0, 3, 4, 5, 6]] = (3.70920001185047927108779319836e-2,
+                          1.70383925712239993810214054705e-1,
+                          1.07262030446373284651809199168e-1,
+                          -1.53194377486244017527936158236e-2,
+                          8.27378916381402288758473766002e-3)
+_A[8, [0, 3, 4, 5, 6, 7]] = (6.24110958716075717114429577812e-1,
+                             -3.36089262944694129406857109825,
+                             -8.68219346841726006818189891453e-1,
+                             2.75920996994467083049415600797e1,
+                             2.01540675504778934086186788979e1,
+                             -4.34898841810699588477366255144e1)
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = (4.77662536438264365890433908527e-1,
+                                -2.48811461997166764192642586468,
+                                -5.90290826836842996371446475743e-1,
+                                2.12300514481811942347288949897e1,
+                                1.52792336328824235832596922938e1,
+                                -3.32882109689848629194453265587e1,
+                                -2.03312017085086261358222928593e-2)
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = (-9.3714243008598732571704021658e-1,
+                                    5.18637242884406370830023853209,
+                                    1.09143734899672957818500254654,
+                                    -8.14978701074692612513997267357,
+                                    -1.85200656599969598641566180701e1,
+                                    2.27394870993505042818970056734e1,
+                                    2.49360555267965238987089396762,
+                                    -3.0467644718982195003823669022)
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = (2.27331014751653820792359768449,
+                                        -1.05344954667372501984066689879e1,
+                                        -2.00087205822486249909675718444,
+                                        -1.79589318631187989172765950534e1,
+                                        2.79488845294199600508499808837e1,
+                                        -2.85899827713502369474065508674,
+                                        -8.87285693353062954433549289258,
+                                        1.23605671757943030647266201528e1,
+                                        6.43392746015763530355970484046e-1)
+_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = (5.42937341165687622380535766363e-2,
+                                      4.45031289275240888144113950566,
+                                      1.89151789931450038304281599044,
+                                      -5.8012039600105847814672114227,
+                                      3.1116436695781989440891606237e-1,
+                                      -1.52160949662516078556178806805e-1,
+                                      2.01365400804030348374776537501e-1,
+                                      4.47106157277725905176885569043e-2)
+_A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = (5.61675022830479523392909219681e-2,
+                                       2.53500210216624811088794765333e-1,
+                                       -2.46239037470802489917441475441e-1,
+                                       -1.24191423263816360469010140626e-1,
+                                       1.5329179827876569731206322685e-1,
+                                       8.20105229563468988491666602057e-3,
+                                       7.56789766054569976138603589584e-3,
+                                       -8.298e-3)
+_A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = (3.18346481635021405060768473261e-2,
+                                        2.83009096723667755288322961402e-2,
+                                        5.35419883074385676223797384372e-2,
+                                        -5.49237485713909884646569340306e-2,
+                                        -1.08347328697249322858509316994e-4,
+                                        3.82571090835658412954920192323e-4,
+                                        -3.40465008687404560802977114492e-4,
+                                        1.41312443674632500278074618366e-1)
+_A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = (-4.28896301583791923408573538692e-1,
+                                       -4.69762141536116384314449447206,
+                                       7.68342119606259904184240953878,
+                                       4.06898981839711007970213554331,
+                                       3.56727187455281109270669543021e-1,
+                                       -1.39902416515901462129418009734e-3,
+                                       2.9475147891527723389556272149,
+                                       -9.15095847217987001081870187138)
 
-# difference between 5th- and 4th-order weights: local error estimator
-_RK_E = np.array([
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-    -17253 / 339200, 22 / 525, -1 / 40,
-])
+# weights of the propagated 8th-order solution (row 13 of A)
+_B = _A[_N_STAGES, :_N_STAGES]
 
-# quartic interpolant: y(t0 + u*h) = y0 + h * K^T (P @ [u, u^2, u^3, u^4])
-_RK_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# 3rd- and 5th-order error estimators, over the 12 stages and the FSAL stage
+_E3 = np.zeros(_N_STAGES + 1)
+_E3[:-1] = _B
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
 
-_N_STAGES = 7
-_ERR_EXP = 1.0 / 5.0
+_E5 = np.zeros(_N_STAGES + 1)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (0.1312004499419488073250102996e-1,
+                                   -0.1225156446376204440720569753e+1,
+                                   -0.4957589496572501915214079952,
+                                   0.1664377182454986536961530415e+1,
+                                   -0.3503288487499736816886487290,
+                                   0.3341791187130174790297318841,
+                                   0.8192320648511571246570742613e-1,
+                                   -0.2235530786388629525884427845e-1)
+_E53 = np.stack([_E5, _E3])   # both estimators in one product
+
+# rows 4-7 of the interpolant (rows 1-3 come from the step's ends), over
+# all 16 stages
+_D = np.zeros((4, _N_STAGES_EXTENDED))
+_D[0, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (-0.84289382761090128651353491142e+1,
+                                                     0.56671495351937776962531783590,
+                                                     -0.30689499459498916912797304727e+1,
+                                                     0.23846676565120698287728149680e+1,
+                                                     0.21170345824450282767155149946e+1,
+                                                     -0.87139158377797299206789907490,
+                                                     0.22404374302607882758541771650e+1,
+                                                     0.63157877876946881815570249290,
+                                                     -0.88990336451333310820698117400e-1,
+                                                     0.18148505520854727256656404962e+2,
+                                                     -0.91946323924783554000451984436e+1,
+                                                     -0.44360363875948939664310572000e+1)
+_D[1, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (0.10427508642579134603413151009e+2,
+                                                     0.24228349177525818288430175319e+3,
+                                                     0.16520045171727028198505394887e+3,
+                                                     -0.37454675472269020279518312152e+3,
+                                                     -0.22113666853125306036270938578e+2,
+                                                     0.77334326684722638389603898808e+1,
+                                                     -0.30674084731089398182061213626e+2,
+                                                     -0.93321305264302278729567221706e+1,
+                                                     0.15697238121770843886131091075e+2,
+                                                     -0.31139403219565177677282850411e+2,
+                                                     -0.93529243588444783865713862664e+1,
+                                                     0.35816841486394083752465898540e+2)
+_D[2, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (0.19985053242002433820987653617e+2,
+                                                     -0.38703730874935176555105901742e+3,
+                                                     -0.18917813819516756882830838328e+3,
+                                                     0.52780815920542364900561016686e+3,
+                                                     -0.11573902539959630126141871134e+2,
+                                                     0.68812326946963000169666922661e+1,
+                                                     -0.10006050966910838403183860980e+1,
+                                                     0.77771377980534432092869265740,
+                                                     -0.27782057523535084065932004339e+1,
+                                                     -0.60196695231264120758267380846e+2,
+                                                     0.84320405506677161018159903784e+2,
+                                                     0.11992291136182789328035130030e+2)
+_D[3, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (-0.25693933462703749003312586129e+2,
+                                                     -0.15418974869023643374053993627e+3,
+                                                     -0.23152937917604549567536039109e+3,
+                                                     0.35763911791061412378285349910e+3,
+                                                     0.93405324183624310003907691704e+2,
+                                                     -0.37458323136451633156875139351e+2,
+                                                     0.10409964950896230045147246184e+3,
+                                                     0.29840293426660503123344363579e+2,
+                                                     -0.43533456590011143754432175058e+2,
+                                                     0.96324553959188282948394950600e+2,
+                                                     -0.39177261675615439165231486172e+2,
+                                                     -0.14972683625798562581422125276e+3)
+
+# step control: h *= safety * err^(-1/8) (the error estimate is O(h^8)),
+# by a factor within [min, max]
+_ERR_EXP = -1.0 / 8.0
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-# PI controller exponents (accepted steps): h *= safety * err^-kI * err_prev^kP
-_PI_KI = 0.7 / 5.0
-_PI_KP = 0.4 / 5.0
+_MAX_FACTOR = 10.0
 # the controller aims below the user tolerance so that the accumulated global
 # error of integrations up to t ~ 100 stays within the advertised per-call
 # bound (abs_tol + rel_tol * |x|)
@@ -312,9 +459,11 @@ class BatchStepper:
     shared adaptive step.
 
     The step size is controlled by the worst member of the batch, so every
-    member meets the configured tolerance.  Each accepted step exposes the
-    stage array needed for dense (quartic) in-step evaluation.
+    member meets the configured tolerance.  Each accepted step exposes its
+    stages, from which ``interpolant`` builds the step's dense output.
     """
+
+    FSAL = _N_STAGES    # the row of a step's K that holds f at y_new
 
     def __init__(self, rhs, y0: np.ndarray, cfg: IntegratorConfig):
         self.rhs = rhs
@@ -326,7 +475,6 @@ class BatchStepper:
         self.k1 = rhs(self.y)
         self.active = np.ones(self.n, dtype=bool)
         self.rejected = 0   # steps rejected by the error test, over the stepper's life
-        self._err_prev = 1.0
         self.h = self._initial_step()
 
     def _initial_step(self):
@@ -349,81 +497,106 @@ class BatchStepper:
 
         Returns (h, y_new, K) without committing: the caller decides how far
         each member actually advances (events may cut a member's step short)
-        and then calls commit().
+        and then calls commit().  K has shape (16, n, dim): the 12 stages,
+        f at y_new, and 3 rows that ``interpolant`` fills.
         """
         cfg = self.cfg
-        h = min(self.h, h_cap, cfg.max_step)
+        h = float(min(self.h, h_cap, cfg.max_step))
         active = self.active
-        nd = self.n * self.dim
-        yf = self.y.reshape(nd)
+        n, dim = self.n, self.dim
+        nd = n * dim
+        # row 0 holds y and row s + 1 stage s, so that each stage state
+        # y + h * A[s] @ K is one product with the row [1, h * A[s]]; this
+        # takes 8-12% less time per step than the three-operation form that
+        # ``interpolant`` uses for its 3 stages (batches of 1 and 256)
+        YK = np.empty((_N_STAGES_EXTENDED + 1, nd))
+        YK[0] = self.y.reshape(nd)
+        YK[1] = self.k1.reshape(nd)
+        coef = np.empty((_N_STAGES + 1, _N_STAGES + 1))
+        coef[:, 0] = 1.0
+        rejected = False
         while True:
             if h < cfg.min_step:
                 raise StepSizeUnderflow(f"step size {h:.3e} below min_step")
-            Kf = np.empty((_N_STAGES, nd))
-            Kf[0] = self.k1.reshape(nd)
-            for s in range(1, _N_STAGES - 1):
-                ys = yf + h * (_RK_A[s] @ Kf[:s])
-                Kf[s] = self.rhs(ys.reshape(self.n, self.dim)).reshape(nd)
-            y_new_f = yf + h * (_RK_B @ Kf[:6])
-            y_new = y_new_f.reshape(self.n, self.dim)
-            Kf[6] = self.rhs(y_new).reshape(nd)
-            K = Kf.reshape(_N_STAGES, self.n, self.dim)
+            np.multiply(h, _A[:_N_STAGES + 1, :_N_STAGES], out=coef[:, 1:])
+            for s in range(1, _N_STAGES + 1):
+                ys = (coef[s, :s + 1] @ YK[:s + 1]).reshape(n, dim)
+                YK[s + 1] = self.rhs(ys).reshape(nd)
+            y_new = ys      # row 13 of A is B: the last stage state is y_new
 
-            err_vec = (h * (_RK_E @ Kf)).reshape(self.n, self.dim)
             scale = (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.y), np.abs(y_new)))
             scale *= _TARGET_FRACTION
+            err = 0.0
             if active.any():
-                err = np.sqrt(np.mean((err_vec[active] / scale[active]) ** 2, axis=1)).max()
-            else:
-                err = 0.0
+                # DOP853's combined norm, per member: with e5, e3 the squared
+                # scaled norms of the two estimators, h e5 / sqrt((e5 + 0.01 e3) dim)
+                e = (_E53 @ YK[1:_N_STAGES + 2]).reshape(2, n, dim) / scale
+                e5, e3 = np.einsum("knd,knd->kn", e, e)[:, active]
+                denom = np.sqrt((e5 + 0.01 * e3) * dim)
+                ratio = np.divide(e5, denom, out=np.zeros_like(e5), where=denom > 0)
+                err = h * ratio.max()
 
-            if err <= 1.0:
+            if err < 1.0:
                 if err == 0.0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = _SAFETY * err ** (-_PI_KI) * self._err_prev ** _PI_KP
-                    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                    factor = min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
+                if rejected:
+                    factor = min(1.0, factor)
                 self.h = min(cfg.max_step, h * factor)
-                self._err_prev = max(err, 1e-4)
-                return h, y_new, K
+                return h, y_new, YK[1:].reshape(_N_STAGES_EXTENDED, n, dim)
             self.rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-_ERR_EXP))
+            rejected = True
+            h *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+
+    def interpolant(self, h, y_new, K):
+        """Coefficients F, shape (7, n, dim), of the degree-7 dense output of
+        the proposed step ``(h, y_new, K)``, which ``dense_eval`` evaluates.
+        They cost 3 more stages, written into the last rows of K."""
+        n, dim = self.n, self.dim
+        Kf = K.reshape(_N_STAGES_EXTENDED, n * dim)
+        yf = self.y.reshape(n * dim)
+        for s in range(_N_STAGES + 1, _N_STAGES_EXTENDED):
+            ys = yf + h * (_A[s, :s] @ Kf[:s])
+            Kf[s] = self.rhs(ys.reshape(n, dim)).reshape(-1)
+        dy = y_new - self.y
+        F = np.empty((7, n, dim))
+        F[0] = dy
+        F[1] = h * K[0] - dy
+        F[2] = 2.0 * dy - h * (K[self.FSAL] + K[0])
+        F[3:] = h * (_D @ Kf).reshape(4, n, dim)
+        return F
 
     def commit(self, y_new, K):
-        """Accept the proposed step for every member (FSAL reuse of stage 7)."""
+        """Accept the proposed step for every member (FSAL reuse of stage 13)."""
         self.y = y_new
-        self.k1 = K[6].copy()
+        self.k1 = K[self.FSAL].copy()
 
 
-def dense_coefficients(K) -> np.ndarray:
-    """Per-member quartic coefficients q = K^T P of the in-step interpolant,
-    shape (n, dim, 4): y(t0 + u*h) = y0 + h * q @ [u, u^2, u^3, u^4]."""
-    return np.einsum("snd,sj->ndj", K, _RK_P)
+def dense_eval(y0, F, u, derivative=False):
+    """Evaluate the degree-7 in-step interpolant at fractions ``u`` of the step.
 
-
-def dense_eval_coefficients(y0, q, h, u):
-    """Evaluate the in-step interpolant from coefficients ``dense_coefficients``
-    computed once per step; ``u`` has one entry per member, in [0, 1]."""
-    u = np.asarray(u, dtype=float)
-    powers = u[..., None] ** np.arange(1, 5)
-    return y0 + h * np.einsum("ndj,nj->nd", q, powers)
-
-
-def dense_eval_member(y0, K, h, u):
-    """The in-step interpolant of one member (``y0`` of shape (dim,), ``K``
-    of shape (7, dim)) at several fractions ``u`` of the step; shape
-    (len(u), dim)."""
-    q = K.T @ _RK_P
-    return y0 + h * ((u[:, None] ** np.arange(1, 5)) @ q.T)
-
-
-def dense_eval(y0, K, h, u):
-    """Evaluate the in-step quartic interpolant at fractions ``u`` of the step.
-
-    y0, K are the per-member slices returned by ``BatchStepper.step``; ``u``
-    has one entry per member, in [0, 1].
+    ``y0`` (m, dim) are the states at the step's start and ``F`` (7, m, dim)
+    the rows of ``BatchStepper.interpolant`` for the same members; ``u`` has
+    one entry per member, in [0, 1].  With ``derivative`` the result is the
+    pair (y, dy/du).  Every operation is elementwise, so a member's row does
+    not depend on the batch it is evaluated in.
     """
-    return dense_eval_coefficients(y0, dense_coefficients(K), h, u)
+    u = np.asarray(u, dtype=float)[:, None]
+    v = 1.0 - u
+    # y = y0 + u (F0 + v (F1 + u (F2 + v (F3 + u (F4 + v (F5 + u F6)))))),
+    # Horner from the inside out; the weight is u for even rows, v for odd
+    y = np.zeros_like(y0)
+    dy = np.zeros_like(y0) if derivative else None
+    for k in range(6, -1, -1):
+        w = u if k % 2 == 0 else v
+        y += F[k]
+        if derivative:
+            dy *= w
+            dy += y if k % 2 == 0 else -y
+        y *= w
+    y += y0
+    return (y, dy) if derivative else y
 
 
 def flow(spec: VectorFieldSpec, x: np.ndarray, t,

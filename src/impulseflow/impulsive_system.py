@@ -5,16 +5,19 @@ The one propagation engine, ``_propagate``, advances a whole batch of
 independent initial states with one shared adaptive step (``BatchStepper``)
 and owns the step cap, the horizon and finish rule and the final dense
 evaluation.  ``_first_crossings`` locates level-set crossings per member by a
-bracketed secant (Illinois) iteration on the dense output, and ``_BatchRun``
-records grid samples, hits and final states.  ``flow_core.flow`` is the
-engine's case with no impulsive-set pieces.  Trajectories are
-right-continuous across impulses: the value at a hit time is the
-post-impulse state.
+bracketed secant (Illinois) iteration on the dense output,
+``_check_turning_points`` raises on two crossings of a level inside one
+step, and ``_BatchRun`` records grid samples, hits and final states.
+``flow_core.flow`` is the engine's case with no impulsive-set pieces.
+Trajectories are right-continuous across impulses: the value at a hit time
+is the post-impulse state.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
@@ -25,11 +28,9 @@ from .flow_core import (
     IntegratorConfig,
     RegionEscape,
     VectorFieldSpec,
-    dense_coefficients,
     dense_eval,
-    dense_eval_coefficients,
-    dense_eval_member,
     eval_vector_field,
+    level_gradient,
     level_value,
     make_rhs,
     system_dimension,
@@ -330,17 +331,26 @@ def impulse_preimages(sys: SystemSpec, p: np.ndarray) -> list[np.ndarray]:
 @dataclass
 class RunStats:
     """Work counters of impulsive propagations.  For a fixed batch they are
-    deterministic, so they can be recorded beside the outputs."""
+    deterministic, so they can be recorded beside the outputs.
+
+    ``h_min`` and ``h_max`` bound the accepted step sizes (inf and 0 before
+    any step); ``guard_checks`` counts the members whose level turned back
+    toward an impulsive set inside a step, each probed for a double crossing.
+    """
 
     steps: int = 0
     rejected_steps: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
     hits: int = 0
     discarded_crossings: int = 0
+    guard_checks: int = 0
     root_passes: int = 0
 
     def add(self, other: "RunStats") -> None:
         for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+            merge = {"h_min": min, "h_max": max}.get(f.name, operator.add)
+            setattr(self, f.name, merge(getattr(self, f.name), getattr(other, f.name)))
 
 
 class _BatchRun:
@@ -361,11 +371,12 @@ class _BatchRun:
                 self.samples[:, 0] = X0
                 self.ptr[:] = 1
 
-    def fill_samples(self, members, t0, adv, y0, K, h, tau=None):
+    def fill_samples(self, members, t0, adv, y0, F, h, tau=None):
         """Write the grid samples that ``members`` pass while advancing by
         ``adv`` from ``t0`` (one entry per member) on the step's dense output.
-        ``y0``, ``K`` and the hit times ``tau`` are indexed by member id;
-        samples on a hit time are left to ``record_hits``."""
+        ``y0``, the interpolant rows ``F`` and the hit times ``tau`` are
+        indexed by member id; samples on a hit time are left to
+        ``record_hits``."""
         grid = self.grid
         if grid is None or len(members) == 0:
             return
@@ -378,18 +389,12 @@ class _BatchRun:
         total = int(counts.sum())
         if total == 0:
             return
-        if len(members) == 1:
-            m = members[0]
-            g_idx = np.arange(k0[0], k0[0] + counts[0])
-            u = np.clip((grid[g_idx] - t0[0]) / h, 0.0, 1.0)
-            self.samples[m, g_idx] = dense_eval_member(y0[m], K[:, m], h, u)
-        else:
-            rows = np.repeat(np.arange(len(members)), counts)
-            offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            g_idx = k0[rows] + offs
-            m_rep = members[rows]
-            u = np.clip((grid[g_idx] - t0[rows]) / h, 0.0, 1.0)
-            self.samples[m_rep, g_idx] = dense_eval(y0[m_rep], K[:, m_rep], h, u)
+        rows = np.repeat(np.arange(len(members)), counts)
+        offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        g_idx = k0[rows] + offs
+        m_rep = members[rows]
+        u = np.clip((grid[g_idx] - t0[rows]) / h, 0.0, 1.0)
+        self.samples[m_rep, g_idx] = dense_eval(y0[m_rep], F[:, m_rep], u)
         self.ptr[members] = np.maximum(k0, k1)
 
     def record_hits(self, members, taus, pre, post, min_gap):
@@ -404,8 +409,13 @@ class _BatchRun:
         self._hits.append((members, taus, pre, post))
         self.stats.hits += len(members)
         if self.grid is not None:
-            # a sample on the hit time carries the post-impulse state
+            # a sample on the hit time carries the post-impulse state; the
+            # step before may have written it already, when that step ended
+            # within _COINCIDE_TOL before the hit
             p = self.ptr[members]
+            done = p > 0
+            done[done] = np.abs(self.grid[p[done] - 1] - taus[done]) <= _COINCIDE_TOL
+            self.samples[members[done], p[done] - 1] = post[done]
             on = p < len(self.grid)
             on[on] = np.abs(self.grid[p[on]] - taus[on]) <= _COINCIDE_TOL
             self.samples[members[on], p[on]] = post[on]
@@ -426,22 +436,37 @@ class _BatchRun:
 
 
 class _LevelAlongStep:
-    """f(u) = L_j(y(t0 + u*h)) - c_j for each (member, piece) crossing
-    candidate of one step, evaluated on the interpolant's coefficients."""
+    """f(u) = L_j(y(t0 + u*h)) - c_j for each (member, piece) candidate of
+    one step, evaluated on the dense output."""
 
-    def __init__(self, sets, cvals, y0, q, h, cand_set):
+    def __init__(self, sets, cvals, y0, F, cand_set):
         self.sets, self.cvals = sets, cvals
-        self.y0, self.q, self.h = y0, q, h
+        self.y0, self.F = y0, F
         self.cand_set = cand_set
 
     def __call__(self, u, rows):
-        states = dense_eval_coefficients(self.y0[rows], self.q[rows], self.h, u)
+        states = dense_eval(self.y0[rows], self.F[:, rows], u)
         sets = self.cand_set[rows]
         out = np.empty(len(rows))
         for j in np.unique(sets):
             sel = sets == j
             out[sel] = level_value(self.sets[j].level_id, states[sel]) - self.cvals[j]
         return out
+
+
+def _slope_along_step(sets, y0, F, cand_set):
+    """The derivative d/du L_j(y(t0 + u*h)) for each (member, piece) candidate
+    of one step, as a function of (u, rows) like ``_LevelAlongStep``."""
+    def slope(u, rows):
+        states, dy = dense_eval(y0[rows], F[:, rows], u, derivative=True)
+        pieces = cand_set[rows]
+        out = np.empty(len(rows))
+        for j in np.unique(pieces):
+            sel = pieces == j
+            grad = level_gradient(sets[j].level_id, states[sel])
+            out[sel] = np.einsum("nd,nd->n", grad, dy[sel])
+        return out
+    return slope
 
 
 def _bracketed_roots(f, a, b, fa, fb, tol):
@@ -498,38 +523,53 @@ def _sign_changes(L_lo, L_hi, dirs):
     return (s_lo != 0) & (s_lo * np.sign(L_hi) <= 0) & (dirs * s_lo <= 0)
 
 
-def _first_crossings(sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new,
-                     active, adv_cap, stats):
-    """Earliest admissible crossing of each active member inside one step.
+def _check_turning_points(sets, cvals, y0, F, h, turn, side, g_here, g_new,
+                          u_end, stats):
+    """Raise AmbiguousCrossing when a level crosses zero twice inside the part
+    of one step that its member runs, the fraction ``u_end`` of the step (up
+    to its hit or its horizon).
 
-    Crossings are located by ``_bracketed_roots`` on the level along the
-    dense output, to _TIME_TOL in time.  The earliest crossing per member
+    ``turn`` marks the (member, piece) levels that keep one sign (``side``)
+    at both ends of the step while their slope there (``g_here``, ``g_new``:
+    dL/dt) turns from toward zero to away from it.  For each, the turning
+    point u* is located on the derivative of the dense output by
+    ``_bracketed_roots``.  The level runs toward zero on [0, u*], so it has
+    crossed zero before ``u_end`` exactly when it has the other sign at
+    min(u*, u_end).  A level with one turning point per step cannot hide a
+    double crossing any other way.
+    """
+    rows, cand_set = np.nonzero(turn)
+    if not len(rows):
+        return
+    stats.guard_checks += len(np.unique(rows))
+    y0, F = y0[rows], F[:, rows]
+    slope = _slope_along_step(sets, y0, F, cand_set)
+    u, passes = _bracketed_roots(slope, np.zeros(len(rows)), np.ones(len(rows)),
+                                 h * g_here[rows, cand_set], h * g_new[rows, cand_set],
+                                 _TIME_TOL / h)
+    stats.root_passes += passes
+    u = np.minimum(u, u_end[rows])
+    level = _LevelAlongStep(sets, cvals, y0, F, cand_set)(u, np.arange(len(rows)))
+    if (level * side[rows, cand_set] < 0).any():
+        raise AmbiguousCrossing(
+            "level sign changes twice inside one step; reduce max_step")
+
+
+def _first_crossings(sets, cvals, dirs, levels_at, y0, F, h, L_here, L_new,
+                     crosses, adv_cap, stats):
+    """Earliest admissible crossing of each member inside one step.
+
+    ``crosses`` marks the (member, piece) levels whose sign changes over the
+    step.  Crossings are located by ``_bracketed_roots`` on the level along
+    the dense output, to _TIME_TOL in time.  The earliest crossing per member
     (ties to the lowest piece index) counts when it lies within the member's
     remaining horizon and satisfies the piece's halfspace constraints;
     otherwise it is discarded and that member's scan resumes just past it.
-    A level whose sign changes twice inside the step raises
-    AmbiguousCrossing.
 
     Returns (members, u, piece, state) of the hits, in member order: the step
     fraction, the piece index and the pre-impulse state of each.
     """
-    # guard against a double crossing hidden inside one step: probe the
-    # midpoint, but only for members whose level runs near zero
-    near = active & (
-        np.minimum(np.abs(L_here), np.abs(L_new))
-        <= 4.0 * np.abs(L_new - L_here) + 1e-12
-    ).any(axis=1)
-    if near.any():
-        L_mid = levels_at(dense_eval(y0[near], K[:, near], h,
-                                     np.full(int(near.sum()), 0.5)))
-        s0 = np.sign(L_here[near])
-        sm = np.sign(L_mid)
-        if ((s0 == np.sign(L_new[near])) & (sm != s0) & (s0 != 0) & (sm != 0)).any():
-            raise AmbiguousCrossing(
-                "level sign changes twice inside one step; reduce max_step")
-
     n = len(y0)
-    crosses = _sign_changes(L_here, L_new, dirs) & active[:, None]
     if not crosses.any():
         return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int), y0[:0]
     hit_u = np.full(n, np.inf)
@@ -537,19 +577,13 @@ def _first_crossings(sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new,
     hit_state = np.empty_like(y0)
     scan_lo = np.zeros(n)
     L_lo = L_here
-    # coefficients once per step; later rounds rescan members of this round
-    members = np.flatnonzero(crosses.any(axis=1))
-    qrow = np.full(n, -1)
-    qrow[members] = np.arange(len(members))
-    q = dense_coefficients(K[:, members])
     idx = np.arange(n)
     while True:
         rows, cand_set = np.nonzero(crosses)
         if not len(rows):
             break
         cand = idx[rows]
-        qc = q[qrow[cand]]
-        f = _LevelAlongStep(sets, cvals, y0[cand], qc, h, cand_set)
+        f = _LevelAlongStep(sets, cvals, y0[cand], F[:, cand], cand_set)
         u, passes = _bracketed_roots(f, scan_lo[cand], np.ones(len(cand)),
                                      L_lo[cand, cand_set], L_new[cand, cand_set],
                                      _TIME_TOL / h)
@@ -559,7 +593,7 @@ def _first_crossings(sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new,
         pick = order[np.unique(cand[order], return_index=True)[1]]
         pick = pick[u[pick] * h <= adv_cap[cand[pick]]]   # beyond the horizon
         i, u_pick, j_pick = cand[pick], u[pick], cand_set[pick]
-        states = dense_eval_coefficients(y0[i], qc[pick], h, u_pick)
+        states = dense_eval(y0[i], F[:, i], u_pick)
         ok = np.empty(len(pick), dtype=bool)
         for j in np.unique(j_pick):
             sel = j_pick == j
@@ -577,7 +611,7 @@ def _first_crossings(sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new,
         scan_lo[idx] = u_next
         if L_lo is L_here:
             L_lo = L_here.copy()
-        L_lo[idx] = levels_at(dense_eval_coefficients(y0[idx], qc[pick[bad]], h, u_next))
+        L_lo[idx] = levels_at(dense_eval(y0[idx], F[:, idx], u_next))
         crosses = _sign_changes(L_lo[idx], L_new[idx], dirs)
     hit = np.flatnonzero(np.isfinite(hit_u))
     return hit, hit_u[hit], hit_set[hit], hit_state[hit]
@@ -592,9 +626,11 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     """Advance a batch of states through the impulsive semiflow: the one
     propagation engine.
 
-    Each member runs for its own duration.  Hits of every impulsive-set piece
-    are located on the dense output by ``_first_crossings``, the impulse map
-    is applied, and ``_BatchRun`` records samples, hits and final states.
+    Each member runs for its own duration.  Hits of every impulsive-set
+    piece are located on the dense output by ``_first_crossings``, a level
+    that turns back toward a piece before its member's hit or horizon is
+    checked for a double crossing (``_check_turning_points``), the impulse
+    map is applied, and ``_BatchRun`` records samples, hits and final states.
     A bare VectorFieldSpec for ``sys`` is the continuous flow, the case with
     no impulsive-set pieces: members then stop exactly at their durations,
     with no horizon slack and no region check.
@@ -624,12 +660,19 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
             out[:, j] = level_value(p.level_id, states) - cvals[j]
         return out
 
+    def slopes_at(states, f):
+        out = np.empty((len(states), len(sets)))
+        for j, p in enumerate(sets):
+            out[:, j] = np.einsum("nd,nd->n", level_gradient(p.level_id, states), f)
+        return out
+
     t = np.zeros(n)
     done = durations <= 0
     run.final[done] = X0[done]
     stepper = BatchStepper(make_rhs(field, sign=time_sign), X0, cfg)
     stepper.active = ~done
     L_here = levels_at(stepper.y)
+    g_here = slopes_at(stepper.y, stepper.k1)
     # members run a hair past their horizon before freezing, so a hit sitting
     # exactly on the horizon always lands strictly inside some step; genuine
     # hits never occur at horizon + slack because gaps are bounded below
@@ -639,20 +682,30 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         h_cap = max(float(rem_ext[~done].max()), 10 * cfg.min_step)
         h, y_prop, K = stepper.step(h_cap)
         stats.steps += 1
+        stats.h_min = min(stats.h_min, h)
+        stats.h_max = max(stats.h_max, h)
         y0 = stepper.y
         active = ~done
         L_new = levels_at(y_prop)
+        g_new = slopes_at(y_prop, K[stepper.FSAL])
         adv = np.where(active, np.minimum(rem_ext, h), 0.0)
+        crosses = _sign_changes(L_here, L_new, dirs) & active[:, None]
+        side = np.sign(L_here)
+        turn = (active[:, None] & (side == np.sign(L_new))
+                & (side * g_here < 0) & (side * g_new > 0))
+        F = stepper.interpolant(h, y_prop, K)
         hit_members, hit_u, hit_set, pre_states = _first_crossings(
-            sets, cvals, dirs, levels_at, y0, K, h, L_here, L_new, active,
+            sets, cvals, dirs, levels_at, y0, F, h, L_here, L_new, crosses,
             adv, stats)
         tau_map = None
         if len(hit_members):
             adv[hit_members] = hit_u * h
             tau_map = np.full(n, np.inf)
             tau_map[hit_members] = t[hit_members] + adv[hit_members]
+        _check_turning_points(sets, cvals, y0, F, h, turn, side, g_here, g_new,
+                              adv / h, stats)
         members = np.flatnonzero(active)
-        run.fill_samples(members, t[members], adv[members], y0, K, h, tau_map)
+        run.fill_samples(members, t[members], adv[members], y0, F, h, tau_map)
 
         y_commit = y_prop.copy()
         y_commit[done] = y0[done]
@@ -660,7 +713,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         finish[hit_members] = False
         if finish.any():
             u_end = np.clip((durations[finish] - t[finish]) / h, 0.0, 1.0)
-            run.final[finish] = dense_eval(y0[finish], K[:, finish], h, u_end)
+            run.final[finish] = dense_eval(y0[finish], F[:, finish], u_end)
             y_commit[finish] = run.final[finish]
         if len(hit_members):
             taus = tau_map[hit_members]
@@ -682,14 +735,16 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         if len(hit_members):
             stepper.refresh_derivative(hit_members)
         stepper.active = ~done
-        # levels at the committed states: equal to L_new except where the
-        # state was replaced by an impulse or frozen at the horizon
-        L_here = L_new
+        # levels and slopes at the committed states: equal to the step's end
+        # values except where the state was replaced by an impulse or frozen
+        # at the horizon
+        L_here, g_here = L_new, g_new
         changed = finish.copy()
         changed[hit_members] = True
         if changed.any():
-            L_here = L_new.copy()
+            L_here, g_here = L_new.copy(), g_new.copy()
             L_here[changed] = levels_at(stepper.y[changed])
+            g_here[changed] = slopes_at(stepper.y[changed], stepper.k1[changed])
 
         if check_region and (~done).any():
             ok = sys.admissible(stepper.y[~done])

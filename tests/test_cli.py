@@ -160,6 +160,7 @@ class TestSimulate:
         assert manifest["experiment"] == "simulate"
         assert manifest["resolved_config"]["system"]["name"] == "annulus"
         assert "artifact_version" in manifest
+        assert manifest["results"]["propagation"]["hits"] == len(taus)
 
 
 class TestFailureLeavesNoOutputs:
@@ -380,3 +381,22 @@ class TestDeterminism:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+    def test_measure_records_identical_propagation_counters(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "system": {"name": "annulus"},
+            "seed": 3,
+            "params": {"horizon": 30.0, "dt_sample": 0.01, "t_shift": 1.0},
+        }))
+        counters = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert run_cli("measure", "--config", str(cfg), "--out", str(out)) == 0
+            counters.append(read_json(out / "manifest.json")["results"]["propagation"])
+        assert counters[0] == counters[1]
+        work = counters[0]
+        assert work["steps"] > 0 and work["hits"] > 0
+        assert 0 < work["h_min"] <= work["h_max"] <= 0.1
+        assert set(work) == {"steps", "rejected_steps", "h_min", "h_max", "hits",
+                             "discarded_crossings", "guard_checks", "root_passes"}

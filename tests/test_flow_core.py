@@ -10,6 +10,7 @@ from impulseflow import (
     level_gradient,
     level_value,
 )
+from impulseflow.flow_core import dense_eval
 from conftest import polar
 from oracles import annulus_position, prey_predator_rhs
 
@@ -193,3 +194,68 @@ class TestIntegratorConfig:
             IntegratorConfig(min_step=1.0, max_step=0.1)
         with pytest.raises(ValueError):
             IntegratorConfig(abs_tol=0.0)
+
+
+class TestDop853:
+    def test_tableau_matches_scipy_bit_for_bit(self):
+        from impulseflow import flow_core
+        ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        for name in ("A", "B", "C", "E3", "E5", "D"):
+            ours, theirs = getattr(flow_core, "_" + name), getattr(ref, name)
+            assert ours.shape == theirs.shape, name
+            assert ours.tobytes() == theirs.tobytes(), name
+
+    @staticmethod
+    def _one_step(states, h):
+        from impulseflow.flow_core import BatchStepper, make_rhs
+        stepper = BatchStepper(make_rhs(VectorFieldSpec("prey_predator")), states,
+                               IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6))
+        stepper.h = h
+        h, y_new, K = stepper.step(h)
+        return stepper, h, y_new, K
+
+    def test_step_and_dense_output_match_scipy(self, rng):
+        # scipy's DOP853 takes the same first step from a forced step size;
+        # its dense output is built from the same 16 stages
+        from scipy.integrate import DOP853
+        x0 = rng.uniform(0.2, 1.5, 3)
+        stepper, h, y_new, K = self._one_step(x0[None, :], 0.05)
+        F = stepper.interpolant(h, y_new, K)
+        spec = VectorFieldSpec("prey_predator")
+        ref = DOP853(lambda t, y: eval_vector_field(spec, y), 0.0, x0, 1.0,
+                     first_step=0.05, max_step=0.05, rtol=1e-6, atol=1e-6)
+        ref.step()
+        assert ref.t == h
+        assert np.allclose(y_new[0], ref.y, rtol=0, atol=1e-15)
+        u = np.linspace(0.0, 1.0, 11)
+        ours = dense_eval(np.repeat(x0[None, :], len(u), axis=0),
+                          np.repeat(F, len(u), axis=1), u)
+        assert np.allclose(ours, ref.dense_output()(u * h).T, rtol=0, atol=1e-15)
+
+    def test_dense_eval_ends_and_derivative(self, rng):
+        x0 = rng.uniform(0.2, 1.5, (5, 3))
+        stepper, h, y_new, K = self._one_step(x0, 0.05)
+        F = stepper.interpolant(h, y_new, K)
+        y, dy = dense_eval(x0, F, np.zeros(5), derivative=True)
+        assert np.array_equal(y, x0)
+        assert np.allclose(dy, h * K[0], rtol=1e-13, atol=1e-16)
+        y, dy = dense_eval(x0, F, np.ones(5), derivative=True)
+        assert np.allclose(y, y_new, rtol=1e-15, atol=1e-16)
+        assert np.allclose(dy, h * K[stepper.FSAL], rtol=1e-13, atol=1e-16)
+        # the derivative matches a central difference of the values
+        u, du = np.full(5, 0.4), 1e-6
+        d_num = (dense_eval(x0, F, u + du) - dense_eval(x0, F, u - du)) / (2 * du)
+        assert np.allclose(dense_eval(x0, F, u, derivative=True)[1], d_num,
+                           rtol=1e-7, atol=1e-12)
+
+    def test_member_row_equals_its_row_in_a_batch(self, rng):
+        x0 = rng.uniform(0.2, 1.5, (9, 3))
+        stepper, h, y_new, K = self._one_step(x0, 0.05)
+        F = stepper.interpolant(h, y_new, K)
+        u = rng.uniform(0.0, 1.0, 9)
+        batch, batch_d = dense_eval(x0, F, u, derivative=True)
+        for i in range(9):
+            one, one_d = dense_eval(x0[i:i + 1], F[:, i:i + 1], u[i:i + 1],
+                                    derivative=True)
+            assert one.tobytes() == batch[i:i + 1].tobytes()
+            assert one_d.tobytes() == batch_d[i:i + 1].tobytes()

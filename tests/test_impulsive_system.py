@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,7 +24,10 @@ from impulseflow.flow_core import RegionEscape
 from impulseflow.impulsive_system import (
     AmbiguousCrossing,
     GapUnderflow,
+    RunStats,
+    _BatchRun,
     _bracketed_roots,
+    hit_times_batch,
     write_impulses_csv,
     write_trajectory_csv,
 )
@@ -312,6 +317,25 @@ class TestPsi:
                 gap = np.linalg.norm(before - tr.pre_impulse_states, axis=1)
                 assert (gap <= 1.01 * speed * s + 1e-9).all()
 
+    def test_sample_written_before_a_coinciding_hit_takes_post_state(self):
+        # a step that ends 5e-10 before the grid time writes that sample; the
+        # hit 3e-10 after the grid time, in the next step, still owns it
+        run = _BatchRun(np.zeros((1, 2)), np.array([0.0, 1.0]))
+        y0, F = np.ones((1, 2)), np.zeros((7, 1, 2))
+        run.fill_samples(np.array([0]), np.array([0.5]), np.array([0.5 - 5e-10]),
+                         y0, F, 0.5)
+        assert np.array_equal(run.samples[0, 1], [1.0, 1.0])
+        post = np.array([[2.0, 3.0]])
+        run.record_hits(np.array([0]), np.array([1.0 + 3e-10]), y0, post, 1e-9)
+        assert np.array_equal(run.samples[0, 1], post[0])
+
+    def test_doubling_samples_on_hit_times_are_post_impulse(self, doubling):
+        # the doubling orbit hits at every integer time, on the sample grid
+        tr = impulsive_trajectory(doubling, np.array([1.0, 0.0, 0.0]), 20.0, 0.01)
+        on = np.flatnonzero(np.isin(np.round(tr.sample_times, 9), np.arange(1, 21)))
+        assert tr.n_impulses == len(on) == 20
+        assert np.abs(tr.sample_states[on] - tr.post_impulse_states).max() < 1e-9
+
     def test_matches_trajectory_evaluation(self, annulus, rng):
         x = polar(1.62, 2.8)
         traj = impulsive_trajectory(annulus, x, 20.0, 0.05)
@@ -389,6 +413,63 @@ class TestEngineGuards:
         assert tr.n_impulses == 1
         assert abs(tr.impulse_times[0] - np.arcsin(1.49 / 1.5)) < 1e-9
 
+    @pytest.mark.parametrize("c, cfg, tol, may_raise", [
+        (1.49, IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, max_step=0.5), 1e-6, True),
+        (1.49, IntegratorConfig(), 1e-9, False),
+        (1.49999, IntegratorConfig(), 1e-9, True),
+    ])
+    def test_chord_sweep_never_drops_the_hit(self, c, cfg, tol, may_raise):
+        # from every start angle the orbit either records its first crossing
+        # of the chord y = c or raises: a step spanning both crossings (0.23
+        # apart at c = 1.49, 0.0073 at c = 1.49999) never passes silently
+        chord = self._annulus_variant(
+            ImpulsiveSetSpec("coord1", c),
+            ImpulseMapSpec("translate", {"offset": (0.0, -(c + 1.0))}))
+        raised = 0
+        for angle in np.linspace(0.0, 1.0, 21):
+            try:
+                tr = impulsive_trajectory(chord, polar(1.5, angle), 3.0, 0.1, cfg)
+            except AmbiguousCrossing:
+                raised += 1
+                continue
+            assert tr.n_impulses >= 1
+            assert abs(tr.impulse_times[0] - (np.arcsin(c / 1.5) - angle)) < tol
+        # steps of at most 0.1 cannot span crossings 0.23 apart
+        assert raised == 0 or may_raise
+
+    # a step of the coarse config spans [0.61, 1.11]; from angle 0.7552 on
+    # r = 1.5 the chord y = 1.49 is crossed at 0.70 and 0.93 inside it
+    _COARSE = IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, max_step=0.5)
+    _CHORD_START = 0.7552
+
+    def test_double_crossing_past_the_horizon_is_not_checked(self):
+        chord = self._annulus_variant(
+            ImpulsiveSetSpec("coord1", 1.49),
+            ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
+        # the member at r = 1.2 never reaches the chord and sets the steps
+        X = np.array([polar(1.2, 0.0), polar(1.5, self._CHORD_START)])
+        with pytest.raises(AmbiguousCrossing):
+            hit_times_batch(chord, X, np.array([3.0, 3.0]), self._COARSE)
+        # a horizon at 0.65 ends the second member before its double crossing
+        taus = hit_times_batch(chord, X, np.array([3.0, 0.65]), self._COARSE)
+        assert [len(tau) for tau in taus] == [0, 0]
+
+    def test_double_crossing_past_a_hit_on_another_piece_is_not_checked(self):
+        impulse = ImpulseMapSpec("translate", {"offset": (0.0, -2.49)})
+        chord = ImpulsiveSetSpec("coord1", 1.49)
+        x0 = polar(1.5, self._CHORD_START)
+        with pytest.raises(AmbiguousCrossing):
+            hit_times_batch(self._annulus_variant(chord, impulse), x0[None, :],
+                            np.array([1.5]), self._COARSE)
+        # the line x = x(0.65) is hit first, in the same step, and the impulse
+        # moves the orbit to r ~ 1.04, below the chord
+        line = ImpulsiveSetSpec("coord0", 1.5 * np.cos(self._CHORD_START + 0.65),
+                                direction=-1)
+        two = dataclasses.replace(self._annulus_variant(chord, impulse),
+                                  impulsive_sets=(line, chord))
+        taus = hit_times_batch(two, x0[None, :], np.array([1.5]), self._COARSE)
+        assert len(taus[0]) == 1 and abs(taus[0][0] - 0.65) < 1e-6
+
     def test_single_orbit_escape_raises(self):
         # the impulse throws the orbit from the segment [1, 2] out to
         # x >= 2.5, outside the band 1 <= r <= 2
@@ -402,3 +483,49 @@ class TestEngineGuards:
         # before the hit at 2*pi - 0.5 the orbit stays inside the band
         tr = impulsive_trajectory(escaping, polar(1.5, 0.5), 5.0, 0.1)
         assert tr.n_impulses == 0
+
+
+class TestRunStats:
+    def test_criterion_1_orbit_steps_and_accuracy(self, annulus):
+        # criterion 1's orbit: one hit per half turn, each folding the radius
+        stats = RunStats()
+        tr = impulsive_trajectory_batch(annulus, polar(1.5, np.pi / 2)[None, :],
+                                        70.0, 0.05, stats=stats)[0]
+        radii = np.hypot(tr.post_impulse_states[:20, 0], tr.post_impulse_states[:20, 1])
+        assert np.abs(radii - (1.0 + 0.5 / 2.0 ** np.arange(1, 21))).max() <= 1e-9
+        # a hit ends its step, so each flow segment takes ceil(length / 0.1)
+        # steps at the default max_step: 48 + 20 * 32 + 25 = 713 for the 22
+        # segments, plus the ramp up from the initial step
+        assert stats.hits == 21
+        assert stats.steps <= 715
+        assert stats.h_max == IntegratorConfig().max_step
+        assert 0 < stats.h_min < stats.h_max
+
+    def test_counters_identical_across_reruns(self, prey_predator, rng):
+        X = candidate_cloud(prey_predator, 16, rng)
+        runs = []
+        for _ in range(2):
+            stats = RunStats()
+            impulsive_trajectory_batch(prey_predator, X, 8.0, 0.05, stats=stats)
+            runs.append(stats)
+        assert runs[0] == runs[1]
+        assert runs[0].steps > 0 and runs[0].hits > 0
+
+    def test_add_merges_step_range(self):
+        total = RunStats()
+        total.add(RunStats(steps=3, h_min=0.01, h_max=0.1, guard_checks=2))
+        total.add(RunStats(steps=4, h_min=0.002, h_max=0.05, guard_checks=1))
+        assert (total.steps, total.guard_checks) == (7, 3)
+        assert (total.h_min, total.h_max) == (0.002, 0.1)
+
+    def test_guard_checks_count_turning_levels(self):
+        # after the first hit the orbit runs on r ~ 1.01 below the chord
+        # y = 1.49, and its level turns back at each top without crossing
+        chord = TestEngineGuards._annulus_variant(
+            ImpulsiveSetSpec("coord1", 1.49),
+            ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
+        stats = RunStats()
+        tr = impulsive_trajectory_batch(chord, polar(1.5, 0.0)[None, :], 20.0, 0.1,
+                                        stats=stats)[0]
+        assert tr.n_impulses == 1
+        assert stats.guard_checks >= 3
