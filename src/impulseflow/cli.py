@@ -3,11 +3,11 @@ outputs.
 
     impulseflow <experiment> --config cfg.json [--system NAME] [--seed N] [--out DIR]
 
-Experiments: simulate, check-hypotheses, measure, entropy, quotient.  Outputs
-are written into a staging directory and moved into the output directory only
-when the whole run succeeds, and every run emits manifest.json with the fully
-resolved configuration, so identical config and seed reproduce byte-identical
-files.
+Experiments: simulate, check-hypotheses, measure, entropy, quotient, each
+with one frozen params dataclass.  Outputs are written into a staging
+directory and moved into the output directory only when the whole run
+succeeds, and every run emits manifest.json with the fully resolved
+configuration, so identical config and seed reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,17 +15,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import shutil
 import sys as _sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .entropy import EntropyConfig, entropy_estimate
+from .flow_core import IntegratorConfig
 from .hypotheses import hitting_continuity_probe, separation_report, transversality_margin
 from .impulsive_system import (
     RunStats,
@@ -42,7 +45,6 @@ from .measures import (
 from .quotient import metric_axiom_audit
 from .systems import build_fixture, candidate_cloud, fixture_names, sample_impulsive_set
 
-EXPERIMENTS = ("simulate", "check-hypotheses", "measure", "entropy", "quotient")
 SCHEMA_VERSION = 1
 
 
@@ -54,113 +56,182 @@ def _fail(field: str, why: str):
     raise ConfigError(f"config field {field!r}: {why}")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+def _resolve(args) -> dict:
+    """The config with the command-line flags applied, top-level keys checked."""
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as e:
+            raise ConfigError(f"cannot read config: {e}") from e
     if not isinstance(cfg, dict):
         _fail("<root>", "must be a JSON object")
-    version = cfg.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        _fail("schema_version", f"unsupported version {version}")
-    return cfg
-
-
-def _resolve(args) -> dict:
-    cfg = _load_config(args.config)
-    cfg.setdefault("schema_version", SCHEMA_VERSION)
-    if args.system:
-        cfg["system"] = {"name": args.system,
-                         "overrides": cfg.get("system", {}).get("overrides", {})}
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out:
-        cfg["output_dir"] = args.out
+    if cfg.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        _fail("schema_version", f"unsupported version {cfg['schema_version']}")
+    # the worker count cannot affect any output (the entropy cloud runs as one
+    # batch): the legacy key is dropped, so manifests stay byte-identical
+    cfg.pop("workers", None)
+    _reject_unknown(cfg, ("schema_version", "system", "seed", "params", "output_dir"), "")
+    system, params = cfg.get("system", {}), cfg.get("params", {})
+    for key, value in (("system", system), ("params", params)):
+        if not isinstance(value, dict):
+            _fail(key, "must be an object")
+    _reject_unknown(system, ("name", "overrides"), "system.")
+    name = args.system or system.get("name")
+    if name not in fixture_names():
+        _fail("system.name", f"required (or pass --system); choose from {fixture_names()}")
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        _fail("seed", "must be a non-negative integer")
+    output_dir = args.out or cfg.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        _fail("output_dir", "must be a string")
     if args.grid:
-        cfg.setdefault("params", {})["grid"] = args.grid
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("params", {})
-    cfg.setdefault("output_dir", ".")
-    system = cfg.get("system")
-    if not system or "name" not in system:
-        _fail("system.name", "required (or pass --system)")
-    if system["name"] not in fixture_names():
-        _fail("system.name", f"unknown; choose from {fixture_names()}")
-    if not isinstance(system.setdefault("overrides", {}), dict):
-        _fail("system.overrides", "must be an object")
-    if not isinstance(cfg["seed"], int):
-        _fail("seed", "must be an integer")
-    return cfg
+        params = {**params, "grid": args.grid}
+    return {"schema_version": SCHEMA_VERSION,
+            "system": {"name": name, "overrides": system.get("overrides", {})},
+            "seed": seed, "params": params, "output_dir": output_dir}
 
 
-def _count_param(params: dict, name: str, default: int, minimum: int) -> int:
-    """An integer parameter that must be at least ``minimum``."""
-    value = params.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(f"params.{name}", "must be an integer")
-    if value < minimum:
-        _fail(f"params.{name}", f"must be at least {minimum}")
-    return value
+def _reject_unknown(obj: dict, known, prefix: str) -> None:
+    for key in obj:
+        if key not in known:
+            _fail(prefix + key, f"unknown key; known keys are {list(known)}")
 
 
-def _number_list(params: dict, name: str, default, min_len: int) -> list:
-    """A list of at least ``min_len`` finite numbers."""
-    value = params.get(name, default)
-    if (not isinstance(value, (list, tuple)) or len(value) < min_len
-            or not all(_is_number(v) for v in value)):
-        _fail(f"params.{name}",
-              f"must be a list of at least {min_len} finite numbers")
-    return [float(v) for v in value]
+def _param(default, ok, why: str):
+    """One params field, converted from JSON by its declared type (``_KINDS``).
+    ``default`` is a JSON value or a function of ``p``, and ``ok(value, p)``
+    the check ``why`` states (or it raises ValueError with its own reason);
+    ``p`` holds the fields above this one, the system ``p.sys``, ``p.seed``."""
+    return field(metadata={"default": default, "ok": ok, "why": why})
 
 
-def _number_param(params: dict, name: str, default: float, ok, why: str) -> float:
-    """A finite number for which ``ok(value)`` holds."""
-    value = params.get(name, default)
-    if not (_is_number(value) and ok(value)):
-        _fail(f"params.{name}", f"must be a finite number {why}")
-    return float(value)
+def _number(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError("must be a finite number")
+    return float(v)
 
 
-def _initial_state(params: dict, sys_spec, rng) -> np.ndarray:
-    """``params.initial_state``, or one draw from the system's candidate cloud."""
-    if "initial_state" not in params:
-        return candidate_cloud(sys_spec, 1, rng)[0]
-    x0 = _number_list(params, "initial_state", None, sys_spec.dim)
-    if len(x0) != sys_spec.dim:
-        _fail("params.initial_state", f"must be a list of {sys_spec.dim} finite numbers")
-    return np.array(x0)
+def _count(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError("must be an integer")
+    return v
 
 
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and bool(np.isfinite(value)))
+def _numbers(v) -> tuple:
+    if not isinstance(v, (list, tuple)):
+        raise ValueError("must be a list of finite numbers")
+    return tuple(_number(x) for x in v)
 
 
-def _parse_grid(text: str, dim: int) -> GridPartition:
+def _string(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError("must be a string")
+    return v
+
+
+# declared field type (the annotation's text) -> conversion of the JSON value
+_KINDS = {"float": _number, "int": _count, "tuple": _numbers, "str": _string,
+          "str | None": lambda v: None if v is None else _string(v)}
+
+
+def _positive_nonincreasing(v, p) -> bool:
+    return len(v) >= 1 and min(v) > 0 and list(v) == sorted(v, reverse=True)
+
+
+@dataclass(frozen=True)
+class SimulateParams:
+    horizon: float = _param(100.0, lambda v, p: v > 0, "> 0")
+    dt_sample: float = _param(0.01, lambda v, p: v > 0, "> 0")
+    # by default one draw from the system's candidate cloud
+    initial_state: tuple = _param(
+        lambda p: candidate_cloud(p.sys, 1, np.random.default_rng(p.seed))[0].tolist(),
+        lambda v, p: len(v) == p.sys.dim, "one number per state coordinate")
+
+
+@dataclass(frozen=True)
+class HypothesesParams:
+    n_samples: int = _param(1000, lambda v, p: v >= 1, "at least 1")
+    margin_tol: float = _param(1e-6, lambda v, p: v >= 0, ">= 0")
+    scales: tuple = _param([10.0 ** (-k) for k in range(1, 6)], lambda v, p: (
+        len(v) >= 1 and min(v) > 0 and all(a > b for a, b in zip(v, v[1:]))),
+        "nonempty, positive and strictly decreasing")
+    approach_dirs: int = _param(2, lambda v, p: v >= 1, "at least 1")
+
+
+@dataclass(frozen=True)
+class MeasureParams(SimulateParams):
+    """The orbit's params, with longer defaults, and the measure's own."""
+    horizon: float = _param(1000.0, lambda v, p: v > 0, "> 0")
+    dt_sample: float = _param(0.005, lambda v, p: v > 0, "> 0")
+    burn_in: float = _param(lambda p: 0.1 * p.horizon,
+                            lambda v, p: 0 <= v < p.horizon, "in [0, horizon)")
+    t_shift: float = _param(1.0, lambda v, p: 0 < v < p.horizon / 10, "in (0, horizon/10)")
+    bins: int = _param(40, lambda v, p: v >= 1, "at least 1")
+    # by default the system's measure box, with ``bins`` bins per coordinate
+    grid: str = _param(lambda p: ",".join(f"{float(a)!r}:{float(b)!r}:{p.bins}"
+                                          for a, b in zip(*p.sys.box)),
+                       lambda v, p: _grid_partition(v, p.sys.dim), "lo:hi:bins triples")
+
+
+@dataclass(frozen=True)
+class EntropyParams:
+    T_list: tuple = _param([2, 3, 4, 5, 6, 7, 8, 9, 10], lambda v, p: (
+        len(v) >= 2 and list(v) == sorted(v) and v[0] >= 0 and v[-1] > 0),
+        "at least two, nonnegative, increasing and ending above 0")
+    eps_list: tuple = _param([0.1], _positive_nonincreasing,
+                             "nonempty, positive and nonincreasing")
+    delta_list: tuple = _param([0.1], _positive_nonincreasing,
+                               "nonempty, positive and nonincreasing")
+    candidate_count: int = _param(4096, lambda v, p: v >= 1, "at least 1")
+    dt_check: float = _param(lambda p: min(p.delta_list) / 2,
+                             lambda v, p: 0 < v <= min(p.delta_list) / 2,
+                             "in (0, min(delta_list)/2]")
+
+
+@dataclass(frozen=True)
+class QuotientParams:
+    n_points: int = _param(200, lambda v, p: v >= 0, "at least 0")
+    # a CSV of states under a header row; null draws n_points from the cloud
+    points_csv: str | None = _param(None, lambda v, p: v is None or (
+        os.path.isfile(v) and os.access(v, os.R_OK)), "null or a readable file")
+
+
+def _resolve_params(cls, raw: dict, sys_spec, seed: int):
+    """Build ``cls`` from the config's ``params``: every declared field from
+    its value or default, converted and checked in declaration order; only
+    then are undeclared keys rejected, so a bad value is reported first."""
+    values = {}
+    for f in fields(cls):
+        p = SimpleNamespace(sys=sys_spec, seed=seed, **values)
+        default, ok, why = f.metadata["default"], f.metadata["ok"], f.metadata["why"]
+        try:
+            value = _KINDS[f.type](raw[f.name] if f.name in raw else
+                                   default(p) if callable(default) else default)
+            passed = ok(value, p)
+        except (ValueError, OverflowError) as e:
+            _fail(f"params.{f.name}", str(e))
+        if not passed:
+            _fail(f"params.{f.name}", f"must be {why}")
+        values[f.name] = value
+    _reject_unknown(raw, values, "params.")
+    return cls(**values)
+
+
+def _grid_partition(text: str, dim: int) -> GridPartition:
     """Parse 'lo:hi:bins,lo:hi:bins,...'; a single triple is broadcast."""
     parts = text.split(",")
-    if len(parts) == 1:
-        parts = parts * dim
+    parts = parts * dim if len(parts) == 1 else parts
     if len(parts) != dim:
-        _fail("params.grid", f"expected {dim} comma-separated lo:hi:bins triples")
-    lo, hi, bins = [], [], []
-    for p in parts:
-        try:
-            a, b, n = p.split(":")
-            lo.append(float(a))
-            hi.append(float(b))
-            bins.append(int(n))
-        except ValueError:
-            _fail("params.grid", f"bad triple {p!r}")
-        if bins[-1] < 1 or not lo[-1] < hi[-1]:
-            _fail("params.grid", f"need lo < hi and at least 1 bin in {p!r}")
-    return GridPartition(lo=tuple(lo), hi=tuple(hi), bins=tuple(bins))
+        raise ValueError(f"expected {dim} comma-separated lo:hi:bins triples")
+    try:
+        lo, hi, bins = zip(*[(float(a), float(b), int(n))
+                             for a, b, n in (part.split(":") for part in parts)])
+    except ValueError:
+        raise ValueError(f"bad lo:hi:bins triple in {text!r}") from None
+    return GridPartition(lo=lo, hi=hi, bins=bins)
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -176,119 +247,76 @@ def _atomic_write(path: Path, writer) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    def w(dest):
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    _atomic_write(path, w)
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    # numpy arrays and scalars are written as their Python values
+    text = json.dumps(obj, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
+    _atomic_write(path, lambda dest: Path(dest).write_text(text, encoding="utf-8"))
 
 
 # --------------------------------------------------------------------------
 # Experiments
 # --------------------------------------------------------------------------
 
-def _orbit(sys_spec, x0, horizon, dt):
-    """The impulsive orbit of x0 and its propagation counters (deterministic,
-    so they belong in the manifest)."""
+def _orbit(sys_spec, p: SimulateParams):
+    """The impulsive orbit of ``p.initial_state`` and its propagation counters
+    (deterministic, so they belong in the manifest)."""
     stats = RunStats()
-    traj = impulsive_trajectory_batch(sys_spec, x0[None, :], horizon, dt,
-                                      stats=stats)[0]
+    traj = impulsive_trajectory_batch(sys_spec, np.array([p.initial_state]),
+                                      p.horizon, p.dt_sample, stats=stats)[0]
     return traj, asdict(stats)
 
 
-def _run_simulate(sys_spec, params, rng, outdir: Path) -> dict:
-    horizon = _number_param(params, "horizon", 100.0, lambda v: v > 0, "> 0")
-    dt = _number_param(params, "dt_sample", 0.01, lambda v: v > 0, "> 0")
-    x0 = _initial_state(params, sys_spec, rng)
-    traj, propagation = _orbit(sys_spec, x0, horizon, dt)
+def _run_simulate(sys_spec, p: SimulateParams, seed: int, outdir: Path) -> dict:
+    traj, propagation = _orbit(sys_spec, p)
     _atomic_write(outdir / "trajectory.csv",
                   lambda path: write_trajectory_csv(traj, path))
     _atomic_write(outdir / "impulses.csv",
                   lambda path: write_impulses_csv(traj, path))
     return {
-        "initial_state": x0.tolist(),
+        "initial_state": p.initial_state,
         "n_impulses": traj.n_impulses,
         "propagation": propagation,
         "outputs": ["trajectory.csv", "impulses.csv"],
     }
 
 
-def _run_check_hypotheses(sys_spec, params, rng, outdir: Path) -> dict:
-    n = _count_param(params, "n_samples", 1000, 1)
-    margin_tol = _number_param(params, "margin_tol", 1e-6, lambda v: v >= 0, ">= 0")
-    scales = _number_list(params, "scales", [10.0 ** (-k) for k in range(1, 6)], 1)
-    if min(scales) <= 0 or any(a <= b for a, b in zip(scales, scales[1:])):
-        _fail("params.scales", "must be positive and strictly decreasing")
-    approach_dirs = _count_param(params, "approach_dirs", 2, 1)
-    rep_d = transversality_margin(sys_spec, "D", n, margin_tol)
-    rep_id = transversality_margin(sys_spec, "ID", n, margin_tol)
-    sep = separation_report(sys_spec, min(n, 400))
+def _run_check_hypotheses(sys_spec, p: HypothesesParams, seed: int, outdir: Path) -> dict:
+    reps = {which: transversality_margin(sys_spec, which, p.n_samples, p.margin_tol)
+            for which in ("D", "ID")}
+    sep = separation_report(sys_spec, min(p.n_samples, 400))
     probe_point = sample_impulsive_set(sys_spec, "D", 3)[-1]
-    table = hitting_continuity_probe(sys_spec, probe_point, approach_dirs, scales)
+    table = hitting_continuity_probe(sys_spec, probe_point, p.approach_dirs, p.scales)
     decays = [row["tau_star_max"] for row in table if np.isfinite(row["tau_star_max"])]
     cont_ok = len(decays) >= 2 and all(a > b for a, b in zip(decays, decays[1:]))
     report = {
-        "transversality_D": {
-            "sampled_points": rep_d.sampled_points,
-            "min_abs_inner": rep_d.min_abs_inner,
-            "sign_consistent": rep_d.sign_consistent,
-            "common_sign": rep_d.common_sign,
-            "worst_point": rep_d.worst_point.tolist(),
-            "pass": rep_d.passed,
-        },
-        "transversality_ID": {
-            "sampled_points": rep_id.sampled_points,
-            "min_abs_inner": rep_id.min_abs_inner,
-            "sign_consistent": rep_id.sign_consistent,
-            "common_sign": rep_id.common_sign,
-            "worst_point": rep_id.worst_point.tolist(),
-            "pass": rep_id.passed,
-        },
+        **{f"transversality_{which}": {
+            "sampled_points": rep.sampled_points,
+            "min_abs_inner": rep.min_abs_inner,
+            "sign_consistent": rep.sign_consistent,
+            "common_sign": rep.common_sign,
+            "worst_point": rep.worst_point.tolist(),
+            "pass": rep.passed,
+        } for which, rep in reps.items()},
         "separation": {
             "dist_D_ID": sep.dist_D_ID,
             "xi_margin": sep.xi_margin,
             "pass": sep.dist_D_ID > 0,
         },
         "continuity_table": table,
-        "pass": bool(rep_d.passed and rep_id.passed and sep.dist_D_ID > 0
-                     and cont_ok),
+        "pass": bool(all(rep.passed for rep in reps.values())
+                     and sep.dist_D_ID > 0 and cont_ok),
     }
-    _write_json(outdir / "hypotheses.json", _jsonable(report))
+    _write_json(outdir / "hypotheses.json", report)
     return {"pass": report["pass"], "outputs": ["hypotheses.json"]}
 
 
-def _run_measure(sys_spec, params, rng, outdir: Path) -> dict:
-    horizon = _number_param(params, "horizon", 1000.0, lambda v: v > 0, "> 0")
-    dt = _number_param(params, "dt_sample", 0.005, lambda v: v > 0, "> 0")
-    burn_in = _number_param(params, "burn_in", 0.1 * horizon,
-                            lambda v: 0 <= v < horizon, "in [0, horizon)")
-    t_shift = _number_param(params, "t_shift", 1.0, lambda v: 0 < v < horizon / 10,
-                            "in (0, horizon/10)")
-    if "grid" in params:
-        grid = _parse_grid(params["grid"], sys_spec.dim)
-    else:
-        lo, hi = sys_spec.box
-        bins = (_count_param(params, "bins", 40, 1),) * sys_spec.dim
-        grid = GridPartition(lo=lo, hi=hi, bins=bins)
-    x0 = _initial_state(params, sys_spec, rng)
-    traj, propagation = _orbit(sys_spec, x0, horizon, dt)
-    mu = occupation_measure(traj, grid, burn_in)
-    disc = pushforward_discrepancy(sys_spec, traj, grid, t_shift, burn_in)
+def _run_measure(sys_spec, p: MeasureParams, seed: int, outdir: Path) -> dict:
+    grid = _grid_partition(p.grid, sys_spec.dim)
+    traj, propagation = _orbit(sys_spec, p)
+    mu = occupation_measure(traj, grid, p.burn_in)
+    disc = pushforward_discrepancy(sys_spec, traj, grid, p.t_shift, p.burn_in)
     _atomic_write(outdir / "measure.csv", lambda path: write_measure_csv(mu, path))
     return {
-        "initial_state": x0.tolist(),
+        "initial_state": p.initial_state,
         "escaped_frac": mu.escaped_frac,
         "pushforward_discrepancy": disc,
         "propagation": propagation,
@@ -296,29 +324,10 @@ def _run_measure(sys_spec, params, rng, outdir: Path) -> dict:
     }
 
 
-def _run_entropy(sys_spec, params, rng, outdir: Path, seed: int) -> dict:
-    T_list = _number_list(params, "T_list", (2, 3, 4, 5, 6, 7, 8, 9, 10), 2)
-    if T_list != sorted(T_list) or T_list[0] < 0 or T_list[-1] <= 0:
-        _fail("params.T_list", "must be nonnegative, in increasing order, "
-              "and end above 0")
-    eps_list = _number_list(params, "eps_list", (0.1,), 1)
-    delta_list = _number_list(params, "delta_list", (0.1,), 1)
-    for name, values in (("eps_list", eps_list), ("delta_list", delta_list)):
-        if min(values) <= 0 or values != sorted(values, reverse=True):
-            _fail(f"params.{name}", "must be positive and nonincreasing")
-    dt_check = params.get("dt_check")
-    if dt_check is not None and not (
-            _is_number(dt_check) and 0 < dt_check <= min(delta_list) / 2):
-        _fail("params.dt_check", "must be a number in (0, min(delta_list)/2]")
-    cfg = EntropyConfig(
-        T_list=tuple(T_list),
-        eps_list=tuple(eps_list),
-        delta_list=tuple(delta_list),
-        candidate_count=_count_param(params, "candidate_count", 4096, 1),
-        dt_check=dt_check,
-        seed=seed,
-    )
-    est = entropy_estimate(sys_spec, cfg)
+def _run_entropy(sys_spec, p: EntropyParams, seed: int, outdir: Path) -> dict:
+    est = entropy_estimate(sys_spec, EntropyConfig(
+        T_list=p.T_list, eps_list=p.eps_list, delta_list=p.delta_list,
+        candidate_count=p.candidate_count, dt_check=p.dt_check, seed=seed))
 
     def write_table(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -332,27 +341,25 @@ def _run_entropy(sys_spec, params, rng, outdir: Path, seed: int) -> dict:
         "h_tau_estimate": est.h_tau_estimate,
         "lower_bound_only": est.lower_bound_only,
         "rates": {f"eps={e},delta={d}": v for (e, d), v in est.rates.items()},
-        "diagnostics": _jsonable(est.diagnostics),
+        "diagnostics": est.diagnostics,
         "outputs": ["entropy_table.csv"],
     }
 
 
-def _run_quotient(sys_spec, params, rng, outdir: Path) -> dict:
-    if "points_csv" in params:
-        pts = np.loadtxt(params["points_csv"], delimiter=",", skiprows=1, ndmin=2)
+def _run_quotient(sys_spec, p: QuotientParams, seed: int, outdir: Path) -> dict:
+    if p.points_csv is not None:
+        pts = np.loadtxt(p.points_csv, delimiter=",", skiprows=1, ndmin=2)
         if pts.shape[1] != sys_spec.dim:
             _fail("params.points_csv", "column count does not match state dimension")
     else:
-        pts = candidate_cloud(sys_spec, _count_param(params, "n_points", 200, 0),
-                              rng)
+        pts = candidate_cloud(sys_spec, p.n_points, np.random.default_rng(seed))
     audit = metric_axiom_audit(sys_spec, pts)
     classes, D, n = audit.classes, audit.distances, audit.n_points
 
     def write_classes(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["point_index", "member_index",
-                        *sys_spec.state_names])
+            w.writerow(["point_index", "member_index", *sys_spec.state_names])
             for i, cl in enumerate(classes):
                 for k, m in enumerate(cl.members):
                     w.writerow([i, k, *(repr(float(v)) for v in m)])
@@ -379,6 +386,15 @@ def _run_quotient(sys_spec, params, rng, outdir: Path) -> dict:
     }
 
 
+EXPERIMENTS = {
+    "simulate": (SimulateParams, _run_simulate),
+    "check-hypotheses": (HypothesesParams, _run_check_hypotheses),
+    "measure": (MeasureParams, _run_measure),
+    "entropy": (EntropyParams, _run_entropy),
+    "quotient": (QuotientParams, _run_quotient),
+}
+
+
 # --------------------------------------------------------------------------
 # Entry point
 # --------------------------------------------------------------------------
@@ -386,62 +402,42 @@ def _run_quotient(sys_spec, params, rng, outdir: Path) -> dict:
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="impulseflow",
-        description="Impulsive-semiflow experiments with reproducible outputs.",
-    )
+        description="Impulsive-semiflow experiments with reproducible outputs.")
     p.add_argument("experiment", choices=EXPERIMENTS)
     p.add_argument("--config", help="JSON experiment configuration")
-    p.add_argument("--system", help="builtin system name", default=None)
-    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--grid", default=None,
+    p.add_argument("--system", help="builtin system name")
+    p.add_argument("--seed", type=int, help="64-bit RNG seed")
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--grid",
                    help="measure grid as lo:hi:bins per coordinate, comma-separated")
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility and ignored (no-op): the "
-                        "entropy experiment propagates its candidate cloud as "
-                        "one batch")
+    p.add_argument("--workers", type=int,
+                   help="ignored (no-op), accepted for compatibility")
     return p
 
 
 def run(config: dict, experiment: str) -> dict:
-    """Execute one experiment from a resolved config; returns the manifest.
-
-    The experiment writes into a staging directory inside the output
-    directory; its files move into place, manifest.json last, only once the
-    run has succeeded.  A failed run leaves the output directory as it was.
-    """
+    """Execute one experiment from a config from ``_resolve``; returns the
+    manifest.  The experiment writes into a staging directory inside the
+    output directory; its files move into place, manifest.json last, only
+    once the run has succeeded.  A failed run leaves the output directory
+    as it was."""
     try:
-        sys_spec = build_fixture(config["system"]["name"],
-                                 config["system"].get("overrides", {}))
+        sys_spec = build_fixture(config["system"]["name"], config["system"]["overrides"])
     except (TypeError, ValueError) as e:
         _fail("system.overrides", str(e))
+    params_cls, runner = EXPERIMENTS[experiment]
+    params = _resolve_params(params_cls, config["params"], sys_spec, config["seed"])
     outdir = Path(config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(config["seed"])
-    params = config.get("params", {})
-    # the worker count cannot affect any output (the entropy cloud runs as
-    # one batch), so a config file's key is dropped and manifests stay
-    # byte-identical whatever it says
-    config.pop("workers", None)
-
     stage = Path(tempfile.mkdtemp(dir=outdir, prefix=".impulseflow-stage-"))
     try:
-        if experiment == "simulate":
-            results = _run_simulate(sys_spec, params, rng, stage)
-        elif experiment == "check-hypotheses":
-            results = _run_check_hypotheses(sys_spec, params, rng, stage)
-        elif experiment == "measure":
-            results = _run_measure(sys_spec, params, rng, stage)
-        elif experiment == "entropy":
-            results = _run_entropy(sys_spec, params, rng, stage, config["seed"])
-        elif experiment == "quotient":
-            results = _run_quotient(sys_spec, params, rng, stage)
-        else:
-            raise ConfigError(f"unknown experiment {experiment!r}")
+        results = runner(sys_spec, params, config["seed"], stage)
         manifest = {
             "artifact_version": __version__,
             "experiment": experiment,
-            "resolved_config": _jsonable(config),
-            "results": _jsonable(results),
+            "integrator": asdict(IntegratorConfig()),
+            "resolved_config": {**config, "params": asdict(params)},
+            "results": results,
         }
         _write_json(stage / "manifest.json", manifest)
         for name in [*results.get("outputs", []), "manifest.json"]:

@@ -43,6 +43,8 @@ class GridPartition:
         object.__setattr__(self, "bins", tuple(int(b) for b in self.bins))
         if not (len(self.lo) == len(self.hi) == len(self.bins)):
             raise ValueError("lo, hi, bins must have equal lengths")
+        if not np.isfinite(self.lo + self.hi).all():
+            raise ValueError("lo and hi must be finite")
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise ValueError("require lo < hi per coordinate")
         if any(b < 1 for b in self.bins):

@@ -1,14 +1,22 @@
 import csv
+import importlib.util
 import io
 import json
+import re
+import sys
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from impulseflow import build_fixture, candidate_cloud, metric_axiom_audit
+from impulseflow import IntegratorConfig, build_fixture, candidate_cloud, metric_axiom_audit
+from impulseflow import cli
 from impulseflow.cli import main
 
 from oracles import annulus_impulse_schedule
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args) -> int:
@@ -124,6 +132,9 @@ class TestValidation:
         ("check-hypotheses", "margin_tol", -1.0),
         ("check-hypotheses", "scales", [0.1, 0.2]),
         ("check-hypotheses", "approach_dirs", 0),
+        ("measure", "grid", [1]),
+        ("measure", "grid", "-inf:inf:10"),
+        ("simulate", "horizon", 10 ** 400),
     ])
     def test_bad_run_params_exit_2(self, tmp_path, capsys, experiment, field, value):
         params = {"horizon": 20.0, "dt_sample": 0.05, "initial_state": [0.0, 1.5],
@@ -136,6 +147,132 @@ class TestValidation:
         assert run_cli(experiment, "--config", str(cfg), "--out", str(out)) == 2
         assert f"params.{field}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+
+    @pytest.mark.parametrize("cfg,flags,field", [
+        ({"seed": -1}, [], "seed"),
+        ({"seed": True}, [], "seed"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({"params": [1]}, [], "params"),
+        ({"system": "annulus"}, ["--system", "annulus"], "system"),
+        ({"integrator": {"abs_tol": 1e-9}}, [], "integrator"),
+        ({"system": {"name": "annulus", "overides": {}}}, [], "system.overides"),
+        ({"params": {"horizn": 5, "horizon": 2.0}}, [], "params.horizn"),
+        ({"params": {"n_samples": 50}}, [], "params.n_samples"),
+        ({"params": {"points_csv": 5}}, [], "params.points_csv"),
+        ({"params": {"points_csv": "no-such-file.csv"}}, [], "params.points_csv"),
+    ], ids=["seed-negative", "seed-bool", "seed-flag-negative", "params-list",
+            "system-string-with-flag", "unknown-top-level-key", "unknown-system-key",
+            "unknown-param", "param-of-another-experiment", "points_csv-number",
+            "points_csv-missing"])
+    def test_bad_config_names_the_key(self, tmp_path, monkeypatch, capsys,
+                                      cfg, flags, field):
+        # quotient, because points_csv is one of its params
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"system": {"name": "annulus"},
+                                                    **cfg}))
+        assert run_cli("quotient", "--config", "c.json", "--out", "run", *flags) == 2
+        assert f"config field {field!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def _workload_module(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve_without_running(path, experiment):
+    config = cli._resolve(cli.make_parser().parse_args([experiment, "--config", str(path)]))
+    sys_spec = build_fixture(config["system"]["name"], config["system"]["overrides"])
+    return cli._resolve_params(cli.EXPERIMENTS[experiment][0], config["params"],
+                               sys_spec, config["seed"])
+
+
+class TestKnownConfigsResolve:
+    """The benchmark's calls and the README example stay valid configs."""
+
+    def test_benchmark_calls(self, tmp_path, monkeypatch):
+        workloads = _workload_module(monkeypatch)
+        calls = [call for w in workloads.WORKLOADS.values() for seed in range(10)
+                 for call, _ in w.calls(seed)]
+        assert len(calls) == 50
+        for call in calls:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(call.config))
+            _resolve_without_running(path, call.experiment)
+
+    def test_readme_example(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        cfg, experiment = re.search(
+            r"echo '(\{.*?\})' > cfg\.json\s+impulseflow (\S+) --config cfg\.json",
+            readme, re.S).groups()
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        params = _resolve_without_running(path, experiment)
+        assert params.candidate_count == json.loads(cfg)["params"]["candidate_count"]
+
+
+class TestResolvedConfig:
+    CONFIGS = {
+        "simulate": {"system": {"name": "annulus"}, "params": {"horizon": 5.0}},
+        "check-hypotheses": {"system": {"name": "annulus"},
+                             "params": {"n_samples": 50}},
+        "measure": {"system": {"name": "annulus"}, "seed": 2,
+                    "params": {"horizon": 20.0, "dt_sample": 0.05}},
+        "entropy": {"system": {"name": "doubling_suspension"}, "seed": 3,
+                    "params": {"T_list": [2, 3], "candidate_count": 16}},
+        "quotient": {"system": {"name": "doubling_suspension"}, "seed": 4,
+                     "params": {"n_points": 12}},
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(CONFIGS))
+    def test_manifest_config_reproduces_the_run(self, tmp_path, monkeypatch, experiment):
+        (tmp_path / "a").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        Path("c.json").write_text(json.dumps(self.CONFIGS[experiment]))
+        assert run_cli(experiment, "--config", "c.json", "--out", "out") == 0
+        first = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+        manifest = read_json("out/manifest.json")
+        params_cls = cli.EXPERIMENTS[experiment][0]
+        assert set(manifest["resolved_config"]["params"]) == \
+            {f.name for f in fields(params_cls)}
+        assert manifest["integrator"] == asdict(IntegratorConfig())
+        # the resolved config alone, output directory included, reruns it
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "b")
+        Path("c.json").write_text(json.dumps(manifest["resolved_config"]))
+        assert run_cli(experiment, "--config", "c.json") == 0
+        assert {p.name: p.read_bytes() for p in Path("out").iterdir()} == first
+
+    def test_derived_defaults_recorded(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("measure", "--system", "annulus", "--seed", "2", "--out", str(out),
+                       "--config", self._write(tmp_path, {"params": {"horizon": 20.0}})) == 0
+        manifest = read_json(out / "manifest.json")
+        x0 = candidate_cloud(build_fixture("annulus"), 1, np.random.default_rng(2))[0]
+        assert manifest["resolved_config"]["params"] == {
+            "horizon": 20.0, "dt_sample": 0.005, "initial_state": x0.tolist(),
+            "burn_in": 2.0, "t_shift": 1.0, "bins": 40,
+            "grid": "-2.0:2.0:40,-2.0:2.0:40"}
+        assert manifest["results"]["initial_state"] == x0.tolist()
+        out = tmp_path / "entropy"
+        assert run_cli("entropy", "--system", "doubling_suspension", "--out", str(out),
+                       "--config", self._write(tmp_path, {"params": {
+                           "T_list": [2, 3], "delta_list": [0.1, 0.04],
+                           "candidate_count": 8}})) == 0
+        params = read_json(out / "manifest.json")["resolved_config"]["params"]
+        assert params["dt_check"] == 0.02
+        assert params["eps_list"] == [0.1] and params["T_list"] == [2.0, 3.0]
+
+    @staticmethod
+    def _write(tmp_path, cfg) -> str:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
 
 
 class TestSimulate:

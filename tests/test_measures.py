@@ -37,6 +37,8 @@ class TestGridPartition:
             GridPartition(lo=(0, 1), hi=(1, 1), bins=(2, 2))
         with pytest.raises(ValueError):
             GridPartition(lo=(0,), hi=(1,), bins=(0,))
+        with pytest.raises(ValueError):
+            GridPartition(lo=(-np.inf,), hi=(np.inf,), bins=(10,))
 
     def test_centers_and_indices_align(self):
         g = GridPartition(lo=(0, 0), hi=(1, 1), bins=(3, 3))
