@@ -46,7 +46,6 @@ from .measures import (
     pushforward_discrepancy,
 )
 from .entropy import (
-    AdmissibleTimes,
     EntropyConfig,
     admissibility_check,
     entropy_estimate,

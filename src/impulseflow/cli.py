@@ -196,7 +196,18 @@ class QuotientParams:
     n_points: int = _param(200, lambda v, p: v >= 0, "at least 0")
     # a CSV of states under a header row; null draws n_points from the cloud
     points_csv: str | None = _param(None, lambda v, p: v is None or (
-        os.path.isfile(v) and os.access(v, os.R_OK)), "null or a readable file")
+        os.path.isfile(v) and os.access(v, os.R_OK) and _read_points(v, p.sys) is not None),
+        "null or a readable file")
+
+
+def _read_points(path: str, sys_spec) -> np.ndarray:
+    """The states of a points CSV: one admissible state per row."""
+    pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if pts.shape[1] != sys_spec.dim:
+        raise ValueError("column count does not match state dimension")
+    if not sys_spec.admissible(pts).all():
+        raise ValueError("a state lies outside the admissible region")
+    return pts
 
 
 def _resolve_params(cls, raw: dict, sys_spec, seed: int):
@@ -348,9 +359,7 @@ def _run_entropy(sys_spec, p: EntropyParams, seed: int, outdir: Path) -> dict:
 
 def _run_quotient(sys_spec, p: QuotientParams, seed: int, outdir: Path) -> dict:
     if p.points_csv is not None:
-        pts = np.loadtxt(p.points_csv, delimiter=",", skiprows=1, ndmin=2)
-        if pts.shape[1] != sys_spec.dim:
-            _fail("params.points_csv", "column count does not match state dimension")
+        pts = _read_points(p.points_csv, sys_spec)
     else:
         pts = candidate_cloud(sys_spec, p.n_points, np.random.default_rng(seed))
     audit = metric_axiom_audit(sys_spec, pts)

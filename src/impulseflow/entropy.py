@@ -36,7 +36,6 @@ from .impulsive_system import (
 from .systems import candidate_cloud
 
 __all__ = [
-    "AdmissibleTimes",
     "GapSet",
     "EntropyConfig",
     "EntropyEstimate",
@@ -58,22 +57,11 @@ __all__ = [
 _TRAJ_CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class AdmissibleTimes:
-    """Hit-time sequences of a family of base points, with the uniform lower
-    bound on consecutive gaps over the whole family."""
-
-    times: tuple
-    eta: float
-    horizon: float
-
-    @staticmethod
-    def from_trajectories(trajs) -> "AdmissibleTimes":
-        seqs = tuple(np.asarray(tr.impulse_times, dtype=float) for tr in trajs)
-        gaps = [np.diff(s) for s in seqs if len(s) >= 2]
-        eta = float(min((g.min() for g in gaps if len(g)), default=np.inf))
-        horizon = max(tr.horizon for tr in trajs)
-        return AdmissibleTimes(times=seqs, eta=eta, horizon=horizon)
+def _min_hit_gap(trajs) -> float:
+    """eta: the smallest gap between consecutive hit times over a family of
+    orbits (inf when no orbit hits twice)."""
+    return float(min((np.diff(tr.impulse_times).min() for tr in trajs
+                      if tr.n_impulses >= 2), default=np.inf))
 
 
 @dataclass(frozen=True)
@@ -535,11 +523,11 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig,
     stats = RunStats()
     trajs = _build_trajectories(sys, candidates, T_max, cfg.dt_check,
                                 integrator, stats)
-    adm = AdmissibleTimes.from_trajectories(trajs)
-    if not max(cfg.delta_list) < adm.eta / 2:
+    eta = _min_hit_gap(trajs)
+    if not max(cfg.delta_list) < eta / 2:
         raise ValueError(
             f"max delta {max(cfg.delta_list)} violates the gap bound "
-            f"eta/2 = {adm.eta / 2:.6g}"
+            f"eta/2 = {eta / 2:.6g}"
         )
     n = len(candidates)
     rows = []
@@ -578,7 +566,7 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig,
         diagnostics={
             "candidate_count": cfg.candidate_count,
             "dt_check": cfg.dt_check,
-            "eta_est": adm.eta,
+            "eta_est": eta,
             "saturated_cells": int(sum(r.saturated for r in rows)),
             "eps_monotonicity_defects": mono_defects,
             "propagation": asdict(stats),
@@ -632,7 +620,6 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     dt = max(horizon / 2048, 1e-3)
     trajs = impulsive_trajectory_batch(sys, samples, horizon, dt, cfg)
-    adm = AdmissibleTimes.from_trajectories(trajs)
 
     rng = np.random.default_rng(seed)
     usable = [i for i, tr in enumerate(trajs) if tr.n_impulses >= 1]
@@ -668,7 +655,7 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
             if dev > tol:
                 violations += 1
     return AdmissibilityReport(
-        eta_est=adm.eta,
+        eta_est=_min_hit_gap(trajs),
         shift_violations=violations,
         n_triples=done,
         max_deviation=max_dev,

@@ -4,10 +4,12 @@ map, and realize the hit-time recursion.
 The one propagation engine, ``_propagate``, advances a whole batch of
 independent initial states with one shared adaptive step (``BatchStepper``)
 and owns the step cap, the horizon and finish rule and the final dense
-evaluation.  ``_first_crossings`` locates level-set crossings per member by a
-bracketed secant (Illinois) iteration on the dense output,
-``_check_turning_points`` raises on two crossings of a level inside one
-step, and ``_BatchRun`` records grid samples, hits and final states.
+evaluation.  ``_Pieces`` evaluates the impulsive-set pieces: each level
+L_j - c_j, its rate along the flow and its halfspace test.
+``_first_crossings`` locates level-set crossings per member by a bracketed
+secant (Illinois) iteration on the dense output, ``_check_turning_points``
+raises on two crossings of a level inside one step, and ``_BatchRun``
+records grid samples, hits and final states.
 ``flow_core.flow`` is the engine's case with no impulsive-set pieces.
 Trajectories are right-continuous across impulses: the value at a hit time
 is the post-impulse state.
@@ -59,7 +61,7 @@ __all__ = [
 _TIME_TOL = 1e-12          # hit times are located to a bracket this wide
 _HORIZON_SLACK = 1e-9      # hits this close past a horizon still count (right continuity)
 _COINCIDE_TOL = 1e-9       # sample time equals a hit time within this -> post state
-_DEFAULT_MIN_GAP = 1e-9
+_MIN_GAP = 1e-9            # consecutive hits closer than this raise GapUnderflow
 
 
 class AmbiguousCrossing(RuntimeError):
@@ -371,20 +373,16 @@ class _BatchRun:
                 self.samples[:, 0] = X0
                 self.ptr[:] = 1
 
-    def fill_samples(self, members, t0, adv, y0, F, h, tau=None):
-        """Write the grid samples that ``members`` pass while advancing by
-        ``adv`` from ``t0`` (one entry per member) on the step's dense output.
-        ``y0``, the interpolant rows ``F`` and the hit times ``tau`` are
-        indexed by member id; samples on a hit time are left to
-        ``record_hits``."""
+    def fill_samples(self, members, t0, adv, y0, F, h):
+        """Write the grid samples up to ``_COINCIDE_TOL`` past the end of the
+        advance by ``adv`` from ``t0`` (one entry per member) on the step's
+        dense output; ``y0`` and the interpolant rows ``F`` are indexed by
+        member id.  ``record_hits`` then owns a sample on a hit time."""
         grid = self.grid
         if grid is None or len(members) == 0:
             return
-        cut = t0 + adv + _COINCIDE_TOL
-        if tau is not None:
-            cut = np.minimum(cut, tau[members] - _COINCIDE_TOL)
         k0 = self.ptr[members]
-        k1 = np.searchsorted(grid, cut, side="right")
+        k1 = np.searchsorted(grid, t0 + adv + _COINCIDE_TOL, side="right")
         counts = np.maximum(k1 - k0, 0)
         total = int(counts.sum())
         if total == 0:
@@ -409,17 +407,12 @@ class _BatchRun:
         self._hits.append((members, taus, pre, post))
         self.stats.hits += len(members)
         if self.grid is not None:
-            # a sample on the hit time carries the post-impulse state; the
-            # step before may have written it already, when that step ended
-            # within _COINCIDE_TOL before the hit
-            p = self.ptr[members]
-            done = p > 0
-            done[done] = np.abs(self.grid[p[done] - 1] - taus[done]) <= _COINCIDE_TOL
-            self.samples[members[done], p[done] - 1] = post[done]
-            on = p < len(self.grid)
-            on[on] = np.abs(self.grid[p[on]] - taus[on]) <= _COINCIDE_TOL
-            self.samples[members[on], p[on]] = post[on]
-            self.ptr[members[on]] += 1
+            # a sample on the hit time carries the post-impulse state: it is
+            # the last one written, by this step or by the one before
+            last = self.ptr[members] - 1
+            on = last >= 0
+            on[on] = np.abs(self.grid[last[on]] - taus[on]) <= _COINCIDE_TOL
+            self.samples[members[on], last[on]] = post[on]
 
     def hits_by_member(self):
         """Per member: hit times, pre-impulse and post-impulse states, in
@@ -435,38 +428,39 @@ class _BatchRun:
         return [(taus[a:b], pre[a:b], post[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-class _LevelAlongStep:
-    """f(u) = L_j(y(t0 + u*h)) - c_j for each (member, piece) candidate of
-    one step, evaluated on the dense output."""
+class _Pieces:
+    """The impulsive-set pieces of one run: each piece's level L_j - c_j, its
+    rate grad L_j . v along a velocity v, and its halfspace test.  Without
+    ``j`` a method evaluates every piece, one column per piece; with ``j``
+    (one piece index per row) it evaluates piece j[r] at row r."""
 
-    def __init__(self, sets, cvals, y0, F, cand_set):
-        self.sets, self.cvals = sets, cvals
-        self.y0, self.F = y0, F
-        self.cand_set = cand_set
+    def __init__(self, sets):
+        self.sets = sets
+        self.cvals = np.array([p.level_value for p in sets])
 
-    def __call__(self, u, rows):
-        states = dense_eval(self.y0[rows], self.F[:, rows], u)
-        sets = self.cand_set[rows]
-        out = np.empty(len(rows))
-        for j in np.unique(sets):
-            sel = sets == j
-            out[sel] = level_value(self.sets[j].level_id, states[sel]) - self.cvals[j]
+    def level(self, x, j=None):
+        return self._each(j, lambda k, x: level_value(self.sets[k].level_id, x)
+                          - self.cvals[k], x)
+
+    def rate(self, x, v, j=None):
+        return self._each(j, lambda k, x, v: np.einsum(
+            "nd,nd->n", level_gradient(self.sets[k].level_id, x), v), x, v)
+
+    def inside(self, x, j):
+        return self._each(j, lambda k, x: self.sets[k].constraint_mask(x), x,
+                          dtype=bool)
+
+    def _each(self, j, fn, *arrays, dtype=float):
+        if j is None:
+            out = np.empty((len(arrays[0]), len(self.sets)), dtype)
+            for k in range(len(self.sets)):
+                out[:, k] = fn(k, *arrays)
+            return out
+        out = np.empty(len(j), dtype)
+        for k in np.unique(j):
+            sel = j == k
+            out[sel] = fn(k, *(a[sel] for a in arrays))
         return out
-
-
-def _slope_along_step(sets, y0, F, cand_set):
-    """The derivative d/du L_j(y(t0 + u*h)) for each (member, piece) candidate
-    of one step, as a function of (u, rows) like ``_LevelAlongStep``."""
-    def slope(u, rows):
-        states, dy = dense_eval(y0[rows], F[:, rows], u, derivative=True)
-        pieces = cand_set[rows]
-        out = np.empty(len(rows))
-        for j in np.unique(pieces):
-            sel = pieces == j
-            grad = level_gradient(sets[j].level_id, states[sel])
-            out[sel] = np.einsum("nd,nd->n", grad, dy[sel])
-        return out
-    return slope
 
 
 def _bracketed_roots(f, a, b, fa, fb, tol):
@@ -523,8 +517,8 @@ def _sign_changes(L_lo, L_hi, dirs):
     return (s_lo != 0) & (s_lo * np.sign(L_hi) <= 0) & (dirs * s_lo <= 0)
 
 
-def _check_turning_points(sets, cvals, y0, F, h, turn, side, g_here, g_new,
-                          u_end, stats):
+def _check_turning_points(pieces, y0, F, h, turn, side, g_here, g_new, u_end,
+                          stats):
     """Raise AmbiguousCrossing when a level crosses zero twice inside the part
     of one step that its member runs, the fraction ``u_end`` of the step (up
     to its hit or its horizon).
@@ -543,20 +537,23 @@ def _check_turning_points(sets, cvals, y0, F, h, turn, side, g_here, g_new,
         return
     stats.guard_checks += len(np.unique(rows))
     y0, F = y0[rows], F[:, rows]
-    slope = _slope_along_step(sets, y0, F, cand_set)
+
+    def slope(u, r):
+        return pieces.rate(*dense_eval(y0[r], F[:, r], u, derivative=True), cand_set[r])
+
     u, passes = _bracketed_roots(slope, np.zeros(len(rows)), np.ones(len(rows)),
                                  h * g_here[rows, cand_set], h * g_new[rows, cand_set],
                                  _TIME_TOL / h)
     stats.root_passes += passes
     u = np.minimum(u, u_end[rows])
-    level = _LevelAlongStep(sets, cvals, y0, F, cand_set)(u, np.arange(len(rows)))
+    level = pieces.level(dense_eval(y0, F, u), cand_set)
     if (level * side[rows, cand_set] < 0).any():
         raise AmbiguousCrossing(
             "level sign changes twice inside one step; reduce max_step")
 
 
-def _first_crossings(sets, cvals, dirs, levels_at, y0, F, h, L_here, L_new,
-                     crosses, adv_cap, stats):
+def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, crosses, adv_cap,
+                     stats):
     """Earliest admissible crossing of each member inside one step.
 
     ``crosses`` marks the (member, piece) levels whose sign changes over the
@@ -583,10 +580,11 @@ def _first_crossings(sets, cvals, dirs, levels_at, y0, F, h, L_here, L_new,
         if not len(rows):
             break
         cand = idx[rows]
-        f = _LevelAlongStep(sets, cvals, y0[cand], F[:, cand], cand_set)
-        u, passes = _bracketed_roots(f, scan_lo[cand], np.ones(len(cand)),
-                                     L_lo[cand, cand_set], L_new[cand, cand_set],
-                                     _TIME_TOL / h)
+        y_c, F_c = y0[cand], F[:, cand]
+        u, passes = _bracketed_roots(
+            lambda u, r: pieces.level(dense_eval(y_c[r], F_c[:, r], u), cand_set[r]),
+            scan_lo[cand], np.ones(len(cand)), L_lo[cand, cand_set],
+            L_new[cand, cand_set], _TIME_TOL / h)
         stats.root_passes += passes
 
         order = np.lexsort((cand_set, u, cand))
@@ -594,10 +592,7 @@ def _first_crossings(sets, cvals, dirs, levels_at, y0, F, h, L_here, L_new,
         pick = pick[u[pick] * h <= adv_cap[cand[pick]]]   # beyond the horizon
         i, u_pick, j_pick = cand[pick], u[pick], cand_set[pick]
         states = dense_eval(y0[i], F[:, i], u_pick)
-        ok = np.empty(len(pick), dtype=bool)
-        for j in np.unique(j_pick):
-            sel = j_pick == j
-            ok[sel] = sets[j].constraint_mask(states[sel])
+        ok = pieces.inside(states, j_pick)
         hit_u[i[ok]] = u_pick[ok]
         hit_set[i[ok]] = j_pick[ok]
         hit_state[i[ok]] = states[ok]
@@ -611,7 +606,7 @@ def _first_crossings(sets, cvals, dirs, levels_at, y0, F, h, L_here, L_new,
         scan_lo[idx] = u_next
         if L_lo is L_here:
             L_lo = L_here.copy()
-        L_lo[idx] = levels_at(dense_eval(y0[idx], F[:, idx], u_next))
+        L_lo[idx] = pieces.level(dense_eval(y0[idx], F[:, idx], u_next))
         crosses = _sign_changes(L_lo[idx], L_new[idx], dirs)
     hit = np.flatnonzero(np.isfinite(hit_u))
     return hit, hit_u[hit], hit_set[hit], hit_state[hit]
@@ -621,7 +616,6 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
                cfg: IntegratorConfig,
                sample_grid: np.ndarray | None = None,
                stop_at_first_hit: bool = False,
-               min_gap: float = _DEFAULT_MIN_GAP,
                time_sign: float = 1.0) -> _BatchRun:
     """Advance a batch of states through the impulsive semiflow: the one
     propagation engine.
@@ -651,28 +645,16 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         field, sets, check_region = sys.field, sys.impulsive_sets, forward
     run = _BatchRun(X0, sample_grid)
     stats = run.stats
-    cvals = np.array([p.level_value for p in sets])
+    pieces = _Pieces(sets)
     dirs = np.array([p.direction if forward else 0 for p in sets])
-
-    def levels_at(states):
-        out = np.empty((len(states), len(sets)))
-        for j, p in enumerate(sets):
-            out[:, j] = level_value(p.level_id, states) - cvals[j]
-        return out
-
-    def slopes_at(states, f):
-        out = np.empty((len(states), len(sets)))
-        for j, p in enumerate(sets):
-            out[:, j] = np.einsum("nd,nd->n", level_gradient(p.level_id, states), f)
-        return out
 
     t = np.zeros(n)
     done = durations <= 0
     run.final[done] = X0[done]
     stepper = BatchStepper(make_rhs(field, sign=time_sign), X0, cfg)
     stepper.active = ~done
-    L_here = levels_at(stepper.y)
-    g_here = slopes_at(stepper.y, stepper.k1)
+    L_here = pieces.level(stepper.y)
+    g_here = pieces.rate(stepper.y, stepper.k1)
     # members run a hair past their horizon before freezing, so a hit sitting
     # exactly on the horizon always lands strictly inside some step; genuine
     # hits never occur at horizon + slack because gaps are bounded below
@@ -686,8 +668,8 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         stats.h_max = max(stats.h_max, h)
         y0 = stepper.y
         active = ~done
-        L_new = levels_at(y_prop)
-        g_new = slopes_at(y_prop, K[stepper.FSAL])
+        L_new = pieces.level(y_prop)
+        g_new = pieces.rate(y_prop, K[stepper.FSAL])
         adv = np.where(active, np.minimum(rem_ext, h), 0.0)
         crosses = _sign_changes(L_here, L_new, dirs) & active[:, None]
         side = np.sign(L_here)
@@ -695,17 +677,13 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
                 & (side * g_here < 0) & (side * g_new > 0))
         F = stepper.interpolant(h, y_prop, K)
         hit_members, hit_u, hit_set, pre_states = _first_crossings(
-            sets, cvals, dirs, levels_at, y0, F, h, L_here, L_new, crosses,
-            adv, stats)
-        tau_map = None
-        if len(hit_members):
-            adv[hit_members] = hit_u * h
-            tau_map = np.full(n, np.inf)
-            tau_map[hit_members] = t[hit_members] + adv[hit_members]
-        _check_turning_points(sets, cvals, y0, F, h, turn, side, g_here, g_new,
-                              adv / h, stats)
+            pieces, dirs, y0, F, h, L_here, L_new, crosses, adv, stats)
+        adv[hit_members] = hit_u * h
+        taus = t[hit_members] + adv[hit_members]
+        _check_turning_points(pieces, y0, F, h, turn, side, g_here, g_new, adv / h,
+                              stats)
         members = np.flatnonzero(active)
-        run.fill_samples(members, t[members], adv[members], y0, F, h, tau_map)
+        run.fill_samples(members, t[members], adv[members], y0, F, h)
 
         y_commit = y_prop.copy()
         y_commit[done] = y0[done]
@@ -716,10 +694,9 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
             run.final[finish] = dense_eval(y0[finish], F[:, finish], u_end)
             y_commit[finish] = run.final[finish]
         if len(hit_members):
-            taus = tau_map[hit_members]
             imp_fn, _ = _IMPULSE_MAPS[sys.impulse.map_id]
             post_states = imp_fn(sys.impulse.params, pre_states, hit_set)
-            run.record_hits(hit_members, taus, pre_states, post_states, min_gap)
+            run.record_hits(hit_members, taus, pre_states, post_states, _MIN_GAP)
             y_commit[hit_members] = pre_states if stop_at_first_hit else post_states
             # a hit ends its member's run when the run stops at the first hit,
             # and on (or within the slack past) the horizon: right continuity
@@ -732,19 +709,15 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
 
         done = done | finish
         stepper.commit(y_commit, K)
+        stepper.active = ~done
+        # levels and slopes at the committed states: the step's end values but
+        # where an impulse replaced the state (a finished member's are unread)
+        L_here, g_here = L_new, g_new
         if len(hit_members):
             stepper.refresh_derivative(hit_members)
-        stepper.active = ~done
-        # levels and slopes at the committed states: equal to the step's end
-        # values except where the state was replaced by an impulse or frozen
-        # at the horizon
-        L_here, g_here = L_new, g_new
-        changed = finish.copy()
-        changed[hit_members] = True
-        if changed.any():
-            L_here, g_here = L_new.copy(), g_new.copy()
-            L_here[changed] = levels_at(stepper.y[changed])
-            g_here[changed] = slopes_at(stepper.y[changed], stepper.k1[changed])
+            L_here[hit_members] = pieces.level(stepper.y[hit_members])
+            g_here[hit_members] = pieces.rate(stepper.y[hit_members],
+                                              stepper.k1[hit_members])
 
         if check_region and (~done).any():
             ok = sys.admissible(stepper.y[~done])
@@ -852,18 +825,16 @@ def _grid_for(T: float, dt: float) -> np.ndarray:
 
 
 def impulsive_trajectory(sys: SystemSpec, x: np.ndarray, T: float, dt_sample: float,
-                         cfg: IntegratorConfig | None = None,
-                         min_gap: float = _DEFAULT_MIN_GAP) -> ImpulsiveTrajectory:
+                         cfg: IntegratorConfig | None = None) -> ImpulsiveTrajectory:
     """Construct the impulsive orbit of x over [0, T], sampled every
     dt_sample, recording every hit up to T."""
     return impulsive_trajectory_batch(sys, np.asarray(x, dtype=float)[None, :],
-                                      T, dt_sample, cfg, min_gap)[0]
+                                      T, dt_sample, cfg)[0]
 
 
 def impulsive_trajectory_batch(sys: SystemSpec, X: np.ndarray, T: float,
                                dt_sample: float,
                                cfg: IntegratorConfig | None = None,
-                               min_gap: float = _DEFAULT_MIN_GAP,
                                stats: RunStats | None = None
                                ) -> list[ImpulsiveTrajectory]:
     """Batch form of ``impulsive_trajectory``; one shared integration.
@@ -877,8 +848,7 @@ def impulsive_trajectory_batch(sys: SystemSpec, X: np.ndarray, T: float,
     cfg = cfg or IntegratorConfig()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     grid = _grid_for(T, dt_sample)
-    run = _propagate(sys, X, np.full(len(X), float(T)), cfg,
-                     sample_grid=grid, min_gap=min_gap)
+    run = _propagate(sys, X, np.full(len(X), float(T)), cfg, sample_grid=grid)
     if stats is not None:
         stats.add(run.stats)
     out = []

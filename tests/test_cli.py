@@ -161,14 +161,18 @@ class TestValidation:
         ({"params": {"n_samples": 50}}, [], "params.n_samples"),
         ({"params": {"points_csv": 5}}, [], "params.points_csv"),
         ({"params": {"points_csv": "no-such-file.csv"}}, [], "params.points_csv"),
+        ({"params": {"points_csv": "unparsed.csv"}}, [], "params.points_csv"),
+        ({"params": {"points_csv": "outside.csv"}}, [], "params.points_csv"),
     ], ids=["seed-negative", "seed-bool", "seed-flag-negative", "params-list",
             "system-string-with-flag", "unknown-top-level-key", "unknown-system-key",
             "unknown-param", "param-of-another-experiment", "points_csv-number",
-            "points_csv-missing"])
+            "points_csv-missing", "points_csv-unparsed", "points_csv-outside-region"])
     def test_bad_config_names_the_key(self, tmp_path, monkeypatch, capsys,
                                       cfg, flags, field):
         # quotient, because points_csv is one of its params
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "unparsed.csv").write_text("x,y\n1.0,abc\n")
+        (tmp_path / "outside.csv").write_text("x,y\n9.0,0.0\n")
         (tmp_path / "c.json").write_text(json.dumps({"system": {"name": "annulus"},
                                                     **cfg}))
         assert run_cli("quotient", "--config", "c.json", "--out", "run", *flags) == 2
@@ -214,6 +218,28 @@ class TestKnownConfigsResolve:
         path.write_text(cfg)
         params = _resolve_without_running(path, experiment)
         assert params.candidate_count == json.loads(cfg)["params"]["candidate_count"]
+
+
+class TestTracedNamesResolve:
+    """Every span target of the benchmark's tracer (``perfbench/spans.py``,
+    loaded read only) is a function of the package, so renaming or deleting
+    a traced name fails here and not only in the benchmark's own tests."""
+
+    def test_layers(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", ROOT / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        missing = []
+        for name, module, attr, _ in spans.LAYERS:
+            scope = vars(importlib.import_module(f"impulseflow.{module}"))
+            owner, _, leaf = attr.rpartition(".")
+            if owner:
+                scope = vars(scope[owner]) if owner in scope else {}
+            if not callable(scope.get(leaf)):
+                missing.append(name)
+        assert len(spans.LAYERS) >= 20
+        assert missing == []
 
 
 class TestResolvedConfig:

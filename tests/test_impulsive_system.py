@@ -329,6 +329,50 @@ class TestPsi:
         run.record_hits(np.array([0]), np.array([1.0 + 3e-10]), y0, post, 1e-9)
         assert np.array_equal(run.samples[0, 1], post[0])
 
+    def test_sample_just_after_a_hit_in_its_step_takes_post_state(self):
+        # the step is cut at a hit 3e-10 before the grid time: the grid time
+        # is on the hit, so its sample carries the post-impulse state
+        run = _BatchRun(np.zeros((1, 2)), np.array([0.0, 1.0]))
+        y0, F = np.ones((1, 2)), np.zeros((7, 1, 2))
+        run.fill_samples(np.array([0]), np.array([0.5]), np.array([0.5 - 3e-10]),
+                         y0, F, 0.5)
+        post = np.array([[2.0, 3.0]])
+        run.record_hits(np.array([0]), np.array([1.0 - 3e-10]), y0, post, 1e-9)
+        assert np.array_equal(run.samples[0, 1], post[0])
+
+    def test_grid_time_clear_of_a_hit_is_left_to_the_next_step(self):
+        # a grid time 2e-9 after the hit is off it: the hit does not write
+        # it, and the step after the impulse does
+        run = _BatchRun(np.zeros((1, 2)), np.array([0.0, 1.0]))
+        y0, F = np.ones((1, 2)), np.zeros((7, 1, 2))
+        tau = 1.0 - 2e-9
+        run.fill_samples(np.array([0]), np.array([0.5]), np.array([tau - 0.5]),
+                         y0, F, 0.5)
+        run.record_hits(np.array([0]), np.array([tau]), y0, np.array([[2.0, 3.0]]),
+                        1e-9)
+        assert np.isnan(run.samples[0, 1]).all()
+        after = np.array([[5.0, 7.0]])
+        run.fill_samples(np.array([0]), np.array([tau]), np.array([0.5]), after, F, 0.5)
+        assert np.array_equal(run.samples[0, 1], after[0])
+
+    @settings(max_examples=20, deadline=None)
+    @given(dt=st.sampled_from([0.1, 0.125, 0.25, 0.5]),
+           starts=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 9)),
+                           min_size=1, max_size=4))
+    def test_doubling_samples_within_coincide_tol_are_post_impulse(
+            self, doubling, dt, starts):
+        # start heights on the grid put every hit at t = 1 - height + n on a
+        # grid time, up to rounding; that sample is the post-impulse state
+        per_unit = round(1.0 / dt)
+        X = np.stack([[np.cos(2 * np.pi * a), np.sin(2 * np.pi * a),
+                       (k % per_unit) * dt] for a, k in starts])
+        for tr in impulsive_trajectory_batch(doubling, X, 4.0, dt):
+            assert tr.n_impulses >= 3
+            for tau, post in zip(tr.impulse_times, tr.post_impulse_states):
+                on = np.flatnonzero(np.abs(tr.sample_times - tau) <= 1e-9)
+                assert len(on) == 1
+                assert np.array_equal(tr.sample_states[on[0]], post)
+
     def test_doubling_samples_on_hit_times_are_post_impulse(self, doubling):
         # the doubling orbit hits at every integer time, on the sample grid
         tr = impulsive_trajectory(doubling, np.array([1.0, 0.0, 0.0]), 20.0, 0.01)
@@ -400,7 +444,7 @@ class TestEngineGuards:
     def test_double_crossing_in_one_step_raises(self):
         # the chord y = 1.49 of the circle r = 1.5 is crossed twice, 0.23
         # apart in time, near the orbit's top; a coarse step spans both
-        # crossings and only the midpoint probe sees the level's sign flip
+        # crossings and only the turning-point guard sees the level's sign flip
         chord = self._annulus_variant(
             ImpulsiveSetSpec("coord1", 1.49),
             ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
