@@ -20,6 +20,7 @@ import os
 import shutil
 import sys as _sys
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -201,8 +202,13 @@ class QuotientParams:
 
 
 def _read_points(path: str, sys_spec) -> np.ndarray:
-    """The states of a points CSV: one admissible state per row."""
-    pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The states of a points CSV: one admissible state per row, none when
+    the header has no rows under it."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if pts.size == 0:
+        pts = pts.reshape(0, sys_spec.dim)
     if pts.shape[1] != sys_spec.dim:
         raise ValueError("column count does not match state dimension")
     if not sys_spec.admissible(pts).all():

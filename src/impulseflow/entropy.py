@@ -25,9 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .flow_core import IntegratorConfig
 from .impulsive_system import (
-    ImpulsiveTrajectory,
     RunStats,
     SystemSpec,
     hit_times_batch,
@@ -76,30 +74,20 @@ class GapSet:
     def total_length(self) -> float:
         return float(sum(b - a for a, b in self.intervals))
 
-    def contains(self, s: np.ndarray) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        ok = np.zeros(len(s), dtype=bool)
-        for a, b in self.intervals:
-            ok |= (s >= a) & (s <= b)
-        return ok
 
-
-def gap_set(times: np.ndarray, t: float, delta: float,
-            eta: float | None = None) -> GapSet:
+def gap_set(times: np.ndarray, t: float, delta: float) -> GapSet:
     """Remove the open windows (tau - delta, tau + delta) from [0, t].
 
     ``times`` is one base point's increasing hit-time sequence.  delta must
-    stay below half the minimal gap (pass the family bound as ``eta`` or let
-    it be measured from the sequence itself); a hit-free sequence leaves the
-    whole of [0, t].
+    stay below half its minimal gap eta, measured from the sequence itself;
+    a hit-free sequence leaves the whole of [0, t].
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if delta <= 0:
         raise ValueError("delta must be positive")
     times = np.sort(np.asarray(times, dtype=float))
-    if eta is None:
-        eta = float(np.diff(times).min()) if len(times) >= 2 else np.inf
+    eta = float(np.diff(times).min()) if len(times) >= 2 else np.inf
     if not delta < eta / 2:
         raise ValueError(f"delta = {delta} must be below eta/2 = {eta / 2}")
     intervals = []
@@ -133,10 +121,7 @@ def _check_times(gs: GapSet, dt_check: float) -> np.ndarray:
 
 
 def in_dynamical_ball(sys: SystemSpec, x: np.ndarray, y: np.ndarray,
-                      T: float, eps: float, delta: float, dt_check: float,
-                      cfg: IntegratorConfig | None = None,
-                      traj_x: ImpulsiveTrajectory | None = None,
-                      traj_y: ImpulsiveTrajectory | None = None) -> bool:
+                      T: float, eps: float, delta: float, dt_check: float) -> bool:
     """Whether the orbit of y stays within eps of the orbit of x at every
     check time of x's gap set over [0, T].
 
@@ -147,12 +132,8 @@ def in_dynamical_ball(sys: SystemSpec, x: np.ndarray, y: np.ndarray,
     """
     if dt_check > delta / 2:
         raise ValueError("dt_check must not exceed delta/2")
-    cfg = cfg or IntegratorConfig()
-    if traj_x is None or traj_y is None:
-        tx, ty = impulsive_trajectory_batch(
-            sys, np.vstack([x, y]), max(T, dt_check), dt_check, cfg)
-        traj_x = traj_x or tx
-        traj_y = traj_y or ty
+    traj_x, traj_y = impulsive_trajectory_batch(
+        sys, np.vstack([x, y]), max(T, dt_check), dt_check)
     gs = gap_set(traj_x.impulse_times, T, delta)
     times = _check_times(gs, dt_check)
     dx = traj_x.evaluate(times)
@@ -377,7 +358,6 @@ def _greedy_scan(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def max_separated_set(sys: SystemSpec, candidates: np.ndarray, T: float,
                       eps: float, delta: float, dt_check: float,
-                      cfg: IntegratorConfig | None = None,
                       trajectories=None):
     """Greedy maximal separated subset of the candidates.
 
@@ -388,11 +368,10 @@ def max_separated_set(sys: SystemSpec, candidates: np.ndarray, T: float,
     """
     if dt_check > delta / 2:
         raise ValueError("dt_check must not exceed delta/2")
-    cfg = cfg or IntegratorConfig()
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     if trajectories is None:
         trajectories = impulsive_trajectory_batch(
-            sys, candidates, max(T, dt_check), dt_check, cfg)
+            sys, candidates, max(T, dt_check), dt_check)
     table = next(_pair_tables(trajectories, (T,), eps, (delta,)))
     admitted = _greedy_scan(len(candidates), table.lo, table.hi)
     return candidates[admitted], int(len(admitted))
@@ -400,7 +379,6 @@ def max_separated_set(sys: SystemSpec, candidates: np.ndarray, T: float,
 
 def exhaustive_max_separated(sys: SystemSpec, candidates: np.ndarray, T: float,
                              eps: float, delta: float, dt_check: float,
-                             cfg: IntegratorConfig | None = None,
                              trajectories=None) -> int:
     """Exact separated-set maximum by exhaustive subset search; calibration
     oracle, practical for up to ~15 candidates."""
@@ -408,10 +386,9 @@ def exhaustive_max_separated(sys: SystemSpec, candidates: np.ndarray, T: float,
     n = len(candidates)
     if n > 20:
         raise ValueError("exhaustive search is for small candidate sets")
-    cfg = cfg or IntegratorConfig()
     if trajectories is None:
         trajectories = impulsive_trajectory_batch(
-            sys, candidates, max(T, dt_check), dt_check, cfg)
+            sys, candidates, max(T, dt_check), dt_check)
     table = next(_pair_tables(trajectories, (T,), eps, (delta,)))
     conflict = np.zeros(n, dtype=np.int64)
     for i, j in zip(table.lo.tolist(), table.hi.tolist()):
@@ -505,8 +482,7 @@ def _fit_rate(Ts: np.ndarray, counts: np.ndarray, saturated: np.ndarray):
     return float(slope), lower_bound
 
 
-def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig,
-                     integrator: IntegratorConfig | None = None) -> EntropyEstimate:
+def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig) -> EntropyEstimate:
     """Separated-set growth table and fitted rates over a candidate cloud.
 
     The headline estimate is the rate at the smallest radius and smallest
@@ -516,13 +492,11 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig,
     pairs and the pairs left by the probe prefilter (per delta), and the
     conflicting pairs of each cell (in table order).
     """
-    integrator = integrator or IntegratorConfig()
     rng = np.random.default_rng(cfg.seed)
     candidates = candidate_cloud(sys, cfg.candidate_count, rng)
     T_max = max(cfg.T_list)
     stats = RunStats()
-    trajs = _build_trajectories(sys, candidates, T_max, cfg.dt_check,
-                                integrator, stats)
+    trajs = _build_trajectories(sys, candidates, T_max, cfg.dt_check, stats)
     eta = _min_hit_gap(trajs)
     if not max(cfg.delta_list) < eta / 2:
         raise ValueError(
@@ -587,15 +561,19 @@ def _monotonicity_defects(rows) -> int:
     return defects
 
 
-def _build_trajectories(sys, candidates, T, dt, integrator, stats):
+def _build_trajectories(sys, candidates, T, dt, stats):
     return [tr for i in range(0, len(candidates), _TRAJ_CHUNK)
             for tr in impulsive_trajectory_batch(
-                sys, candidates[i:i + _TRAJ_CHUNK], T, dt, integrator, stats=stats)]
+                sys, candidates[i:i + _TRAJ_CHUNK], T, dt, stats=stats)]
 
 
 # --------------------------------------------------------------------------
 # Admissibility
 # --------------------------------------------------------------------------
+
+# Largest deviation of a shifted hit time that the time-shift identity allows.
+_SHIFT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -606,20 +584,17 @@ class AdmissibilityReport:
 
 
 def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
-                        n_triples: int = 500, seed: int = 0,
-                        cfg: IntegratorConfig | None = None,
-                        tol: float = 1e-6) -> AdmissibilityReport:
+                        n_triples: int = 500, seed: int = 0) -> AdmissibilityReport:
     """Measure the uniform gap bound and test the time-shift identity of the
     hit times.
 
     For sampled (x, t, k) with t strictly inside the k-th inter-hit window of
     x, the hit sequence of the time-t state must be the tail of x's sequence
-    shifted by t.  Deviations above tol count as violations.
+    shifted by t.  Deviations above ``_SHIFT_TOL`` count as violations.
     """
-    cfg = cfg or IntegratorConfig()
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     dt = max(horizon / 2048, 1e-3)
-    trajs = impulsive_trajectory_batch(sys, samples, horizon, dt, cfg)
+    trajs = impulsive_trajectory_batch(sys, samples, horizon, dt)
 
     rng = np.random.default_rng(seed)
     usable = [i for i, tr in enumerate(trajs) if tr.n_impulses >= 1]
@@ -642,7 +617,7 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
             expect.append(taus[k:] - t)
         starts = np.stack([trajs[i].evaluate(t) for i, t in zip(idx, t_eval)])
         rem = np.array([trajs[i].horizon - t for i, t in zip(idx, t_eval)])
-        shifted = hit_times_batch(sys, starts, rem, cfg)
+        shifted = hit_times_batch(sys, starts, rem)
         for row in range(n_triples):
             got = shifted[row]
             want = expect[row]
@@ -652,7 +627,7 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
             dev = float(np.abs(np.asarray(got[:kk]) - want[:kk]).max())
             max_dev = max(max_dev, dev)
             done += 1
-            if dev > tol:
+            if dev > _SHIFT_TOL:
                 violations += 1
     return AdmissibilityReport(
         eta_est=_min_hit_gap(trajs),

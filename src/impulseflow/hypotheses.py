@@ -9,13 +9,12 @@ the worst witness so a failure is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .flow_core import (
-    IntegratorConfig,
     RegionEscape,
     eval_vector_field,
     flow,
@@ -31,6 +30,22 @@ __all__ = [
     "separation_report",
     "hitting_continuity_probe",
 ]
+
+# The separation tube: the forward flow of the impulsive set is probed up to
+# _XI_CAP, and it is clear of the image while every slice stays farther than
+# _CLEAR_TOL from the image samples.
+_XI_CAP = 2 * np.pi
+_CLEAR_TOL = 1e-3
+
+# A continuity probe that the flow reaches from the impulsive set in less
+# than this time counts as escaped.
+_TUBE_XI = 0.25
+
+# Close points x data points per block of the brute-force distance recheck,
+# which keeps its temporaries under a megabyte: on doubling_suspension and
+# static_null every tube probe ties for its slice's nearest distance, 68 608
+# close points at 400 samples.
+_CHECK_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -53,7 +68,6 @@ class SeparationReport:
     dist_D_ID: float
     xi_margin: float
     n_samples: int
-    clear_tol: float
 
 
 def transversality_margin(sys: SystemSpec, which: str, n_samples: int,
@@ -88,69 +102,72 @@ def transversality_margin(sys: SystemSpec, which: str, n_samples: int,
     )
 
 
-def separation_report(sys: SystemSpec, n_samples: int,
-                      xi_cap: float = 2 * np.pi,
-                      clear_tol: float = 1e-3,
-                      cfg: IntegratorConfig | None = None) -> SeparationReport:
+def separation_report(sys: SystemSpec, n_samples: int) -> SeparationReport:
     """Distance between the impulsive set and its image, plus the largest
     probed xi for which the forward tube of the impulsive set of width xi
     stays clear of the image.
 
     Both sets are sampled quasi-uniformly; the tube is the forward flow of the
     impulsive-set samples, one flow run sampled on a fine time grid up to
-    xi_cap, and the margin is found by binary search on the monotone
-    clearance predicate.
-    One k-d tree on the image samples answers the set distance and every
-    tube clearance; each distance is then recomputed by brute force on the
-    points the tree puts nearest, so it equals the all-pairs minimum exactly.
+    _XI_CAP, and the margin is the last slice time before the first slice
+    that comes within _CLEAR_TOL of the image.
+    One k-d tree query on the image samples answers the set distance, and one
+    more every tube clearance; each distance is then recomputed by brute
+    force on the points the tree puts nearest, so it equals the all-pairs
+    minimum exactly.
     """
-    cfg = cfg or IntegratorConfig()
     d_samples = sample_impulsive_set(sys, "D", n_samples)
     id_samples = sample_impulsive_set(sys, "ID", n_samples)
     id_tree = cKDTree(id_samples)
     dist = _min_distance_to(id_tree, id_samples, d_samples)
 
     n_slices = 512
-    ts = xi_cap * np.arange(1, n_slices + 1) / n_slices
+    ts = _XI_CAP * np.arange(1, n_slices + 1) / n_slices
     # forward tube of a subset of the D samples (pure flow, no impulses),
     # sampled at every slice time from one run
     probes = d_samples[:: max(1, len(d_samples) // 128)]
-    tube = flow(sys.field, probes, ts, cfg)
-    clearance = np.array([_min_distance_to(id_tree, id_samples, tube[:, k])
-                          for k in range(n_slices)])
-    blocked = np.minimum.accumulate(clearance) <= clear_tol
+    tube = flow(sys.field, probes, ts)
+    clearance = _min_distance_to(id_tree, id_samples, tube)
+    blocked = np.minimum.accumulate(clearance) <= _CLEAR_TOL
     if blocked.any():
         first = int(np.searchsorted(blocked, True))
         xi_margin = float(ts[first - 1]) if first > 0 else 0.0
     else:
-        xi_margin = float(xi_cap)
+        xi_margin = float(_XI_CAP)
     return SeparationReport(
         dist_D_ID=float(dist),
         xi_margin=xi_margin,
         n_samples=n_samples,
-        clear_tol=clear_tol,
     )
 
 
-def _min_distance_to(tree: cKDTree, data: np.ndarray, points: np.ndarray) -> float:
-    """Smallest distance from ``points`` to ``data`` (the tree's points).
+def _min_distance_to(tree: cKDTree, data: np.ndarray,
+                     points: np.ndarray) -> np.ndarray:
+    """Smallest distance from a set of points to ``data`` (the tree's
+    points): one set of shape (m, dim), or k sets side by side, shape
+    (m, k, dim), answered by one tree query with one result per set.
 
     The tree's arithmetic is not promised to match sqrt(sum(diff**2)) bit
-    for bit, so every point within a relative 1e-9 of the tree's nearest
-    distance is compared with all of ``data`` in that arithmetic; the point
-    of the brute-force minimum is always among them, so the result equals
-    the all-pairs minimum exactly.
+    for bit, so every point within a relative 1e-9 of its set's nearest
+    tree distance is compared with all of ``data`` in that arithmetic; the
+    point of the set's brute-force minimum is always among them, so each
+    result equals the all-pairs minimum exactly.
     """
-    nearest, _ = tree.query(points)
-    close = points[nearest <= nearest.min() * (1 + 1e-9)]
-    d2 = np.sum((close[:, None, :] - data[None, :, :]) ** 2, axis=2)
-    return float(np.sqrt(d2.min()))
+    sets = points.reshape(len(points), -1, points.shape[-1])
+    nearest, _ = tree.query(sets)
+    rows, cols = np.nonzero(nearest <= nearest.min(axis=0) * (1 + 1e-9))
+    close = sets[rows, cols]
+    d2 = np.full(sets.shape[1], np.inf)
+    step = max(1, _CHECK_BLOCK // len(data))
+    for s in range(0, len(close), step):
+        blk = close[s:s + step]
+        np.minimum.at(d2, cols[s:s + step], np.sum(
+            (blk[:, None, :] - data[None, :, :]) ** 2, axis=2).min(axis=1))
+    return np.sqrt(d2).reshape(points.shape[1:-1])
 
 
 def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
-                             approach_dirs: int, scales,
-                             xi: float = 0.25,
-                             cfg: IntegratorConfig | None = None) -> list[dict]:
+                             approach_dirs: int, scales) -> list[dict]:
     """Decay of the first-hitting time along incoming approaches to a point of
     the impulsive set.
 
@@ -158,12 +175,11 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
     along approach_dirs tangent directions and flowing backward for time s;
     their first-hitting time is then measured forward (0 on the set itself).
     Probes that fall outside the impulsive set's backward-reachable complement
-    within xi, or whose forward orbit leaves the admissible region before
+    within _TUBE_XI, or whose forward orbit leaves the admissible region before
     hitting, are counted as escaped, not fatal.
 
     Returns one row per scale: {"scale", "tau_star_max", "escaped"}.
     """
-    cfg = cfg or IntegratorConfig()
     x = np.asarray(x_in_d, dtype=float)
     j = sys.in_impulsive_set(x, tol=1e-7)
     if j < 0:
@@ -182,16 +198,15 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
             p = x + 0.5 * s * d
             if not piece.contains(p, tol=1e-6):
                 p = x  # sliding left the set; fall back to the base point
-            xk = flow(sys.field, p, -s, cfg)
+            xk = flow(sys.field, p, -s)
             if sys.in_impulsive_set(xk, tol=1e-9) >= 0:
                 taus.append(0.0)
                 continue
-            if _in_forward_tube(sys, xk, xi, cfg):
+            if _in_forward_tube(sys, xk):
                 escaped += 1
                 continue
             try:
-                hit = first_hitting_time(sys, xk, t_max=max(10.0, 4 * s),
-                                         cfg=cfg)
+                hit = first_hitting_time(sys, xk, t_max=max(10.0, 4 * s))
             except RegionEscape:
                 hit = None
             if hit is None:
@@ -223,9 +238,9 @@ def _tangent_directions(level_id: str, x: np.ndarray, m: int) -> np.ndarray:
     return np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * v
 
 
-def _in_forward_tube(sys: SystemSpec, x: np.ndarray, xi: float,
-                     cfg: IntegratorConfig) -> bool:
-    """Whether x lies on a forward flow segment of length < xi emanating from
-    the impulsive set: probed by reversed-time hit detection."""
-    hit = first_hitting_time(sys, x, t_max=xi, cfg=cfg, reverse=True)
-    return hit is not None and hit[0] < xi
+def _in_forward_tube(sys: SystemSpec, x: np.ndarray) -> bool:
+    """Whether x lies on a forward flow segment of length < _TUBE_XI
+    emanating from the impulsive set: probed by reversed-time hit
+    detection."""
+    hit = first_hitting_time(sys, x, t_max=_TUBE_XI, reverse=True)
+    return hit is not None and hit[0] < _TUBE_XI

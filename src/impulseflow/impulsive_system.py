@@ -62,6 +62,8 @@ _TIME_TOL = 1e-12          # hit times are located to a bracket this wide
 _HORIZON_SLACK = 1e-9      # hits this close past a horizon still count (right continuity)
 _COINCIDE_TOL = 1e-9       # sample time equals a hit time within this -> post state
 _MIN_GAP = 1e-9            # consecutive hits closer than this raise GapUnderflow
+_MEMBERSHIP_TOL = 1e-9     # a state this close to a piece's level lies on it
+_REGION_TOL = 1e-6         # admissible regions admit states this far outside
 
 
 class AmbiguousCrossing(RuntimeError):
@@ -92,7 +94,6 @@ class ImpulsiveSetSpec:
     level_value: float
     halfspaces: tuple = ()
     direction: int = 0
-    membership_tol: float = 1e-9
     sampler: Callable[[int], np.ndarray] | None = field(
         default=None, compare=False, repr=False)
 
@@ -104,9 +105,9 @@ class ImpulsiveSetSpec:
         return ok
 
     def contains(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
-        """Membership test: on the level within tolerance and inside every
-        halfspace."""
-        tol = self.membership_tol if tol is None else tol
+        """Membership test: on the level within tolerance (default
+        ``_MEMBERSHIP_TOL``) and inside every halfspace."""
+        tol = _MEMBERSHIP_TOL if tol is None else tol
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xs = np.atleast_2d(x)
@@ -210,27 +211,24 @@ _IMPULSE_MAPS: dict[str, tuple[Callable, Callable]] = {
 
 def _adm_annulus(params, x):
     r = np.hypot(x[:, 0], x[:, 1])
-    tol = params.get("tol", 1e-6)
-    return (r >= params["rmin"] - tol) & (r <= params["rmax"] + tol)
+    return (r >= params["rmin"] - _REGION_TOL) & (r <= params["rmax"] + _REGION_TOL)
 
 
 def _adm_octant(params, x):
-    tol = params.get("tol", 1e-6)
-    return (x >= -tol).all(axis=1)
+    return (x >= -_REGION_TOL).all(axis=1)
 
 
 def _adm_cylinder(params, x):
-    tol = params.get("tol", 1e-6)
     r = np.hypot(x[:, 0], x[:, 1])
     h = x[:, 2]
-    return (np.abs(r - 1.0) <= 1e-3) & (h >= -tol) & (h <= params["hmax"] + tol)
+    return ((np.abs(r - 1.0) <= 1e-3) & (h >= -_REGION_TOL)
+            & (h <= params["hmax"] + _REGION_TOL))
 
 
 def _adm_box(params, x):
-    tol = params.get("tol", 1e-6)
     lo = np.asarray(params["lo"], dtype=float)
     hi = np.asarray(params["hi"], dtype=float)
-    return ((x >= lo - tol) & (x <= hi + tol)).all(axis=1)
+    return ((x >= lo - _REGION_TOL) & (x <= hi + _REGION_TOL)).all(axis=1)
 
 
 _ADMISSIBLE: dict[str, Callable] = {
@@ -259,7 +257,6 @@ class SystemSpec:
     impulse: ImpulseMapSpec
     admissible_id: str
     admissible_params: Mapping[str, object] = field(default_factory=dict)
-    state_names: tuple[str, ...] = ()
     cloud: Callable[[int, np.random.Generator], np.ndarray] | None = field(
         default=None, compare=False, repr=False)
     box: tuple[tuple[float, ...], tuple[float, ...]] | None = field(
@@ -267,15 +264,14 @@ class SystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "admissible_params", dict(self.admissible_params))
-        if not self.state_names:
-            object.__setattr__(
-                self, "state_names",
-                tuple(f"x{i + 1}" for i in range(self.dim)),
-            )
 
     @property
     def dim(self) -> int:
         return system_dimension(self.field)
+
+    @property
+    def state_names(self) -> tuple[str, ...]:
+        return tuple(f"x{i + 1}" for i in range(self.dim))
 
     def admissible(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -294,8 +290,8 @@ class SystemSpec:
 def apply_impulse(sys: SystemSpec, x: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Apply the impulse map at a state of the impulsive set.
 
-    Raises ValueError when x is not on the set within ``tol`` (default: each
-    piece's membership tolerance).
+    Raises ValueError when x is not on the set within ``tol`` (default:
+    ``_MEMBERSHIP_TOL``).
     """
     x = np.asarray(x, dtype=float)
     j = sys.in_impulsive_set(x, tol)

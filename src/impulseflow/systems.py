@@ -291,12 +291,9 @@ def sample_pieces(sys: SystemSpec, which: str,
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if which in ("D", "d"):
-        pieces = sys.impulsive_sets
-    elif which in ("ID", "I(D)", "id", "image"):
-        pieces = sys.image_sets
-    else:
+    if which not in ("D", "ID"):
         raise ValueError("which must be 'D' or 'ID'")
+    pieces = sys.impulsive_sets if which == "D" else sys.image_sets
     per = [n // len(pieces)] * len(pieces)
     per[0] += n - sum(per)
     out = []

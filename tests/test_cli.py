@@ -4,6 +4,7 @@ import io
 import json
 import re
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -489,6 +490,27 @@ class TestQuotientExperiment:
         d01 = [float(r["dtilde"]) for r in rows
                if r["i"] == "0" and r["j"] == "1"][0]
         assert abs(d01 - 0.25) < 1e-9
+
+    def test_header_only_points_csv_is_no_points(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # a header row with no states under it runs the quotient of no
+        # points, as n_points = 0 does, and numpy's "input contained no
+        # data" warning stays quiet
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pts.csv").write_text("x,y\n")
+        for name, params in (("csv", {"points_csv": "pts.csv"}),
+                             ("none", {"n_points": 0})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"system": {"name": "annulus"}, "params": params}))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = run_cli("quotient", "--config", f"{name}.json", "--out", name)
+            assert (rc, caught, capsys.readouterr()) == (0, [], ("", ""))
+        for name in ("quotient_classes.csv", "quotient_dmatrix.csv"):
+            assert ((tmp_path / "csv" / name).read_bytes()
+                    == (tmp_path / "none" / name).read_bytes())
+        assert (read_json(tmp_path / "csv" / "manifest.json")["results"]
+                == read_json(tmp_path / "none" / "manifest.json")["results"])
 
 
 class TestDeterminism:

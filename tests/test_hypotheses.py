@@ -3,6 +3,7 @@ import pytest
 
 from impulseflow import (
     build_fixture,
+    flow,
     hitting_continuity_probe,
     sample_impulsive_set,
     separation_report,
@@ -90,6 +91,27 @@ class TestSeparation:
             tree = cKDTree(grid)
             assert (_min_distance_to(tree, grid, points)
                     == min_cross_distance(points, grid))
+
+    @pytest.mark.parametrize("name", ["annulus", "prey_predator"])
+    def test_xi_margin_equals_per_slice_brute_force(self, name):
+        # the tube of 512 slices up to 2 pi from every third D sample, each
+        # slice's clearance from the image by brute force, blocked at 1e-3
+        sys_spec = build_fixture(name)
+        d_samples = sample_impulsive_set(sys_spec, "D", 400)
+        id_samples = sample_impulsive_set(sys_spec, "ID", 400)
+        ts = 2 * np.pi * np.arange(1, 513) / 512
+        tube = flow(sys_spec.field, d_samples[::3], ts)
+        clearance = np.array([min_cross_distance(tube[:, k], id_samples)
+                              for k in range(512)])
+        assert np.array_equal(
+            _min_distance_to(cKDTree(id_samples), id_samples, tube),
+            clearance)
+        blocked = np.flatnonzero(np.minimum.accumulate(clearance) <= 1e-3)
+        if len(blocked) == 0:
+            want = 2 * np.pi
+        else:
+            want = ts[blocked[0] - 1] if blocked[0] > 0 else 0.0
+        assert separation_report(sys_spec, 400).xi_margin == want
 
 
 class TestContinuityProbe:

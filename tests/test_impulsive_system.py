@@ -11,6 +11,7 @@ from impulseflow import (
     SystemSpec,
     VectorFieldSpec,
     apply_impulse,
+    build_fixture,
     candidate_cloud,
     eval_vector_field,
     first_hitting_time,
@@ -573,3 +574,42 @@ class TestRunStats:
                                         stats=stats)[0]
         assert tr.n_impulses == 1
         assert stats.guard_checks >= 3
+
+
+class TestTolerances:
+    """The default membership tolerance (1e-9) and the admissible regions'
+    tolerance (1e-6): half of each is inside, twice of each outside."""
+
+    def test_membership_tolerance(self, annulus):
+        piece = annulus.impulsive_sets[0]  # the segment [1, 2] x {0}
+        assert piece.contains(np.array([1.5, 0.5e-9]))
+        assert not piece.contains(np.array([1.5, 2e-9]))
+        assert annulus.in_impulsive_set(np.array([1.5, -0.5e-9])) == 0
+        assert annulus.in_impulsive_set(np.array([1.5, -2e-9])) == -1
+
+    @pytest.mark.parametrize("name,state,outward", [
+        # annulus band 1 <= r <= 2, on the x-axis
+        ("annulus", (1.0, 0.0), (-1.0, 0.0)),
+        ("annulus", (2.0, 0.0), (1.0, 0.0)),
+        # tangent_degenerate's band 0.5 <= r <= 2.5, on the y-axis
+        ("tangent_degenerate", (0.0, 0.5), (0.0, -1.0)),
+        ("tangent_degenerate", (0.0, -2.5), (0.0, -1.0)),
+        # nonnegative octant, each face
+        ("prey_predator", (0.0, 0.3, 0.4), (-1.0, 0.0, 0.0)),
+        ("prey_predator", (0.3, 0.0, 0.4), (0.0, -1.0, 0.0)),
+        ("prey_predator", (0.3, 0.4, 0.0), (0.0, 0.0, -1.0)),
+        # cylinder height 0 <= h <= 1.25
+        ("doubling_suspension", (1.0, 0.0, 0.0), (0.0, 0.0, -1.0)),
+        ("doubling_suspension", (0.0, 1.0, 1.25), (0.0, 0.0, 1.0)),
+        # unit box, each face
+        ("static_null", (0.0, 0.5), (-1.0, 0.0)),
+        ("static_null", (1.0, 0.5), (1.0, 0.0)),
+        ("static_null", (0.5, 0.0), (0.0, -1.0)),
+        ("static_null", (0.5, 1.0), (0.0, 1.0)),
+    ])
+    def test_region_tolerance(self, name, state, outward):
+        sys_spec = build_fixture(name)
+        x, u = np.array(state), np.array(outward)
+        assert sys_spec.admissible(x)
+        assert sys_spec.admissible(x + 0.5e-6 * u)
+        assert not sys_spec.admissible(x + 2e-6 * u)

@@ -151,3 +151,9 @@ def test_multi_plane_pieces_sample_their_own_planes():
         for (piece, pts), c in zip(pairs, levels):
             assert piece.level_value == c
             assert np.allclose(pts.sum(axis=1), c, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["d", "I(D)", "id", "image", "DI", ""])
+def test_sample_pieces_takes_only_d_and_id(annulus, which):
+    with pytest.raises(ValueError, match="which must be 'D' or 'ID'"):
+        sample_pieces(annulus, which, 10)
