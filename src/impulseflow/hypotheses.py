@@ -41,10 +41,8 @@ _CLEAR_TOL = 1e-3
 # than this time counts as escaped.
 _TUBE_XI = 0.25
 
-# Close points x data points per block of the brute-force distance recheck,
-# which keeps its temporaries under a megabyte: on doubling_suspension and
-# static_null every tube probe ties for its slice's nearest distance, 68 608
-# close points at 400 samples.
+# Tied points x data points per block of the brute-force distance recheck,
+# which keeps its temporaries under a megabyte.
 _CHECK_BLOCK = 1 << 15
 
 
@@ -149,20 +147,26 @@ def _min_distance_to(tree: cKDTree, data: np.ndarray,
 
     The tree's arithmetic is not promised to match sqrt(sum(diff**2)) bit
     for bit, so every point within a relative 1e-9 of its set's nearest
-    tree distance is compared with all of ``data`` in that arithmetic; the
-    point of the set's brute-force minimum is always among them, so each
-    result equals the all-pairs minimum exactly.
+    tree distance is rechecked in that arithmetic; the point of the set's
+    brute-force minimum is always among them.  A rechecked point is compared
+    with its nearest datum alone, unless a second datum lies within a
+    relative 1e-9 of it too; then with all of ``data``.  Each result
+    therefore equals the all-pairs minimum exactly.
     """
     sets = points.reshape(len(points), -1, points.shape[-1])
-    nearest, _ = tree.query(sets)
+    dist, idx = tree.query(sets, k=2)
+    nearest = dist[..., 0]
     rows, cols = np.nonzero(nearest <= nearest.min(axis=0) * (1 + 1e-9))
     close = sets[rows, cols]
-    d2 = np.full(sets.shape[1], np.inf)
+    point_d2 = np.sum((close - data[idx[rows, cols, 0]]) ** 2, axis=1)
+    tied = np.flatnonzero(dist[rows, cols, 1] <= nearest[rows, cols] * (1 + 1e-9))
     step = max(1, _CHECK_BLOCK // len(data))
-    for s in range(0, len(close), step):
-        blk = close[s:s + step]
-        np.minimum.at(d2, cols[s:s + step], np.sum(
-            (blk[:, None, :] - data[None, :, :]) ** 2, axis=2).min(axis=1))
+    for s in range(0, len(tied), step):
+        blk = tied[s:s + step]
+        point_d2[blk] = np.sum((close[blk, None, :] - data[None, :, :]) ** 2,
+                               axis=2).min(axis=1)
+    d2 = np.full(sets.shape[1], np.inf)
+    np.minimum.at(d2, cols, point_d2)
     return np.sqrt(d2).reshape(points.shape[1:-1])
 
 

@@ -4,12 +4,13 @@ map, and realize the hit-time recursion.
 The one propagation engine, ``_propagate``, advances a whole batch of
 independent initial states with one shared adaptive step (``BatchStepper``)
 and owns the step cap, the horizon and finish rule and the final dense
-evaluation.  ``_Pieces`` evaluates the impulsive-set pieces: each level
-L_j - c_j, its rate along the flow and its halfspace test.
-``_first_crossings`` locates level-set crossings per member by a bracketed
-secant (Illinois) iteration on the dense output, ``_check_turning_points``
-raises on two crossings of a level inside one step, and ``_BatchRun``
-records grid samples, hits and final states.
+evaluation.  ``_Pieces`` evaluates the impulsive-set pieces: each level's
+polynomial form, with the zero set and sign of L_j - c_j, and its halfspace
+test.  ``_first_crossings`` finds each member's earliest crossing in a step,
+whatever the step's length: ``_RootScan`` isolates it on the Bernstein
+coefficients of the level form along the step's dense output, and a
+bracketed secant (Illinois) iteration locates it.  ``_BatchRun`` records
+grid samples, hits and final states.
 ``flow_core.flow`` is the engine's case with no impulsive-set pieces.
 Trajectories are right-continuous across impulses: the value at a hit time
 is the post-impulse state.
@@ -30,9 +31,10 @@ from .flow_core import (
     IntegratorConfig,
     RegionEscape,
     VectorFieldSpec,
+    builtin_level,
+    dense_bernstein,
     dense_eval,
     eval_vector_field,
-    level_gradient,
     level_value,
     make_rhs,
     system_dimension,
@@ -64,10 +66,16 @@ _COINCIDE_TOL = 1e-9       # sample time equals a hit time within this -> post s
 _MIN_GAP = 1e-9            # consecutive hits closer than this raise GapUnderflow
 _MEMBERSHIP_TOL = 1e-9     # a state this close to a piece's level lies on it
 _REGION_TOL = 1e-6         # admissible regions admit states this far outside
+# the rounding bound of a level form's Bernstein coefficients on a scan's
+# trial interval: n * _ROUNDING times the form's magnitude scale at degree n,
+# 28 ulps of 1 at degree 7 (against errors below 2 ulps in exact-rational
+# checks); coefficients closer to zero count as either sign
+_ROUNDING = 2.0 ** -50
 
 
 class AmbiguousCrossing(RuntimeError):
-    """Two level crossings inside one integration step; max_step is too large."""
+    """Level crossings inside one integration step that subdivision cannot
+    separate to _TIME_TOL: the orbit is tangent to the impulsive set."""
 
 
 class GapUnderflow(RuntimeError):
@@ -332,8 +340,8 @@ class RunStats:
     deterministic, so they can be recorded beside the outputs.
 
     ``h_min`` and ``h_max`` bound the accepted step sizes (inf and 0 before
-    any step); ``guard_checks`` counts the members whose level turned back
-    toward an impulsive set inside a step, each probed for a double crossing.
+    any step); ``subdivisions`` counts the halvings of the root scan's trial
+    intervals that isolating the earliest crossings took.
     """
 
     steps: int = 0
@@ -342,7 +350,7 @@ class RunStats:
     h_max: float = 0.0
     hits: int = 0
     discarded_crossings: int = 0
-    guard_checks: int = 0
+    subdivisions: int = 0
     root_passes: int = 0
 
     def add(self, other: "RunStats") -> None:
@@ -387,7 +395,10 @@ class _BatchRun:
         offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
         g_idx = k0[rows] + offs
         m_rep = members[rows]
-        u = np.clip((grid[g_idx] - t0[rows]) / h, 0.0, 1.0)
+        # a finishing member's advance may run up to _HORIZON_SLACK past the
+        # step, to its horizon; past the end of any other advance a sample
+        # takes the step's end state
+        u = np.clip((grid[g_idx] - t0[rows]) / h, 0.0, np.maximum(adv, h)[rows] / h)
         self.samples[m_rep, g_idx] = dense_eval(y0[m_rep], F[:, m_rep], u)
         self.ptr[members] = np.maximum(k0, k1)
 
@@ -425,38 +436,31 @@ class _BatchRun:
 
 
 class _Pieces:
-    """The impulsive-set pieces of one run: each piece's level L_j - c_j, its
-    rate grad L_j . v along a velocity v, and its halfspace test.  Without
-    ``j`` a method evaluates every piece, one column per piece; with ``j``
-    (one piece index per row) it evaluates piece j[r] at row r."""
+    """The impulsive-set pieces of one run: each piece's level form, whose
+    zero set and sign are those of L_j - c_j, and its halfspace test.
+    ``level`` evaluates every piece, one column per piece, or piece ``j``
+    alone."""
 
     def __init__(self, sets):
         self.sets = sets
-        self.cvals = np.array([p.level_value for p in sets])
+        self.levels = [builtin_level(p.level_id) for p in sets]
 
     def level(self, x, j=None):
-        return self._each(j, lambda k, x: level_value(self.sets[k].level_id, x)
-                          - self.cvals[k], x)
+        if j is not None:
+            return self.levels[j].form(x, self.sets[j].level_value)
+        out = np.empty((len(x), len(self.sets)))
+        for k in range(len(self.sets)):
+            out[:, k] = self.level(x, k)
+        return out
 
-    def rate(self, x, v, j=None):
-        return self._each(j, lambda k, x, v: np.einsum(
-            "nd,nd->n", level_gradient(self.sets[k].level_id, x), v), x, v)
+    def along_step(self, j, B):
+        """Bernstein coefficients of piece j's form along the steps with the
+        interpolant coefficients ``B``, and their rounding bound."""
+        b, scale = self.levels[j].form_along_step(B, self.sets[j].level_value)
+        return b, _ROUNDING * (len(b) - 1) * scale
 
     def inside(self, x, j):
-        return self._each(j, lambda k, x: self.sets[k].constraint_mask(x), x,
-                          dtype=bool)
-
-    def _each(self, j, fn, *arrays, dtype=float):
-        if j is None:
-            out = np.empty((len(arrays[0]), len(self.sets)), dtype)
-            for k in range(len(self.sets)):
-                out[:, k] = fn(k, *arrays)
-            return out
-        out = np.empty(len(j), dtype)
-        for k in np.unique(j):
-            sel = j == k
-            out[sel] = fn(k, *(a[sel] for a in arrays))
-        return out
+        return self.sets[j].constraint_mask(x)
 
 
 def _bracketed_roots(f, a, b, fa, fb, tol):
@@ -505,105 +509,175 @@ def _bracketed_roots(f, a, b, fa, fb, tol):
     return root, passes
 
 
-def _sign_changes(L_lo, L_hi, dirs):
-    """Which (member, piece) levels cross zero between two scan points,
-    counting an exact zero at the end and honouring each piece's direction
-    (dirs: +1 upward only, -1 downward only, 0 either)."""
-    s_lo = np.sign(L_lo)
-    return (s_lo != 0) & (s_lo * np.sign(L_hi) <= 0) & (dirs * s_lo <= 0)
+def _split(b, t):
+    """De Casteljau's algorithm: the Bernstein coefficients of the
+    polynomials with the coefficients ``b`` (n + 1, k) on [0, t] and on
+    [t, 1] of their parameter, one t per column."""
+    n = len(b) - 1
+    left, right = np.empty_like(b), np.empty_like(b)
+    left[0], right[n] = b[0], b[n]
+    w = b
+    for r in range(1, n + 1):
+        w = w[:-1] + t * (w[1:] - w[:-1])
+        left[r], right[n - r] = w[0], w[-1]
+    return left, right
 
 
-def _check_turning_points(pieces, y0, F, h, turn, side, g_here, g_new, u_end,
-                          stats):
-    """Raise AmbiguousCrossing when a level crosses zero twice inside the part
-    of one step that its member runs, the fraction ``u_end`` of the step (up
-    to its hit or its horizon).
+class _RootScan:
+    """Left-to-right isolation of the roots of polynomials p on [0, 1], one
+    per column of their Bernstein coefficients ``b`` (n + 1, k).
 
-    ``turn`` marks the (member, piece) levels that keep one sign (``side``)
-    at both ends of the step while their slope there (``g_here``, ``g_new``:
-    dL/dt) turns from toward zero to away from it.  For each, the turning
-    point u* is located on the derivative of the dense output by
-    ``_bracketed_roots``.  The level runs toward zero on [0, u*], so it has
-    crossed zero before ``u_end`` exactly when it has the other sign at
-    min(u*, u_end).  A level with one turning point per step cannot hide a
-    double crossing any other way.
+    A trial interval [lo, hi] starts where p has the known sign s.  It is
+    passed when all of p's coefficients on it after the first have sign s,
+    and it holds exactly one root when they run s, ..., s, then at most one
+    coefficient of either sign, then -s to the end.  Descartes' rule of signs
+    for the Bernstein basis makes both verdicts exact for coefficients that
+    are exact to within ``eps``, so a coefficient within ``eps`` of zero
+    counts as either sign.  A trial that gets neither verdict is halved (one
+    subdivision); after a passed one the next trial is twice as wide.
+    p(0) and p(1) count at face value: an exact zero at 1 is a root, one at
+    0 is not, and the scan then takes the sign of p just past 0.
+
+    A root whose crossing ``direction`` forbids (+1: upward only, -1:
+    downward only, 0: either) is passed like a root-free trial.  A column
+    whose trial falls below ``min_width`` without a verdict is stuck at its
+    ``lo``: the roots there are too close to separate, a tangency.
     """
-    rows, cand_set = np.nonzero(turn)
-    if not len(rows):
-        return
-    stats.guard_checks += len(np.unique(rows))
-    y0, F = y0[rows], F[:, rows]
 
-    def slope(u, r):
-        return pieces.rate(*dense_eval(y0[r], F[:, r], u, derivative=True), cand_set[r])
+    def __init__(self, b, eps, min_width, direction):
+        k = b.shape[1]
+        self.b, self.eps, self.min_width, self.direction = b, eps, min_width, direction
+        self.lo, self.width = np.zeros(k), np.ones(k)
+        self.f_lo, self.sign = b[0].copy(), np.sign(b[0])
+        self.hi, self.f_hi = np.ones(k), b[-1].copy()
+        self.stuck = np.full(k, np.inf)
+        self.subdivisions = 0
+        self._fresh = True
 
-    u, passes = _bracketed_roots(slope, np.zeros(len(rows)), np.ones(len(rows)),
-                                 h * g_here[rows, cand_set], h * g_new[rows, cand_set],
-                                 _TIME_TOL / h)
-    stats.root_passes += passes
-    u = np.minimum(u, u_end[rows])
-    level = pieces.level(dense_eval(y0, F, u), cand_set)
-    if (level * side[rows, cand_set] < 0).any():
-        raise AmbiguousCrossing(
-            "level sign changes twice inside one step; reduce max_step")
+    def brackets(self, rows):
+        """Isolate the next admissible root of each of the columns ``rows``.
+        Returns the columns that have one, with their brackets (lo, hi) and
+        the values of p there; the others are root-free to 1 or stuck."""
+        found = []
+        while len(rows):
+            lo, width, s = self.lo[rows], self.width[rows], self.sign[rows]
+            hi = np.minimum(lo + width, 1.0)
+            if self._fresh:     # the first trial of every column is [0, 1]
+                trial = self.b[:, rows].copy()
+                self._fresh = False
+            else:
+                _, right = _split(self.b[:, rows], lo)
+                trial, _ = _split(right, (hi - lo) / (1.0 - lo))
+            at_end = hi >= 1.0
+            trial[-1] = np.where(at_end, self.b[-1, rows], trial[-1])
+            d = np.where(np.abs(trial[1:]) > self.eps[rows], np.sign(trial[1:]), 0.0)
+            d[-1] = np.where(at_end, np.where(trial[-1] == 0, -s, np.sign(trial[-1])),
+                             d[-1])
+            s = np.where(s == 0, d[0], s)
+            passed = (d == s).all(axis=0) & (s != 0)
+            others = np.cumsum(d != s, axis=0)
+            one = ((self.sign[rows] != 0) & (d[-1] == -s)
+                   & ~((d == s) & (others > 0)).any(axis=0)
+                   & ((d != 0) | (others == 1)).all(axis=0))
+            skip = one & (self.direction * s > 0)
+            one &= ~skip
+            # a passed trial or a skipped root: go on from hi
+            go = rows[passed | skip]
+            self.lo[go] = hi[passed | skip]
+            self.f_lo[go] = trial[-1, passed | skip]
+            self.sign[go] = np.where(skip, -s, s)[passed | skip]
+            self.width[go] *= 2.0
+            # a bracket: stop here until ``resume``
+            iso = rows[one]
+            self.hi[iso], self.f_hi[iso] = hi[one], trial[-1, one]
+            found.append(iso)
+            # no verdict: halve, down to min_width
+            halve = rows[~passed & ~skip & ~one]
+            self.subdivisions += len(halve)
+            self.width[halve] *= 0.5
+            low = self.width[halve] < self.min_width[halve]
+            self.stuck[halve[low]] = self.lo[halve[low]]
+            rows = np.concatenate([go[self.lo[go] < 1.0], halve[~low]])
+        rows = np.concatenate(found)
+        return (rows, self.lo[rows], self.hi[rows], self.f_lo[rows],
+                self.f_hi[rows])
+
+    def resume(self, rows):
+        """Continue the columns ``rows`` past their last bracket; returns
+        those that have some of [0, 1] left."""
+        self.lo[rows], self.f_lo[rows] = self.hi[rows], self.f_hi[rows]
+        self.sign[rows] *= -1.0
+        return rows[self.lo[rows] < 1.0]
 
 
-def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, crosses, adv_cap,
-                     stats):
+def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
     """Earliest admissible crossing of each member inside one step.
 
-    ``crosses`` marks the (member, piece) levels whose sign changes over the
-    step.  Crossings are located by ``_bracketed_roots`` on the level along
-    the dense output, to _TIME_TOL in time.  The earliest crossing per member
-    (ties to the lowest piece index) counts when it lies within the member's
-    remaining horizon and satisfies the piece's halfspace constraints;
-    otherwise it is discarded and that member's scan resumes just past it.
+    Member m's crossings are sought on the fraction [0, end[m]] of the step
+    (0: inactive), on the Bernstein coefficients of each piece's level form
+    along the dense output, with the level's values at the step's ends
+    (``L_here``, ``L_new``) as the end coefficients.  ``_RootScan`` isolates
+    each member's earliest root of each piece, skipping a root in the
+    direction the piece forbids, and ``_bracketed_roots`` locates it to
+    _TIME_TOL in time.  A root whose state fails the piece's halfspace
+    constraints is discarded and the scan resumes past it.  The earliest
+    crossing per member counts (ties to the lowest piece index).
+    AmbiguousCrossing is raised when a member's scan is stuck before that.
 
     Returns (members, u, piece, state) of the hits, in member order: the step
     fraction, the piece index and the pre-impulse state of each.
     """
+    members = np.flatnonzero(end > 0)
+    e = end[members]
+    cut = np.flatnonzero(e != 1.0)
+    B = dense_bernstein(y0[members], F[:, members])
+    scans = []
+    for j in range(len(pieces.sets)):
+        b, eps = pieces.along_step(j, B)
+        b[0], b[-1] = L_here[members, j], L_new[members, j]
+        if len(cut):
+            b[:, cut] = _split(b[:, cut], e[cut])[0]
+        # no root where every coefficient keeps the sign of the first
+        s = np.sign(b[0])
+        cand = np.flatnonzero((s * b[-1] <= 0) | (s * b[1:-1] <= eps).any(axis=0))
+        if len(cand):
+            scans.append((j, members[cand], e[cand], _RootScan(
+                b[:, cand], eps[cand], _TIME_TOL / (h * e[cand]), dirs[j])))
+    if not scans:
+        return members[:0], e[:0], members[:0], y0[:0]
     n = len(y0)
-    if not crosses.any():
-        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int), y0[:0]
     hit_u = np.full(n, np.inf)
-    hit_set = np.full(n, -1, dtype=int)
+    hit_set = np.zeros(n, dtype=int)
     hit_state = np.empty_like(y0)
-    scan_lo = np.zeros(n)
-    L_lo = L_here
-    idx = np.arange(n)
-    while True:
-        rows, cand_set = np.nonzero(crosses)
-        if not len(rows):
-            break
-        cand = idx[rows]
-        y_c, F_c = y0[cand], F[:, cand]
-        u, passes = _bracketed_roots(
-            lambda u, r: pieces.level(dense_eval(y_c[r], F_c[:, r], u), cand_set[r]),
-            scan_lo[cand], np.ones(len(cand)), L_lo[cand, cand_set],
-            L_new[cand, cand_set], _TIME_TOL / h)
-        stats.root_passes += passes
-
-        order = np.lexsort((cand_set, u, cand))
-        pick = order[np.unique(cand[order], return_index=True)[1]]
-        pick = pick[u[pick] * h <= adv_cap[cand[pick]]]   # beyond the horizon
-        i, u_pick, j_pick = cand[pick], u[pick], cand_set[pick]
-        states = dense_eval(y0[i], F[:, i], u_pick)
-        ok = pieces.inside(states, j_pick)
-        hit_u[i[ok]] = u_pick[ok]
-        hit_set[i[ok]] = j_pick[ok]
-        hit_state[i[ok]] = states[ok]
-        if ok.all():
-            break
-        bad = ~ok
-        idx = i[bad]
-        stats.discarded_crossings += len(idx)
-        # resume the scan just past the discarded crossing
-        u_next = np.minimum(1.0, u_pick[bad] + max(8 * _TIME_TOL, 1e-9) / h)
-        scan_lo[idx] = u_next
-        if L_lo is L_here:
-            L_lo = L_here.copy()
-        L_lo[idx] = pieces.level(dense_eval(y0[idx], F[:, idx], u_next))
-        crosses = _sign_changes(L_lo[idx], L_new[idx], dirs)
+    stuck = np.full(n, np.inf)
+    for j, m, e_c, scan in scans:
+        rows = np.arange(len(m))
+        while len(rows):
+            rows, lo, hi, f_lo, f_hi = scan.brackets(rows)
+            if not len(rows):
+                break
+            i = m[rows]
+            y_c, F_c = y0[i], F[:, i]
+            u, passes = _bracketed_roots(
+                lambda u, r: pieces.level(dense_eval(y_c[r], F_c[:, r], u), j),
+                lo * e_c[rows], hi * e_c[rows], f_lo, f_hi, _TIME_TOL / h)
+            stats.root_passes += passes
+            states = dense_eval(y_c, F_c, u)
+            ok = pieces.inside(states, j)
+            first = ok & (u < hit_u[i])
+            hit_u[i[first]] = u[first]
+            hit_set[i[first]] = j
+            hit_state[i[first]] = states[first]
+            stats.discarded_crossings += int((~ok).sum())
+            rows = scan.resume(rows[~ok])
+        stats.subdivisions += scan.subdivisions
+        stuck[m] = np.minimum(stuck[m], scan.stuck * e_c)
+    bad = np.flatnonzero(stuck < hit_u)
+    if len(bad):
+        raise AmbiguousCrossing(
+            f"level crossings {stuck[bad[0]] * h:.3e} into a step of {h:.3e} "
+            "cannot be separated to 1e-12 in time: the orbit is tangent to "
+            "the impulsive set")
     hit = np.flatnonzero(np.isfinite(hit_u))
     return hit, hit_u[hit], hit_set[hit], hit_state[hit]
 
@@ -616,14 +690,15 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     """Advance a batch of states through the impulsive semiflow: the one
     propagation engine.
 
-    Each member runs for its own duration.  Hits of every impulsive-set
-    piece are located on the dense output by ``_first_crossings``, a level
-    that turns back toward a piece before its member's hit or horizon is
-    checked for a double crossing (``_check_turning_points``), the impulse
-    map is applied, and ``_BatchRun`` records samples, hits and final states.
-    A bare VectorFieldSpec for ``sys`` is the continuous flow, the case with
-    no impulsive-set pieces: members then stop exactly at their durations,
-    with no horizon slack and no region check.
+    Each member runs for its own duration.  The earliest hit of an
+    impulsive-set piece in each step is found by ``_first_crossings`` on the
+    dense output, however long the step, the impulse map is applied, and
+    ``_BatchRun`` records samples, hits and final states.  A member finishes
+    in the step that brings it within _HORIZON_SLACK of its horizon; its
+    final state is the dense output at the horizon, and its hits are sought
+    up to _HORIZON_SLACK past it, so a hit on the horizon counts (right
+    continuity).  A bare VectorFieldSpec for ``sys`` is the continuous flow,
+    the case with no impulsive-set pieces and no region check.
 
     time_sign=-1 integrates the reversed field (meaningful for the invertible
     builtin flows; used by backward reachability probes): the run then
@@ -650,44 +725,34 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     stepper = BatchStepper(make_rhs(field, sign=time_sign), X0, cfg)
     stepper.active = ~done
     L_here = pieces.level(stepper.y)
-    g_here = pieces.rate(stepper.y, stepper.k1)
-    # members run a hair past their horizon before freezing, so a hit sitting
-    # exactly on the horizon always lands strictly inside some step; genuine
-    # hits never occur at horizon + slack because gaps are bounded below
-    dur_ext = durations + (_HORIZON_SLACK if sets else 0.0)
     while not done.all():
-        rem_ext = np.where(done, -np.inf, dur_ext - t)
-        h_cap = max(float(rem_ext[~done].max()), 10 * cfg.min_step)
+        rem = np.where(done, -np.inf, durations - t)
+        h_cap = max(float(rem[~done].max()), 10 * cfg.min_step)
         h, y_prop, K = stepper.step(h_cap)
         stats.steps += 1
         stats.h_min = min(stats.h_min, h)
         stats.h_max = max(stats.h_max, h)
         y0 = stepper.y
         active = ~done
+        finish = active & (rem <= h + _HORIZON_SLACK)
+        adv = np.where(finish, rem, np.where(active, h, 0.0))
         L_new = pieces.level(y_prop)
-        g_new = pieces.rate(y_prop, K[stepper.FSAL])
-        adv = np.where(active, np.minimum(rem_ext, h), 0.0)
-        crosses = _sign_changes(L_here, L_new, dirs) & active[:, None]
-        side = np.sign(L_here)
-        turn = (active[:, None] & (side == np.sign(L_new))
-                & (side * g_here < 0) & (side * g_new > 0))
         F = stepper.interpolant(h, y_prop, K)
+        # the fraction of the step whose hits count: to _HORIZON_SLACK past
+        # the horizon for a finishing member, none for a finished one
+        scan_end = np.where(finish, (rem + _HORIZON_SLACK) / h, active * 1.0)
         hit_members, hit_u, hit_set, pre_states = _first_crossings(
-            pieces, dirs, y0, F, h, L_here, L_new, crosses, adv, stats)
+            pieces, dirs, y0, F, h, L_here, L_new, scan_end, stats)
         adv[hit_members] = hit_u * h
         taus = t[hit_members] + adv[hit_members]
-        _check_turning_points(pieces, y0, F, h, turn, side, g_here, g_new, adv / h,
-                              stats)
         members = np.flatnonzero(active)
         run.fill_samples(members, t[members], adv[members], y0, F, h)
 
         y_commit = y_prop.copy()
         y_commit[done] = y0[done]
-        finish = active & (rem_ext <= h * (1 + 1e-12))
         finish[hit_members] = False
         if finish.any():
-            u_end = np.clip((durations[finish] - t[finish]) / h, 0.0, 1.0)
-            run.final[finish] = dense_eval(y0[finish], F[:, finish], u_end)
+            run.final[finish] = dense_eval(y0[finish], F[:, finish], rem[finish] / h)
             y_commit[finish] = run.final[finish]
         if len(hit_members):
             imp_fn, _ = _IMPULSE_MAPS[sys.impulse.map_id]
@@ -706,14 +771,12 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         done = done | finish
         stepper.commit(y_commit, K)
         stepper.active = ~done
-        # levels and slopes at the committed states: the step's end values but
-        # where an impulse replaced the state (a finished member's are unread)
-        L_here, g_here = L_new, g_new
+        # levels at the committed states: the step's end values but where an
+        # impulse replaced the state (a finished member's are unread)
+        L_here = L_new
         if len(hit_members):
             stepper.refresh_derivative(hit_members)
             L_here[hit_members] = pieces.level(stepper.y[hit_members])
-            g_here[hit_members] = pieces.rate(stepper.y[hit_members],
-                                              stepper.k1[hit_members])
 
         if check_region and (~done).any():
             ok = sys.admissible(stepper.y[~done])

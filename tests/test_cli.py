@@ -582,6 +582,6 @@ class TestDeterminism:
         assert counters[0] == counters[1]
         work = counters[0]
         assert work["steps"] > 0 and work["hits"] > 0
-        assert 0 < work["h_min"] <= work["h_max"] <= 0.1
+        assert 0 < work["h_min"] <= work["h_max"] <= IntegratorConfig().max_step
         assert set(work) == {"steps", "rejected_steps", "h_min", "h_max", "hits",
-                             "discarded_crossings", "guard_checks", "root_passes"}
+                             "discarded_crossings", "subdivisions", "root_passes"}

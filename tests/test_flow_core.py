@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from impulseflow import (
     level_gradient,
     level_value,
 )
-from impulseflow.flow_core import dense_eval
+from impulseflow.flow_core import dense_bernstein, dense_eval
 from conftest import polar
 from oracles import annulus_position, prey_predator_rhs
 
@@ -164,14 +166,6 @@ class TestLevels:
         x = rng.uniform(0, 2, 3)
         assert np.array_equal(level_gradient("sum", x), np.ones(3))
 
-    def test_angle_gradient_pairs_with_rotation(self):
-        # d(theta)/dt along the rotation field is identically one
-        for r, th in [(1.0, 0.3), (1.5, 2.0), (2.0, 5.5)]:
-            x = polar(r, th)
-            g = level_gradient("angle", x)
-            f = eval_vector_field(VectorFieldSpec("annulus"), x)
-            assert np.isclose(np.dot(g, f), 1.0)
-
     def test_radius_gradient_is_unit_radial(self):
         x = polar(1.5, 1.1)
         g = level_gradient("radius", x)
@@ -247,6 +241,20 @@ class TestDop853:
         d_num = (dense_eval(x0, F, u + du) - dense_eval(x0, F, u - du)) / (2 * du)
         assert np.allclose(dense_eval(x0, F, u, derivative=True)[1], d_num,
                            rtol=1e-7, atol=1e-12)
+
+    def test_bernstein_coefficients_give_the_dense_output(self, rng):
+        # sum_k C(7, k) u^k (1 - u)^(7 - k) B_k is the interpolant itself
+        x0 = rng.uniform(0.2, 1.5, (5, 3))
+        stepper, h, y_new, K = self._one_step(x0, 0.05)
+        F = stepper.interpolant(h, y_new, K)
+        B = dense_bernstein(x0, F)
+        u = rng.uniform(0.0, 1.0, 5)
+        basis = np.array([math.comb(7, k) * u ** k * (1 - u) ** (7 - k)
+                          for k in range(8)])
+        assert np.allclose(np.einsum("km,kmd->md", basis, B),
+                           dense_eval(x0, F, u), rtol=0, atol=1e-15)
+        assert np.array_equal(B[0], x0)
+        assert np.allclose(B[-1], y_new, rtol=1e-15, atol=1e-16)
 
     def test_member_row_equals_its_row_in_a_batch(self, rng):
         x0 = rng.uniform(0.2, 1.5, (9, 3))

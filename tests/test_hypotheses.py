@@ -113,6 +113,21 @@ class TestSeparation:
             want = ts[blocked[0] - 1] if blocked[0] > 0 else 0.0
         assert separation_report(sys_spec, 400).xi_margin == want
 
+    @pytest.mark.parametrize("name", ["doubling_suspension", "static_null"])
+    def test_tied_tube_equals_per_slice_brute_force(self, name):
+        # every probe ties for its slice's nearest distance here (the flow
+        # keeps them level, or still), and each clearance still equals the
+        # slice's all-pairs minimum
+        sys_spec = build_fixture(name)
+        d_samples = sample_impulsive_set(sys_spec, "D", 400)
+        id_samples = sample_impulsive_set(sys_spec, "ID", 400)
+        ts = 2 * np.pi * np.arange(1, 513) / 512
+        tube = flow(sys_spec.field, d_samples[::3], ts)
+        clearance = np.array([min_cross_distance(tube[:, k], id_samples)
+                              for k in range(512)])
+        assert np.array_equal(
+            _min_distance_to(cKDTree(id_samples), id_samples, tube), clearance)
+
 
 class TestContinuityProbe:
     def test_annulus_probe_equals_scales(self, annulus):

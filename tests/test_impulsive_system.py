@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,13 +23,17 @@ from impulseflow import (
     psi,
     psi_batch,
 )
-from impulseflow.flow_core import RegionEscape
+from impulseflow.flow_core import RegionEscape, dense_bernstein
 from impulseflow.impulsive_system import (
+    _ROUNDING,
     AmbiguousCrossing,
     GapUnderflow,
     RunStats,
     _BatchRun,
+    _Pieces,
+    _RootScan,
     _bracketed_roots,
+    _split,
     hit_times_batch,
     write_impulses_csv,
     write_trajectory_csv,
@@ -111,6 +117,169 @@ class TestBracketedRoots:
         # an exact zero at the step end counts as the crossing
         roots, _ = self._solve(lambda u, rows: u - 1.0, [0.25], [1.0])
         assert 1.0 - self.TOL <= roots[0] <= 1.0
+
+
+def _bernstein_from_roots(roots, positive, scale):
+    """Bernstein coefficients of scale * prod(u - r) * g(u), with g the
+    polynomial of the Bernstein coefficients ``positive`` (all > 0)."""
+    b = np.asarray(positive, dtype=float)
+    for r in roots:
+        # (u - r) = -r (1 - u) + (1 - r) u, and degree elevation by one
+        n = len(b) - 1
+        k = np.arange(n + 2)
+        up = np.zeros(n + 2)
+        up[:-1] += -r * b * (n + 1 - k[:-1]) / (n + 1)
+        up[1:] += (1 - r) * b * k[1:] / (n + 1)
+        b = up
+    return scale * b
+
+
+def _scan_earliest(b, direction=0, min_width=1e-12):
+    """The earliest root of the Bernstein polynomial b (n + 1,) by
+    ``_RootScan`` and ``_bracketed_roots``; (root or None, stuck position)."""
+    b = np.asarray(b, dtype=float)[:, None]
+    eps = np.array([_ROUNDING * (len(b) - 1) * np.abs(b).max()])
+    scan = _RootScan(b, eps, np.array([min_width]), direction)
+    rows, lo, hi, f_lo, f_hi = scan.brackets(np.arange(1))
+    if not len(rows):
+        return None, scan.stuck[0]
+    u, _ = _bracketed_roots(lambda u, r: _split(b[:, r], u)[0][-1], lo, hi,
+                            f_lo, f_hi, 1e-12)
+    return u[0], scan.stuck[0]
+
+
+class TestRootScan:
+    """Isolation of the earliest root on Bernstein coefficients."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_planted_earliest_root_is_found(self, data):
+        # simple roots at least 0.01 apart, optionally a pair 1e-6 apart,
+        # times a factor with positive coefficients, to degree 7; the scan
+        # may stop at the pair only when the polynomial between its roots
+        # is within 100 rounding bounds of zero there, where no verdict on
+        # the rounded coefficients can separate them
+        simple = data.draw(st.lists(st.floats(0.02, 0.98), max_size=3))
+        pair = data.draw(st.one_of(st.none(), st.floats(0.02, 0.97)))
+        spots = sorted(simple + ([pair] if pair is not None else []))
+        assume(all(b - a >= 0.01 for a, b in zip(spots, spots[1:])))
+        roots = sorted(simple + ([pair, pair + 1e-6] if pair is not None else []))
+        positive = data.draw(st.lists(st.floats(0.5, 2.0), min_size=8 - len(roots),
+                                      max_size=8 - len(roots)))
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        direction = data.draw(st.sampled_from([-1, 0, 1]))
+        b = _bernstein_from_roots(roots, positive, sign)
+        norm = np.abs(b).max()
+        b /= norm
+        eps = _ROUNDING * 7
+
+        def factors(u, skip=()):
+            return abs(np.prod([u - q for q in roots if q not in skip])) / norm
+
+        # the crossing direction at each root is the sign of p' there
+        slope = [sign * np.prod([r - q for q in roots if q != r]) for r in roots]
+        allowed = [r for r, d in zip(roots, slope) if direction * d >= 0]
+        root, stuck = _scan_earliest(b, direction)
+        if not allowed:
+            assert root is None and stuck == np.inf
+            return
+        want = allowed[0]
+        if stuck < np.inf:
+            depth = factors(pair + 5e-7) * min(positive)
+            assert pair is not None and want >= pair and depth <= 100 * eps
+            assert pair - 1e-5 < stuck <= pair + 1e-6
+            return
+        # rounding the coefficients (to ~1e-16 of the largest, 1) moves the
+        # root by up to ~1e-16 / |p'|, and |p'| >= dp there
+        dp = factors(want, skip=(want,)) * min(positive)
+        assert root is not None
+        assert abs(root - want) <= 1e-12 + 1e-14 / dp
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-10])
+    def test_near_double_root_is_stuck_or_located(self, gap):
+        # roots this close cannot be told apart within the rounding bound:
+        # the scan stops at them, or finds a root of the pair
+        b = _bernstein_from_roots([0.3, 0.3 + gap], np.ones(6), 1.0)
+        root, stuck = _scan_earliest(b)
+        if root is None:
+            assert 0.29 < stuck <= 0.3 + gap
+        else:
+            assert abs(root - 0.3) < 1e-6
+
+    def test_no_root_and_direction(self):
+        assert _scan_earliest(np.linspace(1.0, 2.0, 8)) == (None, np.inf)
+        # one downward crossing at 0.4, one upward at 0.7
+        b = _bernstein_from_roots([0.4, 0.7], np.ones(6), 1.0)
+        assert abs(_scan_earliest(b)[0] - 0.4) < 1e-12
+        assert abs(_scan_earliest(b, direction=-1)[0] - 0.4) < 1e-12
+        assert abs(_scan_earliest(b, direction=+1)[0] - 0.7) < 1e-12
+
+    def test_end_values_count_at_face_value(self):
+        # an exact zero at 1 is a root; one at 0 is not, and the scan takes
+        # the sign just past 0
+        assert abs(_scan_earliest(np.linspace(-1.0, 0.0, 8))[0] - 1.0) <= 1e-12
+        assert _scan_earliest(np.linspace(0.0, 1.0, 8)) == (None, np.inf)
+        b = _bernstein_from_roots([0.0, 0.5], np.ones(6), 1.0)
+        assert abs(_scan_earliest(b)[0] - 0.5) < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           level=st.sampled_from(["coord1", "sum", "radius"]))
+    def test_rounding_bound_holds(self, seed, level):
+        # the coefficients of a level form on a trial interval, computed as
+        # the scan computes them, against exact rational arithmetic
+        rng = np.random.default_rng(seed)
+        y0 = rng.normal(size=(1, 3))
+        F = rng.normal(size=(7, 1, 3)) * np.array([1.0, 0.3, 0.1, 0.03, 0.01, 0.003,
+                                                   0.001])[:, None, None]
+        c = float(rng.uniform(-2.0, 2.0)) if level != "radius" else 1.5
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+        piece = ImpulsiveSetSpec(level, c)
+        b, eps = _Pieces((piece,)).along_step(0, dense_bernstein(y0, F))
+        _, right = _split(b, np.array([lo]))
+        tau = (hi - lo) / (1.0 - lo)
+        trial, _ = _split(right, np.array([tau]))
+        exact = _exact_form_coefficients(level, c, y0[0], F[:, 0], lo,
+                                         lo + tau * (1.0 - lo))
+        err = max(abs(Fraction(float(t)) - x) for t, x in zip(trial[:, 0], exact))
+        assert err <= eps[0]
+
+
+def _exact_form_coefficients(level, c, y0, F, lo, hi):
+    """Bernstein coefficients on [lo, hi] of a level form along the dense
+    output y0 + u (F0 + v (F1 + u (F2 + ...))), in exact rationals."""
+    def mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    def add(p, q):
+        n = max(len(p), len(q))
+        return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                for i in range(n)]
+
+    lo, hi = Fraction(float(lo)), Fraction(float(hi))
+    u = [lo, hi - lo]                    # u as a polynomial in s in [0, 1]
+    v = [1 - lo, lo - hi]
+    coords = []
+    for d in range(len(y0)):
+        # Horner from F6 inward: F_k is multiplied by u for even k, by v for odd
+        p = [Fraction(float(F[6, d]))]
+        for k in range(5, -1, -1):
+            p = add(mul(p, u if (k + 1) % 2 == 0 else v), [Fraction(float(F[k, d]))])
+        coords.append(add(mul(p, u), [Fraction(float(y0[d]))]))
+    if level == "radius":
+        form = add(add(mul(coords[0], coords[0]), mul(coords[1], coords[1])),
+                   [-Fraction(c) ** 2])
+    elif level == "sum":
+        form = add(add(add(coords[0], coords[1]), coords[2]), [-Fraction(c)])
+    else:
+        form = add(coords[1], [-Fraction(c)])
+    n = len(form) - 1
+    return [sum(Fraction(math.comb(k, i), math.comb(n, i)) * form[i]
+                for i in range(k + 1)) for k in range(n + 1)]
 
 
 class TestApplyImpulse:
@@ -442,17 +611,27 @@ class TestEngineGuards:
             admissible_params={"rmin": 1.0, "rmax": 2.0},
         )
 
-    def test_double_crossing_in_one_step_raises(self):
+    # the coarse config's orbit on r = 1.5 is off by at most 7.1e-9 in radius
+    # at the chord y = 1.49, where dL/dt = 0.17, which moves its first
+    # crossing by at most 3.95e-8 from arcsin(1.49 / 1.5) - angle (201 start
+    # angles in [0, 1])
+    _COARSE_TIME_TOL = 1e-7
+
+    def test_double_crossing_in_one_step_locates_the_first(self):
         # the chord y = 1.49 of the circle r = 1.5 is crossed twice, 0.23
         # apart in time, near the orbit's top; a coarse step spans both
-        # crossings and only the turning-point guard sees the level's sign flip
+        # crossings, and the earlier one is the hit
         chord = self._annulus_variant(
             ImpulsiveSetSpec("coord1", 1.49),
             ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
         x0 = polar(1.5, 0.0)
         coarse = IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, max_step=0.5)
-        with pytest.raises(AmbiguousCrossing, match="twice inside one step"):
-            impulsive_trajectory(chord, x0, 3.0, 0.1, coarse)
+        stats = RunStats()
+        tr = impulsive_trajectory_batch(chord, x0[None, :], 3.0, 0.1, coarse,
+                                        stats=stats)[0]
+        assert tr.n_impulses == 1
+        assert abs(tr.impulse_times[0] - np.arcsin(1.49 / 1.5)) < self._COARSE_TIME_TOL
+        assert stats.subdivisions >= 1
         # at the default step cap the first crossing is located as usual
         tr = impulsive_trajectory(chord, x0, 3.0, 0.1)
         assert tr.n_impulses == 1
@@ -482,6 +661,36 @@ class TestEngineGuards:
         # steps of at most 0.1 cannot span crossings 0.23 apart
         assert raised == 0 or may_raise
 
+    @pytest.mark.parametrize("c", [1.49, 1.49999])
+    def test_chord_sweep_records_the_first_crossing(self, c):
+        # at the default config, from each of 201 start angles, the first of
+        # the two crossings of the chord y = c (0.23 apart at c = 1.49,
+        # 0.0073 at c = 1.49999) is recorded, whether or not one step spans
+        # both
+        chord = self._annulus_variant(
+            ImpulsiveSetSpec("coord1", c),
+            ImpulseMapSpec("translate", {"offset": (0.0, -(c + 1.0))}))
+        for angle in np.linspace(0.0, 1.0, 201):
+            tr = impulsive_trajectory(chord, polar(1.5, angle), 3.0, 0.1)
+            assert tr.n_impulses >= 1
+            assert abs(tr.impulse_times[0] - (np.arcsin(c / 1.5) - angle)) < 1e-9
+
+    def test_orbit_resting_on_a_level_is_a_tangency(self):
+        # under the zero field a state on the line x = 0.5 stays on it: the
+        # level vanishes along the whole step and no crossing can be told
+        resting = SystemSpec(
+            name="resting",
+            field=VectorFieldSpec("static_null"),
+            impulsive_sets=(ImpulsiveSetSpec("coord0", 0.5),),
+            image_sets=(ImpulsiveSetSpec("coord0", 0.25),),
+            impulse=ImpulseMapSpec("translate", {"offset": (-0.25, 0.0)}),
+            admissible_id="box",
+            admissible_params={"lo": (0.0, 0.0), "hi": (1.0, 1.0)},
+        )
+        with pytest.raises(AmbiguousCrossing, match="tangent"):
+            impulsive_trajectory(resting, np.array([0.5, 0.5]), 1.0, 0.1)
+        assert impulsive_trajectory(resting, np.array([0.6, 0.5]), 1.0, 0.1).n_impulses == 0
+
     # a step of the coarse config spans [0.61, 1.11]; from angle 0.7552 on
     # r = 1.5 the chord y = 1.49 is crossed at 0.70 and 0.93 inside it
     _COARSE = IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, max_step=0.5)
@@ -493,8 +702,10 @@ class TestEngineGuards:
             ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
         # the member at r = 1.2 never reaches the chord and sets the steps
         X = np.array([polar(1.2, 0.0), polar(1.5, self._CHORD_START)])
-        with pytest.raises(AmbiguousCrossing):
-            hit_times_batch(chord, X, np.array([3.0, 3.0]), self._COARSE)
+        taus = hit_times_batch(chord, X, np.array([3.0, 3.0]), self._COARSE)
+        assert [len(tau) for tau in taus] == [0, 1]
+        first = np.arcsin(1.49 / 1.5) - self._CHORD_START
+        assert abs(taus[1][0] - first) < self._COARSE_TIME_TOL
         # a horizon at 0.65 ends the second member before its double crossing
         taus = hit_times_batch(chord, X, np.array([3.0, 0.65]), self._COARSE)
         assert [len(tau) for tau in taus] == [0, 0]
@@ -503,9 +714,11 @@ class TestEngineGuards:
         impulse = ImpulseMapSpec("translate", {"offset": (0.0, -2.49)})
         chord = ImpulsiveSetSpec("coord1", 1.49)
         x0 = polar(1.5, self._CHORD_START)
-        with pytest.raises(AmbiguousCrossing):
-            hit_times_batch(self._annulus_variant(chord, impulse), x0[None, :],
-                            np.array([1.5]), self._COARSE)
+        taus = hit_times_batch(self._annulus_variant(chord, impulse), x0[None, :],
+                               np.array([1.5]), self._COARSE)
+        first = np.arcsin(1.49 / 1.5) - self._CHORD_START
+        assert len(taus[0]) == 1
+        assert abs(taus[0][0] - first) < self._COARSE_TIME_TOL
         # the line x = x(0.65) is hit first, in the same step, and the impulse
         # moves the orbit to r ~ 1.04, below the chord
         line = ImpulsiveSetSpec("coord0", 1.5 * np.cos(self._CHORD_START + 0.65),
@@ -538,13 +751,24 @@ class TestRunStats:
                                         70.0, 0.05, stats=stats)[0]
         radii = np.hypot(tr.post_impulse_states[:20, 0], tr.post_impulse_states[:20, 1])
         assert np.abs(radii - (1.0 + 0.5 / 2.0 ** np.arange(1, 21))).max() <= 1e-9
-        # a hit ends its step, so each flow segment takes ceil(length / 0.1)
-        # steps at the default max_step: 48 + 20 * 32 + 25 = 713 for the 22
+        # a hit ends its step, so each flow segment takes ceil(length / 0.2)
+        # steps at the default max_step: 24 + 20 * 16 + 13 = 357 for the 22
         # segments, plus the ramp up from the initial step
         assert stats.hits == 21
-        assert stats.steps <= 715
+        assert stats.steps <= 360
         assert stats.h_max == IntegratorConfig().max_step
         assert 0 < stats.h_min < stats.h_max
+
+    def test_horizon_on_the_step_grid_takes_no_slack_step(self, doubling):
+        # every doubling orbit hits at t = 1, 2, ... and steps at max_step
+        # from each hit, so the horizon T = 10 falls on its step grid; the
+        # step that reaches it finishes it, with no further step of
+        # _HORIZON_SLACK
+        stats = RunStats()
+        X = candidate_cloud(doubling, 64, np.random.default_rng(0))
+        trajs = impulsive_trajectory_batch(doubling, X, 10.0, 0.05, stats=stats)
+        assert stats.h_min > 1e-3
+        assert all(tr.n_impulses == 10 for tr in trajs)
 
     def test_counters_identical_across_reruns(self, prey_predator, rng):
         X = candidate_cloud(prey_predator, 16, rng)
@@ -558,22 +782,28 @@ class TestRunStats:
 
     def test_add_merges_step_range(self):
         total = RunStats()
-        total.add(RunStats(steps=3, h_min=0.01, h_max=0.1, guard_checks=2))
-        total.add(RunStats(steps=4, h_min=0.002, h_max=0.05, guard_checks=1))
-        assert (total.steps, total.guard_checks) == (7, 3)
+        total.add(RunStats(steps=3, h_min=0.01, h_max=0.1, subdivisions=2))
+        total.add(RunStats(steps=4, h_min=0.002, h_max=0.05, subdivisions=1))
+        assert (total.steps, total.subdivisions) == (7, 3)
         assert (total.h_min, total.h_max) == (0.002, 0.1)
 
-    def test_guard_checks_count_turning_levels(self):
-        # after the first hit the orbit runs on r ~ 1.01 below the chord
-        # y = 1.49, and its level turns back at each top without crossing
+    def test_subdivisions_count_the_isolation_of_close_crossings(self):
+        # the chord y = 1.49999 of the circle r = 1.5 is crossed twice,
+        # 0.0073 apart, inside one step; separating them takes subdivisions,
+        # and after the hit the orbit runs on r ~ 1.0 far below the chord,
+        # where every step is cleared without one
         chord = TestEngineGuards._annulus_variant(
-            ImpulsiveSetSpec("coord1", 1.49),
-            ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
+            ImpulsiveSetSpec("coord1", 1.49999),
+            ImpulseMapSpec("translate", {"offset": (0.0, -2.49999)}))
         stats = RunStats()
         tr = impulsive_trajectory_batch(chord, polar(1.5, 0.0)[None, :], 20.0, 0.1,
                                         stats=stats)[0]
         assert tr.n_impulses == 1
-        assert stats.guard_checks >= 3
+        assert stats.subdivisions >= 1
+        quiet = RunStats()
+        impulsive_trajectory_batch(chord, polar(1.2, 0.0)[None, :], 20.0, 0.1,
+                                   stats=quiet)
+        assert quiet.subdivisions == 0 and quiet.hits == 0
 
 
 class TestTolerances:
