@@ -24,6 +24,7 @@ from .impulsive_system import (
     ImpulsiveSetSpec,
     ImpulsiveTrajectory,
     SystemSpec,
+    TrajectoryBatch,
     apply_impulse,
     first_hitting_time,
     impulse_preimages,

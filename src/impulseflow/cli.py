@@ -32,7 +32,6 @@ from .entropy import EntropyConfig, entropy_estimate
 from .flow_core import IntegratorConfig
 from .hypotheses import hitting_continuity_probe, separation_report, transversality_margin
 from .impulsive_system import (
-    RunStats,
     impulsive_trajectory_batch,
     write_impulses_csv,
     write_trajectory_csv,
@@ -276,10 +275,9 @@ def _write_json(path: Path, obj) -> None:
 def _orbit(sys_spec, p: SimulateParams):
     """The impulsive orbit of ``p.initial_state`` and its propagation counters
     (deterministic, so they belong in the manifest)."""
-    stats = RunStats()
-    traj = impulsive_trajectory_batch(sys_spec, np.array([p.initial_state]),
-                                      p.horizon, p.dt_sample, stats=stats)[0]
-    return traj, asdict(stats)
+    batch = impulsive_trajectory_batch(sys_spec, np.array([p.initial_state]),
+                                       p.horizon, p.dt_sample)
+    return batch[0], asdict(batch.stats)
 
 
 def _run_simulate(sys_spec, p: SimulateParams, seed: int, outdir: Path) -> dict:

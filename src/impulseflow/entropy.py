@@ -26,7 +26,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .impulsive_system import (
-    RunStats,
     SystemSpec,
     hit_times_batch,
     impulsive_trajectory_batch,
@@ -46,20 +45,13 @@ __all__ = [
     "admissibility_check",
 ]
 
-# Orbits per shared integration.  The shared step depends on which orbits
-# share it, so a cloud is split at this fixed constant and never by machine
-# or worker count; every cloud in use (up to the default 4096 candidates)
-# runs as one batch.  The chunk bounds only the per-step temporaries
-# (O(chunk x dim) states, stages and levels), not sample memory: each
-# returned trajectory keeps a view into its batch's sample array.
-_TRAJ_CHUNK = 8192
 
-
-def _min_hit_gap(trajs) -> float:
-    """eta: the smallest gap between consecutive hit times over a family of
-    orbits (inf when no orbit hits twice)."""
-    return float(min((np.diff(tr.impulse_times).min() for tr in trajs
-                      if tr.n_impulses >= 2), default=np.inf))
+def _min_hit_gap(batch) -> float:
+    """eta: the smallest gap between consecutive hit times over the orbits
+    of a batch (inf when no orbit hits twice)."""
+    owner = batch.hit_members
+    gaps = np.diff(batch.hit_times)[owner[1:] == owner[:-1]]
+    return float(gaps.min(initial=np.inf))
 
 
 @dataclass(frozen=True)
@@ -106,38 +98,24 @@ def gap_set(times: np.ndarray, t: float, delta: float) -> GapSet:
     return GapSet(intervals=tuple(intervals), t=float(t), delta=float(delta))
 
 
-def _check_times(gs: GapSet, dt_check: float) -> np.ndarray:
-    """Interval endpoints plus the global dt_check grid points inside each
-    interval."""
-    pieces = [np.asarray([a for a, _ in gs.intervals]),
-              np.asarray([b for _, b in gs.intervals])]
-    for a, b in gs.intervals:
-        k0 = int(np.ceil(a / dt_check - 1e-9))
-        k1 = int(np.floor(b / dt_check + 1e-9))
-        if k1 >= k0:
-            pieces.append(dt_check * np.arange(k0, k1 + 1))
-    times = np.unique(np.concatenate(pieces))
-    return times
-
-
 def in_dynamical_ball(sys: SystemSpec, x: np.ndarray, y: np.ndarray,
                       T: float, eps: float, delta: float, dt_check: float) -> bool:
     """Whether the orbit of y stays within eps of the orbit of x at every
     check time of x's gap set over [0, T].
 
-    Check times are the endpoints of each gap-set interval plus the uniform
-    dt_check grid inside it; dt_check <= delta/2 guarantees no interval is
-    skipped.  The relation is reflexive but not symmetric: the gap set is the
-    center's.
+    The check times are those of the separated-set pass: the endpoints of
+    the gap set's intervals and the dt_check sample grid up to T outside
+    x's windows; dt_check <= delta/2 guarantees no interval is skipped.  The
+    relation is reflexive but not symmetric: the gap set is the center's.
     """
     if dt_check > delta / 2:
         raise ValueError("dt_check must not exceed delta/2")
-    traj_x, traj_y = impulsive_trajectory_batch(
-        sys, np.vstack([x, y]), max(T, dt_check), dt_check)
-    gs = gap_set(traj_x.impulse_times, T, delta)
-    times = _check_times(gs, dt_check)
-    dx = traj_x.evaluate(times)
-    dy = traj_y.evaluate(times)
+    batch = impulsive_trajectory_batch(sys, np.vstack([x, y]), max(T, dt_check),
+                                       dt_check)
+    grid = batch.sample_times
+    ends = np.ravel(gap_set(batch[0].impulse_times, T, delta).intervals)
+    cols = _valid_columns(batch, grid, delta)[0] & (grid <= T + 1e-12)
+    dx, dy = batch.evaluate([[0], [1]], np.concatenate([ends, grid[cols]]))
     dist = np.sqrt(np.sum((dx - dy) ** 2, axis=1))
     return bool((dist < eps).all())
 
@@ -175,53 +153,49 @@ class _PairTable:
     prefilter_pairs: int
 
 
-def _valid_columns(trajs, grid: np.ndarray, delta: float) -> np.ndarray:
-    """Per trajectory, the grid columns outside the open windows
+def _valid_columns(batch, grid: np.ndarray, delta: float) -> np.ndarray:
+    """Per orbit, the grid columns outside the open windows
     (tau - delta, tau + delta) of its hits."""
-    owner = np.repeat(np.arange(len(trajs)), [tr.n_impulses for tr in trajs])
-    taus = np.concatenate([tr.impulse_times for tr in trajs])
-    opens = np.searchsorted(grid, taus - delta, side="right")
-    closes = np.searchsorted(grid, taus + delta, side="left")
-    valid = np.ones((len(trajs), len(grid)), dtype=bool)
-    for i, a, b in zip(owner.tolist(), opens.tolist(), closes.tolist()):
-        valid[i, a:b] = False
-    return valid
+    opens = np.searchsorted(grid, batch.hit_times - delta, side="right")
+    closes = np.searchsorted(grid, batch.hit_times + delta, side="left")
+    # +1 where a window opens, -1 where it closes: a column is valid where
+    # the running sum is zero (int8 holds it: gap_set keeps the windows of
+    # an orbit disjoint)
+    edges = np.zeros((len(batch), len(grid) + 1), dtype=np.int8)
+    np.add.at(edges, (batch.hit_members, opens), 1)
+    np.add.at(edges, (batch.hit_members, closes), -1)
+    return np.cumsum(edges[:, :-1], axis=1, dtype=np.int8) == 0
 
 
-def _endpoint_max(trajs, E, own, n_ends, center, other, t_last):
+def _endpoint_max(batch, E, own, n_ends, center, other, t_last):
     """Largest squared distance between the orbits of center[r] and
     other[r] at the center's gap-set endpoints up to each horizon (-inf for
     none), for every row r.
 
     ``E``, ``own`` and ``n_ends`` hold each center's padded endpoints, its
     states there, and the number of endpoints up to each horizon.  Endpoints
-    after t_last[r] are skipped.  Rows are taken by other orbit, so that each
-    is evaluated once for a run of its centers.
+    after t_last[r] are skipped.
     """
     R, L = len(center), E.shape[1]
     out = np.full((R, n_ends.shape[1]), -np.inf)
-    order = np.argsort(other, kind="stable")
     step = max(1, _PAIR_BLOCK // max(L, 1))
     for s in range(0, R if L else 0, step):
-        blk = order[s:s + step]
-        c, o = center[blk], other[blk]
+        c, o = center[s:s + step], other[s:s + step]
         tq = E[c]
-        real = tq <= t_last[blk, None]
-        cross = np.zeros((len(blk), L, own.shape[2]))
-        cuts = [0, *(np.flatnonzero(np.diff(o)) + 1), len(blk)]
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            if real[u:v].any():
-                cross[u:v][real[u:v]] = trajs[o[u]].evaluate(tq[u:v][real[u:v]])
+        real = tq <= t_last[s:s + step, None]
+        cross = np.zeros((len(c), L, own.shape[2]))
+        cross[real] = batch.evaluate(np.broadcast_to(o[:, None], tq.shape)[real],
+                                     tq[real])
         d2 = np.where(real, np.sum((own[c] - cross) ** 2, axis=-1), -np.inf)
         run = np.maximum.accumulate(d2, axis=1)
         k = n_ends[c]
-        out[blk] = np.where(k > 0, np.take_along_axis(
+        out[s:s + step] = np.where(k > 0, np.take_along_axis(
             run, np.maximum(k - 1, 0), axis=1), -np.inf)
     return out
 
 
-def _pair_tables(trajs, T_list, eps_max: float, delta_list):
-    """Conflict pairs of the trajectories for every horizon in T_list, one
+def _pair_tables(batch, T_list, eps_max: float, delta_list):
+    """Conflict pairs of the batch's orbits for every horizon in T_list, one
     pass per window width in delta_list (a generator of _PairTable).
 
     j is in the ball of the center a at horizon T when the orbits stay
@@ -244,10 +218,10 @@ def _pair_tables(trajs, T_list, eps_max: float, delta_list):
     if (T_list < 0).any():
         raise ValueError("t must be nonnegative")
     T_max = float(T_list.max())
-    if trajs[0].horizon < T_max - 1e-9:
+    if batch.horizon < T_max - 1e-9:
         raise ValueError("trajectories are shorter than the ball horizon")
-    n, nT = len(trajs), len(T_list)
-    grid = trajs[0].sample_times
+    n, nT = len(batch), len(T_list)
+    grid = batch.sample_times
     # Grid columns checked at each T (at least column 0, as T >= 0), taken as
     # runs of segments.  The windows of every hit mask them, as at max(T_list):
     # a window opening after a smaller T could only cover a column inside the
@@ -258,7 +232,7 @@ def _pair_tables(trajs, T_list, eps_max: float, delta_list):
     seg_of = np.searchsorted(bounds, cols)
     m = int(bounds[-1])
     grid = grid[:m]
-    orbits = np.stack([tr.sample_states[:m] for tr in trajs])
+    orbits = batch.samples[:, :m]
     dim = orbits.shape[2]
     eps2 = eps_max * eps_max
 
@@ -272,21 +246,20 @@ def _pair_tables(trajs, T_list, eps_max: float, delta_list):
     step = max(1, _PAIR_BLOCK // m)
 
     for delta in delta_list:
-        gaps = [gap_set(tr.impulse_times, T_max, delta) for tr in trajs]
-        ends = [np.asarray(gs.intervals, dtype=float).reshape(-1) for gs in gaps]
+        ends = [np.ravel(gap_set(taus, T_max, delta).intervals)
+                for taus in np.split(batch.hit_times, batch.hit_offsets[1:-1])]
         L = max(len(e) for e in ends)
         E = np.full((n, L), np.inf)
-        own = np.zeros((n, L, dim))
-        at_T = np.empty((n, nT, dim))
-        for i, (tr, e) in enumerate(zip(trajs, ends)):
+        for i, e in enumerate(ends):
             E[i, :len(e)] = e
-            states = tr.evaluate(np.concatenate([e, T_list]))
-            own[i, :len(e)] = states[:len(e)]
-            at_T[i] = states[len(e):]
+        real = np.isfinite(E)
+        own = np.zeros((n, L, dim))
+        own[real] = batch.evaluate(np.nonzero(real)[0], E[real])
+        at_T = batch.evaluate(np.arange(n)[:, None], T_list)
         n_ends = np.count_nonzero(E[:, None, :] <= T_list[:, None], axis=2)
         T_in_gap = ((E[:, None, 0::2] <= T_list[:, None])
                     & (T_list[:, None] <= E[:, None, 1::2])).any(axis=2)
-        valid = _valid_columns(trajs, grid, delta)
+        valid = _valid_columns(batch, grid, delta)
 
         # candidate pairs and the probe prefilter
         vp = valid[:, probes]
@@ -331,7 +304,7 @@ def _pair_tables(trajs, T_list, eps_max: float, delta_list):
             rows = np.flatnonzero(need.any(axis=1))
             t_last = np.where(need[rows], T_list, -np.inf).max(axis=1)
             D[side, rows] = np.maximum(D[side, rows], _endpoint_max(
-                trajs, E, own, n_ends, centers[rows], others[rows], t_last))
+                batch, E, own, n_ends, centers[rows], others[rows], t_last))
 
         dmin = np.minimum(D[0], D[1])
         live = np.flatnonzero((dmin < eps2).any(axis=1))
@@ -495,9 +468,8 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig) -> EntropyEstimate:
     rng = np.random.default_rng(cfg.seed)
     candidates = candidate_cloud(sys, cfg.candidate_count, rng)
     T_max = max(cfg.T_list)
-    stats = RunStats()
-    trajs = _build_trajectories(sys, candidates, T_max, cfg.dt_check, stats)
-    eta = _min_hit_gap(trajs)
+    batch = impulsive_trajectory_batch(sys, candidates, T_max, cfg.dt_check)
+    eta = _min_hit_gap(batch)
     if not max(cfg.delta_list) < eta / 2:
         raise ValueError(
             f"max delta {max(cfg.delta_list)} violates the gap bound "
@@ -507,7 +479,7 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig) -> EntropyEstimate:
     rows = []
     work = {"passes": 0, "kd_pairs": [], "prefilter_pairs": [],
             "conflict_pairs": []}
-    tables = _pair_tables(trajs, cfg.T_list, max(cfg.eps_list), cfg.delta_list)
+    tables = _pair_tables(batch, cfg.T_list, max(cfg.eps_list), cfg.delta_list)
     for delta, table in zip(cfg.delta_list, tables):
         work["passes"] += 1
         work["kd_pairs"].append(table.kd_pairs)
@@ -543,7 +515,7 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig) -> EntropyEstimate:
             "eta_est": eta,
             "saturated_cells": int(sum(r.saturated for r in rows)),
             "eps_monotonicity_defects": mono_defects,
-            "propagation": asdict(stats),
+            "propagation": asdict(batch.stats),
             "separated": work,
         },
     )
@@ -559,12 +531,6 @@ def _monotonicity_defects(rows) -> int:
         counts = [r.s_count for r in sel]
         defects += sum(1 for a, b in zip(counts, counts[1:]) if b < a)
     return defects
-
-
-def _build_trajectories(sys, candidates, T, dt, stats):
-    return [tr for i in range(0, len(candidates), _TRAJ_CHUNK)
-            for tr in impulsive_trajectory_batch(
-                sys, candidates[i:i + _TRAJ_CHUNK], T, dt, stats=stats)]
 
 
 # --------------------------------------------------------------------------
@@ -594,30 +560,30 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     dt = max(horizon / 2048, 1e-3)
-    trajs = impulsive_trajectory_batch(sys, samples, horizon, dt)
+    batch = impulsive_trajectory_batch(sys, samples, horizon, dt)
+    off = batch.hit_offsets
 
     rng = np.random.default_rng(seed)
-    usable = [i for i, tr in enumerate(trajs) if tr.n_impulses >= 1]
+    usable = np.flatnonzero(np.diff(off) >= 1)
     violations = 0
     max_dev = 0.0
     done = 0
-    if usable:
+    if len(usable):
         # batch: pick (trajectory, window, offset) triples, evaluate the
         # semiflow at the offsets, then recompute hit times from there
         idx = rng.choice(usable, size=n_triples)
         t_eval = np.empty(n_triples)
         expect: list[np.ndarray] = []
         for row, i in enumerate(idx):
-            taus = trajs[i].impulse_times
+            taus = batch.hit_times[off[i]:off[i + 1]]
             k = int(rng.integers(0, len(taus)))
             lo = taus[k - 1] if k > 0 else 0.0
             hi = taus[k]
             t = lo + (hi - lo) * rng.uniform(0.1, 0.9)
             t_eval[row] = t
             expect.append(taus[k:] - t)
-        starts = np.stack([trajs[i].evaluate(t) for i, t in zip(idx, t_eval)])
-        rem = np.array([trajs[i].horizon - t for i, t in zip(idx, t_eval)])
-        shifted = hit_times_batch(sys, starts, rem)
+        starts = batch.evaluate(idx, t_eval)
+        shifted = hit_times_batch(sys, starts, batch.horizon - t_eval)
         for row in range(n_triples):
             got = shifted[row]
             want = expect[row]
@@ -630,7 +596,7 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
             if dev > _SHIFT_TOL:
                 violations += 1
     return AdmissibilityReport(
-        eta_est=_min_hit_gap(trajs),
+        eta_est=_min_hit_gap(batch),
         shift_violations=violations,
         n_triples=done,
         max_deviation=max_dev,

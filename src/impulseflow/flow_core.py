@@ -617,30 +617,24 @@ class BatchStepper:
         self.k1 = K[self.FSAL].copy()
 
 
-def dense_eval(y0, F, u, derivative=False):
+def dense_eval(y0, F, u):
     """Evaluate the degree-7 in-step interpolant at fractions ``u`` of the step.
 
     ``y0`` (m, dim) are the states at the step's start and ``F`` (7, m, dim)
     the rows of ``BatchStepper.interpolant`` for the same members; ``u`` has
-    one entry per member, in [0, 1].  With ``derivative`` the result is the
-    pair (y, dy/du).  Every operation is elementwise, so a member's row does
-    not depend on the batch it is evaluated in.
+    one entry per member, in [0, 1].  Every operation is elementwise, so a
+    member's row does not depend on the batch it is evaluated in.
     """
     u = np.asarray(u, dtype=float)[:, None]
     v = 1.0 - u
     # y = y0 + u (F0 + v (F1 + u (F2 + v (F3 + u (F4 + v (F5 + u F6)))))),
     # Horner from the inside out; the weight is u for even rows, v for odd
     y = np.zeros_like(y0)
-    dy = np.zeros_like(y0) if derivative else None
     for k in range(6, -1, -1):
-        w = u if k % 2 == 0 else v
         y += F[k]
-        if derivative:
-            dy *= w
-            dy += y if k % 2 == 0 else -y
-        y *= w
+        y *= u if k % 2 == 0 else v
     y += y0
-    return (y, dy) if derivative else y
+    return y
 
 
 def dense_bernstein(y0, F):

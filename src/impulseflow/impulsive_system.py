@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -45,6 +44,7 @@ __all__ = [
     "ImpulseMapSpec",
     "SystemSpec",
     "ImpulsiveTrajectory",
+    "TrajectoryBatch",
     "AmbiguousCrossing",
     "GapUnderflow",
     "RunStats",
@@ -336,8 +336,8 @@ def impulse_preimages(sys: SystemSpec, p: np.ndarray) -> list[np.ndarray]:
 
 @dataclass
 class RunStats:
-    """Work counters of impulsive propagations.  For a fixed batch they are
-    deterministic, so they can be recorded beside the outputs.
+    """Work counters of an impulsive propagation.  For a fixed batch they
+    are deterministic, so they can be recorded beside the outputs.
 
     ``h_min`` and ``h_max`` bound the accepted step sizes (inf and 0 before
     any step); ``subdivisions`` counts the halvings of the root scan's trial
@@ -352,11 +352,6 @@ class RunStats:
     discarded_crossings: int = 0
     subdivisions: int = 0
     root_passes: int = 0
-
-    def add(self, other: "RunStats") -> None:
-        for f in fields(self):
-            merge = {"h_min": min, "h_max": max}.get(f.name, operator.add)
-            setattr(self, f.name, merge(getattr(self, f.name), getattr(other, f.name)))
 
 
 class _BatchRun:
@@ -422,17 +417,16 @@ class _BatchRun:
             self.samples[members[on], last[on]] = post[on]
 
     def hits_by_member(self):
-        """Per member: hit times, pre-impulse and post-impulse states, in
-        time order."""
+        """The hits in compressed rows: offsets (n + 1,), hit times, pre- and
+        post-impulse states; member i's, in time order, at offsets[i]:offsets[i + 1]."""
         if self._hits:
             members, taus, pre, post = (np.concatenate(a) for a in zip(*self._hits))
         else:
             members, taus = np.zeros(0, dtype=int), np.zeros(0)
             pre = post = np.zeros((0, self.dim))
         order = np.argsort(members, kind="stable")
-        cuts = np.searchsorted(members[order], np.arange(self.n + 1))
-        taus, pre, post = taus[order], pre[order], post[order]
-        return [(taus[a:b], pre[a:b], post[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        offsets = np.searchsorted(members[order], np.arange(self.n + 1))
+        return offsets, taus[order], pre[order], post[order]
 
 
 class _Pieces:
@@ -797,13 +791,9 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
 
 @dataclass(frozen=True)
 class ImpulsiveTrajectory:
-    """A sampled impulsive orbit: flow segments, hit times, and the states
-    just before / after each impulse.
-
-    ``sample_states`` follow the right-continuity convention: a sample falling
-    on a hit time carries the post-impulse state.  ``evaluate`` interpolates
-    between samples of one flow segment with a cubic Hermite rule, so its
-    error is far below every radius used by the ball tests.
+    """Member ``_member`` of the TrajectoryBatch ``_batch``: a sampled
+    impulsive orbit, its hit times, and the states just before / after each
+    impulse.  A sample falling on a hit time carries the post-impulse state.
     """
 
     system: SystemSpec
@@ -816,66 +806,135 @@ class ImpulsiveTrajectory:
     sample_times: np.ndarray
     sample_states: np.ndarray
     final_state: np.ndarray
-    _eval_times: np.ndarray = field(repr=False, default=None)
-    _eval_states: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._eval_times is None:
-            times = [self.sample_times]
-            states = [self.sample_states]
-            # order keys: pre rows sort before post rows at the same time
-            keys = [np.zeros(len(self.sample_times))]
-            if len(self.impulse_times):
-                times.append(self.impulse_times)
-                states.append(self.pre_impulse_states)
-                keys.append(np.full(len(self.impulse_times), -1.0))
-                times.append(self.impulse_times)
-                states.append(self.post_impulse_states)
-                keys.append(np.full(len(self.impulse_times), 1.0))
-            times.append(np.array([self.horizon]))
-            states.append(self.final_state[None, :])
-            keys.append(np.array([2.0]))
-            tt = np.concatenate(times)
-            ss = np.vstack(states)
-            kk = np.concatenate(keys)
-            order = np.lexsort((kk, tt))
-            object.__setattr__(self, "_eval_times", tt[order])
-            object.__setattr__(self, "_eval_states", ss[order])
+    _batch: "TrajectoryBatch" = field(repr=False, compare=False)
+    _member: int = field(repr=False, compare=False)
 
     @property
     def n_impulses(self) -> int:
         return len(self.impulse_times)
 
     def segment_index(self, t) -> np.ndarray:
-        """Number of impulses up to and including time t."""
-        return np.searchsorted(self.impulse_times, np.asarray(t) * (1 + 1e-15),
+        """Number of impulses up to time t, counting a hit within
+        _COINCIDE_TOL after t, where a sample carries the post-impulse state."""
+        return np.searchsorted(self.impulse_times, np.asarray(t) + _COINCIDE_TOL,
                                side="right")
 
     def evaluate(self, t) -> np.ndarray:
         """State of the orbit at time(s) t in [0, horizon]."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if (t_arr < -_COINCIDE_TOL).any() or (t_arr > self.horizon + _COINCIDE_TOL).any():
+        return self._batch.evaluate(self._member, t)
+
+
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """The sampled impulsive orbits of a batch of initial states.
+
+    ``samples`` (n, m, dim) are taken on the shared grid ``sample_times``.
+    Member i's hit times, pre-impulse and post-impulse states are the rows
+    hit_offsets[i]:hit_offsets[i + 1] of ``hit_times``, ``pre_impulse_states``
+    and ``post_impulse_states``.  ``stats`` are the work counters of the run
+    that made the batch.  ``batch[i]`` is member i's ImpulsiveTrajectory,
+    iteration yields them in order, and ``batch[idx]``, for a slice or an
+    index array, is the sub-batch of those members.
+    """
+
+    system: SystemSpec
+    horizon: float
+    dt_sample: float
+    initial_states: np.ndarray
+    sample_times: np.ndarray
+    samples: np.ndarray
+    hit_offsets: np.ndarray
+    hit_times: np.ndarray
+    pre_impulse_states: np.ndarray
+    post_impulse_states: np.ndarray
+    final_states: np.ndarray
+    stats: RunStats
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            i = range(len(self))[idx]
+            a, b = self.hit_offsets[i:i + 2]
+            return ImpulsiveTrajectory(
+                self.system, self.initial_states[i], self.horizon, self.dt_sample,
+                self.hit_times[a:b], self.pre_impulse_states[a:b],
+                self.post_impulse_states[a:b], self.sample_times, self.samples[i],
+                self.final_states[i], self, i)
+        sel = np.arange(len(self))[idx]
+        counts = np.diff(self.hit_offsets)[sel]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        rows = (np.repeat(self.hit_offsets[sel] - offsets[:-1], counts)
+                + np.arange(offsets[-1]))
+        return replace(
+            self, initial_states=self.initial_states[sel], samples=self.samples[sel],
+            hit_offsets=offsets, hit_times=self.hit_times[rows],
+            pre_impulse_states=self.pre_impulse_states[rows],
+            post_impulse_states=self.post_impulse_states[rows],
+            final_states=self.final_states[sel])
+
+    @property
+    def hit_members(self) -> np.ndarray:
+        """The member of each hit row."""
+        return np.repeat(np.arange(len(self)), np.diff(self.hit_offsets))
+
+    def evaluate(self, members, times) -> np.ndarray:
+        """States of the orbits of ``members`` at ``times`` in [0, horizon],
+        broadcast together; the result has a trailing state axis.
+
+        A member's knots are its samples, the pre-impulse and post-impulse
+        states at its hits and its final state.  Within _TIME_TOL of the last
+        knot at or before it, a time takes that knot's state (at a hit, the
+        post-impulse one); elsewhere the cubic Hermite interpolant from that
+        knot to the next, whose error is far below every radius used by the
+        ball tests.
+        """
+        m, t = np.broadcast_arrays(np.asarray(members, dtype=int),
+                                   np.asarray(times, dtype=float))
+        shape, m, t = t.shape, m.ravel(), t.ravel()
+        T, grid, off = self.horizon, self.sample_times, self.hit_offsets
+        if (t < -_COINCIDE_TOL).any() or (t > T + _COINCIDE_TOL).any():
             raise ValueError("evaluation time outside [0, horizon]")
-        tt, ss = self._eval_times, self._eval_states
-        i = np.clip(np.searchsorted(tt, t_arr, side="right") - 1, 0, len(tt) - 1)
-        out = ss[i].copy()
-        frac_rows = np.flatnonzero(np.abs(tt[i] - t_arr) > _TIME_TOL)
-        if len(frac_rows):
-            i0 = i[frac_rows]
-            i1 = np.minimum(i0 + 1, len(tt) - 1)
-            t0, t1 = tt[i0], tt[i1]
-            y0, y1 = ss[i0], ss[i1]
-            dt = t1 - t0
-            s = np.where(dt > 0, (t_arr[frac_rows] - t0) / np.where(dt > 0, dt, 1.0), 0.0)
-            f0 = eval_vector_field(self.system.field, y0)
-            f1 = eval_vector_field(self.system.field, y1)
-            h00 = (1 + 2 * s) * (1 - s) ** 2
-            h10 = s * (1 - s) ** 2
-            h01 = s ** 2 * (3 - 2 * s)
-            h11 = s ** 2 * (s - 1)
-            out[frac_rows] = (h00[:, None] * y0 + h10[:, None] * dt[:, None] * f0
-                              + h01[:, None] * y1 + h11[:, None] * dt[:, None] * f1)
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+        # complex numbers sort by real part, then imaginary part: k is the row
+        # of the member's first hit after t (a sentinel row follows the last)
+        k = np.searchsorted(self.hit_members + 1j * self.hit_times, m + 1j * t,
+                            side="right")
+        taus = np.append(self.hit_times, np.inf)
+        pad = np.zeros((1, self.samples.shape[2]))
+        g = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 1)
+        g1 = np.minimum(g + 1, len(grid) - 1)
+        fin, r = self.final_states[m], np.arange(len(t))
+        # the last knot at or before t: the final state, the last hit's
+        # post-impulse state or a sample, the first at the latest time
+        left = np.stack([np.where(T <= t, T, -np.inf),
+                         np.where(k > off[m], taus[k - 1], -np.inf), grid[g]])
+        t0 = left.max(axis=0)
+        y0 = np.stack([fin, np.concatenate([self.post_impulse_states, pad])[k - 1],
+                       self.samples[m, g]])[left.argmax(axis=0), r]
+        # the next knot: the next hit's pre-impulse state, a sample or the
+        # final state, the first at the earliest time, the hit's shifted by
+        # _COINCIDE_TOL (knots that close after a hit hold its post-impulse
+        # state); past the horizon the final state, so dt <= 0 keeps y0
+        right = np.stack([np.where(k < off[m + 1], taus[k], np.inf),
+                          np.where(g < g1, grid[g1], np.inf), np.full(len(t), T)])
+        i1 = (right - [[_COINCIDE_TOL], [0.0], [0.0]]).argmin(axis=0)
+        t1 = right[i1, r]
+        y1 = np.stack([np.concatenate([self.pre_impulse_states, pad])[k],
+                       self.samples[m, g1], fin])[i1, r]
+
+        dt = t1 - t0
+        s = np.where(dt > 0, (t - t0) / np.where(dt > 0, dt, 1.0), 0.0)
+        f0 = eval_vector_field(self.system.field, y0)
+        f1 = eval_vector_field(self.system.field, y1)
+        h00 = (1 + 2 * s) * (1 - s) ** 2
+        h10 = s * (1 - s) ** 2
+        h01 = s ** 2 * (3 - 2 * s)
+        h11 = s ** 2 * (s - 1)
+        y = (h00[:, None] * y0 + h10[:, None] * dt[:, None] * f0
+             + h01[:, None] * y1 + h11[:, None] * dt[:, None] * f1)
+        knot = np.abs(t0 - t) <= _TIME_TOL
+        return np.where(knot[:, None], y0, y).reshape(*shape, y0.shape[1])
 
 
 def _grid_for(T: float, dt: float) -> np.ndarray:
@@ -893,13 +952,8 @@ def impulsive_trajectory(sys: SystemSpec, x: np.ndarray, T: float, dt_sample: fl
 
 def impulsive_trajectory_batch(sys: SystemSpec, X: np.ndarray, T: float,
                                dt_sample: float,
-                               cfg: IntegratorConfig | None = None,
-                               stats: RunStats | None = None
-                               ) -> list[ImpulsiveTrajectory]:
-    """Batch form of ``impulsive_trajectory``; one shared integration.
-
-    When ``stats`` is given, the run's work counters are added to it.
-    """
+                               cfg: IntegratorConfig | None = None) -> TrajectoryBatch:
+    """Batch form of ``impulsive_trajectory``; one shared integration."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if dt_sample <= 0:
@@ -908,23 +962,8 @@ def impulsive_trajectory_batch(sys: SystemSpec, X: np.ndarray, T: float,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     grid = _grid_for(T, dt_sample)
     run = _propagate(sys, X, np.full(len(X), float(T)), cfg, sample_grid=grid)
-    if stats is not None:
-        stats.add(run.stats)
-    out = []
-    for i, (taus, pre, post) in enumerate(run.hits_by_member()):
-        out.append(ImpulsiveTrajectory(
-            system=sys,
-            initial_state=X[i].copy(),
-            horizon=float(T),
-            dt_sample=float(dt_sample),
-            impulse_times=taus,
-            pre_impulse_states=pre,
-            post_impulse_states=post,
-            sample_times=grid.copy(),
-            sample_states=run.samples[i],
-            final_state=run.final[i],
-        ))
-    return out
+    return TrajectoryBatch(sys, float(T), float(dt_sample), X.copy(), grid, run.samples,
+                           *run.hits_by_member(), run.final, run.stats)
 
 
 def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
@@ -946,7 +985,7 @@ def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
     run = _propagate(sys, x[None, :], np.array([float(t_max)]), cfg,
                      stop_at_first_hit=True,
                      time_sign=-1.0 if reverse else 1.0)
-    taus, pre, _ = run.hits_by_member()[0]
+    _, taus, pre, _ = run.hits_by_member()
     if len(taus):
         return taus[0], pre[0]
     return None
@@ -976,7 +1015,8 @@ def hit_times_batch(sys: SystemSpec, X: np.ndarray, durations: np.ndarray,
     own duration."""
     cfg = cfg or IntegratorConfig()
     run = _propagate(sys, X, np.asarray(durations, dtype=float), cfg)
-    return [taus for taus, _, _ in run.hits_by_member()]
+    offsets, taus, _, _ = run.hits_by_member()
+    return np.split(taus, offsets[1:-1])
 
 
 # --------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def test_09_brute_force_equivalence(annulus):
         ang = np.mod(np.arctan2(C[:, 1], C[:, 0]), 2 * np.pi)
         C0 = C[ang < 2 * np.pi - 0.35]
         if len(C0) >= 2:
-            tr0 = [trajs[i] for i in np.flatnonzero(ang < 2 * np.pi - 0.35)]
+            tr0 = trajs[np.flatnonzero(ang < 2 * np.pi - 0.35)]
             ex0 = exhaustive_max_separated(annulus, C0, 0.0, eps, 0.3, 0.15,
                                            trajectories=tr0)
             assert ex0 == packing_number(C0, eps), f"trial {trial}"

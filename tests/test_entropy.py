@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from impulseflow import (
     EntropyConfig,
+    ImpulsiveTrajectory,
     admissibility_check,
     build_fixture,
     candidate_cloud,
@@ -299,15 +300,17 @@ class TestEntropyEstimate:
         assert work["discarded_crossings"] == 0
         assert work["steps"] > 0 and work["root_passes"] > 0
 
-    def test_counts_independent_of_batch_chunking(self, annulus, monkeypatch):
-        import impulseflow.entropy as entropy_mod
-        cfg = EntropyConfig(T_list=(5.0, 10.0, 15.0), eps_list=(0.2, 0.1),
-                            delta_list=(0.3,), candidate_count=256, seed=4)
-        one_batch = entropy_estimate(annulus, cfg)
-        monkeypatch.setattr(entropy_mod, "_TRAJ_CHUNK", 64)
-        chunked = entropy_estimate(annulus, cfg)
-        assert ([r.s_count for r in chunked.table]
-                == [r.s_count for r in one_batch.table])
+    def test_no_per_orbit_object_or_evaluation(self, annulus, monkeypatch):
+        # the pair pass and the admissibility check read the batch's arrays
+        def per_orbit(*args, **kwargs):
+            raise AssertionError("per-orbit call")
+        monkeypatch.setattr(ImpulsiveTrajectory, "__init__", per_orbit)
+        monkeypatch.setattr(ImpulsiveTrajectory, "evaluate", per_orbit)
+        cfg = EntropyConfig(T_list=(4.0, 6.0, 8.0, 10.0), eps_list=(0.2, 0.1),
+                            delta_list=(0.3,), candidate_count=64, seed=2)
+        assert entropy_estimate(annulus, cfg).diagnostics["separated"]["passes"] == 1
+        samples = candidate_cloud(annulus, 6, np.random.default_rng(2))
+        assert admissibility_check(annulus, samples, 10.0, n_triples=20).n_triples > 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

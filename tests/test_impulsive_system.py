@@ -28,7 +28,6 @@ from impulseflow.impulsive_system import (
     _ROUNDING,
     AmbiguousCrossing,
     GapUnderflow,
-    RunStats,
     _BatchRun,
     _Pieces,
     _RootScan,
@@ -557,6 +556,52 @@ class TestPsi:
             assert np.allclose(traj.evaluate(t), psi(annulus, x, t), atol=1e-6)
 
 
+class TestTrajectoryBatch:
+    """``TrajectoryBatch.evaluate`` against references independent of it:
+    the recorded samples, hits and final states, and the semiflow ``psi``."""
+
+    @pytest.mark.parametrize("name", ["annulus", "doubling", "prey_predator"])
+    def test_evaluate_against_references(self, request, name):
+        sys_spec = request.getfixturevalue(name)
+        T, rng = 7.0, np.random.default_rng(3)
+        X = candidate_cloud(sys_spec, 9, rng)
+        batch = impulsive_trajectory_batch(sys_spec, X, T, 0.05)
+        assert len(batch) == len(list(batch)) == 9 and batch.hit_offsets[-1] > 0
+        grid = batch.sample_times
+        for i in range(len(batch)):
+            a, b = batch.hit_offsets[i:i + 2]
+            assert np.array_equal(batch.evaluate(i, grid), batch.samples[i])
+            assert np.array_equal(batch.evaluate(i, batch.hit_times[a:b]),
+                                  batch.post_impulse_states[a:b])
+            assert np.array_equal(batch.evaluate(i, T), batch.final_states[i])
+        # between knots: the Hermite rule against the semiflow
+        members = rng.integers(0, len(batch), 60)
+        times = rng.uniform(0.0, T, 60)
+        assert np.abs(batch.evaluate(members, times)
+                      - psi_batch(sys_spec, X[members], times)).max() < 1e-6
+
+    def test_members_and_sub_batches_are_byte_equal_rows(self, doubling):
+        rng = np.random.default_rng(5)
+        X = candidate_cloud(doubling, 12, rng)
+        batch = impulsive_trajectory_batch(doubling, X, 5.0, 0.05)
+        times = np.concatenate([rng.uniform(0.0, 5.0, 40), batch.hit_times[:6],
+                                [0.0, 5.0]])
+        whole = batch.evaluate(np.arange(len(batch))[:, None], times)
+        for idx in (slice(3, 9), np.array([11, 0, 4, 4])):
+            sub = batch[idx]
+            rows = np.arange(len(batch))[idx]
+            assert len(sub) == len(rows)
+            for j, i in enumerate(rows):
+                assert sub.samples[j].tobytes() == batch.samples[i].tobytes()
+                assert sub[j].impulse_times.tobytes() == batch[i].impulse_times.tobytes()
+                assert sub.evaluate(j, times).tobytes() == whole[i].tobytes()
+        for i in range(len(batch)):
+            assert batch[i].evaluate(times).tobytes() == whole[i].tobytes()
+            assert batch[i].evaluate(times[0]).tobytes() == whole[i, 0].tobytes()
+        with pytest.raises(IndexError):
+            batch[len(batch)]
+
+
 class TestExport:
     def test_trajectory_csv(self, annulus, tmp_path):
         traj = impulsive_trajectory(annulus, polar(1.5, np.pi / 2), 10.0, 0.5)
@@ -568,6 +613,26 @@ class TestExport:
         assert len(lines) == 1 + n_samples + traj.n_impulses
         impulse_rows = [l for l in lines[1:] if l.endswith(",1")]
         assert len(impulse_rows) == traj.n_impulses
+
+    def test_segment_index_of_a_sample_just_before_a_hit(self, doubling, tmp_path):
+        # the hit at t = 1 is located just after the sample at t = 1, which
+        # carries the post-impulse state (height 0) and so opens segment 1
+        traj = impulsive_trajectory(doubling, np.array([1.0, 0.0, 0.0]), 3.0, 0.5)
+        assert 1.0 < traj.impulse_times[0] <= 1.0 + 1e-9
+        p = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, p)
+        row = next(l for l in p.read_text().splitlines() if l.startswith("1.0,"))
+        assert row.split(",")[3:] == ["0.0", "1", "0"]
+
+    def test_segment_index_follows_the_sample_state(self, doubling):
+        # a doubling orbit's height is the time since its last hit
+        ang = 2 * np.pi * np.arange(200) / 200
+        X = np.c_[np.cos(ang), np.sin(ang), np.zeros(200)]
+        for tr in impulsive_trajectory_batch(doubling, X, 10.0, 0.5):
+            seg = tr.segment_index(tr.sample_times)
+            last_hit = np.concatenate([[0.0], tr.impulse_times])[seg]
+            assert np.allclose(tr.sample_states[:, 2], tr.sample_times - last_hit,
+                               rtol=0, atol=1e-9)
 
     def test_impulses_csv(self, annulus, tmp_path):
         traj = impulsive_trajectory(annulus, polar(1.5, np.pi / 2), 10.0, 0.5)
@@ -626,12 +691,11 @@ class TestEngineGuards:
             ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
         x0 = polar(1.5, 0.0)
         coarse = IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, max_step=0.5)
-        stats = RunStats()
-        tr = impulsive_trajectory_batch(chord, x0[None, :], 3.0, 0.1, coarse,
-                                        stats=stats)[0]
+        batch = impulsive_trajectory_batch(chord, x0[None, :], 3.0, 0.1, coarse)
+        tr = batch[0]
         assert tr.n_impulses == 1
         assert abs(tr.impulse_times[0] - np.arcsin(1.49 / 1.5)) < self._COARSE_TIME_TOL
-        assert stats.subdivisions >= 1
+        assert batch.stats.subdivisions >= 1
         # at the default step cap the first crossing is located as usual
         tr = impulsive_trajectory(chord, x0, 3.0, 0.1)
         assert tr.n_impulses == 1
@@ -746,9 +810,9 @@ class TestEngineGuards:
 class TestRunStats:
     def test_criterion_1_orbit_steps_and_accuracy(self, annulus):
         # criterion 1's orbit: one hit per half turn, each folding the radius
-        stats = RunStats()
-        tr = impulsive_trajectory_batch(annulus, polar(1.5, np.pi / 2)[None, :],
-                                        70.0, 0.05, stats=stats)[0]
+        batch = impulsive_trajectory_batch(annulus, polar(1.5, np.pi / 2)[None, :],
+                                           70.0, 0.05)
+        tr, stats = batch[0], batch.stats
         radii = np.hypot(tr.post_impulse_states[:20, 0], tr.post_impulse_states[:20, 1])
         assert np.abs(radii - (1.0 + 0.5 / 2.0 ** np.arange(1, 21))).max() <= 1e-9
         # a hit ends its step, so each flow segment takes ceil(length / 0.2)
@@ -764,28 +828,17 @@ class TestRunStats:
         # from each hit, so the horizon T = 10 falls on its step grid; the
         # step that reaches it finishes it, with no further step of
         # _HORIZON_SLACK
-        stats = RunStats()
         X = candidate_cloud(doubling, 64, np.random.default_rng(0))
-        trajs = impulsive_trajectory_batch(doubling, X, 10.0, 0.05, stats=stats)
-        assert stats.h_min > 1e-3
+        trajs = impulsive_trajectory_batch(doubling, X, 10.0, 0.05)
+        assert trajs.stats.h_min > 1e-3
         assert all(tr.n_impulses == 10 for tr in trajs)
 
     def test_counters_identical_across_reruns(self, prey_predator, rng):
         X = candidate_cloud(prey_predator, 16, rng)
-        runs = []
-        for _ in range(2):
-            stats = RunStats()
-            impulsive_trajectory_batch(prey_predator, X, 8.0, 0.05, stats=stats)
-            runs.append(stats)
+        runs = [impulsive_trajectory_batch(prey_predator, X, 8.0, 0.05).stats
+                for _ in range(2)]
         assert runs[0] == runs[1]
         assert runs[0].steps > 0 and runs[0].hits > 0
-
-    def test_add_merges_step_range(self):
-        total = RunStats()
-        total.add(RunStats(steps=3, h_min=0.01, h_max=0.1, subdivisions=2))
-        total.add(RunStats(steps=4, h_min=0.002, h_max=0.05, subdivisions=1))
-        assert (total.steps, total.subdivisions) == (7, 3)
-        assert (total.h_min, total.h_max) == (0.002, 0.1)
 
     def test_subdivisions_count_the_isolation_of_close_crossings(self):
         # the chord y = 1.49999 of the circle r = 1.5 is crossed twice,
@@ -795,14 +848,11 @@ class TestRunStats:
         chord = TestEngineGuards._annulus_variant(
             ImpulsiveSetSpec("coord1", 1.49999),
             ImpulseMapSpec("translate", {"offset": (0.0, -2.49999)}))
-        stats = RunStats()
-        tr = impulsive_trajectory_batch(chord, polar(1.5, 0.0)[None, :], 20.0, 0.1,
-                                        stats=stats)[0]
-        assert tr.n_impulses == 1
-        assert stats.subdivisions >= 1
-        quiet = RunStats()
-        impulsive_trajectory_batch(chord, polar(1.2, 0.0)[None, :], 20.0, 0.1,
-                                   stats=quiet)
+        batch = impulsive_trajectory_batch(chord, polar(1.5, 0.0)[None, :], 20.0, 0.1)
+        assert batch[0].n_impulses == 1
+        assert batch.stats.subdivisions >= 1
+        quiet = impulsive_trajectory_batch(chord, polar(1.2, 0.0)[None, :], 20.0,
+                                           0.1).stats
         assert quiet.subdivisions == 0 and quiet.hits == 0
 
 
