@@ -361,6 +361,17 @@ def _run_entropy(sys_spec, p: EntropyParams, seed: int, outdir: Path) -> dict:
     }
 
 
+def _write_dmatrix(path, D) -> None:
+    """The class-distance matrix as ``i,j,dtilde`` lines, one joined string
+    per row (all n^2 lines at once would be held in memory together)."""
+    js = [f"{j}," for j in range(len(D))]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("i,j,dtilde\n")
+        for i, row in enumerate(D):
+            fh.write(f"{i}," + f"\n{i},".join(map(str.__add__, js, map(repr, row.tolist())))
+                     + "\n")
+
+
 def _run_quotient(sys_spec, p: QuotientParams, seed: int, outdir: Path) -> dict:
     if p.points_csv is not None:
         pts = _read_points(p.points_csv, sys_spec)
@@ -377,17 +388,8 @@ def _run_quotient(sys_spec, p: QuotientParams, seed: int, outdir: Path) -> dict:
                 for k, m in enumerate(cl.members):
                     w.writerow([i, k, *(repr(float(v)) for v in m)])
 
-    def write_dmat(path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("i,j,dtilde\n")
-            # one joined string per matrix row: joining all n^2 entries at
-            # once would hold every line in memory together
-            for i in range(n):
-                fh.write("".join(f"{i},{j},{v!r}\n"
-                                 for j, v in enumerate(D[i].tolist())))
-
     _atomic_write(outdir / "quotient_classes.csv", write_classes)
-    _atomic_write(outdir / "quotient_dmatrix.csv", write_dmat)
+    _atomic_write(outdir / "quotient_dmatrix.csv", lambda path: _write_dmatrix(path, D))
     return {
         "n_points": n,
         "audit": {

@@ -436,9 +436,9 @@ class EntropyEstimate:
 def _fit_rate(Ts: np.ndarray, counts: np.ndarray, saturated: np.ndarray):
     """Least-squares slope of log count vs T.
 
-    Without saturation the fit uses the upper half of the horizons, standing
-    in for the large-T limit.  Saturated cells are dropped (they are lower
-    bounds with no growth signal); the fit then uses every remaining cell.
+    Without saturation the fit uses the upper half of the horizons, two at
+    least, for the large-T limit.  Saturated cells are dropped (lower bounds
+    with no growth signal); the fit then uses every remaining cell.
     """
     if saturated.any():
         keep = ~saturated
@@ -448,7 +448,7 @@ def _fit_rate(Ts: np.ndarray, counts: np.ndarray, saturated: np.ndarray):
         Ts, counts = Ts[keep], counts[keep]
     else:
         lower_bound = False
-        half = len(Ts) // 2
+        half = min(len(Ts) // 2, len(Ts) - 2)
         Ts, counts = Ts[half:], counts[half:]
     y = np.log(counts.astype(float))
     slope = np.polyfit(Ts, y, 1)[0]

@@ -71,6 +71,7 @@ _REGION_TOL = 1e-6         # admissible regions admit states this far outside
 # 28 ulps of 1 at degree 7 (against errors below 2 ulps in exact-rational
 # checks); coefficients closer to zero count as either sign
 _ROUNDING = 2.0 ** -50
+_SAMPLE_BLOCK = 4096       # queued grid samples are evaluated this many at a time
 
 
 class AmbiguousCrossing(RuntimeError):
@@ -356,7 +357,8 @@ class RunStats:
 
 class _BatchRun:
     """Recorder of one batched propagation: the grid samples, final states,
-    hits and work counters of every member."""
+    hits and work counters of every member.  Grid samples are queued with
+    their step's dense output and evaluated ``_SAMPLE_BLOCK`` at a time."""
 
     def __init__(self, X0, sample_grid):
         self.n, self.dim = X0.shape
@@ -365,15 +367,19 @@ class _BatchRun:
         self._hits = []     # one (members, taus, pre, post) block per step with hits
         self._last_tau = np.full(self.n, np.nan)
         self.grid = sample_grid
+        # the queued steps, their sample count, and post-impulse samples
+        self._queue, self._queued, self._posts = [], 0, []
         if sample_grid is not None:
-            self.samples = np.full((self.n, len(sample_grid), self.dim), np.nan)
+            self._samples = np.full((self.n, len(sample_grid), self.dim), np.nan)
             self.ptr = np.zeros(self.n, dtype=int)
             if len(sample_grid) and sample_grid[0] <= _COINCIDE_TOL:
-                self.samples[:, 0] = X0
+                self._samples[:, 0] = X0
                 self.ptr[:] = 1
 
+    samples = property(lambda self: self.flush() or self._samples)   # flushed on read
+
     def fill_samples(self, members, t0, adv, y0, F, h):
-        """Write the grid samples up to ``_COINCIDE_TOL`` past the end of the
+        """Queue the grid samples up to ``_COINCIDE_TOL`` past the end of the
         advance by ``adv`` from ``t0`` (one entry per member) on the step's
         dense output; ``y0`` and the interpolant rows ``F`` are indexed by
         member id.  ``record_hits`` then owns a sample on a hit time."""
@@ -386,16 +392,35 @@ class _BatchRun:
         total = int(counts.sum())
         if total == 0:
             return
-        rows = np.repeat(np.arange(len(members)), counts)
-        offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        g_idx = k0[rows] + offs
-        m_rep = members[rows]
+        self.ptr[members] = np.maximum(k0, k1)
+        if not (some := counts > 0).all():
+            members, k0, counts, t0, adv = (a[some] for a in (members, k0, counts, t0, adv))
+        if len(members) < len(y0):      # a step's own arrays are never written again
+            y0, F = y0[members], F[:, members]
         # a finishing member's advance may run up to _HORIZON_SLACK past the
         # step, to its horizon; past the end of any other advance a sample
         # takes the step's end state
-        u = np.clip((grid[g_idx] - t0[rows]) / h, 0.0, np.maximum(adv, h)[rows] / h)
-        self.samples[m_rep, g_idx] = dense_eval(y0[m_rep], F[:, m_rep], u)
-        self.ptr[members] = np.maximum(k0, k1)
+        self._queue.append((members, k0, counts, t0, np.maximum(adv, h),
+                            np.full(len(members), h), y0, F))
+        self._queued += total
+        if self._queued >= _SAMPLE_BLOCK:
+            self.flush()
+
+    def flush(self):
+        """Evaluate the queued samples, then write the post-impulse ones."""
+        if self._queue:
+            members, k0, counts, t0, cap, h, y0, F = (
+                a[0] if len(a) == 1 else np.concatenate(a, a[0].ndim // 3)  # F on axis 1
+                for a in zip(*self._queue))
+            rows = np.repeat(np.arange(len(members)), counts)
+            g_idx = k0[rows] + np.arange(self._queued) - np.repeat(
+                np.cumsum(counts) - counts, counts)
+            u = np.clip((self.grid[g_idx] - t0[rows]) / h[rows], 0.0, cap[rows] / h[rows])
+            self._samples[members[rows], g_idx] = dense_eval(y0[rows], F[:, rows], u)
+            self._queue, self._queued = [], 0
+        for members, last, post in self._posts:
+            self._samples[members, last] = post
+        self._posts = []
 
     def record_hits(self, members, taus, pre, post, min_gap):
         gap = taus - self._last_tau[members]
@@ -410,11 +435,12 @@ class _BatchRun:
         self.stats.hits += len(members)
         if self.grid is not None:
             # a sample on the hit time carries the post-impulse state: it is
-            # the last one written, by this step or by the one before
+            # the last one queued, by this step or by the one before
             last = self.ptr[members] - 1
             on = last >= 0
             on[on] = np.abs(self.grid[last[on]] - taus[on]) <= _COINCIDE_TOL
-            self.samples[members[on], last[on]] = post[on]
+            if on.any():
+                self._posts.append((members[on], last[on], post[on]))
 
     def hits_by_member(self):
         """The hits in compressed rows: offsets (n + 1,), hit times, pre- and
@@ -452,9 +478,6 @@ class _Pieces:
         interpolant coefficients ``B``, and their rounding bound."""
         b, scale = self.levels[j].form_along_step(B, self.sets[j].level_value)
         return b, _ROUNDING * (len(b) - 1) * scale
-
-    def inside(self, x, j):
-        return self.sets[j].constraint_mask(x)
 
 
 def _bracketed_roots(f, a, b, fa, fb, tol):
@@ -607,44 +630,42 @@ class _RootScan:
 def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
     """Earliest admissible crossing of each member inside one step.
 
-    Member m's crossings are sought on the fraction [0, end[m]] of the step
-    (0: inactive), on the Bernstein coefficients of each piece's level form
-    along the dense output, with the level's values at the step's ends
-    (``L_here``, ``L_new``) as the end coefficients.  ``_RootScan`` isolates
-    each member's earliest root of each piece, skipping a root in the
-    direction the piece forbids, and ``_bracketed_roots`` locates it to
-    _TIME_TOL in time.  A root whose state fails the piece's halfspace
-    constraints is discarded and the scan resumes past it.  The earliest
-    crossing per member counts (ties to the lowest piece index).
-    AmbiguousCrossing is raised when a member's scan is stuck before that.
+    Member m's crossings are sought on the fraction [0, end[m]] of the step,
+    on the Bernstein coefficients of each piece's level form along the dense
+    output, with the level's values at the step's ends (``L_here``,
+    ``L_new``) as the end coefficients.  ``_RootScan`` isolates each
+    member's earliest root of each piece, skipping a root in the direction
+    the piece forbids, and ``_bracketed_roots`` locates it to _TIME_TOL in
+    time.  A root whose state fails the piece's halfspace constraints is
+    discarded and the scan resumes past it.  The earliest crossing per member
+    counts (ties to the lowest piece index).  AmbiguousCrossing is raised
+    when a member's scan is stuck before that.
 
     Returns (members, u, piece, state) of the hits, in member order: the step
-    fraction, the piece index and the pre-impulse state of each.
+    fraction, the piece index and the pre-impulse state of each (or None).
     """
-    members = np.flatnonzero(end > 0)
-    e = end[members]
-    cut = np.flatnonzero(e != 1.0)
-    B = dense_bernstein(y0[members], F[:, members])
+    cut = (end != 1.0).nonzero()[0]
+    B = dense_bernstein(y0, F)
     scans = []
     for j in range(len(pieces.sets)):
         b, eps = pieces.along_step(j, B)
-        b[0], b[-1] = L_here[members, j], L_new[members, j]
+        b[0], b[-1] = L_here[:, j], L_new[:, j]
         if len(cut):
-            b[:, cut] = _split(b[:, cut], e[cut])[0]
+            b[:, cut] = _split(b[:, cut], end[cut])[0]
         # no root where every coefficient keeps the sign of the first
-        s = np.sign(b[0])
-        cand = np.flatnonzero((s * b[-1] <= 0) | (s * b[1:-1] <= eps).any(axis=0))
+        sb = np.sign(b[0]) * b
+        cand = ((sb[-1] <= 0) | (sb[1:-1] <= eps).any(axis=0)).nonzero()[0]
         if len(cand):
-            scans.append((j, members[cand], e[cand], _RootScan(
-                b[:, cand], eps[cand], _TIME_TOL / (h * e[cand]), dirs[j])))
+            scans.append((j, cand, end[cand], _RootScan(
+                b[:, cand], eps[cand], _TIME_TOL / (h * end[cand]), dirs[j])))
     if not scans:
-        return members[:0], e[:0], members[:0], y0[:0]
+        return None
     n = len(y0)
     hit_u = np.full(n, np.inf)
     hit_set = np.zeros(n, dtype=int)
     hit_state = np.empty_like(y0)
     stuck = np.full(n, np.inf)
-    for j, m, e_c, scan in scans:
+    for j, m, e_m, scan in scans:
         rows = np.arange(len(m))
         while len(rows):
             rows, lo, hi, f_lo, f_hi = scan.brackets(rows)
@@ -654,10 +675,10 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
             y_c, F_c = y0[i], F[:, i]
             u, passes = _bracketed_roots(
                 lambda u, r: pieces.level(dense_eval(y_c[r], F_c[:, r], u), j),
-                lo * e_c[rows], hi * e_c[rows], f_lo, f_hi, _TIME_TOL / h)
+                lo * e_m[rows], hi * e_m[rows], f_lo, f_hi, _TIME_TOL / h)
             stats.root_passes += passes
             states = dense_eval(y_c, F_c, u)
-            ok = pieces.inside(states, j)
+            ok = pieces.sets[j].constraint_mask(states)
             first = ok & (u < hit_u[i])
             hit_u[i[first]] = u[first]
             hit_set[i[first]] = j
@@ -665,7 +686,7 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
             stats.discarded_crossings += int((~ok).sum())
             rows = scan.resume(rows[~ok])
         stats.subdivisions += scan.subdivisions
-        stuck[m] = np.minimum(stuck[m], scan.stuck * e_c)
+        stuck[m] = np.minimum(stuck[m], scan.stuck * e_m)
     bad = np.flatnonzero(stuck < hit_u)
     if len(bad):
         raise AmbiguousCrossing(
@@ -673,7 +694,7 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
             "cannot be separated to 1e-12 in time: the orbit is tangent to "
             "the impulsive set")
     hit = np.flatnonzero(np.isfinite(hit_u))
-    return hit, hit_u[hit], hit_set[hit], hit_state[hit]
+    return (hit, hit_u[hit], hit_set[hit], hit_state[hit]) if len(hit) else None
 
 
 def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
@@ -713,74 +734,79 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     pieces = _Pieces(sets)
     dirs = np.array([p.direction if forward else 0 for p in sets])
 
-    t = np.zeros(n)
-    done = durations <= 0
-    run.final[done] = X0[done]
+    run.final[durations <= 0] = X0[durations <= 0]
     stepper = BatchStepper(make_rhs(field, sign=time_sign), X0, cfg)
-    stepper.active = ~done
+    stepper.active = durations > 0
+    # the running members (``sel``: a view while all run), rebuilt as one ends
+    live = np.flatnonzero(stepper.active)
+    sel = slice(None) if len(live) == n else live
+    dur, t = durations[live], np.zeros(len(live))
     L_here = pieces.level(stepper.y)
-    while not done.all():
-        rem = np.where(done, -np.inf, durations - t)
-        h_cap = max(float(rem[~done].max()), 10 * cfg.min_step)
-        h, y_prop, K = stepper.step(h_cap)
+    while len(live):
+        rem = dur - t
+        # a step of at least _HORIZON_SLACK: a scan never runs far past it
+        h, y_prop, K = stepper.step(max(float(rem.max()), _HORIZON_SLACK))
         stats.steps += 1
-        stats.h_min = min(stats.h_min, h)
-        stats.h_max = max(stats.h_max, h)
+        stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
         y0 = stepper.y
-        active = ~done
-        finish = active & (rem <= h + _HORIZON_SLACK)
-        adv = np.where(finish, rem, np.where(active, h, 0.0))
+        finish = rem <= h + _HORIZON_SLACK
+        adv = np.where(finish, rem, h)
         L_new = pieces.level(y_prop)
         F = stepper.interpolant(h, y_prop, K)
         # the fraction of the step whose hits count: to _HORIZON_SLACK past
-        # the horizon for a finishing member, none for a finished one
-        scan_end = np.where(finish, (rem + _HORIZON_SLACK) / h, active * 1.0)
-        hit_members, hit_u, hit_set, pre_states = _first_crossings(
-            pieces, dirs, y0, F, h, L_here, L_new, scan_end, stats)
-        adv[hit_members] = hit_u * h
-        taus = t[hit_members] + adv[hit_members]
-        members = np.flatnonzero(active)
-        run.fill_samples(members, t[members], adv[members], y0, F, h)
+        # the horizon for a finishing member
+        scan_end = np.where(finish, (rem + _HORIZON_SLACK) / h, 1.0)
+        hits = _first_crossings(pieces, dirs, y0[sel], F[:, sel], h, L_here[sel],
+                                L_new[sel], scan_end, stats)
+        if hits is not None:
+            hit, hit_u, hit_set, pre_states = hits
+            adv[hit] = hit_u * h
+            finish[hit] = False
+        run.fill_samples(live, t, adv, y0, F, h)
+        t = t + adv
 
-        y_commit = y_prop.copy()
-        y_commit[done] = y0[done]
-        finish[hit_members] = False
+        y_commit = y_prop       # the step's own array; a finished member stays
+        if len(live) < n:
+            y_commit[~stepper.active] = y0[~stepper.active]
         if finish.any():
-            run.final[finish] = dense_eval(y0[finish], F[:, finish], rem[finish] / h)
-            y_commit[finish] = run.final[finish]
-        if len(hit_members):
-            imp_fn, _ = _IMPULSE_MAPS[sys.impulse.map_id]
-            post_states = imp_fn(sys.impulse.params, pre_states, hit_set)
+            fin = live[finish]
+            run.final[fin] = dense_eval(y0[fin], F[:, fin], rem[finish] / h)
+            y_commit[fin] = run.final[fin]
+        if hits is not None:
+            hit_members = live[hit]
+            taus = t[hit]
+            post_states = _IMPULSE_MAPS[sys.impulse.map_id][0](
+                sys.impulse.params, pre_states, hit_set)
             run.record_hits(hit_members, taus, pre_states, post_states, _MIN_GAP)
             y_commit[hit_members] = pre_states if stop_at_first_hit else post_states
             # a hit ends its member's run when the run stops at the first hit,
             # and on (or within the slack past) the horizon: right continuity
-            ended = hit_members
+            ended = hit
             if not stop_at_first_hit:
-                ended = hit_members[durations[hit_members] - taus <= _HORIZON_SLACK]
-            run.final[ended] = y_commit[ended]
+                ended = hit[dur[hit] - taus <= _HORIZON_SLACK]
+            run.final[live[ended]] = y_commit[live[ended]]
             finish[ended] = True
-        t = t + adv
 
-        done = done | finish
         stepper.commit(y_commit, K)
-        stepper.active = ~done
         # levels at the committed states: the step's end values but where an
         # impulse replaced the state (a finished member's are unread)
         L_here = L_new
-        if len(hit_members):
+        if hits is not None:
             stepper.refresh_derivative(hit_members)
             L_here[hit_members] = pieces.level(stepper.y[hit_members])
+        if finish.any():
+            stepper.active[live[finish]] = False
+            live = sel = live[~finish]
+            dur, t = dur[~finish], t[~finish]
 
-        if check_region and (~done).any():
-            ok = sys.admissible(stepper.y[~done])
+        if check_region and len(live):
+            ok = sys.admissible(stepper.y[sel])
             if not ok.all():
-                bad = np.flatnonzero(~done)[~ok][0]
                 raise RegionEscape(
                     f"trajectory left the admissible region of {sys.name!r} "
-                    f"near state {stepper.y[bad]}"
-                )
+                    f"near state {stepper.y[live[~ok][0]]}")
 
+    run.flush()
     stats.rejected_steps = stepper.rejected
     return run
 
@@ -884,11 +910,12 @@ class TrajectoryBatch:
         broadcast together; the result has a trailing state axis.
 
         A member's knots are its samples, the pre-impulse and post-impulse
-        states at its hits and its final state.  Within _TIME_TOL of the last
-        knot at or before it, a time takes that knot's state (at a hit, the
-        post-impulse one); elsewhere the cubic Hermite interpolant from that
-        knot to the next, whose error is far below every radius used by the
-        ball tests.
+        states at its hits and its final state.  A hit within _COINCIDE_TOL
+        after a time counts as before it, as in ``segment_index``.  Up to
+        _TIME_TOL after the last knot at or before it, a time takes that
+        knot's state (at a hit, the post-impulse one); elsewhere the cubic
+        Hermite interpolant from that knot to the next, whose error is far
+        below every radius used by the ball tests.
         """
         m, t = np.broadcast_arrays(np.asarray(members, dtype=int),
                                    np.asarray(times, dtype=float))
@@ -896,10 +923,10 @@ class TrajectoryBatch:
         T, grid, off = self.horizon, self.sample_times, self.hit_offsets
         if (t < -_COINCIDE_TOL).any() or (t > T + _COINCIDE_TOL).any():
             raise ValueError("evaluation time outside [0, horizon]")
-        # complex numbers sort by real part, then imaginary part: k is the row
-        # of the member's first hit after t (a sentinel row follows the last)
-        k = np.searchsorted(self.hit_members + 1j * self.hit_times, m + 1j * t,
-                            side="right")
+        # complex numbers sort by real part, then imaginary part: k is the row of
+        # the member's first hit after t + _COINCIDE_TOL (a sentinel row follows)
+        k = np.searchsorted(self.hit_members + 1j * self.hit_times,
+                            m + 1j * (t + _COINCIDE_TOL), side="right")
         taus = np.append(self.hit_times, np.inf)
         pad = np.zeros((1, self.samples.shape[2]))
         g = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 1)
@@ -933,7 +960,7 @@ class TrajectoryBatch:
         h11 = s ** 2 * (s - 1)
         y = (h00[:, None] * y0 + h10[:, None] * dt[:, None] * f0
              + h01[:, None] * y1 + h11[:, None] * dt[:, None] * f1)
-        knot = np.abs(t0 - t) <= _TIME_TOL
+        knot = t - t0 <= _TIME_TOL
         return np.where(knot[:, None], y0, y).reshape(*shape, y0.shape[1])
 
 

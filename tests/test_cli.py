@@ -475,6 +475,21 @@ class TestQuotientExperiment:
                 w.writerow([i, j, repr(float(D[i, j]))])
         assert (out / "quotient_dmatrix.csv").read_bytes() == want.getvalue().encode()
 
+    def test_matrix_writer_bytes(self, tmp_path):
+        # the row-joined writer against one f-string per entry, on a 300 x 300
+        # matrix holding inf, tiny and huge distances
+        from impulseflow.cli import _write_dmatrix
+        rng = np.random.default_rng(4)
+        D = rng.uniform(0.0, 3.0, (300, 300))
+        D[rng.random((300, 300)) < 0.1] = np.inf
+        D[5, :7], D[:3, 299], D[17, 17] = 1e-17, 1e20, 0.0
+        _write_dmatrix(tmp_path / "d.csv", D)
+        want = "i,j,dtilde\n" + "".join(f"{i},{j},{v!r}\n" for i in range(300)
+                                        for j, v in enumerate(D[i].tolist()))
+        assert (tmp_path / "d.csv").read_bytes() == want.encode()
+        _write_dmatrix(tmp_path / "e.csv", np.zeros((0, 0)))
+        assert (tmp_path / "e.csv").read_bytes() == b"i,j,dtilde\n"
+
     def test_points_csv_input(self, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("x,y\n1.0,0.0\n-1.25,0.0\n1.5,0.4\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,6 +313,17 @@ class TestEntropyEstimate:
         assert entropy_estimate(annulus, cfg).diagnostics["separated"]["passes"] == 1
         samples = candidate_cloud(annulus, 6, np.random.default_rng(2))
         assert admissibility_check(annulus, samples, 10.0, n_triples=20).n_triples > 0
+
+    def test_two_horizon_fit_uses_both(self, annulus):
+        # equal counts at both horizons: the rate is 0, fitted through two
+        # points rather than through the upper one alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = entropy_estimate(annulus, EntropyConfig(
+                T_list=(5.0, 10.0), eps_list=(0.1,), delta_list=(0.3,),
+                candidate_count=64, seed=2))
+        assert [r.s_count for r in est.table] == [53, 53]
+        assert abs(est.h_tau_estimate) < 1e-12 and not est.lower_bound_only
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from impulseflow import (
     ImpulseMapSpec,
@@ -23,15 +23,18 @@ from impulseflow import (
     psi,
     psi_batch,
 )
-from impulseflow.flow_core import RegionEscape, dense_bernstein
+from impulseflow.flow_core import RegionEscape, dense_bernstein, dense_eval
+from impulseflow import impulsive_system
 from impulseflow.impulsive_system import (
     _ROUNDING,
+    _SAMPLE_BLOCK,
     AmbiguousCrossing,
     GapUnderflow,
     _BatchRun,
     _Pieces,
     _RootScan,
     _bracketed_roots,
+    _propagate,
     _split,
     hit_times_batch,
     write_impulses_csv,
@@ -443,6 +446,9 @@ class TestPsi:
     @settings(max_examples=25, deadline=None)
     @given(r=st.floats(1.0, 2.0), theta=st.floats(0.05, 2 * np.pi - 0.05),
            s=st.floats(0.0, 12.0), t=st.floats(0.0, 12.0))
+    # a first leg far shorter than the horizon slack once extrapolated the
+    # step's interpolant ~1e4 steps ahead and applied an impulse 0.28 early
+    @example(r=1.5, theta=6.0, s=9.369787810086868e-239, t=1.0)
     def test_semigroup_across_impulses(self, annulus, r, theta, s, t):
         # psi(x, s + t) = psi(psi(x, s), t) when s and s + t stay away from
         # the hit times t1 + k*pi; the second leg crosses at least one hit
@@ -454,6 +460,15 @@ class TestPsi:
         once = psi(annulus, x, s + t)
         twice = psi(annulus, psi(annulus, x, s), t)
         assert np.abs(once - twice).max() < 1e-9
+
+    def test_duration_below_the_horizon_slack_applies_no_impulse(self, annulus):
+        # the step is at least the horizon slack long, so the crossing scan
+        # never extrapolates the dense output far past it
+        theta = np.linspace(0.05, 2 * np.pi - 0.05, 60)
+        X = np.stack([polar(1.5, a) for a in theta])
+        for s in 10.0 ** np.linspace(-300, -8, 11):
+            out = psi_batch(annulus, X, np.full(len(X), s))
+            assert np.abs(out - X).max() < 1e-7
 
     @settings(max_examples=10, deadline=None)
     @given(which=st.sampled_from(["annulus", "doubling"]),
@@ -580,6 +595,18 @@ class TestTrajectoryBatch:
         assert np.abs(batch.evaluate(members, times)
                       - psi_batch(sys_spec, X[members], times)).max() < 1e-6
 
+    def test_evaluate_takes_the_post_impulse_side_just_before_a_hit(self, doubling):
+        # the sample at t = 1 lies within the coincidence tolerance before the
+        # hit and holds the post-impulse state (height 0); so does every time
+        # between them, as segment_index counts the hit there
+        batch = impulsive_trajectory_batch(
+            doubling, np.array([[1.0, 0.0, -5e-10]]), 3.0, 0.5)
+        tau = batch.hit_times[0]
+        assert 1.0 < tau <= 1.0 + 1e-9 and batch.samples[0, 2, 2] == 0.0
+        times = np.array([1.0 + 2.5e-10, tau - 1e-11])
+        assert (batch[0].segment_index(times) == 1).all()
+        assert np.abs(batch.evaluate(0, times)[:, 2]).max() <= 1e-9
+
     def test_members_and_sub_batches_are_byte_equal_rows(self, doubling):
         rng = np.random.default_rng(5)
         X = candidate_cloud(doubling, 12, rng)
@@ -600,6 +627,63 @@ class TestTrajectoryBatch:
             assert batch[i].evaluate(times[0]).tobytes() == whole[i, 0].tobytes()
         with pytest.raises(IndexError):
             batch[len(batch)]
+
+
+def _block_configs(annulus, doubling, prey_predator):
+    """The sampled runs whose outputs must not depend on the sample block:
+    one long orbit, large batches with staggered hits, and a doubling batch
+    whose hits fall on grid times, its horizon among them."""
+    rng = np.random.default_rng(5)
+    a, k = rng.random(256), rng.integers(0, 8, 256)
+    on_grid = np.c_[np.cos(2 * np.pi * a), np.sin(2 * np.pi * a), 0.125 * k]
+    return {
+        "annulus x1": (annulus, candidate_cloud(annulus, 1, np.random.default_rng(1)),
+                       300.0, 0.005),
+        "annulus x512": (annulus, candidate_cloud(annulus, 512, rng), 30.0, 0.15),
+        "doubling x256": (doubling, on_grid, 10.0, 0.125),
+        "doubling x1": (doubling, candidate_cloud(doubling, 1, rng), 50.0, 0.25),
+        "prey_predator x128": (prey_predator, candidate_cloud(prey_predator, 128, rng),
+                               30.0, 0.05),
+    }
+
+
+class TestSampleBlocks:
+    """Grid samples are evaluated in blocks after the steps that reach them."""
+
+    @pytest.mark.parametrize("name", ["annulus x1", "annulus x512", "doubling x256",
+                                      "doubling x1", "prey_predator x128"])
+    def test_outputs_independent_of_the_block(self, annulus, doubling, prey_predator,
+                                              monkeypatch, name):
+        sys_spec, X, T, dt = _block_configs(annulus, doubling, prey_predator)[name]
+
+        def run():
+            b = impulsive_trajectory_batch(sys_spec, X, T, dt)
+            return b"".join(a.tobytes() for a in (
+                b.samples, b.hit_offsets, b.hit_times, b.pre_impulse_states,
+                b.post_impulse_states, b.final_states))
+        want = run()
+        for block in (1, 7, 10 ** 5):
+            monkeypatch.setattr(impulsive_system, "_SAMPLE_BLOCK", block)
+            assert run() == want, block
+
+    def test_sampling_evaluates_whole_blocks(self, annulus, monkeypatch):
+        # the measure orbit: 1531 steps, 96 hits and 60 001 samples; the
+        # sampled run's dense_eval calls beyond those of the same run without
+        # a grid are the sampling's own
+        calls = []
+
+        def counted(y0, F, u):
+            calls.append(len(u))
+            return dense_eval(y0, F, u)
+        monkeypatch.setattr(impulsive_system, "dense_eval", counted)
+        x = candidate_cloud(annulus, 1, np.random.default_rng(1))
+        grid = 0.005 * np.arange(60001)
+        run = _propagate(annulus, x, 300.0, IntegratorConfig(), sample_grid=grid)
+        assert not np.isnan(run.samples).any()
+        sampled, calls[:] = len(calls), []
+        _propagate(annulus, x, 300.0, IntegratorConfig())
+        assert run.stats.steps == 1531 and run.stats.hits == 96
+        assert 0 < sampled - len(calls) <= math.ceil(60001 / _SAMPLE_BLOCK)
 
 
 class TestExport:
