@@ -11,6 +11,10 @@ distance.
 
 __version__ = "0.1.0"
 
+# numpy would load these lazily inside the first experiment call; load them at import
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .flow_core import (
     IntegratorConfig,
     VectorFieldSpec,

@@ -6,12 +6,12 @@ discontinuities.  The estimator builds maximal separated sets greedily over a
 candidate cloud and regresses log counts against the time horizon.
 
 The whole (eps, T) table comes from one pass over the cloud's trajectories
-at the largest horizon for each window width delta.  k-d tree queries at the
-largest radius on a few sample times give the candidate pairs; for each pair
-the largest squared distance at the check times of either orbit's gap set is
-kept as a running maximum over the horizons, so every (eps, T) cell is a
-threshold on the same numbers, and its count a linear greedy scan of the
-pairs that conflict there.
+at the largest horizon for each window width delta.  Fixed-radius cell
+searches at the largest radius on a few sample times give the candidate
+pairs; for each pair the largest squared distance at the check times of
+either orbit's gap set is kept as a running maximum over the horizons, so
+every (eps, T) cell is a threshold on the same numbers, and its count a
+linear greedy scan of the pairs that conflict there.
 
 Counts are exact lower bounds for the separated-set supremum over the cloud;
 candidate exhaustion (the greedy admitting the whole cloud) is flagged and
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .impulsive_system import (
     SystemSpec,
     hit_times_batch,
     impulsive_trajectory_batch,
 )
+from .neighbors import radius_pairs
 from .systems import candidate_cloud
 
 __all__ = [
@@ -208,7 +208,7 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
     columns and sum((a - b)**2) at endpoints, bit for bit the arithmetic of
     a pair-by-pair test.
 
-    Candidate pairs come from k-d tree radius queries at eps_max on probe
+    Candidate pairs come from fixed-radius cell searches at eps_max on probe
     columns up to min(T_list); a pair is dropped only when it is far at a
     probe valid for each of its two members, since then neither orbit is in
     the other's ball at any horizon.  A member with no valid probe keeps all
@@ -239,10 +239,9 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
     probes = np.unique(
         (np.array(_PROBE_FRACTIONS) * (bounds[0] - 1)).astype(int))
     at_probes = orbits[:, probes]
-    near = [cKDTree(at_probes[:, k]).query_pairs(eps_max * (1 + 1e-9),
-                                                output_type="ndarray")
-            for k in range(len(probes))]
-    near = np.concatenate([p[:, 0] * n + p[:, 1] for p in near])
+    near = np.concatenate([np.ravel_multi_index(
+        radius_pairs(at_probes[:, k], eps_max * (1 + 1e-9)), (n, n))
+        for k in range(len(probes))])
     step = max(1, _PAIR_BLOCK // m)
 
     for delta in delta_list:
@@ -461,9 +460,10 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig) -> EntropyEstimate:
     The headline estimate is the rate at the smallest radius and smallest
     window width.  Diagnostics record the measured gap bound, saturation,
     monotonicity defects of the table, the propagation work counters, and
-    the separated-set work counters: passes (one per delta), k-d candidate
-    pairs and the pairs left by the probe prefilter (per delta), and the
-    conflicting pairs of each cell (in table order).
+    the separated-set work counters: passes (one per delta), the cell
+    search's candidate pairs (``kd_pairs``) and the pairs left by the probe
+    prefilter (per delta), and the conflicting pairs of each cell (in table
+    order).
     """
     rng = np.random.default_rng(cfg.seed)
     candidates = candidate_cloud(sys, cfg.candidate_count, rng)

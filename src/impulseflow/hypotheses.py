@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .flow_core import (
     RegionEscape,
@@ -21,6 +20,7 @@ from .flow_core import (
     level_gradient,
 )
 from .impulsive_system import SystemSpec, first_hitting_time
+from .neighbors import min_distance, radius_pairs
 from .systems import sample_impulsive_set, sample_pieces
 
 __all__ = [
@@ -40,10 +40,6 @@ _CLEAR_TOL = 1e-3
 # A continuity probe that the flow reaches from the impulsive set in less
 # than this time counts as escaped.
 _TUBE_XI = 0.25
-
-# Tied points x data points per block of the brute-force distance recheck,
-# which keeps its temporaries under a megabyte.
-_CHECK_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -109,15 +105,13 @@ def separation_report(sys: SystemSpec, n_samples: int) -> SeparationReport:
     impulsive-set samples, one flow run sampled on a fine time grid up to
     _XI_CAP, and the margin is the last slice time before the first slice
     that comes within _CLEAR_TOL of the image.
-    One k-d tree query on the image samples answers the set distance, and one
-    more every tube clearance; each distance is then recomputed by brute
-    force on the points the tree puts nearest, so it equals the all-pairs
-    minimum exactly.
+    The set distance is the all-pairs minimum, by brute force; one
+    fixed-radius cell search at _CLEAR_TOL between the tube and the image
+    samples finds the slices that come that close.
     """
     d_samples = sample_impulsive_set(sys, "D", n_samples)
     id_samples = sample_impulsive_set(sys, "ID", n_samples)
-    id_tree = cKDTree(id_samples)
-    dist = _min_distance_to(id_tree, id_samples, d_samples)
+    dist = min_distance(d_samples, id_samples)
 
     n_slices = 512
     ts = _XI_CAP * np.arange(1, n_slices + 1) / n_slices
@@ -125,10 +119,9 @@ def separation_report(sys: SystemSpec, n_samples: int) -> SeparationReport:
     # sampled at every slice time from one run
     probes = d_samples[:: max(1, len(d_samples) // 128)]
     tube = flow(sys.field, probes, ts)
-    clearance = _min_distance_to(id_tree, id_samples, tube)
-    blocked = np.minimum.accumulate(clearance) <= _CLEAR_TOL
-    if blocked.any():
-        first = int(np.searchsorted(blocked, True))
+    close, _ = radius_pairs(tube.reshape(-1, tube.shape[-1]), _CLEAR_TOL, id_samples)
+    if len(close):
+        first = int((close % n_slices).min())
         xi_margin = float(ts[first - 1]) if first > 0 else 0.0
     else:
         xi_margin = float(_XI_CAP)
@@ -137,37 +130,6 @@ def separation_report(sys: SystemSpec, n_samples: int) -> SeparationReport:
         xi_margin=xi_margin,
         n_samples=n_samples,
     )
-
-
-def _min_distance_to(tree: cKDTree, data: np.ndarray,
-                     points: np.ndarray) -> np.ndarray:
-    """Smallest distance from a set of points to ``data`` (the tree's
-    points): one set of shape (m, dim), or k sets side by side, shape
-    (m, k, dim), answered by one tree query with one result per set.
-
-    The tree's arithmetic is not promised to match sqrt(sum(diff**2)) bit
-    for bit, so every point within a relative 1e-9 of its set's nearest
-    tree distance is rechecked in that arithmetic; the point of the set's
-    brute-force minimum is always among them.  A rechecked point is compared
-    with its nearest datum alone, unless a second datum lies within a
-    relative 1e-9 of it too; then with all of ``data``.  Each result
-    therefore equals the all-pairs minimum exactly.
-    """
-    sets = points.reshape(len(points), -1, points.shape[-1])
-    dist, idx = tree.query(sets, k=2)
-    nearest = dist[..., 0]
-    rows, cols = np.nonzero(nearest <= nearest.min(axis=0) * (1 + 1e-9))
-    close = sets[rows, cols]
-    point_d2 = np.sum((close - data[idx[rows, cols, 0]]) ** 2, axis=1)
-    tied = np.flatnonzero(dist[rows, cols, 1] <= nearest[rows, cols] * (1 + 1e-9))
-    step = max(1, _CHECK_BLOCK // len(data))
-    for s in range(0, len(tied), step):
-        blk = tied[s:s + step]
-        point_d2[blk] = np.sum((close[blk, None, :] - data[None, :, :]) ** 2,
-                               axis=2).min(axis=1)
-    d2 = np.full(sets.shape[1], np.inf)
-    np.minimum.at(d2, cols, point_d2)
-    return np.sqrt(d2).reshape(points.shape[1:-1])
 
 
 def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,

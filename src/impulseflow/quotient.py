@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .impulsive_system import SystemSpec, apply_impulse, impulse_preimages
+from .neighbors import min_distance
 
 __all__ = [
     "EquivalenceClass",
@@ -70,20 +71,16 @@ def equivalence_class(sys: SystemSpec, x: np.ndarray) -> EquivalenceClass:
     return EquivalenceClass(members=_dedupe(members), base_point=x.copy())
 
 
-def _sq_matrix(a: EquivalenceClass, b: EquivalenceClass) -> np.ndarray:
-    return np.sum((a.members[:, None, :] - b.members[None, :, :]) ** 2, axis=2)
-
-
 def quotient_distance(a: EquivalenceClass, b: EquivalenceClass) -> float:
     """Minimum distance over representative pairs; attained since classes are
     finite."""
-    return float(np.sqrt(_sq_matrix(a, b).min()))
+    return min_distance(a.members, b.members)
 
 
 def representative_pair(a: EquivalenceClass, b: EquivalenceClass):
     """An argmin pair (p, q); its distance equals the class distance exactly
     (same arithmetic as quotient_distance)."""
-    d2 = _sq_matrix(a, b)
+    d2 = np.sum((a.members[:, None, :] - b.members[None, :, :]) ** 2, axis=2)
     i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
     return a.members[i].copy(), b.members[j].copy()
 

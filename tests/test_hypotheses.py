@@ -9,9 +9,8 @@ from impulseflow import (
     separation_report,
     transversality_margin,
 )
-from impulseflow.hypotheses import _min_distance_to
+from impulseflow.neighbors import min_distance, radius_pairs
 from dataclasses import replace
-from scipy.spatial import cKDTree
 
 from oracles import min_cross_distance
 
@@ -52,6 +51,29 @@ class TestTransversality:
             transversality_margin(annulus, "D", 0)
 
 
+def _check_tube_against_brute_force(name):
+    # the tube of 512 slices up to 2 pi from every third D sample: a slice is
+    # blocked when its clearance from the image, by brute force, is within
+    # 1e-3, and the margin ends before the first blocked slice
+    sys_spec = build_fixture(name)
+    d_samples = sample_impulsive_set(sys_spec, "D", 400)
+    id_samples = sample_impulsive_set(sys_spec, "ID", 400)
+    ts = 2 * np.pi * np.arange(1, 513) / 512
+    tube = flow(sys_spec.field, d_samples[::3], ts)
+    clearance = np.array([min_cross_distance(tube[:, k], id_samples)
+                          for k in range(512)])
+    close, _ = radius_pairs(tube.reshape(-1, tube.shape[-1]), 1e-3, id_samples)
+    verdicts = np.zeros(512, dtype=bool)
+    verdicts[close % 512] = True
+    assert np.array_equal(verdicts, clearance <= 1e-3)
+    blocked = np.flatnonzero(np.minimum.accumulate(clearance) <= 1e-3)
+    if len(blocked) == 0:
+        want = 2 * np.pi
+    else:
+        want = ts[blocked[0] - 1] if blocked[0] > 0 else 0.0
+    assert separation_report(sys_spec, 400).xi_margin == want
+
+
 class TestSeparation:
     def test_annulus_distance_two(self, annulus):
         rep = separation_report(annulus, 400)
@@ -81,52 +103,23 @@ class TestSeparation:
                                   sample_impulsive_set(sys_spec, "ID", 400))
         assert rep.dist_D_ID == want
 
-    def test_tree_distance_on_tied_grids(self, rng):
-        # on shifted grids many points tie for the nearest distance, so the
-        # brute-force recheck runs over several points at once
+    def test_set_distance_on_tied_grids(self, rng):
+        # on shifted grids many points tie for the nearest distance
         g = np.arange(-3.0, 4.0)
         grid = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3)
         for points in (grid + 0.5, grid + 1 / 3, grid * 0.1 + np.pi,
                        rng.normal(size=(50, 3))):
-            tree = cKDTree(grid)
-            assert (_min_distance_to(tree, grid, points)
-                    == min_cross_distance(points, grid))
+            assert min_distance(points, grid) == min_cross_distance(points, grid)
 
     @pytest.mark.parametrize("name", ["annulus", "prey_predator"])
     def test_xi_margin_equals_per_slice_brute_force(self, name):
-        # the tube of 512 slices up to 2 pi from every third D sample, each
-        # slice's clearance from the image by brute force, blocked at 1e-3
-        sys_spec = build_fixture(name)
-        d_samples = sample_impulsive_set(sys_spec, "D", 400)
-        id_samples = sample_impulsive_set(sys_spec, "ID", 400)
-        ts = 2 * np.pi * np.arange(1, 513) / 512
-        tube = flow(sys_spec.field, d_samples[::3], ts)
-        clearance = np.array([min_cross_distance(tube[:, k], id_samples)
-                              for k in range(512)])
-        assert np.array_equal(
-            _min_distance_to(cKDTree(id_samples), id_samples, tube),
-            clearance)
-        blocked = np.flatnonzero(np.minimum.accumulate(clearance) <= 1e-3)
-        if len(blocked) == 0:
-            want = 2 * np.pi
-        else:
-            want = ts[blocked[0] - 1] if blocked[0] > 0 else 0.0
-        assert separation_report(sys_spec, 400).xi_margin == want
+        _check_tube_against_brute_force(name)
 
     @pytest.mark.parametrize("name", ["doubling_suspension", "static_null"])
     def test_tied_tube_equals_per_slice_brute_force(self, name):
         # every probe ties for its slice's nearest distance here (the flow
-        # keeps them level, or still), and each clearance still equals the
-        # slice's all-pairs minimum
-        sys_spec = build_fixture(name)
-        d_samples = sample_impulsive_set(sys_spec, "D", 400)
-        id_samples = sample_impulsive_set(sys_spec, "ID", 400)
-        ts = 2 * np.pi * np.arange(1, 513) / 512
-        tube = flow(sys_spec.field, d_samples[::3], ts)
-        clearance = np.array([min_cross_distance(tube[:, k], id_samples)
-                              for k in range(512)])
-        assert np.array_equal(
-            _min_distance_to(cKDTree(id_samples), id_samples, tube), clearance)
+        # keeps them level, or still)
+        _check_tube_against_brute_force(name)
 
 
 class TestContinuityProbe:

@@ -43,17 +43,26 @@ def test_halton_matches_scipy():
                                   qmc.Halton(d=dim, scramble=False).random(n))
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats takes most of a second to import and the package needs
-    # nothing from it; scipy.integrate costs ~12 MB and the package carries
-    # its own DOP853 tableau
-    code = ("import sys, impulseflow; "
-            "print('scipy.stats' in sys.modules or 'scipy.integrate' in sys.modules)")
+def test_import_leaves_scipy_out():
+    # importing scipy's submodules costs more start-up time than any use the
+    # package had for them; nothing loads scipy, at import or in a run of the
+    # two analyses that once used its k-d tree
+    code = """
+import sys
+import impulseflow, impulseflow.cli
+from impulseflow import EntropyConfig, build_fixture, entropy_estimate, separation_report
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+annulus = build_fixture("annulus")
+entropy_estimate(annulus, EntropyConfig(T_list=(2.0, 4.0), eps_list=(0.2,),
+                                        delta_list=(0.3,), candidate_count=16))
+separation_report(annulus, 50)
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(impulseflow.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_annulus_segment_endpoints(annulus):
