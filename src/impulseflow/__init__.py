@@ -17,14 +17,13 @@ import numpy.random  # noqa: F401
 
 from .flow_core import (
     IntegratorConfig,
+    LinearLevel,
+    RadiusLevel,
     VectorFieldSpec,
     eval_vector_field,
     flow,
-    level_gradient,
-    level_value,
 )
 from .impulsive_system import (
-    ImpulseMapSpec,
     ImpulsiveSetSpec,
     ImpulsiveTrajectory,
     SystemSpec,

@@ -1,8 +1,11 @@
-"""Continuous flows: builtin vector fields, level functions, and the adaptive
-DOP853 stepper (the 8(5,3) Runge-Kutta pair of Dormand and Prince) with its
-degree-7 dense output.
+"""Continuous flows: the vector-field spec, the linear and radius level
+functions, and the adaptive DOP853 stepper (the 8(5,3) Runge-Kutta pair of
+Dormand and Prince) with its degree-7 dense output.
 
-States are plain float ndarrays.  Every field and level function is vectorized
+A field is given by value, ``VectorFieldSpec(dim, fn)``, and a level by its
+object, ``LinearLevel(a)`` with explicit weights or ``RadiusLevel()``; the
+builtin systems' fields live beside their builders in ``systems``.  States
+are plain float ndarrays.  Every field and level function is vectorized
 over a leading batch axis, and ``BatchStepper`` advances a whole batch of
 independent states with a shared adaptive step; this is what makes the
 separated-set entropy estimator affordable.  The in-step interpolant is built
@@ -15,23 +18,21 @@ for an increasing array of times sampled from one run.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "IntegratorConfig",
     "VectorFieldSpec",
+    "LinearLevel",
+    "RadiusLevel",
     "StepSizeUnderflow",
     "RegionEscape",
     "eval_vector_field",
     "flow",
-    "level_value",
-    "level_gradient",
-    "system_dimension",
 ]
 
 
@@ -72,113 +73,31 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
-    """A builtin right-hand side f in x' = f(x), selected by id.
+    """A right-hand side f in x' = f(x) on states of dimension ``dim``:
+    ``fn`` maps states (..., dim) to their derivatives, vectorized over the
+    leading axes."""
 
-    ``params`` override the field's defaults by name; every builtin field
-    parameter is a positive rate.
-    """
-
-    system_id: str
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.system_id not in _FIELDS:
-            raise ValueError(f"unknown system_id {self.system_id!r}")
-        defaults = _FIELDS[self.system_id][2]
-        unknown = set(self.params) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown {self.system_id} parameters {sorted(unknown)}")
-        merged = {**defaults, **self.params}
-        for name, value in merged.items():
-            if not value > 0:
-                raise ValueError(f"{self.system_id} parameter {name} must be > 0")
-        object.__setattr__(self, "params", merged)
-
-
-# --------------------------------------------------------------------------
-# Builtin fields, all vectorized over (..., dim)
-# --------------------------------------------------------------------------
-
-def _field_annulus(params, x):
-    # rigid rotation r' = 0, theta' = 1 in Cartesian coordinates, one product
-    return x @ _ROTATION
-
-
-_ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _field_prey_predator(params, x):
-    a1 = params["alpha1"]
-    b1 = params["beta1"]
-    b2 = params["beta2"]
-    g2 = params["gamma2"]
-    n2 = params["nu2"]
-    m1 = params["mu1"]
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    denom = 1.0 + b1 * x1 + b2 * x2
-    out = np.empty_like(x)
-    out[..., 0] = -(x1 + a1 * x3) * x1 / denom
-    out[..., 1] = -(g2 * x2 + n2 * x3) * x2 / denom
-    out[..., 2] = -m1 * x3 / denom
-    return out
-
-
-def _field_doubling_suspension(params, x):
-    # unit-speed vertical flow on the cylinder embedded as (cos a, sin a, h)
-    out = np.zeros_like(x)
-    out[..., 2] = 1.0
-    return out
-
-
-def _field_static_null(params, x):
-    return np.zeros_like(x)
-
-
-# system_id -> (state dimension, field, parameter defaults)
-_FIELDS: dict[str, tuple[int, Callable, Mapping[str, float]]] = {
-    "annulus": (2, _field_annulus, {}),
-    "prey_predator": (3, _field_prey_predator, dict.fromkeys(
-        ("alpha1", "alpha2", "beta1", "beta2", "gamma1",
-         "gamma2", "nu1", "nu2", "mu1", "mu2"), 1.0)),
-    "doubling_suspension": (3, _field_doubling_suspension, {}),
-    "static_null": (2, _field_static_null, {}),
-    "tangent_degenerate": (2, _field_annulus, {}),
-}
-
-
-def system_dimension(spec: VectorFieldSpec) -> int:
-    """State dimension of a builtin system."""
-    return _FIELDS[spec.system_id][0]
+    dim: int
+    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
 
 
 def eval_vector_field(spec: VectorFieldSpec, x: np.ndarray) -> np.ndarray:
-    """Evaluate the right-hand side f(x) of a builtin system.
+    """Evaluate the right-hand side f(x).
 
     ``x`` may carry a leading batch axis.  Raises on dimension mismatch or a
     non-finite result (the usual symptom of a state far outside the region the
     field was written for).
     """
     x = np.asarray(x, dtype=float)
-    dim, fn, _ = _FIELDS[spec.system_id]
-    if x.shape[-1] != dim:
+    if x.shape[-1] != spec.dim:
         raise ValueError(
-            f"state dimension {x.shape[-1]} does not match system "
-            f"{spec.system_id!r} (expected {dim})"
+            f"state dimension {x.shape[-1]} does not match the field's "
+            f"(expected {spec.dim})"
         )
-    out = fn(spec.params, x)
+    out = spec.fn(x)
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"vector field of {spec.system_id!r} returned non-finite values")
+        raise ValueError("the vector field returned non-finite values")
     return out
-
-
-def make_rhs(spec: VectorFieldSpec, sign: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind a field spec into a plain callable; sign=-1 gives the time-reversed
-    field (valid for the builtin systems, whose flows are invertible)."""
-    fn = _FIELDS[spec.system_id][1]
-    params = spec.params
-    if sign == 1.0:
-        return lambda x: fn(params, x)
-    return lambda x: -fn(params, x)
 
 
 # --------------------------------------------------------------------------
@@ -186,21 +105,19 @@ def make_rhs(spec: VectorFieldSpec, sign: float = 1.0) -> Callable[[np.ndarray],
 # that the propagation engine scans along each integration step
 # --------------------------------------------------------------------------
 
-class _LinearLevel:
-    """The linear level a . x; its form for the value c is a . x - c, which
-    has degree 7 along one step of the dense output."""
+class LinearLevel:
+    """The linear level a . x with the weights ``a``; its form for the value
+    c is a . x - c, which has degree 7 along one step of the dense output."""
 
-    def __init__(self, index=None):
-        self.index = index      # the coordinate of a coordinate level; None: the sum
-
-    def weights(self, dim):
-        return _weights(self.index, dim)
+    def __init__(self, a):
+        self.a = np.array(a, dtype=float)
+        self.a.flags.writeable = False
 
     def value(self, x):
-        return x @ self.weights(x.shape[-1])
+        return x @ self.a
 
     def grad(self, x):
-        return np.broadcast_to(self.weights(x.shape[-1]), x.shape).copy()
+        return np.broadcast_to(self.a, x.shape).copy()
 
     def form(self, x, c):
         return self.value(x) - c
@@ -209,11 +126,10 @@ class _LinearLevel:
         """Bernstein coefficients (8, m) of the form along the steps whose
         interpolants have the coefficients ``B`` (``dense_bernstein``), and
         the form's magnitude scale (m,): the form with |a|, |B| and |c|."""
-        a = self.weights(B.shape[-1])      # 0s and 1s: |a| is a
-        return B @ a - c, np.abs(B).max(axis=0) @ a + abs(c)
+        return B @ self.a - c, np.abs(B).max(axis=0) @ np.abs(self.a) + abs(c)
 
 
-class _RadiusLevel:
+class RadiusLevel:
     """The radius |(x1, x2)|; its form for the value c >= 0 is
     x1^2 + x2^2 - c^2, with the same zero set and sign, which has degree 14
     along one step of the dense output."""
@@ -238,41 +154,6 @@ class _RadiusLevel:
                 (size * size).sum(axis=-1) + c * c)
 
 
-@functools.cache
-def _weights(index, dim):
-    a = np.ones(dim) if index is None else np.eye(dim)[index]
-    a.flags.writeable = False
-    return a
-
-
-_LEVELS = {
-    "coord0": _LinearLevel(0),
-    "coord1": _LinearLevel(1),
-    "coord2": _LinearLevel(2),
-    "sum": _LinearLevel(),
-    "radius": _RadiusLevel(),
-}
-
-
-def builtin_level(level_id: str):
-    """The builtin level ``level_id``: ``value``, ``grad``, ``form`` and
-    ``form_along_step``."""
-    try:
-        return _LEVELS[level_id]
-    except KeyError:
-        raise ValueError(f"unknown level_id {level_id!r}") from None
-
-
-def level_value(level_id: str, x: np.ndarray) -> np.ndarray:
-    """Evaluate a builtin level function L at x (batched)."""
-    return builtin_level(level_id).value(np.asarray(x, dtype=float))
-
-
-def level_gradient(level_id: str, x: np.ndarray) -> np.ndarray:
-    """Analytic gradient of a builtin level function (no finite differences)."""
-    return builtin_level(level_id).grad(np.asarray(x, dtype=float))
-
-
 # --------------------------------------------------------------------------
 # DOP853: the 8(5,3) Runge-Kutta pair of Dormand and Prince with its degree-7
 # dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6), with
@@ -282,7 +163,7 @@ def level_gradient(level_id: str, x: np.ndarray) -> np.ndarray:
 _N_STAGES = 12          # stages of one step; stage 13 is f at the new state (FSAL)
 _N_STAGES_EXTENDED = 16  # the last 3 are computed only for the dense output
 
-# nodes: the builtin fields are autonomous, so the stepper never reads them
+# nodes: the fields are autonomous, so the stepper never reads them
 _C = np.array([0.0,
                0.526001519587677318785587544488e-01,
                0.789002279381515978178381316732e-01,
@@ -649,15 +530,15 @@ def dense_bernstein(y0, F):
 
 def flow(spec: VectorFieldSpec, x: np.ndarray, t,
          cfg: IntegratorConfig | None = None) -> np.ndarray:
-    """Flow a state (or batch of states) of a builtin system for time ``t``.
+    """Flow a state (or batch of states) for time ``t``.
 
     ``t`` may also be a 1-D array of times of one sign whose magnitudes
     strictly increase; all of them are sampled from one run on the
     integrator's dense output, and the result gains a time axis before the
     state axis: shape (..., len(t), dim).
 
-    Negative times integrate the reversed field, which is meaningful for the
-    builtin systems only because their flows are invertible.  The flow is
+    Negative times integrate the reversed field, which is meaningful only
+    for an invertible flow, as every builtin system's is.  The flow is
     the propagation engine's case with no impulsive-set pieces.
     """
     # imported on call: the engine's module imports this one
@@ -666,7 +547,7 @@ def flow(spec: VectorFieldSpec, x: np.ndarray, t,
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x, dtype=float)
     batch = np.atleast_2d(x)
-    if batch.shape[-1] != system_dimension(spec):
+    if batch.shape[-1] != spec.dim:
         raise ValueError("state dimension does not match system")
     times = np.asarray(t, dtype=float)
     sign = -1.0 if (times < 0).any() else 1.0

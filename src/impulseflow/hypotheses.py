@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_core import (
-    RegionEscape,
-    eval_vector_field,
-    flow,
-    level_gradient,
-)
+from .flow_core import RegionEscape, eval_vector_field, flow
 from .impulsive_system import SystemSpec, first_hitting_time
 from .neighbors import min_distance, radius_pairs
 from .systems import sample_impulsive_set, sample_pieces
@@ -76,7 +71,7 @@ def transversality_margin(sys: SystemSpec, which: str, n_samples: int,
     """
     inners, points = [], []
     for piece, single in sample_pieces(sys, which, n_samples):
-        grads = level_gradient(piece.level_id, single)
+        grads = piece.level.grad(single)
         f = eval_vector_field(sys.field, single)
         inners.append(np.einsum("nd,nd->n", grads, f))
         points.append(single)
@@ -154,7 +149,7 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
     scales = np.asarray(list(scales), dtype=float)
     if (scales <= 0).any() or (np.diff(scales) >= 0).any():
         raise ValueError("scales must be positive and decreasing")
-    dirs = _tangent_directions(piece.level_id, x, approach_dirs)
+    dirs = _tangent_directions(piece.level, x, approach_dirs)
 
     rows = []
     for s in scales:
@@ -187,8 +182,8 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
     return rows
 
 
-def _tangent_directions(level_id: str, x: np.ndarray, m: int) -> np.ndarray:
-    g = level_gradient(level_id, x)
+def _tangent_directions(level, x: np.ndarray, m: int) -> np.ndarray:
+    g = level.grad(x)
     g = g / np.linalg.norm(g)
     dim = len(x)
     if dim == 2:

@@ -21,27 +21,24 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .flow_core import (
     BatchStepper,
     IntegratorConfig,
+    LinearLevel,
+    RadiusLevel,
     RegionEscape,
     VectorFieldSpec,
-    builtin_level,
     dense_bernstein,
     dense_eval,
     eval_vector_field,
-    level_value,
-    make_rhs,
-    system_dimension,
 )
 
 __all__ = [
     "ImpulsiveSetSpec",
-    "ImpulseMapSpec",
     "SystemSpec",
     "ImpulsiveTrajectory",
     "TrajectoryBatch",
@@ -65,7 +62,6 @@ _HORIZON_SLACK = 1e-9      # hits this close past a horizon still count (right c
 _COINCIDE_TOL = 1e-9       # sample time equals a hit time within this -> post state
 _MIN_GAP = 1e-9            # consecutive hits closer than this raise GapUnderflow
 _MEMBERSHIP_TOL = 1e-9     # a state this close to a piece's level lies on it
-_REGION_TOL = 1e-6         # admissible regions admit states this far outside
 # the rounding bound of a level form's Bernstein coefficients on a scan's
 # trial interval: n * _ROUNDING times the form's magnitude scale at degree n,
 # 28 ulps of 1 at degree 7 (against errors below 2 ulps in exact-rational
@@ -90,7 +86,8 @@ class GapUnderflow(RuntimeError):
 
 @dataclass(frozen=True)
 class ImpulsiveSetSpec:
-    """A constrained codimension-one piece of a level set {L = c}.
+    """A constrained codimension-one piece of a level set {L = c}: ``level``
+    is L (a ``LinearLevel`` or ``RadiusLevel``) and ``level_value`` is c.
 
     halfspaces: tuple of (normal, offset) pairs; a state x belongs to the set
     only if normal . x >= offset for each pair.  direction restricts the sign
@@ -99,7 +96,7 @@ class ImpulsiveSetSpec:
     points of the piece, shape (n, dim).
     """
 
-    level_id: str
+    level: LinearLevel | RadiusLevel
     level_value: float
     halfspaces: tuple = ()
     direction: int = 0
@@ -120,163 +117,43 @@ class ImpulsiveSetSpec:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xs = np.atleast_2d(x)
-        near = np.abs(level_value(self.level_id, xs) - self.level_value) <= tol
+        near = np.abs(self.level.value(xs) - self.level_value) <= tol
         ok = near & self.constraint_mask(xs, slack=tol)
         return bool(ok[0]) if single else ok
-
-
-@dataclass(frozen=True)
-class ImpulseMapSpec:
-    """A builtin impulse map, selected by id."""
-
-    map_id: str
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.map_id not in _IMPULSE_MAPS:
-            raise ValueError(f"unknown map_id {self.map_id!r}")
-        object.__setattr__(self, "params", dict(self.params))
-
-
-def _imp_annulus_fold(params, x, set_idx):
-    # (x, 0) -> (-1/2 - x/2, 0): folds the right segment onto the left one
-    out = np.empty_like(x)
-    out[:, 0] = -0.5 - 0.5 * x[:, 0]
-    out[:, 1] = 0.0
-    return out
-
-
-def _inv_annulus_fold(params, p):
-    x0 = -2.0 * p[0] - 1.0
-    return [np.array([x0, 0.0])]
-
-
-def _imp_plane_rescale(params, x, set_idx):
-    xi = np.asarray(params["xi"], dtype=float)
-    eta = np.asarray(params["eta"], dtype=float)
-    scale = eta[set_idx] / xi[set_idx]
-    return x * scale[:, None]
-
-
-def _inv_plane_rescale(params, p):
-    xi = np.asarray(params["xi"], dtype=float)
-    eta = np.asarray(params["eta"], dtype=float)
-    s = float(p.sum())
-    out = []
-    for i in range(len(xi)):
-        if abs(s - eta[i]) <= 1e-7 * max(1.0, eta[i]):
-            out.append(p * (xi[i] / eta[i]))
-    return out
-
-
-def _imp_angle_double(params, x, set_idx):
-    # cylinder point (cos a, sin a, 1) -> (cos 2a, sin 2a, 0)
-    ang = np.arctan2(x[:, 1], x[:, 0])
-    out = np.empty_like(x)
-    out[:, 0] = np.cos(2.0 * ang)
-    out[:, 1] = np.sin(2.0 * ang)
-    out[:, 2] = 0.0
-    return out
-
-
-def _inv_angle_double(params, p):
-    ang = np.arctan2(p[1], p[0])
-    out = []
-    for half in (ang / 2.0, ang / 2.0 + np.pi):
-        out.append(np.array([np.cos(half), np.sin(half), 1.0]))
-    return out
-
-
-def _imp_translate(params, x, set_idx):
-    return x + np.asarray(params["offset"], dtype=float)
-
-
-def _inv_translate(params, p):
-    return [p - np.asarray(params["offset"], dtype=float)]
-
-
-def _imp_radius_rescale(params, x, set_idx):
-    return x * (params["eta"] / params["xi"])
-
-
-def _inv_radius_rescale(params, p):
-    if abs(np.hypot(p[0], p[1]) - params["eta"]) <= 1e-7:
-        return [p * (params["xi"] / params["eta"])]
-    return []
-
-
-_IMPULSE_MAPS: dict[str, tuple[Callable, Callable]] = {
-    "annulus_fold": (_imp_annulus_fold, _inv_annulus_fold),
-    "plane_rescale": (_imp_plane_rescale, _inv_plane_rescale),
-    "angle_double": (_imp_angle_double, _inv_angle_double),
-    "translate": (_imp_translate, _inv_translate),
-    "radius_rescale": (_imp_radius_rescale, _inv_radius_rescale),
-}
-
-
-# --------------------------------------------------------------------------
-# Admissible regions
-# --------------------------------------------------------------------------
-
-def _adm_annulus(params, x):
-    r = np.hypot(x[:, 0], x[:, 1])
-    return (r >= params["rmin"] - _REGION_TOL) & (r <= params["rmax"] + _REGION_TOL)
-
-
-def _adm_octant(params, x):
-    return (x >= -_REGION_TOL).all(axis=1)
-
-
-def _adm_cylinder(params, x):
-    r = np.hypot(x[:, 0], x[:, 1])
-    h = x[:, 2]
-    return ((np.abs(r - 1.0) <= 1e-3) & (h >= -_REGION_TOL)
-            & (h <= params["hmax"] + _REGION_TOL))
-
-
-def _adm_box(params, x):
-    lo = np.asarray(params["lo"], dtype=float)
-    hi = np.asarray(params["hi"], dtype=float)
-    return ((x >= lo - _REGION_TOL) & (x <= hi + _REGION_TOL)).all(axis=1)
-
-
-_ADMISSIBLE: dict[str, Callable] = {
-    "annulus_band": _adm_annulus,
-    "nonneg_octant": _adm_octant,
-    "cylinder": _adm_cylinder,
-    "box": _adm_box,
-}
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     """A complete impulsive dynamical system: continuous field, impulsive set
     (a finite union of constrained level-set pieces), its image description,
-    and the impulse map.
+    the impulse map and the admissible region.
 
-    A builtin system also carries its candidate cloud, ``cloud(n, rng)`` ->
-    (n, dim) states drawn from ``rng``, and its default measure box, a
-    ``(lo, hi)`` pair of corners.
+    ``impulse(x, piece)`` maps the states x (n, dim) on the impulsive-set
+    pieces with the indices ``piece`` (n,) to their images;
+    ``preimages(p)`` lists candidate states that the map sends to the state
+    p (``impulse_preimages`` keeps those it verifies); ``region(x)`` tells
+    which states x (n, dim) are admissible.  A builtin system also carries
+    its candidate cloud, ``cloud(n, rng)`` -> (n, dim) states drawn from
+    ``rng``, and its default measure box, a ``(lo, hi)`` pair of corners.
     """
 
     name: str
     field: VectorFieldSpec
     impulsive_sets: tuple[ImpulsiveSetSpec, ...]
     image_sets: tuple[ImpulsiveSetSpec, ...]
-    impulse: ImpulseMapSpec
-    admissible_id: str
-    admissible_params: Mapping[str, object] = field(default_factory=dict)
+    impulse: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
+        compare=False, repr=False)
+    preimages: Callable[[np.ndarray], list[np.ndarray]] = field(
+        compare=False, repr=False)
+    region: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     cloud: Callable[[int, np.random.Generator], np.ndarray] | None = field(
         default=None, compare=False, repr=False)
     box: tuple[tuple[float, ...], tuple[float, ...]] | None = field(
         default=None, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "admissible_params", dict(self.admissible_params))
-
     @property
     def dim(self) -> int:
-        return system_dimension(self.field)
+        return self.field.dim
 
     @property
     def state_names(self) -> tuple[str, ...]:
@@ -285,7 +162,7 @@ class SystemSpec:
     def admissible(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        ok = _ADMISSIBLE[self.admissible_id](self.admissible_params, np.atleast_2d(x))
+        ok = self.region(np.atleast_2d(x))
         return bool(ok[0]) if single else ok
 
     def in_impulsive_set(self, x: np.ndarray, tol: float | None = None):
@@ -306,26 +183,24 @@ def apply_impulse(sys: SystemSpec, x: np.ndarray, tol: float | None = None) -> n
     j = sys.in_impulsive_set(x, tol)
     if j < 0:
         raise ValueError("state is not on the impulsive set")
-    fn, _ = _IMPULSE_MAPS[sys.impulse.map_id]
-    return fn(sys.impulse.params, x[None, :], np.array([j]))[0]
+    return sys.impulse(x[None, :], np.array([j]))[0]
 
 
 def impulse_preimages(sys: SystemSpec, p: np.ndarray) -> list[np.ndarray]:
     """All impulsive-set states mapping to ``p`` under the impulse map
-    (analytic inverses of the builtin maps); empty when p is off the image.
+    (the system's ``preimages``); empty when p is off the image.
 
     Every inverse branch is validated by the forward map: q counts only when
     q lies on the impulsive set and I(q) reproduces p.
     """
     p = np.asarray(p, dtype=float)
-    fwd, inv = _IMPULSE_MAPS[sys.impulse.map_id]
     out = []
     tol = 1e-7 * (1.0 + float(np.linalg.norm(p)))
-    for q in inv(sys.impulse.params, p):
+    for q in sys.preimages(p):
         j = sys.in_impulsive_set(q, tol=1e-7)
         if j < 0:
             continue
-        back = fwd(sys.impulse.params, q[None, :], np.array([j]))[0]
+        back = sys.impulse(q[None, :], np.array([j]))[0]
         if np.linalg.norm(back - p) <= tol:
             out.append(q)
     return out
@@ -463,11 +338,10 @@ class _Pieces:
 
     def __init__(self, sets):
         self.sets = sets
-        self.levels = [builtin_level(p.level_id) for p in sets]
 
     def level(self, x, j=None):
         if j is not None:
-            return self.levels[j].form(x, self.sets[j].level_value)
+            return self.sets[j].level.form(x, self.sets[j].level_value)
         out = np.empty((len(x), len(self.sets)))
         for k in range(len(self.sets)):
             out[:, k] = self.level(x, k)
@@ -476,7 +350,7 @@ class _Pieces:
     def along_step(self, j, B):
         """Bernstein coefficients of piece j's form along the steps with the
         interpolant coefficients ``B``, and their rounding bound."""
-        b, scale = self.levels[j].form_along_step(B, self.sets[j].level_value)
+        b, scale = self.sets[j].level.form_along_step(B, self.sets[j].level_value)
         return b, _ROUNDING * (len(b) - 1) * scale
 
 
@@ -715,9 +589,9 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     continuity).  A bare VectorFieldSpec for ``sys`` is the continuous flow,
     the case with no impulsive-set pieces and no region check.
 
-    time_sign=-1 integrates the reversed field (meaningful for the invertible
-    builtin flows; used by backward reachability probes): the run then
-    accepts either crossing direction and skips the region check.
+    time_sign=-1 integrates the reversed field (meaningful for an invertible
+    flow, as every builtin's is; used by backward reachability probes): the
+    run then accepts either crossing direction and skips the region check.
     """
     X0 = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     n = len(X0)
@@ -735,7 +609,8 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     dirs = np.array([p.direction if forward else 0 for p in sets])
 
     run.final[durations <= 0] = X0[durations <= 0]
-    stepper = BatchStepper(make_rhs(field, sign=time_sign), X0, cfg)
+    rhs = field.fn if forward else lambda x: -field.fn(x)
+    stepper = BatchStepper(rhs, X0, cfg)
     stepper.active = durations > 0
     # the running members (``sel``: a view while all run), rebuilt as one ends
     live = np.flatnonzero(stepper.active)
@@ -775,8 +650,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         if hits is not None:
             hit_members = live[hit]
             taus = t[hit]
-            post_states = _IMPULSE_MAPS[sys.impulse.map_id][0](
-                sys.impulse.params, pre_states, hit_set)
+            post_states = sys.impulse(pre_states, hit_set)
             run.record_hits(hit_members, taus, pre_states, post_states, _MIN_GAP)
             y_commit[hit_members] = pre_states if stop_at_first_hit else post_states
             # a hit ends its member's run when the run stops at the first hit,

@@ -176,9 +176,10 @@ def birkhoff_average(traj: ImpulsiveTrajectory, observable,
                      burn_in: float | None = None) -> float:
     """Time average of a builtin observable over [burn_in, horizon].
 
-    observable is "one", "radius", "coord<i>", or a tuple
-    ("cell_indicator", grid, multi_index); the cell indicator shares the
-    occupation-measure code path, so the two agree exactly.
+    observable is "one", "radius", "coord<i>" with i a decimal index below
+    the state dimension, or a tuple ("cell_indicator", grid, multi_index);
+    the cell indicator shares the occupation-measure code path, so the two
+    agree exactly.
     """
     if burn_in is None:
         burn_in = 0.1 * traj.horizon
@@ -196,7 +197,7 @@ def birkhoff_average(traj: ImpulsiveTrajectory, observable,
         vals = np.ones(len(states))
     elif observable == "radius":
         vals = np.hypot(states[:, 0], states[:, 1])
-    elif observable.startswith("coord"):
+    elif observable in {f"coord{i}" for i in range(states.shape[1])}:
         vals = states[:, int(observable[5:])]
     else:
         raise ValueError(f"unknown observable {observable!r}")

@@ -3,11 +3,11 @@ equivalence classes, the min-over-representatives distance between classes,
 and a numerical audit of its metric axioms.
 
 Two states are identified when one is the impulse image of the other or both
-share an image.  Classes are finite because the builtin impulse maps have
-analytic inverses with finitely many branches.  The min-over-representatives
-distance is a true metric only on the recurrent part of the dynamics; here it
-is computed for arbitrary finite point sets, so the metric axioms are audited
-rather than assumed.
+share an image.  Classes are finite because a system's ``preimages`` lists
+finitely many branches (the analytic inverses of the builtin impulse maps).
+The min-over-representatives distance is a true metric only on the recurrent
+part of the dynamics; here it is computed for arbitrary finite point sets,
+so the metric axioms are audited rather than assumed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .impulsive_system import SystemSpec, apply_impulse, impulse_preimages
-from .neighbors import min_distance
+from .neighbors import _squared_distance, min_distance
 
 __all__ = [
     "EquivalenceClass",
@@ -80,7 +80,7 @@ def quotient_distance(a: EquivalenceClass, b: EquivalenceClass) -> float:
 def representative_pair(a: EquivalenceClass, b: EquivalenceClass):
     """An argmin pair (p, q); its distance equals the class distance exactly
     (same arithmetic as quotient_distance)."""
-    d2 = np.sum((a.members[:, None, :] - b.members[None, :, :]) ** 2, axis=2)
+    d2 = _squared_distance(a.members.T[:, :, None], b.members.T[:, None, :])
     i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
     return a.members[i].copy(), b.members[j].copy()
 
@@ -89,17 +89,17 @@ def _sq_distance_matrix(classes: list[EquivalenceClass]) -> np.ndarray:
     """Squared class distances, one class row at a time: the squared member
     distances from class i to every stacked member, minimised over i's
     members and then over each class's block of the stack.  Each entry is
-    bit-identical to quotient_distance(a, b) ** 2 before the root (same
-    differences, same sum over coordinates), and row i against column i is
+    bit-identical to quotient_distance(a, b) ** 2 before the root (the same
+    ``_squared_distance`` sums), and row i against column i is
     exactly symmetric because (p - q) ** 2 == (q - p) ** 2."""
     n = len(classes)
     if n == 0:
         return np.zeros((0, 0))
-    stacked = np.concatenate([c.members for c in classes])
+    stacked = np.concatenate([c.members for c in classes]).T[:, None, :]
     starts = np.cumsum([0] + [len(c) for c in classes[:-1]])
     D2 = np.empty((n, n))
     for i, c in enumerate(classes):
-        d2 = np.sum((c.members[:, None, :] - stacked[None, :, :]) ** 2, axis=2)
+        d2 = _squared_distance(c.members.T[:, :, None], stacked)
         D2[i] = np.minimum.reduceat(d2.min(axis=0), starts)
     return D2
 

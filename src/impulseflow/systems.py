@@ -1,12 +1,12 @@
 """Builtin fixture catalog.
 
 Each builtin system is defined once, by one builder in this module.  The
-``SystemSpec`` it returns carries all of its per-system data: the field, the
-impulsive-set pieces and their images (each piece with its own Halton
-sampler), the impulse map, the admissible region, the candidate cloud and
-the default measure box.  The field, the impulse map and the region are
-named by id; only a new component needs an entry in ``flow_core._FIELDS``,
-``impulsive_system._IMPULSE_MAPS`` or ``impulsive_system._ADMISSIBLE``.  A
+``SystemSpec`` it returns carries all of its per-system data by value: the
+field, the impulsive-set pieces and their images (each piece with its level
+object and its own Halton sampler), the impulse map with its inverse, the
+admissible region, the candidate cloud and the default measure box.  The
+field, the map, the inverse and the region are closures defined in the
+builder, over its arguments, so a new system needs only a new builder.  A
 builder's keyword arguments are the fixture's overrides.
 
 Five systems:
@@ -38,8 +38,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .flow_core import VectorFieldSpec
-from .impulsive_system import ImpulseMapSpec, ImpulsiveSetSpec, SystemSpec
+from .flow_core import LinearLevel, RadiusLevel, VectorFieldSpec
+from .impulsive_system import ImpulsiveSetSpec, SystemSpec
 
 __all__ = [
     "FIXTURES",
@@ -51,8 +51,12 @@ __all__ = [
 ]
 
 
+_REGION_TOL = 1e-6         # admissible regions admit states this far outside
+
+
 # --------------------------------------------------------------------------
-# Halton samplers and candidate clouds shared by several builders
+# Halton samplers, candidate clouds, the rotation and the band region shared
+# by several builders
 # --------------------------------------------------------------------------
 
 def _halton(dim: int, n: int) -> np.ndarray:
@@ -95,6 +99,22 @@ def _band_cloud(r2_lo: float, r2_hi: float) -> Callable:
     return cloud
 
 
+def _rotation(x):
+    # rigid rotation r' = 0, theta' = 1 in Cartesian coordinates, one product
+    return x @ _ROTATION
+
+
+_ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _band(rmin: float, rmax: float) -> Callable:
+    """The admissible band rmin <= r <= rmax."""
+    def region(x):
+        r = np.hypot(x[:, 0], x[:, 1])
+        return (r >= rmin - _REGION_TOL) & (r <= rmax + _REGION_TOL)
+    return region
+
+
 def _tuple_of(value) -> tuple[float, ...]:
     if np.isscalar(value):
         return (float(value),)
@@ -106,32 +126,46 @@ def _tuple_of(value) -> tuple[float, ...]:
 # --------------------------------------------------------------------------
 
 def _build_annulus() -> SystemSpec:
+    level = LinearLevel((0.0, 1.0))
     d_set = ImpulsiveSetSpec(
-        level_id="coord1", level_value=0.0,
+        level, 0.0,
         halfspaces=(((1.0, 0.0), 1.0), ((-1.0, 0.0), -2.0)),
         direction=+1,
         sampler=lambda n: np.c_[1.0 + _unit(n), np.zeros(n)],
     )
     image = ImpulsiveSetSpec(
-        level_id="coord1", level_value=0.0,
+        level, 0.0,
         halfspaces=(((1.0, 0.0), -1.5), ((-1.0, 0.0), 1.0)),
         sampler=lambda n: np.c_[-1.5 + 0.5 * _unit(n), np.zeros(n)],
     )
+
+    def fold(x, piece):
+        # (x, 0) -> (-1/2 - x/2, 0): folds the right segment onto the left one
+        out = np.empty_like(x)
+        out[:, 0] = -0.5 - 0.5 * x[:, 0]
+        out[:, 1] = 0.0
+        return out
+
     return SystemSpec(
         name="annulus",
-        field=VectorFieldSpec("annulus"),
+        field=VectorFieldSpec(2, _rotation),
         impulsive_sets=(d_set,),
         image_sets=(image,),
-        impulse=ImpulseMapSpec("annulus_fold"),
-        admissible_id="annulus_band",
-        admissible_params={"rmin": 1.0, "rmax": 2.0},
+        impulse=fold,
+        preimages=lambda p: [np.array([-2.0 * p[0] - 1.0, 0.0])],
+        region=_band(1.0, 2.0),
         cloud=_band_cloud(1.0, 4.0),
         box=((-2.0, -2.0), (2.0, 2.0)),
     )
 
 
+_PREY_PREDATOR_RATES = dict.fromkeys(
+    ("alpha1", "alpha2", "beta1", "beta2", "gamma1",
+     "gamma2", "nu1", "nu2", "mu1", "mu2"), 1.0)
+
+
 def _build_prey_predator(xi=1.0, eta=2.0, **rates) -> SystemSpec:
-    """``rates`` override the field's ten parameters by name."""
+    """``rates`` override the field's ten positive rates by name."""
     xi = _tuple_of(xi)
     eta = _tuple_of(eta)
     if len(eta) == 1 and len(xi) > 1:
@@ -142,14 +176,45 @@ def _build_prey_predator(xi=1.0, eta=2.0, **rates) -> SystemSpec:
         raise ValueError("plane offsets must be positive")
     if set(xi) & set(eta):
         raise ValueError("impulsive planes and their images must be disjoint")
+    unknown = set(rates) - set(_PREY_PREDATOR_RATES)
+    if unknown:
+        raise ValueError(f"unknown prey_predator parameters {sorted(unknown)}")
+    rates = {**_PREY_PREDATOR_RATES, **rates}
+    for name, value in rates.items():
+        if not value > 0:
+            raise ValueError(f"prey_predator parameter {name} must be > 0")
+    a1, b1, b2, g2, n2, m1 = (rates[k] for k in
+                              ("alpha1", "beta1", "beta2", "gamma2", "nu2", "mu1"))
+
+    def rhs(x):
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        denom = 1.0 + b1 * x1 + b2 * x2
+        out = np.empty_like(x)
+        out[..., 0] = -(x1 + a1 * x3) * x1 / denom
+        out[..., 1] = -(g2 * x2 + n2 * x3) * x2 / denom
+        out[..., 2] = -m1 * x3 / denom
+        return out
+
+    # plane i is rescaled radially onto its image plane
+    xi_of, eta_of = np.array(xi), np.array(eta)
+
+    def rescale(x, piece):
+        return x * (eta_of[piece] / xi_of[piece])[:, None]
+
+    def preimages(p):
+        s = float(p.sum())
+        return [p * (x / e) for x, e in zip(xi_of, eta_of)
+                if abs(s - e) <= 1e-7 * max(1.0, e)]
+
+    level = LinearLevel((1.0, 1.0, 1.0))
     octant = tuple(((float(i == 0), float(i == 1), float(i == 2)), 0.0)
                    for i in range(3))
     d_sets = tuple(
-        ImpulsiveSetSpec("sum", c, halfspaces=octant, direction=-1,
+        ImpulsiveSetSpec(level, c, halfspaces=octant, direction=-1,
                          sampler=partial(_halton_simplex, c))
         for c in xi
     )
-    images = tuple(ImpulsiveSetSpec("sum", c, halfspaces=octant,
+    images = tuple(ImpulsiveSetSpec(level, c, halfspaces=octant,
                                     sampler=partial(_halton_simplex, c))
                    for c in eta)
     lo, hi = min(xi), max(eta)
@@ -162,25 +227,54 @@ def _build_prey_predator(xi=1.0, eta=2.0, **rates) -> SystemSpec:
 
     return SystemSpec(
         name="prey_predator",
-        field=VectorFieldSpec("prey_predator", rates),
+        field=VectorFieldSpec(3, rhs),
         impulsive_sets=d_sets,
         image_sets=images,
-        impulse=ImpulseMapSpec("plane_rescale", {"xi": xi, "eta": eta}),
-        admissible_id="nonneg_octant",
+        impulse=rescale,
+        preimages=preimages,
+        region=lambda x: (x >= -_REGION_TOL).all(axis=1),
         cloud=cloud,
         box=((0.0, 0.0, 0.0), (hi, hi, hi)),
     )
 
 
 def _build_doubling() -> SystemSpec:
+    level = LinearLevel((0.0, 0.0, 1.0))
     d_set = ImpulsiveSetSpec(
-        level_id="coord2", level_value=1.0, direction=+1,
+        level, 1.0, direction=+1,
         sampler=lambda n: np.c_[_halton_circle(n), np.full(n, 1.0)],
     )
     image = ImpulsiveSetSpec(
-        level_id="coord2", level_value=0.0,
+        level, 0.0,
         sampler=lambda n: np.c_[_halton_circle(n), np.full(n, 0.0)],
     )
+
+    def upward(x):
+        # unit-speed vertical flow on the cylinder embedded as (cos a, sin a, h)
+        out = np.zeros_like(x)
+        out[..., 2] = 1.0
+        return out
+
+    def double(x, piece):
+        # cylinder point (cos a, sin a, 1) -> (cos 2a, sin 2a, 0)
+        ang = np.arctan2(x[:, 1], x[:, 0])
+        out = np.empty_like(x)
+        out[:, 0] = np.cos(2.0 * ang)
+        out[:, 1] = np.sin(2.0 * ang)
+        out[:, 2] = 0.0
+        return out
+
+    def halves(p):
+        ang = np.arctan2(p[1], p[0])
+        return [np.array([np.cos(half), np.sin(half), 1.0])
+                for half in (ang / 2.0, ang / 2.0 + np.pi)]
+
+    def cylinder(x):
+        # small headroom above the top circle keeps tube probes inside the chart
+        r = np.hypot(x[:, 0], x[:, 1])
+        h = x[:, 2]
+        return ((np.abs(r - 1.0) <= 1e-3) & (h >= -_REGION_TOL)
+                & (h <= 1.25 + _REGION_TOL))
 
     def cloud(n, rng):
         # the deterministic uniform angular grid at height zero, the customary
@@ -190,54 +284,62 @@ def _build_doubling() -> SystemSpec:
 
     return SystemSpec(
         name="doubling_suspension",
-        field=VectorFieldSpec("doubling_suspension"),
+        field=VectorFieldSpec(3, upward),
         impulsive_sets=(d_set,),
         image_sets=(image,),
-        impulse=ImpulseMapSpec("angle_double"),
-        # small headroom above the top circle keeps tube probes inside the chart
-        admissible_id="cylinder",
-        admissible_params={"hmax": 1.25},
+        impulse=double,
+        preimages=halves,
+        region=cylinder,
         cloud=cloud,
         box=((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0)),
     )
 
 
 def _build_static_null() -> SystemSpec:
+    level = LinearLevel((1.0, 0.0))
     edge = (((0.0, 1.0), 0.0), ((0.0, -1.0), -1.0))
     d_set = ImpulsiveSetSpec(
-        level_id="coord0", level_value=1.0, halfspaces=edge, direction=+1,
+        level, 1.0, halfspaces=edge, direction=+1,
         sampler=lambda n: np.c_[np.full(n, 1.0), _unit(n)],
     )
     image = ImpulsiveSetSpec(
-        level_id="coord0", level_value=0.25, halfspaces=edge,
+        level, 0.25, halfspaces=edge,
         sampler=lambda n: np.c_[np.full(n, 0.25), _unit(n)],
     )
+    offset = np.array([-0.75, 0.0])
     return SystemSpec(
         name="static_null",
-        field=VectorFieldSpec("static_null"),
+        field=VectorFieldSpec(2, np.zeros_like),
         impulsive_sets=(d_set,),
         image_sets=(image,),
-        impulse=ImpulseMapSpec("translate", {"offset": (-0.75, 0.0)}),
-        admissible_id="box",
-        admissible_params={"lo": (0.0, 0.0), "hi": (1.0, 1.0)},
+        impulse=lambda x, piece: x + offset,
+        preimages=lambda p: [p - offset],
+        region=lambda x: ((x >= -_REGION_TOL) & (x <= 1.0 + _REGION_TOL)).all(axis=1),
         cloud=lambda n, rng: rng.uniform(0.0, 1.0, size=(n, 2)),
         box=((0.0, 0.0), (1.0, 1.0)),
     )
 
 
 def _build_tangent_degenerate() -> SystemSpec:
-    d_set = ImpulsiveSetSpec(level_id="radius", level_value=1.5,
-                             sampler=partial(_halton_circle, radius=1.5))
-    image = ImpulsiveSetSpec(level_id="radius", level_value=0.75,
-                             sampler=partial(_halton_circle, radius=0.75))
+    xi, eta = 1.5, 0.75     # the impulsive circle and its image, radially rescaled
+    d_set = ImpulsiveSetSpec(RadiusLevel(), xi,
+                             sampler=partial(_halton_circle, radius=xi))
+    image = ImpulsiveSetSpec(RadiusLevel(), eta,
+                             sampler=partial(_halton_circle, radius=eta))
+
+    def preimages(p):
+        if abs(np.hypot(p[0], p[1]) - eta) <= 1e-7:
+            return [p * (xi / eta)]
+        return []
+
     return SystemSpec(
         name="tangent_degenerate",
-        field=VectorFieldSpec("tangent_degenerate"),
+        field=VectorFieldSpec(2, _rotation),
         impulsive_sets=(d_set,),
         image_sets=(image,),
-        impulse=ImpulseMapSpec("radius_rescale", {"xi": 1.5, "eta": 0.75}),
-        admissible_id="annulus_band",
-        admissible_params={"rmin": 0.5, "rmax": 2.5},
+        impulse=lambda x, piece: x * (eta / xi),
+        preimages=preimages,
+        region=_band(0.5, 2.5),
         cloud=_band_cloud(0.36, 5.76),
         box=((-2.5, -2.5), (2.5, 2.5)),
     )

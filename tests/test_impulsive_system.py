@@ -7,11 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from impulseflow import (
-    ImpulseMapSpec,
     IntegratorConfig,
     ImpulsiveSetSpec,
-    SystemSpec,
-    VectorFieldSpec,
+    LinearLevel,
+    RadiusLevel,
     apply_impulse,
     build_fixture,
     candidate_cloud,
@@ -43,6 +42,16 @@ from impulseflow.impulsive_system import (
 from conftest import polar
 from oracles import annulus_impulse_schedule
 
+COORD0 = LinearLevel((1.0, 0.0))
+COORD1 = LinearLevel((0.0, 1.0))
+
+
+def _translate(offset):
+    """The impulse x -> x + offset and its preimage, as SystemSpec fields."""
+    offset = np.asarray(offset, dtype=float)
+    return {"impulse": lambda x, piece: x + offset,
+            "preimages": lambda p: [p - offset]}
+
 
 class TestFirstHittingTime:
     def test_annulus_from_upper_quadrant(self, annulus):
@@ -66,19 +75,15 @@ class TestFirstHittingTime:
     def test_constraint_filtered_crossings_are_skipped(self):
         # impulsive segment restricted to x in [1.2, 1.4]: an orbit of radius
         # 1.1 crosses the level but never inside the window
-        narrow = SystemSpec(
-            name="annulus",
-            field=VectorFieldSpec("annulus"),
+        narrow = dataclasses.replace(
+            build_fixture("annulus"),
             impulsive_sets=(ImpulsiveSetSpec(
-                "coord1", 0.0,
+                COORD1, 0.0,
                 halfspaces=(((1.0, 0.0), 1.2), ((-1.0, 0.0), -1.4)),
                 direction=+1),),
             image_sets=(ImpulsiveSetSpec(
-                "coord1", 0.0,
+                COORD1, 0.0,
                 halfspaces=(((1.0, 0.0), -1.2), ((-1.0, 0.0), 1.1)),),),
-            impulse=ImpulseMapSpec("annulus_fold"),
-            admissible_id="annulus_band",
-            admissible_params={"rmin": 1.0, "rmax": 2.0},
         )
         assert first_hitting_time(narrow, polar(1.1, 0.5), 20.0) is None
         tau, _ = first_hitting_time(narrow, polar(1.3, 0.5), 20.0)
@@ -224,19 +229,22 @@ class TestRootScan:
         b = _bernstein_from_roots([0.0, 0.5], np.ones(6), 1.0)
         assert abs(_scan_earliest(b)[0] - 0.5) < 1e-12
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           level=st.sampled_from(["coord1", "sum", "radius"]))
+           level=st.sampled_from([(0.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.6, -0.8, 0.0),
+                                  (-0.35, 2.5, -1.25), "radius"]))
     def test_rounding_bound_holds(self, seed, level):
         # the coefficients of a level form on a trial interval, computed as
-        # the scan computes them, against exact rational arithmetic
+        # the scan computes them, against exact rational arithmetic: the
+        # linear levels are a coordinate, the sum and mixed-sign weights off 1
         rng = np.random.default_rng(seed)
         y0 = rng.normal(size=(1, 3))
         F = rng.normal(size=(7, 1, 3)) * np.array([1.0, 0.3, 0.1, 0.03, 0.01, 0.003,
                                                    0.001])[:, None, None]
         c = float(rng.uniform(-2.0, 2.0)) if level != "radius" else 1.5
         lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
-        piece = ImpulsiveSetSpec(level, c)
+        piece = ImpulsiveSetSpec(
+            RadiusLevel() if level == "radius" else LinearLevel(level), c)
         b, eps = _Pieces((piece,)).along_step(0, dense_bernstein(y0, F))
         _, right = _split(b, np.array([lo]))
         tau = (hi - lo) / (1.0 - lo)
@@ -249,7 +257,8 @@ class TestRootScan:
 
 def _exact_form_coefficients(level, c, y0, F, lo, hi):
     """Bernstein coefficients on [lo, hi] of a level form along the dense
-    output y0 + u (F0 + v (F1 + u (F2 + ...))), in exact rationals."""
+    output y0 + u (F0 + v (F1 + u (F2 + ...))), in exact rationals; ``level``
+    is "radius" or the weights of a linear level."""
     def mul(p, q):
         out = [Fraction(0)] * (len(p) + len(q) - 1)
         for i, a in enumerate(p):
@@ -275,10 +284,10 @@ def _exact_form_coefficients(level, c, y0, F, lo, hi):
     if level == "radius":
         form = add(add(mul(coords[0], coords[0]), mul(coords[1], coords[1])),
                    [-Fraction(c) ** 2])
-    elif level == "sum":
-        form = add(add(add(coords[0], coords[1]), coords[2]), [-Fraction(c)])
     else:
-        form = add(coords[1], [-Fraction(c)])
+        form = [-Fraction(c)]
+        for a, coord in zip(level, coords):
+            form = add(form, mul([Fraction(a)], coord))
     n = len(form) - 1
     return [sum(Fraction(math.comb(k, i), math.comb(n, i)) * form[i]
                 for i in range(k + 1)) for k in range(n + 1)]
@@ -373,17 +382,14 @@ class TestTrajectory:
     def test_gap_underflow_detected(self):
         # the impulse drops the state a hair below the set, so the next hit
         # follows within ~1e-12 and the chattering guard must fire
-        degenerate = SystemSpec(
-            name="annulus",
-            field=VectorFieldSpec("annulus"),
+        degenerate = dataclasses.replace(
+            build_fixture("annulus"),
             impulsive_sets=(ImpulsiveSetSpec(
-                "coord1", 0.0,
+                COORD1, 0.0,
                 halfspaces=(((1.0, 0.0), 1.0), ((-1.0, 0.0), -2.0)),
                 direction=+1),),
-            image_sets=(ImpulsiveSetSpec("coord1", 0.0),),
-            impulse=ImpulseMapSpec("translate", {"offset": (0.0, -1e-12)}),
-            admissible_id="annulus_band",
-            admissible_params={"rmin": 0.9, "rmax": 2.1},
+            image_sets=(ImpulsiveSetSpec(COORD1, 0.0),),
+            **_translate((0.0, -1e-12)),
         )
         with pytest.raises(GapUnderflow):
             impulsive_trajectory(degenerate, polar(1.5, np.pi / 2), 30.0, 0.1)
@@ -749,15 +755,14 @@ class TestPreimages:
 
 class TestEngineGuards:
     @staticmethod
-    def _annulus_variant(d_set, impulse):
-        return SystemSpec(
+    def _annulus_variant(d_set, offset):
+        # the annulus's field and band, with d_set translated by offset
+        return dataclasses.replace(
+            build_fixture("annulus"),
             name="annulus_variant",
-            field=VectorFieldSpec("annulus"),
             impulsive_sets=(d_set,),
-            image_sets=(ImpulsiveSetSpec("coord1", 0.0),),
-            impulse=impulse,
-            admissible_id="annulus_band",
-            admissible_params={"rmin": 1.0, "rmax": 2.0},
+            image_sets=(ImpulsiveSetSpec(COORD1, 0.0),),
+            **_translate(offset),
         )
 
     # the coarse config's orbit on r = 1.5 is off by at most 7.1e-9 in radius
@@ -771,8 +776,8 @@ class TestEngineGuards:
         # apart in time, near the orbit's top; a coarse step spans both
         # crossings, and the earlier one is the hit
         chord = self._annulus_variant(
-            ImpulsiveSetSpec("coord1", 1.49),
-            ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
+            ImpulsiveSetSpec(COORD1, 1.49),
+            (0.0, -2.49))
         x0 = polar(1.5, 0.0)
         coarse = IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, max_step=0.5)
         batch = impulsive_trajectory_batch(chord, x0[None, :], 3.0, 0.1, coarse)
@@ -795,8 +800,8 @@ class TestEngineGuards:
         # of the chord y = c or raises: a step spanning both crossings (0.23
         # apart at c = 1.49, 0.0073 at c = 1.49999) never passes silently
         chord = self._annulus_variant(
-            ImpulsiveSetSpec("coord1", c),
-            ImpulseMapSpec("translate", {"offset": (0.0, -(c + 1.0))}))
+            ImpulsiveSetSpec(COORD1, c),
+            (0.0, -(c + 1.0)))
         raised = 0
         for angle in np.linspace(0.0, 1.0, 21):
             try:
@@ -816,8 +821,8 @@ class TestEngineGuards:
         # 0.0073 at c = 1.49999) is recorded, whether or not one step spans
         # both
         chord = self._annulus_variant(
-            ImpulsiveSetSpec("coord1", c),
-            ImpulseMapSpec("translate", {"offset": (0.0, -(c + 1.0))}))
+            ImpulsiveSetSpec(COORD1, c),
+            (0.0, -(c + 1.0)))
         for angle in np.linspace(0.0, 1.0, 201):
             tr = impulsive_trajectory(chord, polar(1.5, angle), 3.0, 0.1)
             assert tr.n_impulses >= 1
@@ -826,14 +831,12 @@ class TestEngineGuards:
     def test_orbit_resting_on_a_level_is_a_tangency(self):
         # under the zero field a state on the line x = 0.5 stays on it: the
         # level vanishes along the whole step and no crossing can be told
-        resting = SystemSpec(
+        resting = dataclasses.replace(
+            build_fixture("static_null"),
             name="resting",
-            field=VectorFieldSpec("static_null"),
-            impulsive_sets=(ImpulsiveSetSpec("coord0", 0.5),),
-            image_sets=(ImpulsiveSetSpec("coord0", 0.25),),
-            impulse=ImpulseMapSpec("translate", {"offset": (-0.25, 0.0)}),
-            admissible_id="box",
-            admissible_params={"lo": (0.0, 0.0), "hi": (1.0, 1.0)},
+            impulsive_sets=(ImpulsiveSetSpec(COORD0, 0.5),),
+            image_sets=(ImpulsiveSetSpec(COORD0, 0.25),),
+            **_translate((-0.25, 0.0)),
         )
         with pytest.raises(AmbiguousCrossing, match="tangent"):
             impulsive_trajectory(resting, np.array([0.5, 0.5]), 1.0, 0.1)
@@ -846,8 +849,8 @@ class TestEngineGuards:
 
     def test_double_crossing_past_the_horizon_is_not_checked(self):
         chord = self._annulus_variant(
-            ImpulsiveSetSpec("coord1", 1.49),
-            ImpulseMapSpec("translate", {"offset": (0.0, -2.49)}))
+            ImpulsiveSetSpec(COORD1, 1.49),
+            (0.0, -2.49))
         # the member at r = 1.2 never reaches the chord and sets the steps
         X = np.array([polar(1.2, 0.0), polar(1.5, self._CHORD_START)])
         taus = hit_times_batch(chord, X, np.array([3.0, 3.0]), self._COARSE)
@@ -859,19 +862,19 @@ class TestEngineGuards:
         assert [len(tau) for tau in taus] == [0, 0]
 
     def test_double_crossing_past_a_hit_on_another_piece_is_not_checked(self):
-        impulse = ImpulseMapSpec("translate", {"offset": (0.0, -2.49)})
-        chord = ImpulsiveSetSpec("coord1", 1.49)
+        offset = (0.0, -2.49)
+        chord = ImpulsiveSetSpec(COORD1, 1.49)
         x0 = polar(1.5, self._CHORD_START)
-        taus = hit_times_batch(self._annulus_variant(chord, impulse), x0[None, :],
+        taus = hit_times_batch(self._annulus_variant(chord, offset), x0[None, :],
                                np.array([1.5]), self._COARSE)
         first = np.arcsin(1.49 / 1.5) - self._CHORD_START
         assert len(taus[0]) == 1
         assert abs(taus[0][0] - first) < self._COARSE_TIME_TOL
         # the line x = x(0.65) is hit first, in the same step, and the impulse
         # moves the orbit to r ~ 1.04, below the chord
-        line = ImpulsiveSetSpec("coord0", 1.5 * np.cos(self._CHORD_START + 0.65),
+        line = ImpulsiveSetSpec(COORD0, 1.5 * np.cos(self._CHORD_START + 0.65),
                                 direction=-1)
-        two = dataclasses.replace(self._annulus_variant(chord, impulse),
+        two = dataclasses.replace(self._annulus_variant(chord, offset),
                                   impulsive_sets=(line, chord))
         taus = hit_times_batch(two, x0[None, :], np.array([1.5]), self._COARSE)
         assert len(taus[0]) == 1 and abs(taus[0][0] - 0.65) < 1e-6
@@ -880,10 +883,10 @@ class TestEngineGuards:
         # the impulse throws the orbit from the segment [1, 2] out to
         # x >= 2.5, outside the band 1 <= r <= 2
         escaping = self._annulus_variant(
-            ImpulsiveSetSpec("coord1", 0.0,
+            ImpulsiveSetSpec(COORD1, 0.0,
                              halfspaces=(((1.0, 0.0), 1.0), ((-1.0, 0.0), -2.0)),
                              direction=+1),
-            ImpulseMapSpec("translate", {"offset": (1.5, 0.0)}))
+            (1.5, 0.0))
         with pytest.raises(RegionEscape, match="admissible region"):
             impulsive_trajectory(escaping, polar(1.5, 0.5), 10.0, 0.1)
         # before the hit at 2*pi - 0.5 the orbit stays inside the band
@@ -930,8 +933,8 @@ class TestRunStats:
         # and after the hit the orbit runs on r ~ 1.0 far below the chord,
         # where every step is cleared without one
         chord = TestEngineGuards._annulus_variant(
-            ImpulsiveSetSpec("coord1", 1.49999),
-            ImpulseMapSpec("translate", {"offset": (0.0, -2.49999)}))
+            ImpulsiveSetSpec(COORD1, 1.49999),
+            (0.0, -2.49999))
         batch = impulsive_trajectory_batch(chord, polar(1.5, 0.0)[None, :], 20.0, 0.1)
         assert batch[0].n_impulses == 1
         assert batch.stats.subdivisions >= 1

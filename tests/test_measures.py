@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,9 @@ class TestBirkhoffAverage:
         # lower half-circle: mean of x over arc length is zero by symmetry
         assert abs(birkhoff_average(annulus_run, "coord0", 100.0)) < 0.01
 
-    def test_unknown_observable(self, annulus_run):
-        with pytest.raises(ValueError):
-            birkhoff_average(annulus_run, "entropy_of_the_gaps", 100.0)
+    @pytest.mark.parametrize("observable", [
+        "entropy_of_the_gaps", "coord-1", "coord 1", "coord+1", "coord2", "coord01",
+        "coord"])
+    def test_unknown_observable(self, annulus_run, observable):
+        with pytest.raises(ValueError, match=re.escape(repr(observable))):
+            birkhoff_average(annulus_run, observable, 100.0)

@@ -8,10 +8,13 @@ import pytest
 
 import impulseflow
 from impulseflow import (
+    apply_impulse,
     build_fixture,
     candidate_cloud,
+    eval_vector_field,
     first_hitting_time,
     fixture_names,
+    impulse_preimages,
     sample_impulsive_set,
 )
 from impulseflow.systems import _halton, sample_pieces
@@ -76,7 +79,8 @@ def test_annulus_segment_endpoints(annulus):
 def test_prey_predator_overrides():
     sys_spec = build_fixture("prey_predator", {"xi": 0.5, "eta": 1.5, "mu1": 2.0})
     assert sys_spec.impulsive_sets[0].level_value == 0.5
-    assert sys_spec.field.params["mu1"] == 2.0
+    # x3' = -mu1 x3 / (1 + x1 + x2) at the unit point
+    assert eval_vector_field(sys_spec.field, np.ones(3))[2] == -2.0 / 3.0
     with pytest.raises(ValueError, match="> 0"):
         build_fixture("prey_predator", {"gamma2": -1.0})
     with pytest.raises(ValueError, match="disjoint"):
@@ -150,6 +154,18 @@ def test_builtin_per_system_data(name, rng):
     assert pts.shape == (200, sys_spec.dim)
     assert ((pts >= lo) & (pts <= hi)).all()
     assert sys_spec.admissible(pts).all()
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_impulse_maps_onto_the_image_and_inverts(name):
+    # the impulse image of every sample of D lies on a piece of I(D), and
+    # the sample is among the preimages of its image
+    sys_spec = build_fixture(name)
+    for x in sample_impulsive_set(sys_spec, "D", 40):
+        image = apply_impulse(sys_spec, x)
+        assert any(piece.contains(image) for piece in sys_spec.image_sets)
+        pre = impulse_preimages(sys_spec, image)
+        assert min(np.abs(q - x).max() for q in pre) < 1e-12
 
 
 def test_multi_plane_pieces_sample_their_own_planes():
