@@ -404,14 +404,16 @@ class EntropyConfig:
                            tuple(float(v) for v in self.delta_list))
         if list(self.T_list) != sorted(self.T_list) or len(self.T_list) < 2:
             raise ValueError("T_list must be increasing with at least two entries")
-        if any(np.diff(self.eps_list) > 0):
-            raise ValueError("eps_list must be nonincreasing")
-        if any(np.diff(self.delta_list) > 0):
-            raise ValueError("delta_list must be nonincreasing")
+        for name in ("eps_list", "delta_list"):
+            values = getattr(self, name)
+            if not values or min(values) <= 0 or any(np.diff(values) > 0):
+                raise ValueError(f"{name} must be nonempty, positive and nonincreasing")
+        if self.candidate_count < 1:
+            raise ValueError("candidate_count must be at least 1")
         if self.dt_check is None:
             object.__setattr__(self, "dt_check", min(self.delta_list) / 2)
-        if self.dt_check > min(self.delta_list) / 2:
-            raise ValueError("dt_check must not exceed min(delta)/2")
+        if not 0 < self.dt_check <= min(self.delta_list) / 2:
+            raise ValueError("dt_check must be in (0, min(delta_list)/2]")
 
 
 @dataclass(frozen=True)

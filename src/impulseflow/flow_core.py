@@ -386,6 +386,7 @@ class BatchStepper:
     The step size is controlled by the worst member of the batch, so every
     member meets the configured tolerance.  Each accepted step exposes its
     stages, from which ``interpolant`` builds the step's dense output.
+    The stepper holds only running members: ``keep`` drops the others.
     """
 
     FSAL = _N_STAGES    # the row of a step's K that holds f at y_new
@@ -398,14 +399,20 @@ class BatchStepper:
         self.cfg = cfg
         self.n, self.dim = self.y.shape
         self.k1 = rhs(self.y)
-        self.active = np.ones(self.n, dtype=bool)
         self.rejected = 0   # steps rejected by the error test, over the stepper's life
         self.h = self._initial_step()
+        self._coef, self._coef_h = np.ones((_N_STAGES + 1, _N_STAGES + 1)), None
+        self.keep(slice(None))
+
+    def keep(self, rows):
+        """Keep only the members ``rows`` (a slice, index or mask array): a
+        member leaves the shared step when its run ends."""
+        self.y, self.k1 = self.y[rows], self.k1[rows]
+        self.n = len(self.y)
         # the step buffer: row 0 holds y and row s + 1 stage s, so that each
         # stage state is one product with the row [1, h * A[s]] of _coef, kept
         # while h is; a step's K is a view of it, read before the next step
         self._YK = np.empty((_N_STAGES_EXTENDED + 1, self.n * self.dim))
-        self._coef, self._coef_h = np.ones((_N_STAGES + 1, _N_STAGES + 1)), None
         rows = self._YK.reshape(_N_STAGES_EXTENDED + 1, self.n, self.dim)
         self._stages = [(self._coef[s, :s + 1], self._YK[:s + 1], rows[s + 1])
                         for s in range(1, _N_STAGES + 1)]
@@ -413,8 +420,8 @@ class BatchStepper:
     def _initial_step(self):
         cfg = self.cfg
         scale = cfg.abs_tol + cfg.rel_tol * np.abs(self.y)
-        d0 = np.sqrt(np.mean((self.y / scale) ** 2, axis=1)).max()
-        d1 = np.sqrt(np.mean((self.k1 / scale) ** 2, axis=1)).max()
+        d0 = np.sqrt(np.mean((self.y / scale) ** 2, axis=1)).max(initial=0.0)
+        d1 = np.sqrt(np.mean((self.k1 / scale) ** 2, axis=1)).max(initial=0.0)
         if d0 < 1e-5 or d1 < 1e-5:
             h0 = 1e-6
         else:
@@ -435,7 +442,6 @@ class BatchStepper:
         """
         cfg = self.cfg
         h = float(min(self.h, h_cap, cfg.max_step))
-        active = self.active
         n, dim = self.n, self.dim
         self._YK[:2] = self.y.reshape(-1), self.k1.reshape(-1)
         rejected = False
@@ -452,15 +458,13 @@ class BatchStepper:
 
             scale = (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.y), np.abs(y_new)))
             scale *= _TARGET_FRACTION
-            err = 0.0
-            if active.any():
-                # DOP853's combined norm, per member: with e5, e3 the squared
-                # scaled norms of the two estimators, h e5 / sqrt((e5 + 0.01 e3) dim)
-                e = (_E53 @ self._YK[1:_N_STAGES + 2]).reshape(2, n, dim) / scale
-                e5, e3 = np.einsum("knd,knd->kn", e, e)[:, active]
-                denom = np.sqrt((e5 + 0.01 * e3) * dim)
-                ratio = np.divide(e5, denom, out=np.zeros_like(e5), where=denom > 0)
-                err = h * ratio.max()
+            # DOP853's combined norm, per member: with e5, e3 the squared
+            # scaled norms of the two estimators, h e5 / sqrt((e5 + 0.01 e3) dim)
+            e = (_E53 @ self._YK[1:_N_STAGES + 2]).reshape(2, n, dim) / scale
+            e5, e3 = np.einsum("knd,knd->kn", e, e)
+            denom = np.sqrt((e5 + 0.01 * e3) * dim)
+            ratio = np.divide(e5, denom, out=np.zeros_like(e5), where=denom > 0)
+            err = h * ratio.max()
 
             if err < 1.0:
                 if err == 0.0:
@@ -544,7 +548,6 @@ def flow(spec: VectorFieldSpec, x: np.ndarray, t,
     # imported on call: the engine's module imports this one
     from .impulsive_system import _propagate
 
-    cfg = cfg or IntegratorConfig()
     x = np.asarray(x, dtype=float)
     batch = np.atleast_2d(x)
     if batch.shape[-1] != spec.dim:

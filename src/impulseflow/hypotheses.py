@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_core import RegionEscape, eval_vector_field, flow
-from .impulsive_system import SystemSpec, first_hitting_time
+from .flow_core import eval_vector_field, flow
+from .impulsive_system import SystemSpec, _first_hits, _propagate
 from .neighbors import min_distance, radius_pairs
 from .systems import sample_impulsive_set, sample_pieces
 
@@ -135,9 +135,11 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
     For each scale s, probe points are produced by sliding x inside the set
     along approach_dirs tangent directions and flowing backward for time s;
     their first-hitting time is then measured forward (0 on the set itself).
-    Probes that fall outside the impulsive set's backward-reachable complement
-    within _TUBE_XI, or whose forward orbit leaves the admissible region before
-    hitting, are counted as escaped, not fatal.
+    Probes that the flow reaches from the impulsive set in less than
+    _TUBE_XI, or whose forward orbit leaves the admissible region before
+    hitting, are counted as escaped, not fatal.  All probes take three batch
+    runs: the backward flow, one duration per probe, then a reversed and a
+    forward first-hit search.
 
     Returns one row per scale: {"scale", "tau_star_max", "escaped"}.
     """
@@ -151,33 +153,24 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
         raise ValueError("scales must be positive and decreasing")
     dirs = _tangent_directions(piece.level, x, approach_dirs)
 
+    s = np.repeat(scales, len(dirs))
+    p = x + 0.5 * s[:, None] * np.tile(dirs, (len(scales), 1))
+    p[~piece.contains(p, tol=1e-6)] = x  # sliding left the set: the base point
+    back = _propagate(sys.field, p, s, time_sign=-1.0).final
+    on_set = np.any([q.contains(back, tol=1e-9) for q in sys.impulsive_sets], axis=0)
+    tau = np.where(on_set, 0.0, np.nan)   # NaN: escaped, unless a hit replaces it
+    off = np.flatnonzero(~on_set)
+    tube, _, _ = _first_hits(sys, back[off], _TUBE_XI, reverse=True)
+    off = off[~(tube < _TUBE_XI)]  # reached from the set before _TUBE_XI: escaped
+    tau[off], _, _ = _first_hits(sys, back[off], np.maximum(10.0, 4 * s[off]))
+
     rows = []
-    for s in scales:
-        taus = []
-        escaped = 0
-        for d in dirs:
-            p = x + 0.5 * s * d
-            if not piece.contains(p, tol=1e-6):
-                p = x  # sliding left the set; fall back to the base point
-            xk = flow(sys.field, p, -s)
-            if sys.in_impulsive_set(xk, tol=1e-9) >= 0:
-                taus.append(0.0)
-                continue
-            if _in_forward_tube(sys, xk):
-                escaped += 1
-                continue
-            try:
-                hit = first_hitting_time(sys, xk, t_max=max(10.0, 4 * s))
-            except RegionEscape:
-                hit = None
-            if hit is None:
-                escaped += 1
-            else:
-                taus.append(hit[0])
+    for scale, row in zip(scales, tau.reshape(len(scales), len(dirs))):
+        hit = row[~np.isnan(row)]
         rows.append({
-            "scale": float(s),
-            "tau_star_max": float(max(taus)) if taus else float("nan"),
-            "escaped": escaped,
+            "scale": float(scale),
+            "tau_star_max": float(hit.max()) if len(hit) else float("nan"),
+            "escaped": int(len(row) - len(hit)),
         })
     return rows
 
@@ -197,11 +190,3 @@ def _tangent_directions(level, x: np.ndarray, m: int) -> np.ndarray:
     v = np.cross(g, u) if dim == 3 else None
     angles = 2 * np.pi * np.arange(m) / max(m, 1)
     return np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * v
-
-
-def _in_forward_tube(sys: SystemSpec, x: np.ndarray) -> bool:
-    """Whether x lies on a forward flow segment of length < _TUBE_XI
-    emanating from the impulsive set: probed by reversed-time hit
-    detection."""
-    hit = first_hitting_time(sys, x, t_max=_TUBE_XI, reverse=True)
-    return hit is not None and hit[0] < _TUBE_XI

@@ -3,14 +3,16 @@ map, and realize the hit-time recursion.
 
 The one propagation engine, ``_propagate``, advances a whole batch of
 independent initial states with one shared adaptive step (``BatchStepper``)
-and owns the step cap, the horizon and finish rule and the final dense
-evaluation.  ``_Pieces`` evaluates the impulsive-set pieces: each level's
-polynomial form, with the zero set and sign of L_j - c_j, and its halfspace
-test.  ``_first_crossings`` finds each member's earliest crossing in a step,
-whatever the step's length: ``_RootScan`` isolates it on the Bernstein
-coefficients of the level form along the step's dense output, and a
-bracketed secant (Illinois) iteration locates it.  ``_BatchRun`` records
-grid samples, hits and final states.
+and owns the step cap, the final dense evaluation and the one rule that ends
+a member's run: at its horizon, at a first hit, or on leaving the admissible
+region; the member then leaves the shared step.  ``_Pieces`` evaluates the
+impulsive-set pieces: each level's polynomial form, with the zero set and
+sign of L_j - c_j, and its halfspace test.  ``_first_crossings`` finds each
+member's earliest crossing in a step, whatever the step's length:
+``_RootScan`` isolates it on the Bernstein coefficients of the level form
+along the step's dense output, and a bracketed secant (Illinois) iteration
+locates it.  ``_BatchRun`` records grid samples, hits, region exits and
+final states.
 ``flow_core.flow`` is the engine's case with no impulsive-set pieces.
 Trajectories are right-continuous across impulses: the value at a hit time
 is the post-impulse state.
@@ -232,13 +234,14 @@ class RunStats:
 
 class _BatchRun:
     """Recorder of one batched propagation: the grid samples, final states,
-    hits and work counters of every member.  Grid samples are queued with
-    their step's dense output and evaluated ``_SAMPLE_BLOCK`` at a time."""
+    hits, region exits and work counters of every member.  Grid samples are
+    queued with their step's dense output and evaluated ``_SAMPLE_BLOCK`` at a time."""
 
     def __init__(self, X0, sample_grid):
         self.n, self.dim = X0.shape
-        self.final = np.zeros_like(X0)
+        self.final = X0.copy()
         self.stats = RunStats()
+        self.escaped, self.escape_message = np.zeros(self.n, dtype=bool), None
         self._hits = []     # one (members, taus, pre, post) block per step with hits
         self._last_tau = np.full(self.n, np.nan)
         self.grid = sample_grid
@@ -255,11 +258,11 @@ class _BatchRun:
 
     def fill_samples(self, members, t0, adv, y0, F, h):
         """Queue the grid samples up to ``_COINCIDE_TOL`` past the end of the
-        advance by ``adv`` from ``t0`` (one entry per member) on the step's
-        dense output; ``y0`` and the interpolant rows ``F`` are indexed by
-        member id.  ``record_hits`` then owns a sample on a hit time."""
+        advance by ``adv`` from ``t0`` on the step's dense output, ``y0`` and
+        the interpolant rows ``F``: one entry or row per member.
+        ``record_hits`` then owns a sample on a hit time."""
         grid = self.grid
-        if grid is None or len(members) == 0:
+        if grid is None:
             return
         k0 = self.ptr[members]
         k1 = np.searchsorted(grid, t0 + adv + _COINCIDE_TOL, side="right")
@@ -269,9 +272,9 @@ class _BatchRun:
             return
         self.ptr[members] = np.maximum(k0, k1)
         if not (some := counts > 0).all():
-            members, k0, counts, t0, adv = (a[some] for a in (members, k0, counts, t0, adv))
-        if len(members) < len(y0):      # a step's own arrays are never written again
-            y0, F = y0[members], F[:, members]
+            members, k0, counts, t0, adv, y0 = (
+                a[some] for a in (members, k0, counts, t0, adv, y0))
+            F = F[:, some]
         # a finishing member's advance may run up to _HORIZON_SLACK past the
         # step, to its horizon; past the end of any other advance a sample
         # takes the step's end state
@@ -316,6 +319,12 @@ class _BatchRun:
             on[on] = np.abs(self.grid[last[on]] - taus[on]) <= _COINCIDE_TOL
             if on.any():
                 self._posts.append((members[on], last[on], post[on]))
+
+    def checked(self):
+        """The run; raises RegionEscape if a member left the admissible region."""
+        if self.escape_message:
+            raise RegionEscape(self.escape_message)
+        return self
 
     def hits_by_member(self):
         """The hits in compressed rows: offsets (n + 1,), hit times, pre- and
@@ -572,7 +581,7 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
 
 
 def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
-               cfg: IntegratorConfig,
+               cfg: IntegratorConfig | None = None,
                sample_grid: np.ndarray | None = None,
                stop_at_first_hit: bool = False,
                time_sign: float = 1.0) -> _BatchRun:
@@ -586,16 +595,19 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     in the step that brings it within _HORIZON_SLACK of its horizon; its
     final state is the dense output at the horizon, and its hits are sought
     up to _HORIZON_SLACK past it, so a hit on the horizon counts (right
-    continuity).  A bare VectorFieldSpec for ``sys`` is the continuous flow,
-    the case with no impulsive-set pieces and no region check.
+    continuity).  A run also ends at the first hit if ``stop_at_first_hit``,
+    and on leaving the admissible region, which ``_BatchRun`` records; an
+    ended member leaves the shared step (``BatchStepper.keep``).  A bare
+    VectorFieldSpec for ``sys`` is the continuous flow, the case with no
+    impulsive-set pieces and no region check.
 
     time_sign=-1 integrates the reversed field (meaningful for an invertible
     flow, as every builtin's is; used by backward reachability probes): the
     run then accepts either crossing direction and skips the region check.
     """
+    cfg = cfg or IntegratorConfig()
     X0 = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    n = len(X0)
-    durations = np.broadcast_to(np.asarray(durations, dtype=float), (n,)).copy()
+    durations = np.broadcast_to(np.asarray(durations, dtype=float), (len(X0),)).copy()
     if (durations < 0).any():
         raise ValueError("durations must be nonnegative")
     forward = time_sign > 0
@@ -608,13 +620,10 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     pieces = _Pieces(sets)
     dirs = np.array([p.direction if forward else 0 for p in sets])
 
-    run.final[durations <= 0] = X0[durations <= 0]
     rhs = field.fn if forward else lambda x: -field.fn(x)
-    stepper = BatchStepper(rhs, X0, cfg)
-    stepper.active = durations > 0
-    # the running members (``sel``: a view while all run), rebuilt as one ends
-    live = np.flatnonzero(stepper.active)
-    sel = slice(None) if len(live) == n else live
+    # the running members: stepper row i is member live[i]
+    live = np.flatnonzero(durations > 0)
+    stepper = BatchStepper(rhs, X0[live], cfg)
     dur, t = durations[live], np.zeros(len(live))
     L_here = pieces.level(stepper.y)
     while len(live):
@@ -631,8 +640,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         # the fraction of the step whose hits count: to _HORIZON_SLACK past
         # the horizon for a finishing member
         scan_end = np.where(finish, (rem + _HORIZON_SLACK) / h, 1.0)
-        hits = _first_crossings(pieces, dirs, y0[sel], F[:, sel], h, L_here[sel],
-                                L_new[sel], scan_end, stats)
+        hits = _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, scan_end, stats)
         if hits is not None:
             hit, hit_u, hit_set, pre_states = hits
             adv[hit] = hit_u * h
@@ -640,45 +648,39 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         run.fill_samples(live, t, adv, y0, F, h)
         t = t + adv
 
-        y_commit = y_prop       # the step's own array; a finished member stays
-        if len(live) < n:
-            y_commit[~stepper.active] = y0[~stepper.active]
+        y_commit = y_prop       # the step's own array
         if finish.any():
-            fin = live[finish]
-            run.final[fin] = dense_eval(y0[fin], F[:, fin], rem[finish] / h)
-            y_commit[fin] = run.final[fin]
+            y_commit[finish] = dense_eval(y0[finish], F[:, finish], rem[finish] / h)
         if hits is not None:
-            hit_members = live[hit]
             taus = t[hit]
             post_states = sys.impulse(pre_states, hit_set)
-            run.record_hits(hit_members, taus, pre_states, post_states, _MIN_GAP)
-            y_commit[hit_members] = pre_states if stop_at_first_hit else post_states
+            run.record_hits(live[hit], taus, pre_states, post_states, _MIN_GAP)
+            y_commit[hit] = pre_states if stop_at_first_hit else post_states
             # a hit ends its member's run when the run stops at the first hit,
             # and on (or within the slack past) the horizon: right continuity
-            ended = hit
-            if not stop_at_first_hit:
-                ended = hit[dur[hit] - taus <= _HORIZON_SLACK]
-            run.final[live[ended]] = y_commit[live[ended]]
-            finish[ended] = True
+            finish[hit if stop_at_first_hit
+                   else hit[dur[hit] - taus <= _HORIZON_SLACK]] = True
 
         stepper.commit(y_commit, K)
         # levels at the committed states: the step's end values but where an
-        # impulse replaced the state (a finished member's are unread)
+        # impulse replaced the state
         L_here = L_new
         if hits is not None:
-            stepper.refresh_derivative(hit_members)
-            L_here[hit_members] = pieces.level(stepper.y[hit_members])
-        if finish.any():
-            stepper.active[live[finish]] = False
-            live = sel = live[~finish]
-            dur, t = dur[~finish], t[~finish]
-
-        if check_region and len(live):
-            ok = sys.admissible(stepper.y[sel])
-            if not ok.all():
-                raise RegionEscape(
+            stepper.refresh_derivative(hit)
+            L_here[hit] = pieces.level(stepper.y[hit])
+        if check_region:
+            out = np.flatnonzero(~finish & ~sys.admissible(stepper.y))
+            if len(out):
+                run.escaped[live[out]] = True
+                run.escape_message = run.escape_message or (
                     f"trajectory left the admissible region of {sys.name!r} "
-                    f"near state {stepper.y[live[~ok][0]]}")
+                    f"near state {stepper.y[out[0]]}")
+                finish[out] = True
+        if finish.any():
+            run.final[live[finish]] = stepper.y[finish]
+            go_on = ~finish
+            live, dur, t, L_here = live[go_on], dur[go_on], t[go_on], L_here[go_on]
+            stepper.keep(go_on)
 
     run.flush()
     stats.rejected_steps = stepper.rejected
@@ -859,12 +861,26 @@ def impulsive_trajectory_batch(sys: SystemSpec, X: np.ndarray, T: float,
         raise ValueError("horizon T must be positive")
     if dt_sample <= 0:
         raise ValueError("dt_sample must be positive")
-    cfg = cfg or IntegratorConfig()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     grid = _grid_for(T, dt_sample)
-    run = _propagate(sys, X, np.full(len(X), float(T)), cfg, sample_grid=grid)
+    run = _propagate(sys, X, np.full(len(X), float(T)), cfg, sample_grid=grid).checked()
     return TrajectoryBatch(sys, float(T), float(dt_sample), X.copy(), grid, run.samples,
                            *run.hits_by_member(), run.final, run.stats)
+
+
+def _first_hits(sys: SystemSpec, X: np.ndarray, t_max, reverse: bool = False,
+                cfg: IntegratorConfig | None = None):
+    """The first hit of each member of X within its own t_max, in one batch
+    run: each member's hit time and pre-impulse hit state, NaN where the set
+    is not reached, and the run, whose ``escaped`` marks the members that
+    left the admissible region before reaching it."""
+    run = _propagate(sys, X, t_max, cfg, stop_at_first_hit=True,
+                     time_sign=-1.0 if reverse else 1.0)
+    offsets, taus, pre, _ = run.hits_by_member()
+    hit = offsets[:-1] < offsets[1:]
+    tau, state = np.full(run.n, np.nan), np.full((run.n, run.dim), np.nan)
+    tau[hit], state[hit] = taus, pre
+    return tau, state, run
 
 
 def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
@@ -873,23 +889,19 @@ def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
     """First time in (0, t_max] at which the orbit of x reaches the impulsive
     set, together with the hit state; None when the set is not reached.
 
-    The crossing is bracketed by integration steps and refined by a bracketed
-    secant iteration on the dense output to 1e-12 in time; crossings failing
-    the set's halfspace constraints are discarded and the search continues.
-    reverse=True probes the time-reversed flow (any crossing direction, no
-    region check) for backward reachability.
+    The one-member case of the batch search ``_first_hits``.  The crossing
+    is bracketed by integration steps and refined by a bracketed secant
+    iteration on the dense output to 1e-12 in time; crossings failing the
+    set's halfspace constraints are discarded and the search continues.
+    Raises RegionEscape when the orbit leaves the admissible region before
+    the hit.  reverse=True probes the time-reversed flow (any crossing
+    direction, no region check) for backward reachability.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    cfg = cfg or IntegratorConfig()
-    x = np.asarray(x, dtype=float)
-    run = _propagate(sys, x[None, :], np.array([float(t_max)]), cfg,
-                     stop_at_first_hit=True,
-                     time_sign=-1.0 if reverse else 1.0)
-    _, taus, pre, _ = run.hits_by_member()
-    if len(taus):
-        return taus[0], pre[0]
-    return None
+    tau, state, run = _first_hits(sys, x, t_max, reverse, cfg)
+    run.checked()
+    return None if np.isnan(tau[0]) else (tau[0], state[0])
 
 
 def psi(sys: SystemSpec, x: np.ndarray, t: float,
@@ -902,20 +914,17 @@ def psi(sys: SystemSpec, x: np.ndarray, t: float,
 def psi_batch(sys: SystemSpec, X: np.ndarray, times: np.ndarray,
               cfg: IntegratorConfig | None = None) -> np.ndarray:
     """Evaluate the impulsive semiflow for a batch of (state, time) pairs."""
-    cfg = cfg or IntegratorConfig()
     times = np.asarray(times, dtype=float)
     if (times < 0).any():
         raise ValueError("the impulsive semiflow is defined for t >= 0")
-    run = _propagate(sys, X, times, cfg)
-    return run.final
+    return _propagate(sys, X, times, cfg).checked().final
 
 
 def hit_times_batch(sys: SystemSpec, X: np.ndarray, durations: np.ndarray,
                     cfg: IntegratorConfig | None = None) -> list[np.ndarray]:
     """Hit-time sequences for a batch of states, each member running for its
     own duration."""
-    cfg = cfg or IntegratorConfig()
-    run = _propagate(sys, X, np.asarray(durations, dtype=float), cfg)
+    run = _propagate(sys, X, np.asarray(durations, dtype=float), cfg).checked()
     offsets, taus, _, _ = run.hits_by_member()
     return np.split(taus, offsets[1:-1])
 

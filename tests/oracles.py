@@ -5,7 +5,9 @@ from itertools import combinations
 
 import numpy as np
 
-from impulseflow import gap_set
+from impulseflow import first_hitting_time, flow, gap_set
+from impulseflow.flow_core import RegionEscape
+from impulseflow.hypotheses import _TUBE_XI, _tangent_directions
 
 
 def annulus_position(r0: float, theta0: float, t: float) -> np.ndarray:
@@ -160,3 +162,37 @@ def greedy_count(n: int, conflicts: set) -> int:
         if not any((a, j) in conflicts for a in admitted):
             admitted.append(j)
     return len(admitted)
+
+
+def continuity_probe_per_probe(sys, x, approach_dirs: int, scales) -> list[dict]:
+    """``hitting_continuity_probe`` one probe at a time, each with its own
+    single-orbit runs: the backward flow, the reversed search for a hit
+    before _TUBE_XI, then the forward search, whose region exit counts as
+    escaped."""
+    piece = sys.impulsive_sets[sys.in_impulsive_set(x, tol=1e-7)]
+    rows = []
+    for s in scales:
+        taus, escaped = [], 0
+        for d in _tangent_directions(piece.level, x, approach_dirs):
+            p = x + 0.5 * s * d
+            if not piece.contains(p, tol=1e-6):
+                p = x
+            xk = flow(sys.field, p, -s)
+            if sys.in_impulsive_set(xk, tol=1e-9) >= 0:
+                taus.append(0.0)
+                continue
+            back = first_hitting_time(sys, xk, t_max=_TUBE_XI, reverse=True)
+            if back is not None and back[0] < _TUBE_XI:
+                escaped += 1
+                continue
+            try:
+                hit = first_hitting_time(sys, xk, t_max=max(10.0, 4 * s))
+            except RegionEscape:
+                hit = None
+            if hit is None:
+                escaped += 1
+            else:
+                taus.append(hit[0])
+        rows.append({"scale": s, "tau_star_max": max(taus) if taus else float("nan"),
+                     "escaped": escaped})
+    return rows

@@ -14,6 +14,7 @@ import pytest
 from impulseflow import IntegratorConfig, build_fixture, candidate_cloud, metric_axiom_audit
 from impulseflow import cli
 from impulseflow.cli import main
+from impulseflow.flow_core import BatchStepper
 
 from oracles import annulus_impulse_schedule
 
@@ -383,6 +384,20 @@ class TestHypothesesExperiment:
         table = read_json(out / "hypotheses.json")["continuity_table"]
         assert table[0]["escaped"] > 0
         assert len(table) == 5
+
+    def test_four_engine_runs(self, tmp_path, monkeypatch):
+        # one BatchStepper per engine run: the separation tube's flow and the
+        # continuity probe's three batch runs
+        runs, init = [], BatchStepper.__init__
+
+        def counted(stepper, *args):
+            runs.append(1)
+            init(stepper, *args)
+
+        monkeypatch.setattr(BatchStepper, "__init__", counted)
+        assert run_cli("check-hypotheses", "--system", "prey_predator",
+                       "--out", str(tmp_path / "run")) == 0
+        assert len(runs) <= 4
 
     def test_degenerate_fails(self, tmp_path):
         out = tmp_path / "run"

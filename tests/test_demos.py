@@ -1,5 +1,4 @@
-"""The narrative demos run end to end.  03 (about 12 s) is left out to keep
-the suite's time down."""
+"""The narrative demos run end to end."""
 
 import os
 import subprocess
@@ -14,7 +13,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize("name", ["01_impulsive_orbits", "02_hypothesis_checks",
-                                  "04_entropy_growth", "05_quotient_metric"])
+                                  "03_occupation_measures", "04_entropy_growth",
+                                  "05_quotient_metric"])
 def test_demo_exits_0(name, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(impulseflow.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}

@@ -326,13 +326,15 @@ class TestEntropyEstimate:
         assert abs(est.h_tau_estimate) < 1e-12 and not est.lower_bound_only
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EntropyConfig(T_list=(3.0, 2.0), eps_list=(0.1,), delta_list=(0.1,))
-        with pytest.raises(ValueError):
-            EntropyConfig(T_list=(1.0, 2.0), eps_list=(0.1, 0.2), delta_list=(0.1,))
-        with pytest.raises(ValueError):
-            EntropyConfig(T_list=(1.0, 2.0), eps_list=(0.1,), delta_list=(0.1,),
-                          dt_check=0.2)
+        base = dict(T_list=(1.0, 2.0), eps_list=(0.1,), delta_list=(0.1,))
+        # each bad input is rejected up front, naming its field
+        for field, value in (("T_list", (3.0, 2.0)), ("eps_list", (0.1, 0.2)),
+                             ("dt_check", 0.2), ("candidate_count", 0),
+                             ("eps_list", (-0.1,)), ("eps_list", (0.0,)),
+                             ("eps_list", ()), ("delta_list", (0.0,)),
+                             ("dt_check", -0.1)):
+            with pytest.raises(ValueError, match=field):
+                EntropyConfig(**{**base, field: value})
 
     def test_delta_against_gap_bound(self, doubling):
         with pytest.raises(ValueError, match="gap bound"):

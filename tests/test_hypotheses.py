@@ -12,7 +12,7 @@ from impulseflow import (
 from impulseflow.neighbors import min_distance, radius_pairs
 from dataclasses import replace
 
-from oracles import min_cross_distance
+from oracles import continuity_probe_per_probe, min_cross_distance
 
 
 class TestTransversality:
@@ -146,6 +146,26 @@ class TestContinuityProbe:
             rows = hitting_continuity_probe(sys_spec, x, 2, scales)
             for row in rows:
                 assert row["tau_star_max"] / row["scale"] < 5.0
+
+    @pytest.mark.parametrize("name,dirs", [("annulus", 2), ("prey_predator", 4),
+                                           ("doubling_suspension", 2),
+                                           ("static_null", 2)])
+    def test_batch_runs_equal_the_per_probe_loop(self, name, dirs):
+        # check-hypotheses' probe point; on the doubling suspension both
+        # probes at scale 0.1 leave the region before they hit: escaped.
+        # The static field leaves every probe on the set, so both searches
+        # run on empty batches
+        sys_spec = build_fixture(name)
+        x = sample_impulsive_set(sys_spec, "D", 3)[-1]
+        scales = [10.0 ** (-k) for k in range(1, 6)]
+        rows = hitting_continuity_probe(sys_spec, x, dirs, scales)
+        want = continuity_probe_per_probe(sys_spec, x, dirs, scales)
+        assert [r["escaped"] for r in rows] == [w["escaped"] for w in want]
+        got, ref = (np.array([r["tau_star_max"] for r in t]) for t in (rows, want))
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.abs(got - ref)[~np.isnan(ref)].max() <= 1e-12
+        if name == "doubling_suspension":
+            assert rows[0]["escaped"] == 2
 
     def test_base_point_must_be_on_set(self, annulus):
         with pytest.raises(ValueError, match="not on the impulsive set"):

@@ -22,7 +22,7 @@ from impulseflow import (
     psi,
     psi_batch,
 )
-from impulseflow.flow_core import RegionEscape, dense_bernstein, dense_eval
+from impulseflow.flow_core import BatchStepper, RegionEscape, dense_bernstein, dense_eval
 from impulseflow import impulsive_system
 from impulseflow.impulsive_system import (
     _ROUNDING,
@@ -33,6 +33,7 @@ from impulseflow.impulsive_system import (
     _Pieces,
     _RootScan,
     _bracketed_roots,
+    _first_hits,
     _propagate,
     _split,
     hit_times_batch,
@@ -893,6 +894,29 @@ class TestEngineGuards:
         tr = impulsive_trajectory(escaping, polar(1.5, 0.5), 5.0, 0.1)
         assert tr.n_impulses == 0
 
+    def test_escape_in_a_batch_ends_only_its_member(self, annulus, rng):
+        # the band cut at y = -1.9: the orbit on r = 1.95 from the top passes
+        # below the cut at the bottom, before it reaches the set on the
+        # positive x-axis; orbits on r <= 1.85 never leave
+        cut = dataclasses.replace(
+            annulus, region=lambda x: annulus.region(x) & (x[:, 1] >= -1.9))
+        others = np.array([polar(r, a) for r, a in zip(
+            rng.uniform(1.0, 1.85, 63), rng.uniform(0.0, 2 * np.pi, 63))])
+        X = np.insert(others, 17, polar(1.95, np.pi / 2), axis=0)
+        tau, _, run = _first_hits(cut, X, 10.0)
+        assert np.flatnonzero(run.escaped).tolist() == [17] and np.isnan(tau[17])
+        alone, _, clean = _first_hits(cut, others, 10.0)
+        assert not clean.escaped.any() and not np.isnan(alone).any()
+        assert np.abs(np.delete(tau, 17) - alone).max() <= 1e-9
+        # the public calls still raise, naming the state past the cut
+        for call in (lambda: first_hitting_time(cut, X[17], 10.0),
+                     lambda: impulsive_trajectory_batch(cut, X, 10.0, 0.1)):
+            with pytest.raises(RegionEscape, match="left the admissible region of "
+                               "'annulus' near state") as err:
+                call()
+            state = np.array(str(err.value).split("[")[1].rstrip("]").split(), float)
+            assert state[1] < -1.9 and abs(np.hypot(*state) - 1.95) < 1e-6
+
 
 class TestRunStats:
     def test_criterion_1_orbit_steps_and_accuracy(self, annulus):
@@ -919,6 +943,33 @@ class TestRunStats:
         trajs = impulsive_trajectory_batch(doubling, X, 10.0, 0.05)
         assert trajs.stats.h_min > 1e-3
         assert all(tr.n_impulses == 10 for tr in trajs)
+
+    def test_mixed_durations_step_only_running_members(self, annulus, monkeypatch):
+        # a member leaves the shared step when its run ends: the rows stepped
+        # never increase, and sum to about half the steps times the batch
+        rng = np.random.default_rng(0)
+        X = candidate_cloud(annulus, 200, rng)
+        durations = rng.uniform(0.0, 20.0, 200)
+        rows, step = [], BatchStepper.step
+
+        def counted(stepper, h_cap):
+            rows.append(stepper.n)
+            return step(stepper, h_cap)
+
+        monkeypatch.setattr(BatchStepper, "step", counted)
+        psi_batch(annulus, X, durations)
+        assert rows[0] == 200 and all(np.diff(rows) <= 0)
+        assert sum(rows) < 0.6 * len(rows) * 200
+
+    def test_a_member_that_never_runs_leaves_the_others_bitwise(self, prey_predator):
+        # a zero-duration member is not stepped, so its state, here one with
+        # a large derivative, has no say in the batch's initial step
+        X = candidate_cloud(prey_predator, 8, np.random.default_rng(0))
+        alone = psi_batch(prey_predator, X, np.full(8, 5.0))
+        idle = psi_batch(prey_predator, np.vstack([X, [0.0, 0.0, 50.0]]),
+                         np.append(np.full(8, 5.0), 0.0))
+        assert alone.tobytes() == idle[:8].tobytes()
+        assert np.array_equal(idle[8], [0.0, 0.0, 50.0])
 
     def test_counters_identical_across_reruns(self, prey_predator, rng):
         X = candidate_cloud(prey_predator, 16, rng)
