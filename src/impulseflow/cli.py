@@ -4,7 +4,8 @@ outputs.
     impulseflow <experiment> --config cfg.json [--system NAME] [--seed N] [--out DIR]
 
 Experiments: simulate, check-hypotheses, measure, entropy, quotient, each
-with one frozen params dataclass.  Outputs are written into a staging
+with one frozen params dataclass.  This module formats and writes every
+output file; the library writes none.  Outputs are written into a staging
 directory and moved into the output directory only when the whole run
 succeeds, and every run emits manifest.json with the fully resolved
 configuration, so identical config and seed reproduce byte-identical files.
@@ -13,7 +14,7 @@ configuration, so identical config and seed reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import os
@@ -31,17 +32,8 @@ from . import __version__
 from .entropy import EntropyConfig, entropy_estimate
 from .flow_core import IntegratorConfig
 from .hypotheses import hitting_continuity_probe, separation_report, transversality_margin
-from .impulsive_system import (
-    impulsive_trajectory_batch,
-    write_impulses_csv,
-    write_trajectory_csv,
-)
-from .measures import (
-    GridPartition,
-    occupation_measure,
-    pushforward_discrepancy,
-    write_measure_csv,
-)
+from .impulsive_system import impulsive_trajectory_batch
+from .measures import GridPartition, occupation_measure, pushforward_discrepancy
 from .quotient import metric_axiom_audit
 from .systems import build_fixture, candidate_cloud, fixture_names, sample_impulsive_set
 
@@ -250,22 +242,30 @@ def _grid_partition(text: str, dim: int) -> GridPartition:
     return GridPartition(lo=lo, hi=hi, bins=bins)
 
 
-def _atomic_write(path: Path, writer) -> None:
-    """Write one output file with ``writer(path)``.
+def _atomic_write(path: Path, lines) -> None:
+    """Write one output file: the text ``lines``, each ended by LF, in UTF-8.
 
-    Every output goes through here, into the run's staging directory, which
-    ``run`` moves into place only when the whole run has succeeded; that
-    makes the write all-or-nothing, so no temp file of its own is needed.
-    Output writing stays in this one function so that it can be timed in
-    one place (perfbench traces it as ``cli.write``).
+    This is the one function that opens an output file.  Every output goes
+    through here, into the run's staging directory, which ``run`` moves
+    into place only when the whole run has succeeded; that makes the write
+    all-or-nothing, so no temp file of its own is needed.  Keeping it in one
+    place also times it in one place (perfbench traces it as ``cli.write``).
     """
-    writer(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """A table of Python ints and floats under its header row; a float is
+    written as its ``str``, which is its ``repr``, so it reads back exactly."""
+    _atomic_write(path, (",".join(map(str, row)) for row in itertools.chain([header], rows)))
 
 
 def _write_json(path: Path, obj) -> None:
     # numpy arrays and scalars are written as their Python values
-    text = json.dumps(obj, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
-    _atomic_write(path, lambda dest: Path(dest).write_text(text, encoding="utf-8"))
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True,
+                                    default=lambda o: o.tolist())])
 
 
 # --------------------------------------------------------------------------
@@ -282,10 +282,17 @@ def _orbit(sys_spec, p: SimulateParams):
 
 def _run_simulate(sys_spec, p: SimulateParams, seed: int, outdir: Path) -> dict:
     traj, propagation = _orbit(sys_spec, p)
-    _atomic_write(outdir / "trajectory.csv",
-                  lambda path: write_trajectory_csv(traj, path))
-    _atomic_write(outdir / "impulses.csv",
-                  lambda path: write_impulses_csv(traj, path))
+    names = sys_spec.state_names
+    # the samples, then one flagged row per impulse with its post-impulse state
+    hits = [[n, tau, *x] for n, (tau, x) in enumerate(
+        zip(traj.impulse_times.tolist(), traj.post_impulse_states.tolist()), 1)]
+    rows = [[t, *x, s, 0] for t, x, s in zip(
+        traj.sample_times.tolist(), traj.sample_states.tolist(),
+        traj.segment_index(traj.sample_times).tolist())]
+    rows += [[tau, *x, n, 1] for n, tau, *x in hits]
+    rows.sort(key=lambda r: (r[0], r[-1]))
+    _write_csv(outdir / "trajectory.csv", ["t", *names, "segment_index", "is_impulse"], rows)
+    _write_csv(outdir / "impulses.csv", ["n", "tau_n", *names], hits)
     return {
         "initial_state": p.initial_state,
         "n_impulses": traj.n_impulses,
@@ -329,7 +336,12 @@ def _run_measure(sys_spec, p: MeasureParams, seed: int, outdir: Path) -> dict:
     traj, propagation = _orbit(sys_spec, p)
     mu = occupation_measure(traj, grid, p.burn_in)
     disc = pushforward_discrepancy(sys_spec, traj, grid, p.t_shift, p.burn_in)
-    _atomic_write(outdir / "measure.csv", lambda path: write_measure_csv(mu, path))
+    dims = range(grid.dim)
+    # one row at a time: whole-table lists would raise the process's peak RSS
+    cells = zip(grid.multi_indices(), grid.cell_centers(), mu.weights.tolist())
+    _write_csv(outdir / "measure.csv",
+               [*(f"i{k}" for k in dims), *(f"center{k}" for k in dims), "weight"],
+               (i.tolist() + c.tolist() + [w] for i, c, w in cells))
     return {
         "initial_state": p.initial_state,
         "escaped_frac": mu.escaped_frac,
@@ -343,15 +355,8 @@ def _run_entropy(sys_spec, p: EntropyParams, seed: int, outdir: Path) -> dict:
     est = entropy_estimate(sys_spec, EntropyConfig(
         T_list=p.T_list, eps_list=p.eps_list, delta_list=p.delta_list,
         candidate_count=p.candidate_count, dt_check=p.dt_check, seed=seed))
-
-    def write_table(path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["T", "eps", "delta", "s_count", "saturated"])
-            for r in est.table:
-                w.writerow([repr(r.T), repr(r.eps), repr(r.delta),
-                            r.s_count, int(r.saturated)])
-    _atomic_write(outdir / "entropy_table.csv", write_table)
+    _write_csv(outdir / "entropy_table.csv", ["T", "eps", "delta", "s_count", "saturated"],
+               ([r.T, r.eps, r.delta, r.s_count, int(r.saturated)] for r in est.table))
     return {
         "h_tau_estimate": est.h_tau_estimate,
         "lower_bound_only": est.lower_bound_only,
@@ -365,11 +370,9 @@ def _write_dmatrix(path, D) -> None:
     """The class-distance matrix as ``i,j,dtilde`` lines, one joined string
     per row (all n^2 lines at once would be held in memory together)."""
     js = [f"{j}," for j in range(len(D))]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("i,j,dtilde\n")
-        for i, row in enumerate(D):
-            fh.write(f"{i}," + f"\n{i},".join(map(str.__add__, js, map(repr, row.tolist())))
-                     + "\n")
+    _atomic_write(path, itertools.chain(["i,j,dtilde"], (
+        f"{i}," + f"\n{i},".join(map(str.__add__, js, map(repr, row.tolist())))
+        for i, row in enumerate(D))))
 
 
 def _run_quotient(sys_spec, p: QuotientParams, seed: int, outdir: Path) -> dict:
@@ -379,17 +382,11 @@ def _run_quotient(sys_spec, p: QuotientParams, seed: int, outdir: Path) -> dict:
         pts = candidate_cloud(sys_spec, p.n_points, np.random.default_rng(seed))
     audit = metric_axiom_audit(sys_spec, pts)
     classes, D, n = audit.classes, audit.distances, audit.n_points
-
-    def write_classes(path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["point_index", "member_index", *sys_spec.state_names])
-            for i, cl in enumerate(classes):
-                for k, m in enumerate(cl.members):
-                    w.writerow([i, k, *(repr(float(v)) for v in m)])
-
-    _atomic_write(outdir / "quotient_classes.csv", write_classes)
-    _atomic_write(outdir / "quotient_dmatrix.csv", lambda path: _write_dmatrix(path, D))
+    _write_csv(outdir / "quotient_classes.csv",
+               ["point_index", "member_index", *sys_spec.state_names],
+               ([i, k, *m] for i, cl in enumerate(classes)
+                for k, m in enumerate(cl.members.tolist())))
+    _write_dmatrix(outdir / "quotient_dmatrix.csv", D)
     return {
         "n_points": n,
         "audit": {

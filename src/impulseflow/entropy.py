@@ -402,8 +402,10 @@ class EntropyConfig:
         object.__setattr__(self, "eps_list", tuple(float(v) for v in self.eps_list))
         object.__setattr__(self, "delta_list",
                            tuple(float(v) for v in self.delta_list))
-        if list(self.T_list) != sorted(self.T_list) or len(self.T_list) < 2:
-            raise ValueError("T_list must be increasing with at least two entries")
+        T = self.T_list
+        if len(T) < 2 or list(T) != sorted(T) or T[0] < 0 or not T[-1] > 0:
+            raise ValueError("T_list must have at least two entries, nonnegative, "
+                             "increasing and ending above 0")
         for name in ("eps_list", "delta_list"):
             values = getattr(self, name)
             if not values or min(values) <= 0 or any(np.diff(values) > 0):

@@ -67,7 +67,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0 < self.min_step <= self.max_step):
             raise ValueError("require 0 < min_step <= max_step")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):     # NaN too
             raise ValueError("tolerances must be positive")
 
 
@@ -81,6 +81,15 @@ class VectorFieldSpec:
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
 
 
+def check_dimension(spec: VectorFieldSpec, x: np.ndarray) -> None:
+    """Raise ValueError unless the states ``x`` (..., dim) match the field."""
+    if x.shape[-1] != spec.dim:
+        raise ValueError(
+            f"state dimension {x.shape[-1]} does not match the field's "
+            f"(expected {spec.dim})"
+        )
+
+
 def eval_vector_field(spec: VectorFieldSpec, x: np.ndarray) -> np.ndarray:
     """Evaluate the right-hand side f(x).
 
@@ -89,11 +98,7 @@ def eval_vector_field(spec: VectorFieldSpec, x: np.ndarray) -> np.ndarray:
     field was written for).
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != spec.dim:
-        raise ValueError(
-            f"state dimension {x.shape[-1]} does not match the field's "
-            f"(expected {spec.dim})"
-        )
+    check_dimension(spec, x)
     out = spec.fn(x)
     if not np.all(np.isfinite(out)):
         raise ValueError("the vector field returned non-finite values")
@@ -402,6 +407,7 @@ class BatchStepper:
         self.rejected = 0   # steps rejected by the error test, over the stepper's life
         self.h = self._initial_step()
         self._coef, self._coef_h = np.ones((_N_STAGES + 1, _N_STAGES + 1)), None
+        self._buffer = np.empty((_N_STAGES_EXTENDED + 1) * self.n * self.dim)
         self.keep(slice(None))
 
     def keep(self, rows):
@@ -409,10 +415,13 @@ class BatchStepper:
         member leaves the shared step when its run ends."""
         self.y, self.k1 = self.y[rows], self.k1[rows]
         self.n = len(self.y)
-        # the step buffer: row 0 holds y and row s + 1 stage s, so that each
-        # stage state is one product with the row [1, h * A[s]] of _coef, kept
-        # while h is; a step's K is a view of it, read before the next step
-        self._YK = np.empty((_N_STAGES_EXTENDED + 1, self.n * self.dim))
+        # the step buffer, a contiguous prefix of the one allocated at the
+        # start (a strided view would change the products' rounding): row 0
+        # holds y and row s + 1 stage s, so that each stage state is one
+        # product with the row [1, h * A[s]] of _coef, kept while h is; a
+        # step's K is a view of it, read before the next step
+        self._YK = self._buffer[:(_N_STAGES_EXTENDED + 1) * self.n * self.dim].reshape(
+            _N_STAGES_EXTENDED + 1, self.n * self.dim)
         rows = self._YK.reshape(_N_STAGES_EXTENDED + 1, self.n, self.dim)
         self._stages = [(self._coef[s, :s + 1], self._YK[:s + 1], rows[s + 1])
                         for s in range(1, _N_STAGES + 1)]
@@ -446,7 +455,7 @@ class BatchStepper:
         self._YK[:2] = self.y.reshape(-1), self.k1.reshape(-1)
         rejected = False
         while True:
-            if h < cfg.min_step:
+            if not h >= cfg.min_step:     # NaN too: a field non-finite at a stage
                 raise StepSizeUnderflow(f"step size {h:.3e} below min_step")
             if h != self._coef_h:
                 np.multiply(h, _A[:_N_STAGES + 1, :_N_STAGES], out=self._coef[:, 1:])
@@ -550,18 +559,14 @@ def flow(spec: VectorFieldSpec, x: np.ndarray, t,
 
     x = np.asarray(x, dtype=float)
     batch = np.atleast_2d(x)
-    if batch.shape[-1] != spec.dim:
-        raise ValueError("state dimension does not match system")
     times = np.asarray(t, dtype=float)
     sign = -1.0 if (times < 0).any() else 1.0
     span = sign * times
     if times.ndim == 0:
-        if t == 0:
-            return x.copy()
         out = _propagate(spec, batch, span, cfg, time_sign=sign).final
     else:
-        if (times.ndim != 1 or not len(span) or span[0] < 0
-                or (np.diff(span) <= 0).any()):
+        if (times.ndim != 1 or not len(span) or not span[0] >= 0
+                or not (np.diff(span) > 0).all()):
             raise ValueError("times must be one sign with strictly increasing "
                              "magnitude")
         out = _propagate(spec, batch, span[-1], cfg, sample_grid=span,

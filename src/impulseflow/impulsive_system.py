@@ -20,7 +20,6 @@ is the post-impulse state.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -34,6 +33,7 @@ from .flow_core import (
     RadiusLevel,
     RegionEscape,
     VectorFieldSpec,
+    check_dimension,
     dense_bernstein,
     dense_eval,
     eval_vector_field,
@@ -55,8 +55,6 @@ __all__ = [
     "hit_times_batch",
     "psi",
     "psi_batch",
-    "write_trajectory_csv",
-    "write_impulses_csv",
 ]
 
 _TIME_TOL = 1e-12          # hit times are located to a bracket this wide
@@ -599,7 +597,9 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     and on leaving the admissible region, which ``_BatchRun`` records; an
     ended member leaves the shared step (``BatchStepper.keep``).  A bare
     VectorFieldSpec for ``sys`` is the continuous flow, the case with no
-    impulsive-set pieces and no region check.
+    impulsive-set pieces and no region check.  The inputs of every public
+    engine call are checked here: a non-finite state or time, and a state of
+    the wrong dimension, raise ValueError.
 
     time_sign=-1 integrates the reversed field (meaningful for an invertible
     flow, as every builtin's is; used by backward reachability probes): the
@@ -608,6 +608,8 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     cfg = cfg or IntegratorConfig()
     X0 = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     durations = np.broadcast_to(np.asarray(durations, dtype=float), (len(X0),)).copy()
+    if not (np.isfinite(X0).all() and np.isfinite(durations).all()):
+        raise ValueError("states and times must be finite")
     if (durations < 0).any():
         raise ValueError("durations must be nonnegative")
     forward = time_sign > 0
@@ -615,6 +617,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         field, sets, check_region = sys, (), False
     else:
         field, sets, check_region = sys.field, sys.impulsive_sets, forward
+    check_dimension(field, X0)
     run = _BatchRun(X0, sample_grid)
     stats = run.stats
     pieces = _Pieces(sets)
@@ -857,10 +860,10 @@ def impulsive_trajectory_batch(sys: SystemSpec, X: np.ndarray, T: float,
                                dt_sample: float,
                                cfg: IntegratorConfig | None = None) -> TrajectoryBatch:
     """Batch form of ``impulsive_trajectory``; one shared integration."""
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
-    if dt_sample <= 0:
-        raise ValueError("dt_sample must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("horizon T must be positive and finite")
+    if not 0 < dt_sample < math.inf:
+        raise ValueError("dt_sample must be positive and finite")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     grid = _grid_for(T, dt_sample)
     run = _propagate(sys, X, np.full(len(X), float(T)), cfg, sample_grid=grid).checked()
@@ -928,42 +931,3 @@ def hit_times_batch(sys: SystemSpec, X: np.ndarray, durations: np.ndarray,
     offsets, taus, _, _ = run.hits_by_member()
     return np.split(taus, offsets[1:-1])
 
-
-# --------------------------------------------------------------------------
-# CSV export
-# --------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_trajectory_csv(traj: ImpulsiveTrajectory, path) -> None:
-    """Sampled orbit as CSV: t, coordinates, segment index, impulse flag.
-
-    Rows are the uniform samples plus one flagged row per impulse carrying the
-    post-impulse state.
-    """
-    names = traj.system.state_names
-    rows = []
-    seg = traj.segment_index(traj.sample_times)
-    for k, t in enumerate(traj.sample_times):
-        rows.append((t, 0, traj.sample_states[k], seg[k], 0))
-    for n, tau in enumerate(traj.impulse_times):
-        rows.append((tau, 1, traj.post_impulse_states[n], n + 1, 1))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", *names, "segment_index", "is_impulse"])
-        for t, _, state, s, flag in rows:
-            w.writerow([_fmt(t), *(_fmt(v) for v in state), s, flag])
-
-
-def write_impulses_csv(traj: ImpulsiveTrajectory, path) -> None:
-    """Hit schedule as CSV: impulse index, hit time, post-impulse state."""
-    names = traj.system.state_names
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "tau_n", *names])
-        for n, tau in enumerate(traj.impulse_times):
-            w.writerow([n + 1, _fmt(tau),
-                        *(_fmt(v) for v in traj.post_impulse_states[n])])

@@ -10,7 +10,6 @@ semiflow.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "occupation_measure",
     "pushforward_discrepancy",
     "birkhoff_average",
-    "write_measure_csv",
 ]
 
 _ESCAPE_LIMIT = 1e-3
@@ -203,18 +201,3 @@ def birkhoff_average(traj: ImpulsiveTrajectory, observable,
         raise ValueError(f"unknown observable {observable!r}")
     return float((w * vals).sum() / w.sum())
 
-
-def write_measure_csv(measure: OccupationMeasure, path) -> None:
-    """Measure as CSV: cell multi-index, cell center coordinates, weight."""
-    grid = measure.grid
-    centers = grid.cell_centers()
-    mids = grid.multi_indices()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        idx_cols = [f"i{k}" for k in range(grid.dim)]
-        mid_cols = [f"center{k}" for k in range(grid.dim)]
-        w.writerow([*idx_cols, *mid_cols, "weight"])
-        for c in range(grid.n_cells):
-            w.writerow([*map(int, mids[c]),
-                        *(repr(float(v)) for v in centers[c]),
-                        repr(float(measure.weights[c]))])

@@ -11,11 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impulseflow import IntegratorConfig, build_fixture, candidate_cloud, metric_axiom_audit
+from impulseflow import (
+    IntegratorConfig,
+    build_fixture,
+    candidate_cloud,
+    impulsive_trajectory,
+    metric_axiom_audit,
+)
 from impulseflow import cli
 from impulseflow.cli import main
 from impulseflow.flow_core import BatchStepper
 
+from conftest import polar
 from oracles import annulus_impulse_schedule
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -327,6 +334,50 @@ class TestSimulate:
         assert "artifact_version" in manifest
         assert manifest["results"]["propagation"]["hits"] == len(taus)
 
+    @staticmethod
+    def _simulate(tmp_path, system, x0, horizon, dt_sample) -> Path:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "system": {"name": system},
+            "params": {"horizon": horizon, "dt_sample": dt_sample,
+                       "initial_state": list(x0)},
+        }))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        return out
+
+    def test_trajectory_csv(self, annulus, tmp_path):
+        x0 = polar(1.5, np.pi / 2)
+        traj = impulsive_trajectory(annulus, x0, 10.0, 0.5)
+        out = self._simulate(tmp_path, "annulus", x0.tolist(), 10.0, 0.5)
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,x1,x2,segment_index,is_impulse"
+        n_samples = len(traj.sample_times)
+        assert len(lines) == 1 + n_samples + traj.n_impulses
+        impulse_rows = [l for l in lines[1:] if l.endswith(",1")]
+        assert len(impulse_rows) == traj.n_impulses
+
+    def test_segment_index_of_a_sample_just_before_a_hit(self, doubling, tmp_path):
+        # the hit at t = 1 is located just after the sample at t = 1, which
+        # carries the post-impulse state (height 0) and so opens segment 1
+        traj = impulsive_trajectory(doubling, np.array([1.0, 0.0, 0.0]), 3.0, 0.5)
+        assert 1.0 < traj.impulse_times[0] <= 1.0 + 1e-9
+        out = self._simulate(tmp_path, "doubling_suspension", [1.0, 0.0, 0.0], 3.0, 0.5)
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        row = next(l for l in lines if l.startswith("1.0,"))
+        assert row.split(",")[3:] == ["0.0", "1", "0"]
+
+    def test_impulses_csv(self, annulus, tmp_path):
+        x0 = polar(1.5, np.pi / 2)
+        traj = impulsive_trajectory(annulus, x0, 10.0, 0.5)
+        out = self._simulate(tmp_path, "annulus", x0.tolist(), 10.0, 0.5)
+        lines = (out / "impulses.csv").read_text().splitlines()
+        assert lines[0] == "n,tau_n,x1,x2"
+        assert len(lines) == 1 + traj.n_impulses
+        first = lines[1].split(",")
+        assert first[0] == "1"
+        assert abs(float(first[1]) - 1.5 * np.pi) < 1e-9
+
 
 class TestFailureLeavesNoOutputs:
     CFG = {"system": {"name": "annulus"},
@@ -335,11 +386,15 @@ class TestFailureLeavesNoOutputs:
 
     @staticmethod
     def _break_impulses_writer(monkeypatch):
-        import impulseflow.cli as cli
+        # the second write, impulses.csv, fails once trajectory.csv is written
+        write, calls = cli._atomic_write, []
 
-        def broken(traj, path):
-            raise OSError("disk full")
-        monkeypatch.setattr(cli, "write_impulses_csv", broken)
+        def broken(path, lines):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write(path, lines)
+        monkeypatch.setattr(cli, "_atomic_write", broken)
 
     def test_failed_second_write_removes_first(self, tmp_path, monkeypatch):
         cfg = tmp_path / "c.json"

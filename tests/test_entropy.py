@@ -332,7 +332,8 @@ class TestEntropyEstimate:
                              ("dt_check", 0.2), ("candidate_count", 0),
                              ("eps_list", (-0.1,)), ("eps_list", (0.0,)),
                              ("eps_list", ()), ("delta_list", (0.0,)),
-                             ("dt_check", -0.1)):
+                             ("dt_check", -0.1), ("T_list", (-1.0, 2.0)),
+                             ("T_list", (0.0, 0.0))):
             with pytest.raises(ValueError, match=field):
                 EntropyConfig(**{**base, field: value})
 

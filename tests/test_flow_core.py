@@ -8,11 +8,12 @@ from impulseflow import (
     IntegratorConfig,
     LinearLevel,
     RadiusLevel,
+    VectorFieldSpec,
     build_fixture,
     eval_vector_field,
     flow,
 )
-from impulseflow.flow_core import dense_bernstein, dense_eval
+from impulseflow.flow_core import StepSizeUnderflow, dense_bernstein, dense_eval
 from conftest import polar
 from oracles import annulus_position, prey_predator_rhs
 
@@ -148,10 +149,22 @@ class TestFlow:
         assert np.array_equal(flow(spec, X, 0.0, cfg), X)
 
     @pytest.mark.parametrize("times", [[1.0, 0.5], [0.5, 0.5], [-1.0, 2.0],
-                                       [[0.5, 1.0]], []])
+                                       [[0.5, 1.0]], [], [math.nan, 1.0],
+                                       [0.5, math.nan, 1.0], [0.5, math.inf]])
     def test_time_array_validation(self, cfg, times):
         with pytest.raises(ValueError, match="times"):
             flow(ANNULUS, polar(1.5, 0.0), np.array(times), cfg)
+
+    def test_input_checks(self, cfg):
+        # a field that is NaN at the start makes the first step size NaN,
+        # which must end the run rather than be rejected step after step
+        spec = VectorFieldSpec(2, lambda x: np.sqrt(x - 1.0))
+        with np.errstate(invalid="ignore"), pytest.raises(StepSizeUnderflow):
+            flow(spec, np.array([0.5, 2.0]), 1.0, cfg)
+        with pytest.raises(ValueError, match="state dimension 3 does not match"):
+            flow(ANNULUS, [1.0, 0.0, 0.0], 1.0, cfg)
+        with pytest.raises(ValueError, match="finite"):
+            flow(ANNULUS, [math.nan, 1.0], 0.0, cfg)
 
     @pytest.mark.parametrize("t", [1.0, 10.0, 50.0, 100.0])
     def test_annulus_radius_conserved(self, cfg, t):
@@ -185,6 +198,9 @@ class TestIntegratorConfig:
             IntegratorConfig(min_step=1.0, max_step=0.1)
         with pytest.raises(ValueError):
             IntegratorConfig(abs_tol=0.0)
+        for tol in ("abs_tol", "rel_tol"):
+            with pytest.raises(ValueError, match="tolerances"):
+                IntegratorConfig(**{tol: math.nan})
 
 
 class TestDop853:

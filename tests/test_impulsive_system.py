@@ -37,8 +37,6 @@ from impulseflow.impulsive_system import (
     _propagate,
     _split,
     hit_times_batch,
-    write_impulses_csv,
-    write_trajectory_csv,
 )
 from conftest import polar
 from oracles import annulus_impulse_schedule
@@ -424,11 +422,31 @@ class TestTrajectory:
             assert tr.n_impulses == len(want)
             assert np.abs(tr.impulse_times - want).max() < 1e-8
 
-    def test_input_validation(self, annulus):
+    def test_input_validation(self, annulus, prey_predator):
         with pytest.raises(ValueError):
             impulsive_trajectory(annulus, polar(1.5, 1.0), -1.0, 0.1)
         with pytest.raises(ValueError):
             impulsive_trajectory(annulus, polar(1.5, 1.0), 1.0, 0.0)
+        # non-finite states and times are rejected up front: a NaN state
+        # makes the step size NaN, and a run to an infinite time or search
+        # limit on an orbit that never hits would not end
+        for T, dt in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                impulsive_trajectory(annulus, polar(1.5, 1.0), T, dt)
+        with pytest.raises(ValueError, match="finite"):
+            impulsive_trajectory(annulus, [math.nan, 1.5], 1.0, 0.1)
+        static_null = build_fixture("static_null")
+        x = candidate_cloud(static_null, 1, np.random.default_rng(0))[0]
+        for t_max in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                first_hitting_time(static_null, x, t_max)
+            with pytest.raises(ValueError, match="finite"):
+                first_hitting_time(annulus, polar(1.5, 1.0), t_max)
+        # states of the wrong dimension get the field's own message
+        with pytest.raises(ValueError, match="state dimension 3 does not match"):
+            impulsive_trajectory(annulus, [0.0, 1.5, 0.0], 1.0, 0.1)
+        with pytest.raises(ValueError, match="state dimension 2 does not match"):
+            psi(prey_predator, np.array([1.0, 1.0]), 1.0)
 
 
 class TestPsi:
@@ -449,6 +467,14 @@ class TestPsi:
     def test_negative_time_rejected(self, annulus):
         with pytest.raises(ValueError):
             psi(annulus, polar(1.5, 1.0), -0.5)
+        # and non-finite ones, a NaN time too, which no comparison rejects
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                psi(annulus, polar(1.5, 1.0), t)
+            with pytest.raises(ValueError, match="finite"):
+                psi_batch(annulus, polar(1.5, 1.0)[None], np.array([t]))
+        with pytest.raises(ValueError, match="finite"):
+            psi(annulus, np.array([math.inf, 1.5]), 1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(r=st.floats(1.0, 2.0), theta=st.floats(0.05, 2 * np.pi - 0.05),
@@ -694,27 +720,6 @@ class TestSampleBlocks:
 
 
 class TestExport:
-    def test_trajectory_csv(self, annulus, tmp_path):
-        traj = impulsive_trajectory(annulus, polar(1.5, np.pi / 2), 10.0, 0.5)
-        p = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "t,x1,x2,segment_index,is_impulse"
-        n_samples = len(traj.sample_times)
-        assert len(lines) == 1 + n_samples + traj.n_impulses
-        impulse_rows = [l for l in lines[1:] if l.endswith(",1")]
-        assert len(impulse_rows) == traj.n_impulses
-
-    def test_segment_index_of_a_sample_just_before_a_hit(self, doubling, tmp_path):
-        # the hit at t = 1 is located just after the sample at t = 1, which
-        # carries the post-impulse state (height 0) and so opens segment 1
-        traj = impulsive_trajectory(doubling, np.array([1.0, 0.0, 0.0]), 3.0, 0.5)
-        assert 1.0 < traj.impulse_times[0] <= 1.0 + 1e-9
-        p = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, p)
-        row = next(l for l in p.read_text().splitlines() if l.startswith("1.0,"))
-        assert row.split(",")[3:] == ["0.0", "1", "0"]
-
     def test_segment_index_follows_the_sample_state(self, doubling):
         # a doubling orbit's height is the time since its last hit
         ang = 2 * np.pi * np.arange(200) / 200
@@ -724,17 +729,6 @@ class TestExport:
             last_hit = np.concatenate([[0.0], tr.impulse_times])[seg]
             assert np.allclose(tr.sample_states[:, 2], tr.sample_times - last_hit,
                                rtol=0, atol=1e-9)
-
-    def test_impulses_csv(self, annulus, tmp_path):
-        traj = impulsive_trajectory(annulus, polar(1.5, np.pi / 2), 10.0, 0.5)
-        p = tmp_path / "imp.csv"
-        write_impulses_csv(traj, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "n,tau_n,x1,x2"
-        assert len(lines) == 1 + traj.n_impulses
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert abs(float(first[1]) - 1.5 * np.pi) < 1e-9
 
 
 class TestPreimages:
