@@ -23,8 +23,8 @@ grid = GridPartition(lo=(-2, -2), hi=(2, 2), bins=(40, 40))
 print("horizon ->  shift defect   mean radius")
 for T in (250.0, 500.0, 1000.0):
     traj = impulsive_trajectory(annulus, np.array([0.0, 1.5]), T, 0.01)
-    disc = pushforward_discrepancy(annulus, traj, grid, 1.0)
-    r_mean = birkhoff_average(traj, "radius")
+    disc = pushforward_discrepancy(traj, grid, 1.0)
+    r_mean = birkhoff_average(traj, lambda x: np.hypot(x[:, 0], x[:, 1]))
     print(f"T = {T:6.0f}:   {disc:.6f}     {r_mean:.6f}")
 
 traj = impulsive_trajectory(annulus, np.array([0.0, 1.5]), 1000.0, 0.01)

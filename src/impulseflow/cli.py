@@ -335,7 +335,7 @@ def _run_measure(sys_spec, p: MeasureParams, seed: int, outdir: Path) -> dict:
     grid = _grid_partition(p.grid, sys_spec.dim)
     traj, propagation = _orbit(sys_spec, p)
     mu = occupation_measure(traj, grid, p.burn_in)
-    disc = pushforward_discrepancy(sys_spec, traj, grid, p.t_shift, p.burn_in)
+    disc = pushforward_discrepancy(traj, grid, p.t_shift, p.burn_in)
     dims = range(grid.dim)
     # one row at a time: whole-table lists would raise the process's peak RSS
     cells = zip(grid.multi_indices(), grid.cell_centers(), mu.weights.tolist())

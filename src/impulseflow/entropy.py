@@ -398,10 +398,11 @@ class EntropyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "T_list", tuple(float(v) for v in self.T_list))
-        object.__setattr__(self, "eps_list", tuple(float(v) for v in self.eps_list))
-        object.__setattr__(self, "delta_list",
-                           tuple(float(v) for v in self.delta_list))
+        for name in ("T_list", "eps_list", "delta_list"):
+            values = tuple(float(v) for v in getattr(self, name))
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} entries must be finite")
+            object.__setattr__(self, name, values)
         T = self.T_list
         if len(T) < 2 or list(T) != sorted(T) or T[0] < 0 or not T[-1] > 0:
             raise ValueError("T_list must have at least two entries, nonnegative, "
@@ -480,61 +481,47 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig) -> EntropyEstimate:
             f"eta/2 = {eta / 2:.6g}"
         )
     n = len(candidates)
-    rows = []
-    work = {"passes": 0, "kd_pairs": [], "prefilter_pairs": [],
-            "conflict_pairs": []}
+    shape = (len(cfg.delta_list), len(cfg.eps_list), len(cfg.T_list))
+    S = np.empty(shape, dtype=int)          # separated-set counts
+    conflicts = np.empty(shape, dtype=int)  # conflicting pairs of each cell
+    work = {"passes": 0, "kd_pairs": [], "prefilter_pairs": []}
     tables = _pair_tables(batch, cfg.T_list, max(cfg.eps_list), cfg.delta_list)
-    for delta, table in zip(cfg.delta_list, tables):
+    for d, table in enumerate(tables):
         work["passes"] += 1
         work["kd_pairs"].append(table.kd_pairs)
         work["prefilter_pairs"].append(table.prefilter_pairs)
-        for eps in cfg.eps_list:
-            for k, T in enumerate(cfg.T_list):
+        for e, eps in enumerate(cfg.eps_list):
+            for k in range(len(cfg.T_list)):
                 hit = table.dmin[:, k] < eps * eps
-                s = len(_greedy_scan(n, table.lo[hit], table.hi[hit]))
-                work["conflict_pairs"].append(int(hit.sum()))
-                rows.append(CellCount(T=T, eps=eps, delta=delta, s_count=s,
-                                      saturated=s >= n))
-    rates = {}
-    lower_bound_any = False
-    for delta in cfg.delta_list:
-        for eps in cfg.eps_list:
-            sel = [r for r in rows if r.eps == eps and r.delta == delta]
-            Ts = np.array([r.T for r in sel])
-            counts = np.array([max(r.s_count, 1) for r in sel])
-            sat = np.array([r.saturated for r in sel])
-            rate, lb = _fit_rate(Ts, counts, sat)
-            rates[(eps, delta)] = rate
-            lower_bound_any |= lb
-    h_tau = rates[(min(cfg.eps_list), min(cfg.delta_list))]
-    mono_defects = _monotonicity_defects(rows)
+                S[d, e, k] = len(_greedy_scan(n, table.lo[hit], table.hi[hit]))
+                conflicts[d, e, k] = hit.sum()
+    work["conflict_pairs"] = conflicts.ravel().tolist()
+    saturated = S >= n
+    # one fit per (delta, eps) row of the table
+    fits = {(eps, delta): _fit_rate(np.array(cfg.T_list), np.maximum(S[d, e], 1),
+                                    saturated[d, e])
+            for d, delta in enumerate(cfg.delta_list)
+            for e, eps in enumerate(cfg.eps_list)}
+    rates = {key: rate for key, (rate, _) in fits.items()}
     return EntropyEstimate(
-        table=tuple(rows),
+        table=tuple(CellCount(T=cfg.T_list[k], eps=cfg.eps_list[e],
+                              delta=cfg.delta_list[d], s_count=int(S[d, e, k]),
+                              saturated=bool(saturated[d, e, k]))
+                    for d, e, k in np.ndindex(shape)),
         rates=rates,
-        h_tau_estimate=float(h_tau),
-        lower_bound_only=lower_bound_any,
+        h_tau_estimate=rates[(min(cfg.eps_list), min(cfg.delta_list))],
+        lower_bound_only=any(lb for _, lb in fits.values()),
         diagnostics={
             "candidate_count": cfg.candidate_count,
             "dt_check": cfg.dt_check,
             "eta_est": eta,
-            "saturated_cells": int(sum(r.saturated for r in rows)),
-            "eps_monotonicity_defects": mono_defects,
+            "saturated_cells": int(saturated.sum()),
+            # cells whose count drops when eps shrinks (eps_list decreases)
+            "eps_monotonicity_defects": int((np.diff(S, axis=1) < 0).sum()),
             "propagation": asdict(batch.stats),
             "separated": work,
         },
     )
-
-
-def _monotonicity_defects(rows) -> int:
-    """Count (T, delta) pairs where s_count increases with eps."""
-    defects = 0
-    keys = {(r.T, r.delta) for r in rows}
-    for T, delta in keys:
-        sel = sorted((r for r in rows if r.T == T and r.delta == delta),
-                     key=lambda r: -r.eps)
-        counts = [r.s_count for r in sel]
-        defects += sum(1 for a, b in zip(counts, counts[1:]) if b < a)
-    return defects
 
 
 # --------------------------------------------------------------------------

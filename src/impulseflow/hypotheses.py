@@ -149,7 +149,7 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
         raise ValueError("base point is not on the impulsive set")
     piece = sys.impulsive_sets[j]
     scales = np.asarray(list(scales), dtype=float)
-    if (scales <= 0).any() or (np.diff(scales) >= 0).any():
+    if not (scales > 0).all() or (np.diff(scales) >= 0).any():
         raise ValueError("scales must be positive and decreasing")
     dirs = _tangent_directions(piece.level, x, approach_dirs)
 

@@ -1,11 +1,12 @@
 """Empirical invariant measures along impulsive orbits.
 
-An occupation measure weighs each grid cell by the fraction of time the
-sampled orbit spends in it (trapezoidal time weighting).  Invariance of the
-long-run measure is probed by comparing two time-shifted windows of the same
-orbit, which agrees with the pushforward definition up to O(shift/horizon)
-boundary terms while avoiding preimage computations for the non-invertible
-semiflow.
+Every measure is one histogram of weighted states: the samples of a time
+window of the orbit, weighted by their trapezoid share of its time.  The
+occupation measure bins them by grid cell; a Birkhoff average weighs an
+observable's values.  Invariance of the long-run measure is probed by
+comparing two time-shifted windows of the same orbit, which agrees with the
+pushforward definition up to O(shift/horizon) boundary terms while avoiding
+preimage computations for the non-invertible semiflow.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impulsive_system import ImpulsiveTrajectory, SystemSpec
+from .impulsive_system import ImpulsiveTrajectory
 
 __all__ = [
     "GridPartition",
@@ -87,40 +88,49 @@ class GridPartition:
 class OccupationMeasure:
     grid: GridPartition
     weights: np.ndarray
-    total_time: float
     escaped_frac: float
 
-    def weight_of(self, multi_index) -> float:
-        flat = int(np.ravel_multi_index(tuple(multi_index), self.grid.bins))
-        return float(self.weights[flat])
+
+def _burn_in(traj: ImpulsiveTrajectory, burn_in: float | None) -> float:
+    """The start of every measure's window: 10% of the horizon by default,
+    and below the horizon."""
+    if burn_in is None:
+        burn_in = 0.1 * traj.horizon
+    if not burn_in < traj.horizon:
+        raise ValueError("burn_in must be smaller than the horizon")
+    return burn_in
 
 
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    """Per-sample time weights: half the span of the two adjacent intervals."""
-    if len(times) < 2:
-        return np.ones(len(times))
-    w = np.empty(len(times))
-    w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
-    return w
-
-
-def _window_accumulate(traj: ImpulsiveTrajectory, grid: GridPartition,
-                       a: float, b: float):
-    """Cell dwell times for the sample window [a, b]."""
+def _window(traj: ImpulsiveTrajectory, a: float, b: float):
+    """The samples of [a, b], as a slice of the orbit's sample arrays, and
+    their trapezoid time weights: half the span of the two adjacent
+    intervals."""
     times = traj.sample_times
-    sel = (times >= a - 1e-12) & (times <= b + 1e-12)
-    tw = times[sel]
-    if len(tw) < 2:
+    s = slice(np.searchsorted(times, a - 1e-12, side="left"),
+              np.searchsorted(times, b + 1e-12, side="right"))
+    t = times[s]
+    if len(t) < 2:
         raise ValueError("window contains fewer than two samples")
-    w = _trapezoid_weights(tw)
-    cells = grid.cell_of(traj.sample_states[sel])
-    dwell = np.zeros(grid.n_cells)
+    w = np.empty(len(t))
+    w[1:-1] = 0.5 * (t[2:] - t[:-2])
+    w[0] = 0.5 * (t[1] - t[0])
+    w[-1] = 0.5 * (t[-1] - t[-2])
+    return s, w
+
+
+def _histogram(grid: GridPartition, cells: np.ndarray, w: np.ndarray):
+    """Normalised cell weights of states with flat cells ``cells`` (-1
+    outside the box) and weights ``w``, and the weight fraction outside the
+    box.  Raises when that fraction reaches _ESCAPE_LIMIT."""
     ok = cells >= 0
-    np.add.at(dwell, cells[ok], w[ok])
-    escaped_time = float(w[~ok].sum())
-    return dwell, escaped_time, float(w.sum())
+    escaped_frac = float(w[~ok].sum()) / float(w.sum())
+    if escaped_frac >= _ESCAPE_LIMIT:
+        raise ValueError(
+            f"{escaped_frac:.2%} of the window mass escaped the grid box"
+        )
+    # bincount adds in sample order, as np.add.at does
+    dwell = np.bincount(cells[ok], w[ok], minlength=grid.n_cells)
+    return dwell / dwell.sum(), escaped_frac
 
 
 def occupation_measure(traj: ImpulsiveTrajectory, grid: GridPartition,
@@ -130,74 +140,31 @@ def occupation_measure(traj: ImpulsiveTrajectory, grid: GridPartition,
     burn_in defaults to 10% of the horizon.  Raises when more than 0.1% of
     the window's mass falls outside the grid box.
     """
-    if burn_in is None:
-        burn_in = 0.1 * traj.horizon
-    if not burn_in < traj.horizon:
-        raise ValueError("burn_in must be smaller than the horizon")
-    dwell, escaped, total = _window_accumulate(traj, grid, burn_in, traj.horizon)
-    escaped_frac = escaped / total
-    if escaped_frac >= _ESCAPE_LIMIT:
-        raise ValueError(
-            f"{escaped_frac:.2%} of the window mass escaped the grid box"
-        )
-    in_time = dwell.sum()
-    return OccupationMeasure(
-        grid=grid,
-        weights=dwell / in_time,
-        total_time=total,
-        escaped_frac=escaped_frac,
-    )
+    s, w = _window(traj, _burn_in(traj, burn_in), traj.horizon)
+    weights, escaped_frac = _histogram(grid, grid.cell_of(traj.sample_states[s]), w)
+    return OccupationMeasure(grid=grid, weights=weights, escaped_frac=escaped_frac)
 
 
-def pushforward_discrepancy(sys: SystemSpec, traj: ImpulsiveTrajectory,
-                            grid: GridPartition, t_shift: float,
-                            burn_in: float | None = None) -> float:
+def pushforward_discrepancy(traj: ImpulsiveTrajectory, grid: GridPartition,
+                            t_shift: float, burn_in: float | None = None) -> float:
     """Finite-horizon invariance defect: the largest cell-weight difference
     between the occupation measures of [b, T - t] and [b + t, T]."""
     T = traj.horizon
     if not 0 < t_shift < T / 10:
         raise ValueError("t_shift must lie in (0, horizon/10)")
-    if burn_in is None:
-        burn_in = 0.1 * T
-    d1, e1, _ = _window_accumulate(traj, grid, burn_in, T - t_shift)
-    d2, e2, _ = _window_accumulate(traj, grid, burn_in + t_shift, T)
-    for dwell, esc in ((d1, e1), (d2, e2)):
-        tot = dwell.sum() + esc
-        if esc / tot >= _ESCAPE_LIMIT:
-            raise ValueError("window mass escaped the grid box")
-    mu1 = d1 / d1.sum()
-    mu2 = d2 / d2.sum()
+    b = _burn_in(traj, burn_in)
+    cells = grid.cell_of(traj.sample_states)
+    mu1, mu2 = (_histogram(grid, cells[s], w)[0] for s, w in
+                (_window(traj, b, T - t_shift), _window(traj, b + t_shift, T)))
     return float(np.abs(mu1 - mu2).max())
 
 
-def birkhoff_average(traj: ImpulsiveTrajectory, observable,
+def birkhoff_average(traj: ImpulsiveTrajectory, f,
                      burn_in: float | None = None) -> float:
-    """Time average of a builtin observable over [burn_in, horizon].
-
-    observable is "one", "radius", "coord<i>" with i a decimal index below
-    the state dimension, or a tuple ("cell_indicator", grid, multi_index);
-    the cell indicator shares the occupation-measure code path, so the two
-    agree exactly.
-    """
-    if burn_in is None:
-        burn_in = 0.1 * traj.horizon
-    if isinstance(observable, tuple):
-        kind = observable[0]
-        if kind != "cell_indicator":
-            raise ValueError(f"unknown observable {observable!r}")
-        _, grid, multi_index = observable
-        return occupation_measure(traj, grid, burn_in).weight_of(multi_index)
-    times = traj.sample_times
-    sel = (times >= burn_in - 1e-12)
-    w = _trapezoid_weights(times[sel])
-    states = traj.sample_states[sel]
-    if observable == "one":
-        vals = np.ones(len(states))
-    elif observable == "radius":
-        vals = np.hypot(states[:, 0], states[:, 1])
-    elif observable in {f"coord{i}" for i in range(states.shape[1])}:
-        vals = states[:, int(observable[5:])]
-    else:
-        raise ValueError(f"unknown observable {observable!r}")
+    """Time average of the observable f over [burn_in, horizon]; f maps an
+    (n, dim) array of states to their n values."""
+    s, w = _window(traj, _burn_in(traj, burn_in), traj.horizon)
+    vals = np.asarray(f(traj.sample_states[s]), dtype=float)
+    if vals.shape != w.shape:
+        raise ValueError(f"observable must give one value per state, not {vals.shape}")
     return float((w * vals).sum() / w.sum())
-

@@ -62,6 +62,24 @@ def arc_cell_weights(bins: int, lo: float = -2.0, hi: float = 2.0) -> np.ndarray
     return w
 
 
+def occupation_reference(traj, grid, burn_in: float):
+    """Cell weights and escaped fraction of the samples at or after burn_in,
+    weighted by trapezoid time shares and accumulated with np.add.at in
+    sample order."""
+    t = traj.sample_times
+    sel = t >= burn_in - 1e-12
+    t = t[sel]
+    w = np.empty(len(t))
+    w[1:-1] = 0.5 * (t[2:] - t[:-2])
+    w[0] = 0.5 * (t[1] - t[0])
+    w[-1] = 0.5 * (t[-1] - t[-2])
+    cells = grid.cell_of(traj.sample_states[sel])
+    ok = cells >= 0
+    dwell = np.zeros(grid.n_cells)
+    np.add.at(dwell, cells[ok], w[ok])
+    return dwell / dwell.sum(), float(w[~ok].sum()) / float(w.sum())
+
+
 def packing_number(points: np.ndarray, eps: float) -> int:
     """Exact epsilon-packing number by exhaustive subset search (pure
     geometry)."""

@@ -61,7 +61,7 @@ def test_02_invariance_at_desk_scale(annulus):
     grid = GridPartition(lo=(-2, -2), hi=(2, 2), bins=(40, 40))
     traj = impulsive_trajectory(annulus, polar(1.5, np.pi / 2), 1000.0, 0.005)
     mu = occupation_measure(traj, grid, burn_in=100.0)
-    disc = pushforward_discrepancy(annulus, traj, grid, 1.0, burn_in=100.0)
+    disc = pushforward_discrepancy(traj, grid, 1.0, burn_in=100.0)
     tv = 0.5 * np.abs(mu.weights - arc_cell_weights(40)).sum()
     elapsed = time.time() - t0
     ok = disc <= 0.02 and tv <= 0.05 and elapsed < 30.0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from impulseflow import (
+    EntropyConfig,
     IntegratorConfig,
     build_fixture,
     candidate_cloud,
@@ -35,6 +36,47 @@ def run_cli(*args) -> int:
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# Entropy params that break a rule, one field at a time, against
+# GOOD_ENTROPY_PARAMS.  The CLI rejects every entry; EntropyConfig, which
+# takes Python numbers rather than JSON, rejects every entry of its types.
+GOOD_ENTROPY_PARAMS = {"T_list": [2, 3], "eps_list": [0.1], "delta_list": [0.1],
+                       "candidate_count": 16}
+BAD_ENTROPY_PARAMS = [
+    ("T_list", [5, 3]),
+    ("T_list", [-1, 3]),
+    ("T_list", [4]),
+    ("T_list", "abc"),
+    ("eps_list", [0.1, 0.2]),
+    ("eps_list", [0.0]),
+    ("delta_list", [0.05, 0.1]),
+    ("delta_list", ["x"]),
+    ("candidate_count", "abc"),
+    ("candidate_count", 0),
+    ("candidate_count", 2.5),
+    ("dt_check", 0.2),
+    ("dt_check", "abc"),
+    ("T_list", [2, float("inf")]),
+    ("T_list", [float("nan"), 3]),
+    ("T_list", [0, 0]),
+    ("eps_list", [float("nan")]),
+    ("eps_list", [float("inf")]),
+    ("eps_list", []),
+    ("delta_list", [float("nan")]),
+    ("delta_list", [float("inf")]),
+    ("dt_check", float("nan")),
+    ("dt_check", -0.1),
+]
+
+
+def _library_typed(field: str, value) -> bool:
+    """Whether a params value has the type EntropyConfig takes for its field:
+    a list of numbers for a list, an int count, a number otherwise."""
+    kind = int if field == "candidate_count" else (int, float)
+    items = value if isinstance(value, list) else [value]
+    return (isinstance(value, list) == field.endswith("_list")
+            and all(isinstance(v, kind) for v in items))
 
 
 class TestValidation:
@@ -81,25 +123,9 @@ class TestValidation:
         assert not (out / "manifest.json").exists()
 
 
-    @pytest.mark.parametrize("field,value", [
-        ("T_list", [5, 3]),
-        ("T_list", [-1, 3]),
-        ("T_list", [4]),
-        ("T_list", "abc"),
-        ("eps_list", [0.1, 0.2]),
-        ("eps_list", [0.0]),
-        ("delta_list", [0.05, 0.1]),
-        ("delta_list", ["x"]),
-        ("candidate_count", "abc"),
-        ("candidate_count", 0),
-        ("candidate_count", 2.5),
-        ("dt_check", 0.2),
-        ("dt_check", "abc"),
-    ])
+    @pytest.mark.parametrize("field,value", BAD_ENTROPY_PARAMS)
     def test_bad_entropy_params_exit_2(self, tmp_path, capsys, field, value):
-        params = {"T_list": [2, 3], "eps_list": [0.1], "delta_list": [0.1],
-                  "candidate_count": 16}
-        params[field] = value
+        params = {**GOOD_ENTROPY_PARAMS, field: value}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"system": {"name": "doubling_suspension"},
                                    "params": params}))
@@ -107,6 +133,13 @@ class TestValidation:
         assert run_cli("entropy", "--config", str(cfg), "--out", str(out)) == 2
         assert f"params.{field}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        (f, v) for f, v in BAD_ENTROPY_PARAMS if _library_typed(f, v)])
+    def test_bad_entropy_params_rejected_by_library(self, field, value):
+        # the library's own rules reject what the CLI rejects
+        with pytest.raises(ValueError, match=field):
+            EntropyConfig(**{**GOOD_ENTROPY_PARAMS, field: value})
 
 
     @pytest.mark.parametrize("name,overrides", [

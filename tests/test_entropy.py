@@ -325,6 +325,16 @@ class TestEntropyEstimate:
         assert [r.s_count for r in est.table] == [53, 53]
         assert abs(est.h_tau_estimate) < 1e-12 and not est.lower_bound_only
 
+    def test_repeated_entry_gives_the_single_rate(self, doubling):
+        # each (eps, delta) row is fitted on its own, never pooled with a
+        # repeated entry's row
+        base = dict(T_list=(2, 3, 4, 5), delta_list=(0.1,), candidate_count=256)
+        single = entropy_estimate(doubling, EntropyConfig(eps_list=(0.1,), **base))
+        twice = entropy_estimate(doubling, EntropyConfig(eps_list=(0.1, 0.1), **base))
+        assert twice.rates == single.rates
+        assert twice.h_tau_estimate == single.h_tau_estimate
+        assert twice.table == single.table * 2
+
     def test_config_validation(self):
         base = dict(T_list=(1.0, 2.0), eps_list=(0.1,), delta_list=(0.1,))
         # each bad input is rejected up front, naming its field

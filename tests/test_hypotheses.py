@@ -174,3 +174,9 @@ class TestContinuityProbe:
     def test_scales_must_decrease(self, annulus):
         with pytest.raises(ValueError):
             hitting_continuity_probe(annulus, np.array([1.5, 0.0]), 2, [0.1, 0.2])
+
+    @pytest.mark.parametrize("scales", [
+        [0.1, 0.1], [0.0], [-0.1], [np.nan], [0.1, np.nan]])
+    def test_scales_validation(self, annulus, scales):
+        with pytest.raises(ValueError, match="scales"):
+            hitting_continuity_probe(annulus, np.array([1.5, 0.0]), 2, scales)

@@ -1,4 +1,4 @@
-import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from impulseflow import (
     pushforward_discrepancy,
 )
 from conftest import polar
-from oracles import arc_cell_weights
+from oracles import arc_cell_weights, occupation_reference
 
 
 @pytest.fixture(scope="module")
@@ -92,62 +92,96 @@ class TestOccupationMeasure:
         with pytest.raises(ValueError):
             occupation_measure(annulus_run, square_grid, burn_in=1000.0)
 
+    def test_weights_equal_add_at_reference(self, annulus_run, square_grid):
+        mu = occupation_measure(annulus_run, square_grid, burn_in=100.0)
+        weights, escaped_frac = occupation_reference(annulus_run, square_grid, 100.0)
+        assert np.array_equal(mu.weights, weights)
+        assert mu.escaped_frac == escaped_frac == 0.0
+
+    def test_sliver_escape_is_reported(self, annulus_run):
+        # past burn-in the orbit lies on the lower unit half-circle: a box
+        # floor 1e-7 above its bottom clips a sliver of arc near (0, -1)
+        grid = GridPartition(lo=(-2, -1 + 1e-7), hi=(2, 2), bins=(40, 40))
+        mu = occupation_measure(annulus_run, grid, burn_in=100.0)
+        weights, escaped_frac = occupation_reference(annulus_run, grid, 100.0)
+        assert 0 < mu.escaped_frac < 1e-3
+        assert mu.escaped_frac == escaped_frac
+        assert np.array_equal(mu.weights, weights)
+
 
 class TestPushforwardDiscrepancy:
     def test_fixed_point_zero(self):
         static = build_fixture("static_null")
         traj = impulsive_trajectory(static, np.array([0.3, 0.7]), 50.0, 0.1)
         grid = GridPartition(lo=(0, 0), hi=(1, 1), bins=(5, 5))
-        assert pushforward_discrepancy(static, traj, grid, 1.0, burn_in=5.0) == 0.0
+        assert pushforward_discrepancy(traj, grid, 1.0, burn_in=5.0) == 0.0
 
     def test_period_aligned_windows_vanish(self, annulus, square_grid):
         # the limit orbit has period pi: shifting by a whole period leaves
         # the window measure unchanged up to sampling error
         traj = impulsive_trajectory(annulus, polar(1.0, np.pi), 400.0, 0.01)
-        disc = pushforward_discrepancy(annulus, traj, square_grid, np.pi,
-                                       burn_in=10.0)
+        disc = pushforward_discrepancy(traj, square_grid, np.pi, burn_in=10.0)
         assert disc < 2e-3
 
     def test_generic_shift_small(self, annulus_run, square_grid):
-        disc = pushforward_discrepancy(annulus_run.system, annulus_run,
-                                       square_grid, 1.0, burn_in=100.0)
+        disc = pushforward_discrepancy(annulus_run, square_grid, 1.0,
+                                       burn_in=100.0)
         assert disc <= 0.02
 
     def test_decays_with_horizon(self, annulus, square_grid):
         values = {}
         for T in (250.0, 500.0, 1000.0):
             traj = impulsive_trajectory(annulus, polar(1.5, np.pi / 2), T, 0.01)
-            values[T] = pushforward_discrepancy(annulus, traj, square_grid, 1.0)
+            values[T] = pushforward_discrepancy(traj, square_grid, 1.0)
         assert values[500.0] <= 0.75 * values[250.0] + 1e-3
         assert values[1000.0] <= 0.75 * values[500.0] + 1e-3
 
     def test_shift_validation(self, annulus_run, square_grid):
         with pytest.raises(ValueError):
-            pushforward_discrepancy(annulus_run.system, annulus_run,
-                                    square_grid, 200.0)
+            pushforward_discrepancy(annulus_run, square_grid, 200.0)
+
+    def test_burn_in_validation(self, annulus_run, square_grid):
+        for burn_in in (1000.0, 1001.0):
+            with pytest.raises(ValueError, match="burn_in"):
+                pushforward_discrepancy(annulus_run, square_grid, 1.0, burn_in)
+
+    def test_escape_detected(self, annulus_run):
+        small = GridPartition(lo=(-0.5, -0.5), hi=(0.5, 0.5), bins=(4, 4))
+        with pytest.raises(ValueError, match="escaped"):
+            pushforward_discrepancy(annulus_run, small, 1.0, burn_in=100.0)
 
 
 class TestBirkhoffAverage:
     def test_constant_observable(self, annulus_run):
-        assert birkhoff_average(annulus_run, "one", 100.0) == 1.0
+        assert birkhoff_average(annulus_run, lambda x: np.ones(len(x)), 100.0) == 1.0
 
-    def test_indicator_equals_occupation_weight(self, annulus_run, square_grid):
+    def test_cell_indicators_equal_occupation_weights(self, annulus_run,
+                                                      square_grid):
         mu = occupation_measure(annulus_run, square_grid, 100.0)
-        cell = (25, 10)
-        via_obs = birkhoff_average(
-            annulus_run, ("cell_indicator", square_grid, cell), 100.0)
-        assert via_obs == mu.weight_of(cell)
+        occupied = np.flatnonzero(mu.weights)
+        assert len(occupied) > 1
+        for flat in occupied:
+            via_obs = birkhoff_average(
+                annulus_run, lambda x: (square_grid.cell_of(x) == flat) * 1.0, 100.0)
+            assert abs(via_obs - mu.weights[flat]) <= 1e-12 * mu.weights[flat]
 
     def test_radius_settles_to_one(self, annulus_run):
-        assert abs(birkhoff_average(annulus_run, "radius", 100.0) - 1.0) <= 1e-3
+        radius = birkhoff_average(annulus_run, lambda x: np.hypot(x[:, 0], x[:, 1]),
+                                  100.0)
+        assert abs(radius - 1.0) <= 1e-3
 
     def test_coordinate_observable(self, annulus_run):
         # lower half-circle: mean of x over arc length is zero by symmetry
-        assert abs(birkhoff_average(annulus_run, "coord0", 100.0)) < 0.01
+        assert abs(birkhoff_average(annulus_run, lambda x: x[:, 0], 100.0)) < 0.01
 
-    @pytest.mark.parametrize("observable", [
-        "entropy_of_the_gaps", "coord-1", "coord 1", "coord+1", "coord2", "coord01",
-        "coord"])
-    def test_unknown_observable(self, annulus_run, observable):
-        with pytest.raises(ValueError, match=re.escape(repr(observable))):
-            birkhoff_average(annulus_run, observable, 100.0)
+    def test_burn_in_validation(self, annulus_run):
+        # a window of one sample, or of none, is rejected, not averaged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for burn_in in (1000.0, 1001.0):
+                with pytest.raises(ValueError, match="burn_in"):
+                    birkhoff_average(annulus_run, lambda x: x[:, 0], burn_in)
+
+    def test_observable_gives_one_value_per_state(self, annulus_run):
+        with pytest.raises(ValueError, match="one value per state"):
+            birkhoff_average(annulus_run, lambda x: x[:, :1], 100.0)
