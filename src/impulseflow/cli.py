@@ -14,6 +14,7 @@ configuration, so identical config and seed reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -368,11 +369,13 @@ def _run_entropy(sys_spec, p: EntropyParams, seed: int, outdir: Path) -> dict:
 
 def _write_dmatrix(path, D) -> None:
     """The class-distance matrix as ``i,j,dtilde`` lines, one joined string
-    per row (all n^2 lines at once would be held in memory together)."""
+    per row (all n^2 lines at once would be held in memory together); each
+    distinct bit pattern of the matrix is formatted once."""
     js = [f"{j}," for j in range(len(D))]
+    text = functools.cache(lambda bits: repr(np.int64(bits).view(np.float64).item()))
     _atomic_write(path, itertools.chain(["i,j,dtilde"], (
-        f"{i}," + f"\n{i},".join(map(str.__add__, js, map(repr, row.tolist())))
-        for i, row in enumerate(D))))
+        f"{i}," + f"\n{i},".join(map(str.__add__, js, map(text, row.tolist())))
+        for i, row in enumerate(np.asarray(D, dtype=np.float64).view(np.int64)))))
 
 
 def _run_quotient(sys_spec, p: QuotientParams, seed: int, outdir: Path) -> dict:

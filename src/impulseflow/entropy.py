@@ -6,12 +6,14 @@ discontinuities.  The estimator builds maximal separated sets greedily over a
 candidate cloud and regresses log counts against the time horizon.
 
 The whole (eps, T) table comes from one pass over the cloud's trajectories
-at the largest horizon for each window width delta.  Fixed-radius cell
-searches at the largest radius on a few sample times give the candidate
-pairs; for each pair the largest squared distance at the check times of
-either orbit's gap set is kept as a running maximum over the horizons, so
-every (eps, T) cell is a threshold on the same numbers, and its count a
-linear greedy scan of the pairs that conflict there.
+at the largest horizon for each window width delta; every orbit's gap set
+comes at once from the batch's hit rows.  Fixed-radius cell searches at the
+largest radius on a few sample times give the candidate pairs; for each pair
+the largest squared distance at the check times of either orbit's gap set is
+kept as a running maximum, horizon block by horizon block, until both
+directions pass the largest radius.  Every (eps, T) cell is a threshold on
+the same numbers, and its count a linear greedy scan of the pairs that
+conflict there.
 
 Counts are exact lower bounds for the separated-set supremum over the cloud;
 candidate exhaustion (the greedy admitting the whole cloud) is flagged and
@@ -67,35 +69,45 @@ class GapSet:
         return float(sum(b - a for a, b in self.intervals))
 
 
-def gap_set(times: np.ndarray, t: float, delta: float) -> GapSet:
-    """Remove the open windows (tau - delta, tau + delta) from [0, t].
-
-    ``times`` is one base point's increasing hit-time sequence.  delta must
-    stay below half its minimal gap eta, measured from the sequence itself;
-    a hit-free sequence leaves the whole of [0, t].
-    """
+def _gap_ends(times, offsets, t: float, delta: float):
+    """The gap sets on [0, t] of the increasing hit-time sequences
+    times[offsets[i]:offsets[i + 1]] at once: their interval endpoints a0,
+    b0, a1, b1, ... as rows padded with inf, and each row's endpoint count.
+    Each hit whose window meets [0, t] ends an interval and starts the next;
+    empty intervals are dropped."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    times = np.sort(np.asarray(times, dtype=float))
-    eta = float(np.diff(times).min()) if len(times) >= 2 else np.inf
-    if not delta < eta / 2:
+    n = len(offsets) - 1
+    owner = np.repeat(np.arange(n), np.diff(offsets))
+    bad = owner[1:][~(delta < np.diff(times) / 2) & (owner[1:] == owner[:-1])]
+    if len(bad):
+        eta = float(np.diff(times[offsets[bad[0]]:offsets[bad[0] + 1]]).min())
         raise ValueError(f"delta = {delta} must be below eta/2 = {eta / 2}")
-    intervals = []
-    lo = 0.0
-    for tau in times:
-        if tau + delta <= 0 or tau - delta > t:
-            continue
-        a, b = lo, min(tau - delta, t)
-        if b >= a:
-            intervals.append((a, b))
-        lo = tau + delta
-        if lo > t:
-            break
-    if lo <= t:
-        intervals.append((lo, t))
-    return GapSet(intervals=tuple(intervals), t=float(t), delta=float(delta))
+    meet = (times + delta > 0) & (times - delta <= t)
+    owner, taus = owner[meet], times[meet]
+    # k hits make k + 1 interval slots: hit h ends slot h + owner[h]
+    slot = np.arange(len(taus)) + owner
+    a, b = np.zeros(len(taus) + n), np.full(len(taus) + n, float(t))
+    a[slot + 1], b[slot] = taus + delta, np.minimum(taus - delta, t)
+    kept = b >= a
+    row = np.repeat(np.arange(n), np.bincount(owner, minlength=n) + 1)[kept]
+    per = 2 * np.bincount(row, minlength=n)
+    col = np.arange(0, 2 * len(row), 2) - np.repeat(np.cumsum(per) - per, per // 2)
+    E = np.full((n, per.max(initial=0)), np.inf)
+    E[row, col], E[row, col + 1] = a[kept], b[kept]
+    return E, per
+
+
+def gap_set(times: np.ndarray, t: float, delta: float) -> GapSet:
+    """Remove the open windows (tau - delta, tau + delta) from [0, t]: the
+    one-sequence case of ``_gap_ends``.  delta must stay below half the
+    minimal gap eta of the hit times; a hit-free sequence leaves [0, t]."""
+    times = np.sort(np.asarray(times, dtype=float))
+    E, count = _gap_ends(times, [0, len(times)], t, delta)
+    ends = E[0, :count[0]].tolist()
+    return GapSet(tuple(zip(ends[0::2], ends[1::2])), float(t), float(delta))
 
 
 def in_dynamical_ball(sys: SystemSpec, x: np.ndarray, y: np.ndarray,
@@ -116,8 +128,7 @@ def in_dynamical_ball(sys: SystemSpec, x: np.ndarray, y: np.ndarray,
     ends = np.ravel(gap_set(batch[0].impulse_times, T, delta).intervals)
     cols = _valid_columns(batch, grid, delta)[0] & (grid <= T + 1e-12)
     dx, dy = batch.evaluate([[0], [1]], np.concatenate([ends, grid[cols]]))
-    dist = np.sqrt(np.sum((dx - dy) ** 2, axis=1))
-    return bool((dist < eps).all())
+    return bool((np.sqrt(np.sum((dx - dy) ** 2, axis=1)) < eps).all())
 
 
 # --------------------------------------------------------------------------
@@ -129,9 +140,9 @@ def in_dynamical_ball(sys: SystemSpec, x: np.ndarray, y: np.ndarray,
 # megabyte whatever the size of the cloud.
 _PAIR_BLOCK = 1 << 15
 
-# Probe columns of the candidate-pair query, as fractions of the grid up to
-# the shortest horizon.
-_PROBE_FRACTIONS = (0.93, 0.65, 0.37, 0.11)
+# Probe columns of the candidate-pair query, as increasing fractions of the
+# grid up to the shortest horizon.
+_PROBE_FRACTIONS = (0.11, 0.37, 0.65, 0.93)
 
 
 @dataclass(frozen=True)
@@ -181,16 +192,13 @@ def _endpoint_max(batch, E, own, n_ends, center, other, t_last):
     step = max(1, _PAIR_BLOCK // max(L, 1))
     for s in range(0, R if L else 0, step):
         c, o = center[s:s + step], other[s:s + step]
-        tq = E[c]
-        real = tq <= t_last[s:s + step, None]
-        cross = np.zeros((len(c), L, own.shape[2]))
-        cross[real] = batch.evaluate(np.broadcast_to(o[:, None], tq.shape)[real],
-                                     tq[real])
-        d2 = np.where(real, np.sum((own[c] - cross) ** 2, axis=-1), -np.inf)
+        r, l = np.nonzero(E[c] <= t_last[s:s + step, None])
+        at = c[r] * L + l       # rows of the flattened E and own
+        d2 = np.full((len(c), L + 1), -np.inf)     # column l + 1: endpoint l
+        d2[r, l + 1] = np.sum((np.take(own.reshape(-1, own.shape[2]), at, axis=0)
+                               - batch.evaluate(o[r], E.ravel()[at])) ** 2, axis=-1)
         run = np.maximum.accumulate(d2, axis=1)
-        k = n_ends[c]
-        out[s:s + step] = np.where(k > 0, np.take_along_axis(
-            run, np.maximum(k - 1, 0), axis=1), -np.inf)
+        out[s:s + step] = np.take_along_axis(run, n_ends[c], axis=1)
     return out
 
 
@@ -204,9 +212,11 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
     [0, T].  Those endpoints are the ones of its gap set on [0, max(T_list)]
     up to T, plus T itself when T lies in the gap set, so one pass over the
     trajectories at max(T_list) gives D_T(a, j) for every T as a running
-    maximum plus a term at T.  Squared distances are einsum sums on grid
-    columns and sum((a - b)**2) at endpoints, bit for bit the arithmetic of
-    a pair-by-pair test.
+    maximum plus a term at T.  The grid maximum runs block by block up to
+    each T, and a pair leaves once both directions reach eps_max**2: the
+    maximum never falls, so its later entries, left at inf, could not fall
+    below.  Squared distances are einsum sums on grid columns and
+    sum((a - b)**2) at endpoints, bit for bit a pair-by-pair test's.
 
     Candidate pairs come from fixed-radius cell searches at eps_max on probe
     columns up to min(T_list); a pair is dropped only when it is far at a
@@ -227,32 +237,23 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
     # a window opening after a smaller T could only cover a column inside the
     # 1e-12 slack above that T.
     cols = np.searchsorted(grid, T_list + 1e-12, side="right")
-    bounds = np.unique(cols)
-    seg_starts = np.concatenate([[0], bounds[:-1]])
-    seg_of = np.searchsorted(bounds, cols)
+    bounds = np.sort(cols)
+    bounds = bounds[np.diff(bounds, prepend=-1) != 0]
     m = int(bounds[-1])
-    grid = grid[:m]
-    orbits = batch.samples[:, :m]
-    dim = orbits.shape[2]
+    grid, orbits = grid[:m], batch.samples[:, :m]
     eps2 = eps_max * eps_max
 
-    probes = np.unique(
-        (np.array(_PROBE_FRACTIONS) * (bounds[0] - 1)).astype(int))
+    probes = (np.array(_PROBE_FRACTIONS) * (bounds[0] - 1)).astype(int)
+    probes = probes[np.diff(probes, prepend=-1) != 0]
     at_probes = orbits[:, probes]
     near = np.concatenate([np.ravel_multi_index(
         radius_pairs(at_probes[:, k], eps_max * (1 + 1e-9)), (n, n))
         for k in range(len(probes))])
-    step = max(1, _PAIR_BLOCK // m)
 
     for delta in delta_list:
-        ends = [np.ravel(gap_set(taus, T_max, delta).intervals)
-                for taus in np.split(batch.hit_times, batch.hit_offsets[1:-1])]
-        L = max(len(e) for e in ends)
-        E = np.full((n, L), np.inf)
-        for i, e in enumerate(ends):
-            E[i, :len(e)] = e
+        E, _ = _gap_ends(batch.hit_times, batch.hit_offsets, T_max, delta)
         real = np.isfinite(E)
-        own = np.zeros((n, L, dim))
+        own = np.zeros((*E.shape, orbits.shape[2]))
         own[real] = batch.evaluate(np.nonzero(real)[0], E[real])
         at_T = batch.evaluate(np.arange(n)[:, None], T_list)
         n_ends = np.count_nonzero(E[:, None, :] <= T_list[:, None], axis=2)
@@ -281,18 +282,24 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
         P = len(lo)
 
         # directed distances on the grid and at T: D[0] centers lo, D[1] hi
-        D = np.empty((2, P, nT))
-        for s in range(0, P, step):
-            a, b = lo[s:s + step], hi[s:s + step]
-            diff = orbits[b] - orbits[a]
-            d2 = np.einsum("ptd,ptd->pt", diff, diff)
-            at_t = np.sum((at_T[a] - at_T[b]) ** 2, axis=-1)
-            for side, c in enumerate((a, b)):
-                Dc = np.maximum.accumulate(np.maximum.reduceat(
-                    np.where(valid[c], d2, -np.inf), seg_starts, axis=1),
-                    axis=1)[:, seg_of]
-                D[side, s:s + step] = np.maximum(
-                    Dc, np.where(T_in_gap[c], at_t, -np.inf))
+        D, run, act = np.full((2, P, nT), np.inf), np.full((2, P), -np.inf), np.arange(P)
+        for c0, c1 in zip([0, *bounds[:-1]], bounds):
+            ks = np.flatnonzero(cols == c1)
+            step = max(1, _PAIR_BLOCK // (c1 - c0))
+            for s in range(0, len(act), step):
+                p = act[s:s + step]
+                a, b = lo[p], hi[p]
+                diff = orbits[b, c0:c1] - orbits[a, c0:c1]
+                # einsum's sum, faster in the plane: two squares sum alike in any order
+                d2 = (diff[..., 0] ** 2 + diff[..., 1] ** 2 if diff.shape[2] == 2
+                      else np.einsum("ptd,ptd->pt", diff, diff))
+                at_t = np.sum((at_T[a[:, None], ks] - at_T[b[:, None], ks]) ** 2, axis=-1)
+                for side, c in enumerate((a, b)):
+                    r = run[side, p] = np.maximum(run[side, p], np.where(
+                        valid[c, c0:c1], d2, -np.inf).max(axis=1))
+                    D[side, p[:, None], ks] = np.maximum(
+                        r[:, None], np.where(T_in_gap[c[:, None], ks], at_t, -np.inf))
+            act = act[(run[:, act] < eps2).any(axis=0)]
 
         # gap-set endpoints, for the directions still below eps_max at some
         # T; the second direction only where it can still lower the minimum
@@ -366,22 +373,14 @@ def exhaustive_max_separated(sys: SystemSpec, candidates: np.ndarray, T: float,
     for i, j in zip(table.lo.tolist(), table.hi.tolist()):
         conflict[i] |= 1 << j
         conflict[j] |= 1 << i
-    best = 0
-    for subset in range(1 << n):
-        size = int(subset).bit_count()
-        if size <= best:
-            continue
-        s = subset
-        ok = True
-        while s:
-            i = (s & -s).bit_length() - 1
-            if conflict[i] & subset:
-                ok = False
-                break
-            s &= s - 1
-        if ok:
-            best = size
-    return best
+    # every subset at once, as a bit mask: its size, and whether it holds a
+    # conflicting pair
+    subsets = np.arange(1 << n)
+    size, free = np.zeros(1 << n, dtype=int), np.ones(1 << n, dtype=bool)
+    for i in range(n):
+        size += subsets >> i & 1
+        free &= (subsets >> i & 1 == 0) | (subsets & conflict[i] == 0)
+    return int(size[free].max())
 
 
 # --------------------------------------------------------------------------
@@ -411,8 +410,9 @@ class EntropyConfig:
             values = getattr(self, name)
             if not values or min(values) <= 0 or any(np.diff(values) > 0):
                 raise ValueError(f"{name} must be nonempty, positive and nonincreasing")
-        if self.candidate_count < 1:
-            raise ValueError("candidate_count must be at least 1")
+        count = self.candidate_count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError("candidate_count must be an integer, at least 1")
         if self.dt_check is None:
             object.__setattr__(self, "dt_check", min(self.delta_list) / 2)
         if not 0 < self.dt_check <= min(self.delta_list) / 2:
@@ -444,18 +444,12 @@ def _fit_rate(Ts: np.ndarray, counts: np.ndarray, saturated: np.ndarray):
     least, for the large-T limit.  Saturated cells are dropped (lower bounds
     with no growth signal); the fit then uses every remaining cell.
     """
-    if saturated.any():
-        keep = ~saturated
-        lower_bound = True
-        if keep.sum() < 2:
-            return 0.0, True
-        Ts, counts = Ts[keep], counts[keep]
-    else:
-        lower_bound = False
-        half = min(len(Ts) // 2, len(Ts) - 2)
-        Ts, counts = Ts[half:], counts[half:]
-    y = np.log(counts.astype(float))
-    slope = np.polyfit(Ts, y, 1)[0]
+    lower_bound = bool(saturated.any())
+    half = min(len(Ts) // 2, len(Ts) - 2)
+    keep = ~saturated if lower_bound else np.arange(len(Ts)) >= half
+    if keep.sum() < 2:
+        return 0.0, True
+    slope = np.polyfit(Ts[keep], np.log(counts[keep].astype(float)), 1)[0]
     return float(slope), lower_bound
 
 
@@ -476,10 +470,8 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig) -> EntropyEstimate:
     batch = impulsive_trajectory_batch(sys, candidates, T_max, cfg.dt_check)
     eta = _min_hit_gap(batch)
     if not max(cfg.delta_list) < eta / 2:
-        raise ValueError(
-            f"max delta {max(cfg.delta_list)} violates the gap bound "
-            f"eta/2 = {eta / 2:.6g}"
-        )
+        raise ValueError(f"max delta {max(cfg.delta_list)} violates the gap bound "
+                         f"eta/2 = {eta / 2:.6g}")
     n = len(candidates)
     shape = (len(cfg.delta_list), len(cfg.eps_list), len(cfg.T_list))
     S = np.empty(shape, dtype=int)          # separated-set counts
@@ -556,9 +548,7 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
 
     rng = np.random.default_rng(seed)
     usable = np.flatnonzero(np.diff(off) >= 1)
-    violations = 0
-    max_dev = 0.0
-    done = 0
+    violations, max_dev, done = 0, 0.0, 0
     if len(usable):
         # batch: pick (trajectory, window, offset) triples, evaluate the
         # semiflow at the offsets, then recompute hit times from there
@@ -569,23 +559,14 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
             taus = batch.hit_times[off[i]:off[i + 1]]
             k = int(rng.integers(0, len(taus)))
             lo = taus[k - 1] if k > 0 else 0.0
-            hi = taus[k]
-            t = lo + (hi - lo) * rng.uniform(0.1, 0.9)
-            t_eval[row] = t
-            expect.append(taus[k:] - t)
+            t_eval[row] = lo + (taus[k] - lo) * rng.uniform(0.1, 0.9)
+            expect.append(taus[k:] - t_eval[row])
         starts = batch.evaluate(idx, t_eval)
-        shifted = hit_times_batch(sys, starts, batch.horizon - t_eval)
-        for row in range(n_triples):
-            got = shifted[row]
-            want = expect[row]
-            kk = min(len(got), len(want), 3)
-            if kk == 0:
-                continue
-            dev = float(np.abs(np.asarray(got[:kk]) - want[:kk]).max())
-            max_dev = max(max_dev, dev)
-            done += 1
-            if dev > _SHIFT_TOL:
-                violations += 1
+        for got, want in zip(hit_times_batch(sys, starts, batch.horizon - t_eval), expect):
+            if kk := min(len(got), len(want), 3):
+                dev = float(np.abs(got[:kk] - want[:kk]).max())
+                max_dev, done = max(max_dev, dev), done + 1
+                violations += dev > _SHIFT_TOL
     return AdmissibilityReport(
         eta_est=_min_hit_gap(batch),
         shift_violations=violations,

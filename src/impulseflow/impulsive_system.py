@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -784,6 +785,16 @@ class TrajectoryBatch:
         """The member of each hit row."""
         return np.repeat(np.arange(len(self)), np.diff(self.hit_offsets))
 
+    @cached_property
+    def _hit_index(self):
+        """[i, j]: the row of member i's first hit after sample_times[j - 1]
+        + _COINCIDE_TOL (after none for j = 0); and the hit times, then inf."""
+        edges = np.zeros((len(self), len(self.sample_times) + 2), dtype=np.intp)
+        np.add.at(edges, (self.hit_members, np.searchsorted(
+            self.sample_times + _COINCIDE_TOL, self.hit_times) + 1), 1)
+        edges[:, 0] = self.hit_offsets[:-1]
+        return np.cumsum(edges[:, :-1], axis=1), np.append(self.hit_times, np.inf)
+
     def evaluate(self, members, times) -> np.ndarray:
         """States of the orbits of ``members`` at ``times`` in [0, horizon],
         broadcast together; the result has a trailing state axis.
@@ -794,7 +805,8 @@ class TrajectoryBatch:
         _TIME_TOL after the last knot at or before it, a time takes that
         knot's state (at a hit, the post-impulse one); elsewhere the cubic
         Hermite interpolant from that knot to the next, whose error is far
-        below every radius used by the ball tests.
+        below every radius used by the ball tests.  A query's cost does not
+        grow with its member's hit count.
         """
         m, t = np.broadcast_arrays(np.asarray(members, dtype=int),
                                    np.asarray(times, dtype=float))
@@ -802,45 +814,50 @@ class TrajectoryBatch:
         T, grid, off = self.horizon, self.sample_times, self.hit_offsets
         if (t < -_COINCIDE_TOL).any() or (t > T + _COINCIDE_TOL).any():
             raise ValueError("evaluation time outside [0, horizon]")
-        # complex numbers sort by real part, then imaginary part: k is the row of
-        # the member's first hit after t + _COINCIDE_TOL (a sentinel row follows)
-        k = np.searchsorted(self.hit_members + 1j * self.hit_times,
-                            m + 1j * (t + _COINCIDE_TOL), side="right")
-        taus = np.append(self.hit_times, np.inf)
-        pad = np.zeros((1, self.samples.shape[2]))
-        g = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 1)
-        g1 = np.minimum(g + 1, len(grid) - 1)
-        fin, r = self.final_states[m], np.arange(len(t))
-        # the last knot at or before t: the final state, the last hit's
-        # post-impulse state or a sample, the first at the latest time
-        left = np.stack([np.where(T <= t, T, -np.inf),
-                         np.where(k > off[m], taus[k - 1], -np.inf), grid[g]])
-        t0 = left.max(axis=0)
-        y0 = np.stack([fin, np.concatenate([self.post_impulse_states, pad])[k - 1],
-                       self.samples[m, g]])[left.argmax(axis=0), r]
-        # the next knot: the next hit's pre-impulse state, a sample or the
-        # final state, the first at the earliest time, the hit's shifted by
+        # g: the last grid column at or before t (-1 before it), from t / dt_sample
+        # and one step; k: the row of the member's first hit after t + _COINCIDE_TOL
+        last = len(grid) - 1
+        g = np.minimum((t / self.dt_sample).astype(np.intp), last)
+        g -= grid[g] > t
+        g += (g < last) & (grid[np.minimum(g + 1, last)] <= t)
+        rows, taus = self._hit_index
+        k, end = np.take(rows, m * (last + 2) + g + 1), off[m + 1]
+        i = np.flatnonzero((k < end) & (taus[k] <= t + _COINCIDE_TOL))
+        while len(i):
+            k[i] += 1
+            i = i[(k[i] < end[i]) & (taus[k[i]] <= t[i] + _COINCIDE_TOL)]
+        g = np.maximum(g, 0)
+        g1 = np.minimum(g + 1, last)
+        # the last knot at or before t, the first at the latest time of: the
+        # final state, the last hit's post-impulse state and a sample
+        flat = self.samples.reshape(-1, self.samples.shape[2])
+        t0, y0 = grid[g], np.take(flat, m * (last + 1) + g, axis=0)
+        i = np.flatnonzero((k > off[m]) & (taus[k - 1] >= t0))
+        t0[i], y0[i] = taus[k[i] - 1], self.post_impulse_states[k[i] - 1]
+        i = np.flatnonzero((T <= t) & (T >= t0))
+        t0[i], y0[i] = T, self.final_states[m[i]]
+        # the next knot, the first at the earliest time of: the next hit's
+        # pre-impulse state, a sample and the final state, the hit's time less
         # _COINCIDE_TOL (knots that close after a hit hold its post-impulse
         # state); past the horizon the final state, so dt <= 0 keeps y0
-        right = np.stack([np.where(k < off[m + 1], taus[k], np.inf),
-                          np.where(g < g1, grid[g1], np.inf), np.full(len(t), T)])
-        i1 = (right - [[_COINCIDE_TOL], [0.0], [0.0]]).argmin(axis=0)
-        t1 = right[i1, r]
-        y1 = np.stack([np.concatenate([self.pre_impulse_states, pad])[k],
-                       self.samples[m, g1], fin])[i1, r]
+        t1 = np.where(g < g1, grid[g1], np.inf)
+        y1 = np.take(flat, m * (last + 1) + g1, axis=0)
+        i = np.flatnonzero(T < t1)
+        t1[i], y1[i] = T, self.final_states[m[i]]
+        i = np.flatnonzero((k < end) & (taus[k] - _COINCIDE_TOL <= t1))
+        t1[i], y1[i] = taus[k[i]], self.pre_impulse_states[k[i]]
 
         dt = t1 - t0
         s = np.where(dt > 0, (t - t0) / np.where(dt > 0, dt, 1.0), 0.0)
-        f0 = eval_vector_field(self.system.field, y0)
-        f1 = eval_vector_field(self.system.field, y1)
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s ** 2 * (3 - 2 * s)
-        h11 = s ** 2 * (s - 1)
-        y = (h00[:, None] * y0 + h10[:, None] * dt[:, None] * f0
-             + h01[:, None] * y1 + h11[:, None] * dt[:, None] * f1)
-        knot = t - t0 <= _TIME_TOL
-        return np.where(knot[:, None], y0, y).reshape(*shape, y0.shape[1])
+        f0, f1 = (eval_vector_field(self.system.field, y) for y in (y0, y1))
+        u2, s2 = (1 - s) ** 2, s ** 2
+        h = ((1 + 2 * s) * u2, s * u2 * dt, s2 * (3 - 2 * s), s2 * (s - 1) * dt)
+        y = np.empty_like(y0)
+        for j in range(y.shape[1]):     # a coordinate at a time: long loops
+            y[:, j] = h[0] * y0[:, j] + h[1] * f0[:, j] + h[2] * y1[:, j] + h[3] * f1[:, j]
+        i = np.flatnonzero(t - t0 <= _TIME_TOL)
+        y[i] = y0[i]
+        return y.reshape(*shape, y.shape[1])
 
 
 def _grid_for(T: float, dt: float) -> np.ndarray:

@@ -6,8 +6,9 @@ from itertools import combinations
 import numpy as np
 
 from impulseflow import first_hitting_time, flow, gap_set
-from impulseflow.flow_core import RegionEscape
+from impulseflow.flow_core import RegionEscape, eval_vector_field
 from impulseflow.hypotheses import _TUBE_XI, _tangent_directions
+from impulseflow.impulsive_system import _COINCIDE_TOL, _TIME_TOL
 
 
 def annulus_position(r0: float, theta0: float, t: float) -> np.ndarray:
@@ -129,6 +130,26 @@ def min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(d2.min()))
 
 
+def gap_intervals(times, t: float, delta: float) -> list:
+    """The gap set of one increasing hit-time sequence on [0, t], hit by hit:
+    each window (tau - delta, tau + delta) that meets [0, t] closes the
+    current interval and opens the next (delta below eta/2 assumed)."""
+    intervals = []
+    lo = 0.0
+    for tau in times:
+        if tau + delta <= 0 or tau - delta > t:
+            continue
+        a, b = lo, min(tau - delta, t)
+        if b >= a:
+            intervals.append((a, b))
+        lo = tau + delta
+        if lo > t:
+            break
+    if lo <= t:
+        intervals.append((lo, t))
+    return intervals
+
+
 def ball_distances(trajs, T: float, delta: float) -> dict:
     """For every candidate pair (i < j), min(D(i, j), D(j, i)) at horizon T,
     computed pair by pair.
@@ -214,3 +235,66 @@ def continuity_probe_per_probe(sys, x, approach_dirs: int, scales) -> list[dict]
         rows.append({"scale": s, "tau_star_max": max(taus) if taus else float("nan"),
                      "escaped": escaped})
     return rows
+
+
+def reference_evaluate(batch, members, times) -> np.ndarray:
+    """``TrajectoryBatch.evaluate`` as it was before its rewrite, kept
+    verbatim, but for ``self`` renamed ``batch``: the reference of the
+    current one.
+
+    States of the orbits of ``members`` at ``times`` in [0, horizon],
+    broadcast together; the result has a trailing state axis.
+
+    A member's knots are its samples, the pre-impulse and post-impulse
+    states at its hits and its final state.  A hit within _COINCIDE_TOL
+    after a time counts as before it, as in ``segment_index``.  Up to
+    _TIME_TOL after the last knot at or before it, a time takes that
+    knot's state (at a hit, the post-impulse one); elsewhere the cubic
+    Hermite interpolant from that knot to the next, whose error is far
+    below every radius used by the ball tests.
+    """
+    m, t = np.broadcast_arrays(np.asarray(members, dtype=int),
+                               np.asarray(times, dtype=float))
+    shape, m, t = t.shape, m.ravel(), t.ravel()
+    T, grid, off = batch.horizon, batch.sample_times, batch.hit_offsets
+    if (t < -_COINCIDE_TOL).any() or (t > T + _COINCIDE_TOL).any():
+        raise ValueError("evaluation time outside [0, horizon]")
+    # complex numbers sort by real part, then imaginary part: k is the row of
+    # the member's first hit after t + _COINCIDE_TOL (a sentinel row follows)
+    k = np.searchsorted(batch.hit_members + 1j * batch.hit_times,
+                        m + 1j * (t + _COINCIDE_TOL), side="right")
+    taus = np.append(batch.hit_times, np.inf)
+    pad = np.zeros((1, batch.samples.shape[2]))
+    g = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 1)
+    g1 = np.minimum(g + 1, len(grid) - 1)
+    fin, r = batch.final_states[m], np.arange(len(t))
+    # the last knot at or before t: the final state, the last hit's
+    # post-impulse state or a sample, the first at the latest time
+    left = np.stack([np.where(T <= t, T, -np.inf),
+                     np.where(k > off[m], taus[k - 1], -np.inf), grid[g]])
+    t0 = left.max(axis=0)
+    y0 = np.stack([fin, np.concatenate([batch.post_impulse_states, pad])[k - 1],
+                   batch.samples[m, g]])[left.argmax(axis=0), r]
+    # the next knot: the next hit's pre-impulse state, a sample or the
+    # final state, the first at the earliest time, the hit's shifted by
+    # _COINCIDE_TOL (knots that close after a hit hold its post-impulse
+    # state); past the horizon the final state, so dt <= 0 keeps y0
+    right = np.stack([np.where(k < off[m + 1], taus[k], np.inf),
+                      np.where(g < g1, grid[g1], np.inf), np.full(len(t), T)])
+    i1 = (right - [[_COINCIDE_TOL], [0.0], [0.0]]).argmin(axis=0)
+    t1 = right[i1, r]
+    y1 = np.stack([np.concatenate([batch.pre_impulse_states, pad])[k],
+                   batch.samples[m, g1], fin])[i1, r]
+
+    dt = t1 - t0
+    s = np.where(dt > 0, (t - t0) / np.where(dt > 0, dt, 1.0), 0.0)
+    f0 = eval_vector_field(batch.system.field, y0)
+    f1 = eval_vector_field(batch.system.field, y1)
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s ** 2 * (3 - 2 * s)
+    h11 = s ** 2 * (s - 1)
+    y = (h00[:, None] * y0 + h10[:, None] * dt[:, None] * f0
+         + h01[:, None] * y1 + h11[:, None] * dt[:, None] * f1)
+    knot = t - t0 <= _TIME_TOL
+    return np.where(knot[:, None], y0, y).reshape(*shape, y0.shape[1])

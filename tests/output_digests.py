@@ -4,11 +4,13 @@ between two versions of the package.
     PYTHONPATH=src python3 tests/output_digests.py > digests.txt
 
 Runs, in this process, the five experiments on the five builtin systems at
-small sizes (seed 3), and the benchmark workloads' calls (perfbench/
-workloads.py) at seeds 1, 4 and 7.  Prints one ``sha256  label/file`` line
-per output, the label being ``experiment/system`` (prefixed with
-``bench/<workload>/seed<N>/`` for a benchmark call); a run that fails prints
-``FAILED  label: message`` instead.  The manifest is hashed without its
+small sizes (seed 3), the benchmark workloads' calls (perfbench/
+workloads.py) at seeds 1, 4 and 7, and the entropy configs of acceptance
+criteria 4 and 5 (about 8 s of the total).  Prints one ``sha256  label/file``
+line per output, the label being ``experiment/system`` (prefixed with
+``bench/<workload>/seed<N>/`` for a benchmark call, ``acceptance/`` for an
+acceptance config); a run that fails prints ``FAILED  label: message``
+instead.  The manifest is hashed without its
 ``output_dir`` line, the one line that differs between output directories.
 pytest does not collect this file.
 """
@@ -39,6 +41,15 @@ SMALL = {
     "check-hypotheses": {"n_samples": 200},
 }
 BENCH_SEEDS = (1, 4, 7)
+# the entropy configs of tests/test_acceptance.py's criteria 4 and 5
+ACCEPTANCE = {
+    "annulus": {"T_list": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0],
+                "eps_list": [0.2, 0.1, 0.05], "delta_list": [0.3],
+                "candidate_count": 4096},
+    "doubling_suspension": {"T_list": [float(T) for T in range(2, 11)],
+                            "eps_list": [0.1], "delta_list": [0.1],
+                            "candidate_count": 4096},
+}
 _OUTPUT_DIR_LINE = re.compile(rb'\n *"output_dir": "[^"\n]*",?')
 
 
@@ -54,6 +65,9 @@ def calls():
                 yield (f"bench/{workload}/seed{seed}/{call.experiment}/"
                        f"{call.config['system']['name']}",
                        call.experiment, call.config)
+    for name, params in ACCEPTANCE.items():
+        yield (f"acceptance/entropy/{name}", "entropy",
+               {"system": {"name": name}, "seed": 0, "params": params})
 
 
 def digests(work: Path):

@@ -55,6 +55,7 @@ BAD_ENTROPY_PARAMS = [
     ("candidate_count", "abc"),
     ("candidate_count", 0),
     ("candidate_count", 2.5),
+    ("candidate_count", True),
     ("dt_check", 0.2),
     ("dt_check", "abc"),
     ("T_list", [2, float("inf")]),
@@ -71,12 +72,11 @@ BAD_ENTROPY_PARAMS = [
 
 
 def _library_typed(field: str, value) -> bool:
-    """Whether a params value has the type EntropyConfig takes for its field:
-    a list of numbers for a list, an int count, a number otherwise."""
-    kind = int if field == "candidate_count" else (int, float)
+    """Whether a params value has a type EntropyConfig takes for its field:
+    a list of numbers for a list, a number otherwise."""
     items = value if isinstance(value, list) else [value]
     return (isinstance(value, list) == field.endswith("_list")
-            and all(isinstance(v, kind) for v in items))
+            and all(isinstance(v, (int, float)) for v in items))
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,11 +18,12 @@ from impulseflow import (
     impulsive_trajectory_batch,
     max_separated_set,
 )
-from impulseflow.entropy import _pair_tables
+from impulseflow.entropy import _gap_ends, _pair_tables
 from oracles import (
     ball_conflicts,
     ball_distances,
     doubling_separated_count,
+    gap_intervals,
     greedy_count,
     packing_number,
 )
@@ -69,6 +71,38 @@ class TestGapSet:
             max(0.0, min(tau + delta, t) - max(tau - delta, 0.0))
             for tau in taus)
         assert np.isclose(gs.total_length(), t - removed, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_each_sequence(self, data):
+        # the gap sets of many sequences at once, from their compressed rows,
+        # are those of each sequence alone, and those of the hit-by-hit loop;
+        # a delta above eta/2 names the first sequence that breaks it
+        delta = data.draw(st.floats(0.05, 0.5), label="delta")
+        t = data.draw(st.just(0.0) | st.floats(0.0, 10.0), label="t")
+        seqs = []
+        for _ in range(data.draw(st.integers(1, 6), label="rows")):
+            # starts near 0, near t or anywhere; gaps mostly above 2 delta
+            start = data.draw(st.floats(-0.6, 0.6) | st.floats(t - 0.6, t + 0.6)
+                              | st.floats(-1.0, 11.0))
+            gaps = data.draw(st.lists(st.floats(2.01, 30.0) | st.floats(0.0, 2.0),
+                                      max_size=4))
+            size = data.draw(st.integers(0, len(gaps) + 1))
+            seqs.append((start + delta * np.cumsum([0.0, *gaps]))[:size])
+        times = np.concatenate(seqs)
+        offsets = np.cumsum([0] + [len(q) for q in seqs])
+        try:
+            want = [gap_set(q, t, delta).intervals for q in seqs]
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                _gap_ends(times, offsets, t, delta)
+            return
+        E, count = _gap_ends(times, offsets, t, delta)
+        assert E.shape == (len(seqs), count.max())
+        for q, row, c, w in zip(seqs, E, count, want):
+            assert w == tuple(gap_intervals(q, t, delta))
+            assert row[:c].tolist() == np.ravel(w).tolist()
+            assert np.isinf(row[c:]).all()
 
 
 class TestDynamicalBall:
@@ -262,6 +296,29 @@ class TestConflictPass:
                                      trajectories=trajs)
         assert count == greedy_count(len(C),
                                      ball_conflicts(trajs, T, eps, delta))
+
+    def test_pairs_that_separate_leave_the_pass(self, doubling):
+        # a narrow arc at nearly equal heights: every pair is close before the
+        # first horizon, and the doubling then separates most of them; a pair
+        # leaves the grid pass once both of its running maxima reach
+        # eps_max**2, its later entries left at inf, yet every entry below
+        # eps_max**2 is the pair-by-pair value
+        rng = np.random.default_rng(5)
+        ang = rng.uniform(0.0, 0.1, 36)
+        C = np.c_[np.cos(ang), np.sin(ang), rng.uniform(0.0, 0.15, 36)]
+        T_list, eps_list, delta = (0.8, 1.9, 3.1, 4.2, 5.3), (0.3, 0.1), 0.1
+        trajs = impulsive_trajectory_batch(doubling, C, max(T_list), delta / 2)
+        table = next(_pair_tables(trajs, T_list, max(eps_list), (delta,)))
+        assert table.prefilter_pairs == len(table.lo) == 36 * 35 // 2
+        assert (table.dmin[:, -1] == np.inf).mean() > 0.5
+        cut = max(eps_list) ** 2
+        for k, T in enumerate(T_list):
+            got = dict(zip(zip(table.lo.tolist(), table.hi.tolist()),
+                           table.dmin[:, k].tolist()))
+            want = ball_distances(trajs, T, delta)
+            assert ({p: d for p, d in got.items() if d < cut}
+                    == {p: d for p, d in want.items() if d < cut}), T
+            assert all(want[p] >= cut for p, d in got.items() if d == np.inf)
 
     def test_separated_counters(self, annulus):
         cfg = EntropyConfig(T_list=(5.0, 10.0, 15.0), eps_list=(0.2, 0.1),

@@ -25,8 +25,10 @@ from impulseflow import (
 from impulseflow.flow_core import BatchStepper, RegionEscape, dense_bernstein, dense_eval
 from impulseflow import impulsive_system
 from impulseflow.impulsive_system import (
+    _COINCIDE_TOL,
     _ROUNDING,
     _SAMPLE_BLOCK,
+    _TIME_TOL,
     AmbiguousCrossing,
     GapUnderflow,
     _BatchRun,
@@ -39,7 +41,7 @@ from impulseflow.impulsive_system import (
     hit_times_batch,
 )
 from conftest import polar
-from oracles import annulus_impulse_schedule
+from oracles import annulus_impulse_schedule, reference_evaluate
 
 COORD0 = LinearLevel((1.0, 0.0))
 COORD1 = LinearLevel((0.0, 1.0))
@@ -660,6 +662,52 @@ class TestTrajectoryBatch:
             assert batch[i].evaluate(times[0]).tobytes() == whole[i, 0].tobytes()
         with pytest.raises(IndexError):
             batch[len(batch)]
+
+
+# a state of each system that does not hit up to the horizons of
+# TestEvaluateReference (on the doubling suspension, below a horizon of 1)
+_NO_HIT = {"annulus": polar(1.5, 0.2), "doubling": np.array([1.0, 0.0, 0.0]),
+           "prey_predator": np.array([0.2, 0.3, 0.3])}
+
+
+class TestEvaluateReference:
+    """``TrajectoryBatch.evaluate`` bit for bit against its form before the
+    rewrite, ``oracles.reference_evaluate``: the same knots, the same
+    Hermite arithmetic."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(sorted(_NO_HIT)), T=st.floats(0.5, 6.0),
+           dt=st.sampled_from([0.05, 0.15, 0.5, 1.3]), seed=st.integers(0, 2 ** 16))
+    @example(name="doubling", T=0.7, dt=0.15, seed=0)
+    @example(name="annulus", T=6.0, dt=1.3, seed=1)
+    @example(name="prey_predator", T=3.0, dt=0.15, seed=2)
+    def test_equals_the_reference(self, annulus, doubling, prey_predator,
+                                  name, T, dt, seed):
+        sys_spec = {"annulus": annulus, "doubling": doubling,
+                    "prey_predator": prey_predator}[name]
+        rng = np.random.default_rng(seed)
+        X = np.vstack([candidate_cloud(sys_spec, 7, rng), _NO_HIT[name]])
+        batch = impulsive_trajectory_batch(sys_spec, X, T, dt)
+        taus = batch.hit_times
+        # each hit time, at and around it by both tolerances, for its own
+        # member and for a random one; the grid, 0, the horizon and random times
+        near = (taus[:, None] + [0.0, _COINCIDE_TOL, -_COINCIDE_TOL, _TIME_TOL,
+                                 -_TIME_TOL]).ravel()
+        times = np.concatenate([near, near, batch.sample_times, [0.0, T],
+                                rng.uniform(0.0, T, 300)])
+        members = np.concatenate([np.repeat(batch.hit_members, 5),
+                                  rng.integers(0, len(X), len(times) - 5 * len(taus))])
+        times = np.clip(times, -_COINCIDE_TOL, T + _COINCIDE_TOL)
+        got = batch.evaluate(members, times)
+        assert np.array_equal(got, reference_evaluate(batch, members, times))
+        # the member without hits, over all of the times; every member at once
+        last = len(X) - 1
+        assert batch.hit_offsets[-2] == batch.hit_offsets[-1] or T >= 1.0
+        assert np.array_equal(batch.evaluate(last, times),
+                              reference_evaluate(batch, last, times))
+        every = np.arange(len(X))[:, None]
+        assert np.array_equal(batch.evaluate(every, times[:50]),
+                              reference_evaluate(batch, every, times[:50]))
 
 
 def _block_configs(annulus, doubling, prey_predator):

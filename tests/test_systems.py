@@ -68,6 +68,39 @@ print([m for m in sys.modules if m.split(".")[0] == "scipy"])
     assert out.stdout.split("\n") == ["[]", "[]", ""]
 
 
+def test_runs_leave_numpy_ma_out(tmp_path):
+    # numpy.ma costs 11-18 ms of start-up: neither the import nor a run of
+    # any of the four analyses through the CLI loads it
+    code = f"""
+import json, sys
+from pathlib import Path
+from impulseflow.cli import main
+print("numpy.ma" in sys.modules)
+tmp = Path({str(tmp_path)!r})
+runs = [("entropy", {{"system": {{"name": "annulus"}}, "params": {{
+            "T_list": [2.0, 4.0], "eps_list": [0.2], "delta_list": [0.3],
+            "candidate_count": 16}}}}),
+        ("measure", {{"system": {{"name": "annulus"}},
+                      "params": {{"horizon": 20.0, "dt_sample": 0.05}}}}),
+        ("check-hypotheses", {{"system": {{"name": "annulus"}},
+                               "params": {{"n_samples": 50}}}}),
+        ("quotient", {{"system": {{"name": "doubling_suspension"}},
+                       "params": {{"n_points": 20}}}})]
+for i, (experiment, cfg) in enumerate(runs):
+    (tmp / f"c{{i}}.json").write_text(json.dumps(cfg))
+    rc = main([experiment, "--config", str(tmp / f"c{{i}}.json"),
+               "--out", str(tmp / f"run{{i}}")])
+    print(experiment, rc, "numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(impulseflow.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.split("\n") == [
+        "False", "entropy 0 False", "measure 0 False",
+        "check-hypotheses 0 False", "quotient 0 False", ""]
+
+
 def test_annulus_segment_endpoints(annulus):
     d = sample_impulsive_set(annulus, "D", 64)
     assert np.allclose(d[:, 1], 0.0)
