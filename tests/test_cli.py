@@ -55,7 +55,6 @@ BAD_ENTROPY_PARAMS = [
     ("candidate_count", "abc"),
     ("candidate_count", 0),
     ("candidate_count", 2.5),
-    ("candidate_count", True),
     ("dt_check", 0.2),
     ("dt_check", "abc"),
     ("T_list", [2, float("inf")]),
@@ -68,15 +67,18 @@ BAD_ENTROPY_PARAMS = [
     ("delta_list", [float("inf")]),
     ("dt_check", float("nan")),
     ("dt_check", -0.1),
+    ("candidate_count", True),
 ]
 
 
 def _library_typed(field: str, value) -> bool:
-    """Whether a params value has a type EntropyConfig takes for its field:
-    a list of numbers for a list, a number otherwise."""
+    """Whether a params value has the type EntropyConfig takes for its field:
+    a list of numbers for a list, an int count (a bool is an int), a number
+    otherwise. A fractional count has its own library test."""
+    kind = int if field == "candidate_count" else (int, float)
     items = value if isinstance(value, list) else [value]
     return (isinstance(value, list) == field.endswith("_list")
-            and all(isinstance(v, (int, float)) for v in items))
+            and all(isinstance(v, kind) for v in items))
 
 
 class TestValidation:
@@ -140,6 +142,10 @@ class TestValidation:
         # the library's own rules reject what the CLI rejects
         with pytest.raises(ValueError, match=field):
             EntropyConfig(**{**GOOD_ENTROPY_PARAMS, field: value})
+
+    def test_fractional_count_rejected_by_library(self):
+        with pytest.raises(ValueError, match="candidate_count"):
+            EntropyConfig(**{**GOOD_ENTROPY_PARAMS, "candidate_count": 2.5})
 
 
     @pytest.mark.parametrize("name,overrides", [
