@@ -14,7 +14,6 @@ configuration, so identical config and seed reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -367,15 +366,32 @@ def _run_entropy(sys_spec, p: EntropyParams, seed: int, outdir: Path) -> dict:
     }
 
 
+class _Reprs(dict):
+    """repr of float values, each formatted once while it stays in the dict."""
+
+    def __missing__(self, x):
+        s = repr(x)
+        if x == x and x:        # nan is no key; 0.0 and -0.0 are one key, two reprs
+            self[x] = s
+        return s
+
+
 def _write_dmatrix(path, D) -> None:
     """The class-distance matrix as ``i,j,dtilde`` lines, one joined string
-    per row (all n^2 lines at once would be held in memory together); each
-    distinct bit pattern of the matrix is formatted once."""
+    per row (all n^2 lines at once would be held in memory together).  A
+    value seen before is formatted once; the memo of these strings starts
+    afresh once it holds more than 16 per row of D."""
     js = [f"{j}," for j in range(len(D))]
-    text = functools.cache(lambda bits: repr(np.int64(bits).view(np.float64).item()))
-    _atomic_write(path, itertools.chain(["i,j,dtilde"], (
-        f"{i}," + f"\n{i},".join(map(str.__add__, js, map(text, row.tolist())))
-        for i, row in enumerate(np.asarray(D, dtype=np.float64).view(np.int64)))))
+    text = _Reprs()
+
+    def lines():
+        yield "i,j,dtilde"
+        for i, row in enumerate(D):
+            if len(text) > 16 * len(D):
+                text.clear()
+            yield f"{i}," + f"\n{i},".join(
+                map(str.__add__, js, map(text.__getitem__, row.tolist())))
+    _atomic_write(path, lines())
 
 
 def _run_quotient(sys_spec, p: QuotientParams, seed: int, outdir: Path) -> dict:

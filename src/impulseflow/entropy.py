@@ -128,7 +128,8 @@ def in_dynamical_ball(sys: SystemSpec, x: np.ndarray, y: np.ndarray,
     ends = np.ravel(gap_set(batch[0].impulse_times, T, delta).intervals)
     cols = _valid_columns(batch, grid, delta)[0] & (grid <= T + 1e-12)
     dx, dy = batch.evaluate([[0], [1]], np.concatenate([ends, grid[cols]]))
-    return bool((np.sqrt(np.sum((dx - dy) ** 2, axis=1)) < eps).all())
+    dist = np.sqrt(np.sum((dx - dy) ** 2, axis=1))
+    return bool((dist < eps).all())
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +241,8 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
     bounds = np.sort(cols)
     bounds = bounds[np.diff(bounds, prepend=-1) != 0]
     m = int(bounds[-1])
-    grid, orbits = grid[:m], batch.samples[:, :m]
+    grid = grid[:m]
+    orbits = batch.samples[:, :m]
     eps2 = eps_max * eps_max
 
     probes = (np.array(_PROBE_FRACTIONS) * (bounds[0] - 1)).astype(int)
@@ -282,7 +284,9 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
         P = len(lo)
 
         # directed distances on the grid and at T: D[0] centers lo, D[1] hi
-        D, run, act = np.full((2, P, nT), np.inf), np.full((2, P), -np.inf), np.arange(P)
+        D = np.full((2, P, nT), np.inf)
+        run = np.full((2, P), -np.inf)     # running maxima of the pairs in act
+        act = np.arange(P)
         for c0, c1 in zip([0, *bounds[:-1]], bounds):
             ks = np.flatnonzero(cols == c1)
             step = max(1, _PAIR_BLOCK // (c1 - c0))
@@ -290,9 +294,7 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
                 p = act[s:s + step]
                 a, b = lo[p], hi[p]
                 diff = orbits[b, c0:c1] - orbits[a, c0:c1]
-                # einsum's sum, faster in the plane: two squares sum alike in any order
-                d2 = (diff[..., 0] ** 2 + diff[..., 1] ** 2 if diff.shape[2] == 2
-                      else np.einsum("ptd,ptd->pt", diff, diff))
+                d2 = np.einsum("ptd,ptd->pt", diff, diff)
                 at_t = np.sum((at_T[a[:, None], ks] - at_T[b[:, None], ks]) ** 2, axis=-1)
                 for side, c in enumerate((a, b)):
                     r = run[side, p] = np.maximum(run[side, p], np.where(
@@ -373,14 +375,22 @@ def exhaustive_max_separated(sys: SystemSpec, candidates: np.ndarray, T: float,
     for i, j in zip(table.lo.tolist(), table.hi.tolist()):
         conflict[i] |= 1 << j
         conflict[j] |= 1 << i
-    # every subset at once, as a bit mask: its size, and whether it holds a
-    # conflicting pair
-    subsets = np.arange(1 << n)
-    size, free = np.zeros(1 << n, dtype=int), np.ones(1 << n, dtype=bool)
-    for i in range(n):
-        size += subsets >> i & 1
-        free &= (subsets >> i & 1 == 0) | (subsets & conflict[i] == 0)
-    return int(size[free].max())
+    best = 0
+    for subset in range(1 << n):
+        size = int(subset).bit_count()
+        if size <= best:
+            continue
+        s = subset
+        ok = True
+        while s:
+            i = (s & -s).bit_length() - 1
+            if conflict[i] & subset:
+                ok = False
+                break
+            s &= s - 1
+        if ok:
+            best = size
+    return best
 
 
 # --------------------------------------------------------------------------
@@ -444,12 +454,18 @@ def _fit_rate(Ts: np.ndarray, counts: np.ndarray, saturated: np.ndarray):
     least, for the large-T limit.  Saturated cells are dropped (lower bounds
     with no growth signal); the fit then uses every remaining cell.
     """
-    lower_bound = bool(saturated.any())
-    half = min(len(Ts) // 2, len(Ts) - 2)
-    keep = ~saturated if lower_bound else np.arange(len(Ts)) >= half
-    if keep.sum() < 2:
-        return 0.0, True
-    slope = np.polyfit(Ts[keep], np.log(counts[keep].astype(float)), 1)[0]
+    if saturated.any():
+        keep = ~saturated
+        lower_bound = True
+        if keep.sum() < 2:
+            return 0.0, True
+        Ts, counts = Ts[keep], counts[keep]
+    else:
+        lower_bound = False
+        half = min(len(Ts) // 2, len(Ts) - 2)
+        Ts, counts = Ts[half:], counts[half:]
+    y = np.log(counts.astype(float))
+    slope = np.polyfit(Ts, y, 1)[0]
     return float(slope), lower_bound
 
 
@@ -470,8 +486,10 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig) -> EntropyEstimate:
     batch = impulsive_trajectory_batch(sys, candidates, T_max, cfg.dt_check)
     eta = _min_hit_gap(batch)
     if not max(cfg.delta_list) < eta / 2:
-        raise ValueError(f"max delta {max(cfg.delta_list)} violates the gap bound "
-                         f"eta/2 = {eta / 2:.6g}")
+        raise ValueError(
+            f"max delta {max(cfg.delta_list)} violates the gap bound "
+            f"eta/2 = {eta / 2:.6g}"
+        )
     n = len(candidates)
     shape = (len(cfg.delta_list), len(cfg.eps_list), len(cfg.T_list))
     S = np.empty(shape, dtype=int)          # separated-set counts
@@ -548,7 +566,9 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
 
     rng = np.random.default_rng(seed)
     usable = np.flatnonzero(np.diff(off) >= 1)
-    violations, max_dev, done = 0, 0.0, 0
+    violations = 0
+    max_dev = 0.0
+    done = 0
     if len(usable):
         # batch: pick (trajectory, window, offset) triples, evaluate the
         # semiflow at the offsets, then recompute hit times from there
@@ -559,14 +579,23 @@ def admissibility_check(sys: SystemSpec, samples: np.ndarray, horizon: float,
             taus = batch.hit_times[off[i]:off[i + 1]]
             k = int(rng.integers(0, len(taus)))
             lo = taus[k - 1] if k > 0 else 0.0
-            t_eval[row] = lo + (taus[k] - lo) * rng.uniform(0.1, 0.9)
-            expect.append(taus[k:] - t_eval[row])
+            hi = taus[k]
+            t = lo + (hi - lo) * rng.uniform(0.1, 0.9)
+            t_eval[row] = t
+            expect.append(taus[k:] - t)
         starts = batch.evaluate(idx, t_eval)
-        for got, want in zip(hit_times_batch(sys, starts, batch.horizon - t_eval), expect):
-            if kk := min(len(got), len(want), 3):
-                dev = float(np.abs(got[:kk] - want[:kk]).max())
-                max_dev, done = max(max_dev, dev), done + 1
-                violations += dev > _SHIFT_TOL
+        shifted = hit_times_batch(sys, starts, batch.horizon - t_eval)
+        for row in range(n_triples):
+            got = shifted[row]
+            want = expect[row]
+            kk = min(len(got), len(want), 3)
+            if kk == 0:
+                continue
+            dev = float(np.abs(np.asarray(got[:kk]) - want[:kk]).max())
+            max_dev = max(max_dev, dev)
+            done += 1
+            if dev > _SHIFT_TOL:
+                violations += 1
     return AdmissibilityReport(
         eta_est=_min_hit_gap(batch),
         shift_violations=violations,

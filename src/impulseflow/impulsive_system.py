@@ -787,13 +787,14 @@ class TrajectoryBatch:
 
     @cached_property
     def _hit_index(self):
-        """[i, j]: the row of member i's first hit after sample_times[j - 1]
-        + _COINCIDE_TOL (after none for j = 0); and the hit times, then inf."""
-        edges = np.zeros((len(self), len(self.sample_times) + 2), dtype=np.intp)
-        np.add.at(edges, (self.hit_members, np.searchsorted(
+        """[i, j] for j <= len(sample_times): the row of member i's first hit
+        after sample_times[j - 1] + _COINCIDE_TOL (after none for j = 0); and
+        the hit times, then inf.  The rows are int32, counted in place."""
+        rows = np.zeros((len(self), len(self.sample_times) + 2), dtype=np.int32)
+        np.add.at(rows, (self.hit_members, np.searchsorted(
             self.sample_times + _COINCIDE_TOL, self.hit_times) + 1), 1)
-        edges[:, 0] = self.hit_offsets[:-1]
-        return np.cumsum(edges[:, :-1], axis=1), np.append(self.hit_times, np.inf)
+        rows[:, 0] = self.hit_offsets[:-1]
+        return np.cumsum(rows, axis=1, out=rows), np.append(self.hit_times, np.inf)
 
     def evaluate(self, members, times) -> np.ndarray:
         """States of the orbits of ``members`` at ``times`` in [0, horizon],
@@ -821,7 +822,7 @@ class TrajectoryBatch:
         g -= grid[g] > t
         g += (g < last) & (grid[np.minimum(g + 1, last)] <= t)
         rows, taus = self._hit_index
-        k, end = np.take(rows, m * (last + 2) + g + 1), off[m + 1]
+        k, end = np.take(rows, m * rows.shape[1] + g + 1), off[m + 1]
         i = np.flatnonzero((k < end) & (taus[k] <= t + _COINCIDE_TOL))
         while len(i):
             k[i] += 1

@@ -599,6 +599,25 @@ class TestQuotientExperiment:
         _write_dmatrix(tmp_path / "e.csv", np.zeros((0, 0)))
         assert (tmp_path / "e.csv").read_bytes() == b"i,j,dtilde\n"
 
+    def test_matrix_writer_special_values(self, tmp_path):
+        # the writer's memo of formatted values against repr per entry:
+        # repeated values, both zeros in either order, 1e-300, the smallest
+        # subnormal, infinities and nans, among more distinct values than
+        # the memo keeps (16 per row)
+        from impulseflow.cli import _write_dmatrix
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, 1e-300, 5e-324, np.inf, -np.inf, np.nan, -np.nan, 0.5, 2.0]
+        D = rng.uniform(0.0, 3.0, (40, 40))
+        mask = rng.random((40, 40)) < 0.5
+        D[mask] = rng.choice(special, np.count_nonzero(mask))
+        D[0, :4] = 0.0, -0.0, -0.0, 0.0
+        _write_dmatrix(tmp_path / "d.csv", D)
+        want = "i,j,dtilde\n" + "".join(f"{i},{j},{v!r}\n" for i in range(40)
+                                        for j, v in enumerate(D[i].tolist()))
+        assert (tmp_path / "d.csv").read_bytes() == want.encode()
+        assert {"0.0", "-0.0", "1e-300", "5e-324", "inf", "-inf", "nan"} <= {
+            line.split(",")[2] for line in want.splitlines()[1:]}
+
     def test_points_csv_input(self, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("x,y\n1.0,0.0\n-1.25,0.0\n1.5,0.4\n")
