@@ -140,7 +140,8 @@ class SimulateParams:
     # by default one draw from the system's candidate cloud
     initial_state: tuple = _param(
         lambda p: candidate_cloud(p.sys, 1, np.random.default_rng(p.seed))[0].tolist(),
-        lambda v, p: len(v) == p.sys.dim, "one number per state coordinate")
+        lambda v, p: len(v) == p.sys.dim and bool(p.sys.admissible(np.array(v))),
+        "one number per state coordinate, an admissible state")
 
 
 @dataclass(frozen=True)

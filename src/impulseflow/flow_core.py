@@ -131,7 +131,7 @@ class LinearLevel:
         """Bernstein coefficients (8, m) of the form along the steps whose
         interpolants have the coefficients ``B`` (``dense_bernstein``), and
         the form's magnitude scale (m,): the form with |a|, |B| and |c|."""
-        return B @ self.a - c, np.abs(B).max(axis=0) @ np.abs(self.a) + abs(c)
+        return B @ self.a - c, np.maximum.reduce(np.abs(B)) @ np.abs(self.a) + abs(c)
 
 
 class RadiusLevel:
@@ -154,9 +154,9 @@ class RadiusLevel:
 
     def form_along_step(self, B, c):
         P = B[..., :2]
-        size = np.abs(P).max(axis=0)
+        size = np.maximum.reduce(np.abs(P))
         return (np.einsum("kij,imd,jmd->km", _PRODUCT_77, P, P) - c * c,
-                (size * size).sum(axis=-1) + c * c)
+                np.add.reduce(size * size, axis=-1) + c * c)
 
 
 # --------------------------------------------------------------------------
@@ -167,24 +167,6 @@ class RadiusLevel:
 
 _N_STAGES = 12          # stages of one step; stage 13 is f at the new state (FSAL)
 _N_STAGES_EXTENDED = 16  # the last 3 are computed only for the dense output
-
-# nodes: the fields are autonomous, so the stepper never reads them
-_C = np.array([0.0,
-               0.526001519587677318785587544488e-01,
-               0.789002279381515978178381316732e-01,
-               0.118350341907227396726757197510,
-               0.281649658092772603273242802490,
-               0.333333333333333333333333333333,
-               0.25,
-               0.307692307692307692307692307692,
-               0.651282051282051282051282051282,
-               0.6,
-               0.857142857142857142857142857142,
-               1.0,
-               1.0,
-               0.1,
-               0.2,
-               0.777777777777777777777777777778])
 
 _A = np.zeros((_N_STAGES_EXTENDED, _N_STAGES_EXTENDED))
 _A[1, 0] = 5.26001519587677318785587544488e-2
@@ -472,8 +454,8 @@ class BatchStepper:
             e = (_E53 @ self._YK[1:_N_STAGES + 2]).reshape(2, n, dim) / scale
             e5, e3 = np.einsum("knd,knd->kn", e, e)
             denom = np.sqrt((e5 + 0.01 * e3) * dim)
-            ratio = np.divide(e5, denom, out=np.zeros_like(e5), where=denom > 0)
-            err = h * ratio.max()
+            ratio = np.divide(e5, denom, out=np.zeros(n), where=denom > 0)
+            err = h * np.maximum.reduce(ratio)
 
             if err < 1.0:
                 if err == 0.0:
@@ -524,7 +506,7 @@ def dense_eval(y0, F, u):
     v = 1.0 - u
     # y = y0 + u (F0 + v (F1 + u (F2 + v (F3 + u (F4 + v (F5 + u F6)))))),
     # Horner from the inside out; the weight is u for even rows, v for odd
-    y = np.zeros_like(y0)
+    y = np.zeros(y0.shape)
     for k in range(6, -1, -1):
         y += F[k]
         y *= u if k % 2 == 0 else v

@@ -68,7 +68,8 @@ _MEMBERSHIP_TOL = 1e-9     # a state this close to a piece's level lies on it
 # 28 ulps of 1 at degree 7 (against errors below 2 ulps in exact-rational
 # checks); coefficients closer to zero count as either sign
 _ROUNDING = 2.0 ** -50
-_SAMPLE_BLOCK = 4096       # queued grid samples are evaluated this many at a time
+_SAMPLE_BLOCK = 4096       # queued grid samples are evaluated this many at a time,
+_QUEUE_BLOCKS = 4          # or once the queue holds this many blocks of member rows
 
 
 class AmbiguousCrossing(RuntimeError):
@@ -234,7 +235,9 @@ class RunStats:
 class _BatchRun:
     """Recorder of one batched propagation: the grid samples, final states,
     hits, region exits and work counters of every member.  Grid samples are
-    queued with their step's dense output and evaluated ``_SAMPLE_BLOCK`` at a time."""
+    queued with their step's dense output, every running member's, and
+    evaluated ``_SAMPLE_BLOCK`` at a time, or sooner once the queue holds
+    ``_QUEUE_BLOCKS`` times as many member rows."""
 
     def __init__(self, X0, sample_grid):
         self.n, self.dim = X0.shape
@@ -244,8 +247,9 @@ class _BatchRun:
         self._hits = []     # one (members, taus, pre, post) block per step with hits
         self._last_tau = np.full(self.n, np.nan)
         self.grid = sample_grid
-        # the queued steps, their sample count, and post-impulse samples
-        self._queue, self._queued, self._posts = [], 0, []
+        # the queued steps, their sample and member row counts, and
+        # post-impulse samples
+        self._queue, self._queued, self._rows, self._posts = [], 0, 0, []
         if sample_grid is not None:
             self._samples = np.full((self.n, len(sample_grid), self.dim), np.nan)
             self.ptr = np.zeros(self.n, dtype=int)
@@ -264,23 +268,20 @@ class _BatchRun:
         if grid is None:
             return
         k0 = self.ptr[members]
-        k1 = np.searchsorted(grid, t0 + adv + _COINCIDE_TOL, side="right")
+        k1 = grid.searchsorted(t0 + adv + _COINCIDE_TOL, side="right")
         counts = np.maximum(k1 - k0, 0)
-        total = int(counts.sum())
+        total = int(np.add.reduce(counts))
         if total == 0:
             return
         self.ptr[members] = np.maximum(k0, k1)
-        if not (some := counts > 0).all():
-            members, k0, counts, t0, adv, y0 = (
-                a[some] for a in (members, k0, counts, t0, adv, y0))
-            F = F[:, some]
         # a finishing member's advance may run up to _HORIZON_SLACK past the
         # step, to its horizon; past the end of any other advance a sample
-        # takes the step's end state
+        # takes the step's end state; ``flush`` skips the rows without one
         self._queue.append((members, k0, counts, t0, np.maximum(adv, h),
                             np.full(len(members), h), y0, F))
         self._queued += total
-        if self._queued >= _SAMPLE_BLOCK:
+        self._rows += len(members)
+        if self._queued >= _SAMPLE_BLOCK or self._rows >= _QUEUE_BLOCKS * _SAMPLE_BLOCK:
             self.flush()
 
     def flush(self):
@@ -289,19 +290,19 @@ class _BatchRun:
             members, k0, counts, t0, cap, h, y0, F = (
                 a[0] if len(a) == 1 else np.concatenate(a, a[0].ndim // 3)  # F on axis 1
                 for a in zip(*self._queue))
-            rows = np.repeat(np.arange(len(members)), counts)
-            g_idx = k0[rows] + np.arange(self._queued) - np.repeat(
-                np.cumsum(counts) - counts, counts)
-            u = np.clip((self.grid[g_idx] - t0[rows]) / h[rows], 0.0, cap[rows] / h[rows])
+            rows = np.arange(len(members)).repeat(counts)
+            g_idx = k0[rows] + np.arange(self._queued) - (counts.cumsum() - counts).repeat(counts)
+            u = np.minimum(np.maximum((self.grid[g_idx] - t0[rows]) / h[rows], 0.0),
+                           cap[rows] / h[rows])
             self._samples[members[rows], g_idx] = dense_eval(y0[rows], F[:, rows], u)
-            self._queue, self._queued = [], 0
+            self._queue, self._queued, self._rows = [], 0, 0
         for members, last, post in self._posts:
             self._samples[members, last] = post
         self._posts = []
 
     def record_hits(self, members, taus, pre, post, min_gap):
         gap = taus - self._last_tau[members]
-        bad = np.flatnonzero(gap < min_gap)     # NaN for a member's first hit
+        bad = (gap < min_gap).nonzero()[0]      # NaN for a member's first hit
         if len(bad):
             raise GapUnderflow(
                 f"hit gap {gap[bad[0]]:.3e} below {min_gap:.0e}; the impulse "
@@ -316,7 +317,7 @@ class _BatchRun:
             last = self.ptr[members] - 1
             on = last >= 0
             on[on] = np.abs(self.grid[last[on]] - taus[on]) <= _COINCIDE_TOL
-            if on.any():
+            if np.logical_or.reduce(on):
                 self._posts.append((members[on], last[on], post[on]))
 
     def checked(self):
@@ -378,7 +379,7 @@ def _bracketed_roots(f, a, b, fa, fb, tol):
     root = np.full(len(a), np.nan)
     kept = np.zeros(len(a), dtype=np.int8)   # end kept by the last pass: -1 a, +1 b
     poor = np.zeros(len(a), dtype=np.int8)   # consecutive passes that did not halve
-    live = np.flatnonzero(b - a > tol)
+    live = (b - a > tol).nonzero()[0]
     passes = 0
     while len(live):
         passes += 1
@@ -386,7 +387,7 @@ def _bracketed_roots(f, a, b, fa, fb, tol):
         c = (A * FB - B * FA) / (FB - FA)
         bisect = (poor[live] >= 2) | ~np.isfinite(c)
         c = np.where(bisect, 0.5 * (A + B), c)
-        c = np.clip(c, A + 0.5 * tol, B - 0.5 * tol)
+        c = np.minimum(np.maximum(c, A + 0.5 * tol), B - 0.5 * tol)
         fc = f(c, live)
         zero = fc == 0
         root[live[zero]] = c[zero]
@@ -473,11 +474,11 @@ class _RootScan:
             d[-1] = np.where(at_end, np.where(trial[-1] == 0, -s, np.sign(trial[-1])),
                              d[-1])
             s = np.where(s == 0, d[0], s)
-            passed = (d == s).all(axis=0) & (s != 0)
-            others = np.cumsum(d != s, axis=0)
+            passed = np.logical_and.reduce(d == s) & (s != 0)
+            others = (d != s).cumsum(axis=0)
             one = ((self.sign[rows] != 0) & (d[-1] == -s)
-                   & ~((d == s) & (others > 0)).any(axis=0)
-                   & ((d != 0) | (others == 1)).all(axis=0))
+                   & ~np.logical_or.reduce((d == s) & (others > 0))
+                   & np.logical_and.reduce((d != 0) | (others == 1)))
             skip = one & (self.direction * s > 0)
             one &= ~skip
             # a passed trial or a skipped root: go on from hi
@@ -512,10 +513,12 @@ class _RootScan:
 def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
     """Earliest admissible crossing of each member inside one step.
 
-    Member m's crossings are sought on the fraction [0, end[m]] of the step,
-    on the Bernstein coefficients of each piece's level form along the dense
-    output, with the level's values at the step's ends (``L_here``,
-    ``L_new``) as the end coefficients.  ``_RootScan`` isolates each
+    Member m's crossings are sought on the fraction [0, end[m]] of the step
+    (all of it for every member if ``end`` is None), on the Bernstein
+    coefficients of each piece's level form along the dense output, with the
+    level's values at the step's ends (``L_here``, ``L_new``) as the end
+    coefficients.  A member whose coefficients pass ``_RootScan``'s first
+    trial is root-free; for the others, ``_RootScan`` isolates each
     member's earliest root of each piece, skipping a root in the direction
     the piece forbids, and ``_bracketed_roots`` locates it to _TIME_TOL in
     time.  A root whose state fails the piece's halfspace constraints is
@@ -526,7 +529,7 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
     Returns (members, u, piece, state) of the hits, in member order: the step
     fraction, the piece index and the pre-impulse state of each (or None).
     """
-    cut = (end != 1.0).nonzero()[0]
+    cut = () if end is None else (end != 1.0).nonzero()[0]
     B = dense_bernstein(y0, F)
     scans = []
     for j in range(len(pieces.sets)):
@@ -534,12 +537,14 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
         b[0], b[-1] = L_here[:, j], L_new[:, j]
         if len(cut):
             b[:, cut] = _split(b[:, cut], end[cut])[0]
-        # no root where every coefficient keeps the sign of the first
-        sb = np.sign(b[0]) * b
-        cand = ((sb[-1] <= 0) | (sb[1:-1] <= eps).any(axis=0)).nonzero()[0]
+        # no root where every coefficient keeps the sign of the first, or of
+        # the second where the first is 0 (a state on the level that leaves it)
+        sb = np.sign(np.where(b[0] == 0, b[1], b[0])) * b
+        cand = ((sb[-1] <= 0) | np.logical_or.reduce(sb[1:-1] <= eps)).nonzero()[0]
         if len(cand):
-            scans.append((j, cand, end[cand], _RootScan(
-                b[:, cand], eps[cand], _TIME_TOL / (h * end[cand]), dirs[j])))
+            e_m = np.ones(len(cand)) if end is None else end[cand]
+            scans.append((j, cand, e_m, _RootScan(
+                b[:, cand], eps[cand], _TIME_TOL / (h * e_m), dirs[j])))
     if not scans:
         return None
     n = len(y0)
@@ -565,17 +570,17 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
             hit_u[i[first]] = u[first]
             hit_set[i[first]] = j
             hit_state[i[first]] = states[first]
-            stats.discarded_crossings += int((~ok).sum())
+            stats.discarded_crossings += int(np.add.reduce(~ok))
             rows = scan.resume(rows[~ok])
         stats.subdivisions += scan.subdivisions
         stuck[m] = np.minimum(stuck[m], scan.stuck * e_m)
-    bad = np.flatnonzero(stuck < hit_u)
+    bad = (stuck < hit_u).nonzero()[0]
     if len(bad):
         raise AmbiguousCrossing(
             f"level crossings {stuck[bad[0]] * h:.3e} into a step of {h:.3e} "
             "cannot be separated to 1e-12 in time: the orbit is tangent to "
             "the impulsive set")
-    hit = np.flatnonzero(np.isfinite(hit_u))
+    hit = np.isfinite(hit_u).nonzero()[0]
     return (hit, hit_u[hit], hit_set[hit], hit_state[hit]) if len(hit) else None
 
 
@@ -633,17 +638,22 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     while len(live):
         rem = dur - t
         # a step of at least _HORIZON_SLACK: a scan never runs far past it
-        h, y_prop, K = stepper.step(max(float(rem.max()), _HORIZON_SLACK))
+        h, y_prop, K = stepper.step(max(float(np.maximum.reduce(rem)), _HORIZON_SLACK))
         stats.steps += 1
         stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
         y0 = stepper.y
         finish = rem <= h + _HORIZON_SLACK
-        adv = np.where(finish, rem, h)
+        finishing = np.logical_or.reduce(finish)
         L_new = pieces.level(y_prop)
         F = stepper.interpolant(h, y_prop, K)
-        # the fraction of the step whose hits count: to _HORIZON_SLACK past
-        # the horizon for a finishing member
-        scan_end = np.where(finish, (rem + _HORIZON_SLACK) / h, 1.0)
+        if finishing:
+            adv = np.where(finish, rem, h)
+            # the fraction of the step whose hits count: to _HORIZON_SLACK
+            # past the horizon for a finishing member
+            scan_end = np.ones(len(rem))
+            scan_end[finish] = (rem[finish] + _HORIZON_SLACK) / h
+        else:
+            adv, scan_end = np.full(len(rem), h), None
         hits = _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, scan_end, stats)
         if hits is not None:
             hit, hit_u, hit_set, pre_states = hits
@@ -653,7 +663,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         t = t + adv
 
         y_commit = y_prop       # the step's own array
-        if finish.any():
+        if finishing and np.logical_or.reduce(finish):
             y_commit[finish] = dense_eval(y0[finish], F[:, finish], rem[finish] / h)
         if hits is not None:
             taus = t[hit]
@@ -673,14 +683,14 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
             stepper.refresh_derivative(hit)
             L_here[hit] = pieces.level(stepper.y[hit])
         if check_region:
-            out = np.flatnonzero(~finish & ~sys.admissible(stepper.y))
+            out = (~finish & ~sys.region(stepper.y)).nonzero()[0]
             if len(out):
                 run.escaped[live[out]] = True
                 run.escape_message = run.escape_message or (
                     f"trajectory left the admissible region of {sys.name!r} "
                     f"near state {stepper.y[out[0]]}")
                 finish[out] = True
-        if finish.any():
+        if np.logical_or.reduce(finish):
             run.final[live[finish]] = stepper.y[finish]
             go_on = ~finish
             live, dur, t, L_here = live[go_on], dur[go_on], t[go_on], L_here[go_on]

@@ -183,6 +183,8 @@ class TestValidation:
         ("measure", "grid", [1]),
         ("measure", "grid", "-inf:inf:10"),
         ("simulate", "horizon", 10 ** 400),
+        ("simulate", "initial_state", [0.0, 0.0]),
+        ("measure", "initial_state", [3.0, 0.5]),
     ])
     def test_bad_run_params_exit_2(self, tmp_path, capsys, experiment, field, value):
         params = {"horizon": 20.0, "dt_sample": 0.05, "initial_state": [0.0, 1.5],

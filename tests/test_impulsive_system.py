@@ -22,19 +22,23 @@ from impulseflow import (
     psi,
     psi_batch,
 )
-from impulseflow.flow_core import BatchStepper, RegionEscape, dense_bernstein, dense_eval
+from impulseflow.flow_core import (
+    _TO_BERNSTEIN, BatchStepper, RegionEscape, dense_bernstein, dense_eval)
 from impulseflow import impulsive_system
 from impulseflow.impulsive_system import (
     _COINCIDE_TOL,
+    _QUEUE_BLOCKS,
     _ROUNDING,
     _SAMPLE_BLOCK,
     _TIME_TOL,
     AmbiguousCrossing,
     GapUnderflow,
+    RunStats,
     _BatchRun,
     _Pieces,
     _RootScan,
     _bracketed_roots,
+    _first_crossings,
     _first_hits,
     _propagate,
     _split,
@@ -63,6 +67,13 @@ class TestFirstHittingTime:
     def test_annulus_from_image_point(self, annulus):
         tau, _ = first_hitting_time(annulus, np.array([-1.25, 0.0]), 10.0)
         assert abs(tau - np.pi) < 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_t_max_overflows_nothing(self, annulus):
+        # no step comes near the horizon, so its remaining time is never
+        # divided by a step
+        tau, _ = first_hitting_time(annulus, polar(1.5, 4.0), 1e308)
+        assert abs(tau - (2 * np.pi - 4.0)) < 1e-10
 
     def test_prey_predator_below_plane_never_hits(self, prey_predator):
         # the coordinate sum only decreases, so the plane is unreachable
@@ -254,6 +265,83 @@ class TestRootScan:
                                          lo + tau * (1.0 - lo))
         err = max(abs(Fraction(float(t)) - x) for t, x in zip(trial[:, 0], exact))
         assert err <= eps[0]
+
+    @staticmethod
+    def _crossings_of(columns, monkeypatch):
+        """``_first_crossings`` on one-coordinate steps whose level form x
+        has about the Bernstein coefficients ``columns`` (8, m), the end
+        ones exactly; returns its result and the coefficients of each scan
+        it built."""
+        rows = np.linalg.solve(_TO_BERNSTEIN, columns)
+        y0, F = rows[0][:, None], rows[1:, :, None]
+        scanned = []
+
+        class Counted(_RootScan):
+            def __init__(self, b, *args):
+                scanned.append(b.copy())
+                super().__init__(b, *args)
+        monkeypatch.setattr(impulsive_system, "_RootScan", Counted)
+        pieces = _Pieces((ImpulsiveSetSpec(LinearLevel((1.0,)), 0.0),))
+        return _first_crossings(pieces, np.array([0]), y0, F, 1.0, columns[0][:, None],
+                                columns[-1][:, None], None, RunStats()), scanned
+
+    @staticmethod
+    def _direct_scan(b):
+        b = b[:, None]
+        eps = np.array([_ROUNDING * 7 * np.abs(b).max()])
+        scan = _RootScan(b, eps, np.array([_TIME_TOL]), 0)
+        return scan.brackets(np.arange(1)), scan
+
+    def test_a_column_leaving_the_level_is_scanned_only_if_it_can_return(
+            self, monkeypatch):
+        # every column starts on the level (b[0] = 0): the first returns to
+        # it at 0.5, the other two leave it for good, downward and upward
+        back = _bernstein_from_roots([0.0, 0.5], np.ones(6), 1.0)
+        gone = _bernstein_from_roots([0.0], np.ones(7), -1.0)
+        columns = np.stack([back, gone, -gone], axis=1)
+        columns[0] = 0.0
+        (members, u, _, _), scanned = self._crossings_of(columns, monkeypatch)
+        # only the returning column is scanned, and it gives the bracket and
+        # the root that a direct _RootScan of its coefficients gives
+        assert len(scanned) == 1 and scanned[0].shape[1] == 1
+        (rows, lo, hi, _, _), _ = self._direct_scan(scanned[0][:, 0])
+        assert list(rows) == [0] and lo[0] <= 0.5 <= hi[0]
+        assert list(members) == [0] and abs(u[0] - 0.5) <= 1e-12
+        # a direct scan passes the others on its first trial: no bracket, no
+        # subdivision, not stuck
+        for b in (gone, -gone):
+            (rows, *_), scan = self._direct_scan(np.r_[0.0, b[1:]])
+            assert not len(rows) and scan.subdivisions == 0
+            assert scan.stuck[0] == np.inf
+
+    def test_a_column_with_no_clear_slope_off_the_level_is_scanned(self, monkeypatch):
+        # b[0] = 0 and |b[1]| within the rounding bound: the orbit is tangent
+        # to the level at the step's start, which the scan reports stuck at 0
+        tangent = _bernstein_from_roots([0.0, 0.0, 0.6], np.ones(5), 1.0)
+        columns = tangent[:, None].copy()
+        columns[0] = 0.0
+        with pytest.raises(AmbiguousCrossing):
+            self._crossings_of(columns, monkeypatch)
+        (rows, *_), scan = self._direct_scan(np.r_[0.0, tangent[1:]])
+        assert not len(rows) and scan.stuck[0] == 0.0
+
+    def test_post_impulse_steps_build_no_root_scan(self, annulus, monkeypatch):
+        # an impulse leaves the annulus state on y = 0, moving down: the next
+        # step's column starts at 0 and is root-free, so from below the axis
+        # the one scan of each hit step is the only scan, and the hits keep
+        # their schedule
+        starts = []
+
+        class Counted(_RootScan):
+            def __init__(self, b, *args):
+                starts.extend(b[0])
+                super().__init__(b, *args)
+        monkeypatch.setattr(impulsive_system, "_RootScan", Counted)
+        tr = impulsive_trajectory(annulus, polar(1.5, 4.0), 30.0, 0.1)
+        want, _ = annulus_impulse_schedule(1.5, 4.0, 9)
+        assert tr.n_impulses == len(starts) == 9
+        assert 0.0 not in starts
+        assert np.abs(tr.impulse_times - want).max() < 1e-8
 
 
 def _exact_form_coefficients(level, c, y0, F, lo, hi):
@@ -712,8 +800,9 @@ class TestEvaluateReference:
 
 def _block_configs(annulus, doubling, prey_predator):
     """The sampled runs whose outputs must not depend on the sample block:
-    one long orbit, large batches with staggered hits, and a doubling batch
-    whose hits fall on grid times, its horizon among them."""
+    one long orbit, large batches with staggered hits, a doubling batch
+    whose hits fall on grid times, its horizon among them, and a batch on a
+    grid coarser than its steps."""
     rng = np.random.default_rng(5)
     a, k = rng.random(256), rng.integers(0, 8, 256)
     on_grid = np.c_[np.cos(2 * np.pi * a), np.sin(2 * np.pi * a), 0.125 * k]
@@ -725,6 +814,10 @@ def _block_configs(annulus, doubling, prey_predator):
         "doubling x1": (doubling, candidate_cloud(doubling, 1, rng), 50.0, 0.25),
         "prey_predator x128": (prey_predator, candidate_cloud(prey_predator, 128, rng),
                                30.0, 0.05),
+        # a grid coarser than the steps, reached by the members in different
+        # steps: most queued rows have no sample
+        "prey_predator x512 sparse": (prey_predator,
+                                      candidate_cloud(prey_predator, 512, rng), 30.0, 1.0),
     }
 
 
@@ -732,7 +825,8 @@ class TestSampleBlocks:
     """Grid samples are evaluated in blocks after the steps that reach them."""
 
     @pytest.mark.parametrize("name", ["annulus x1", "annulus x512", "doubling x256",
-                                      "doubling x1", "prey_predator x128"])
+                                      "doubling x1", "prey_predator x128",
+                                      "prey_predator x512 sparse"])
     def test_outputs_independent_of_the_block(self, annulus, doubling, prey_predator,
                                               monkeypatch, name):
         sys_spec, X, T, dt = _block_configs(annulus, doubling, prey_predator)[name]
@@ -765,6 +859,27 @@ class TestSampleBlocks:
         _propagate(annulus, x, 300.0, IntegratorConfig())
         assert run.stats.steps == 1531 and run.stats.hits == 96
         assert 0 < sampled - len(calls) <= math.ceil(60001 / _SAMPLE_BLOCK)
+
+    def test_sparse_grid_flushes_on_queued_rows(self, annulus, doubling, prey_predator,
+                                                monkeypatch):
+        # each step with a sample queues all 512 rows, most without one: the
+        # queue reaches its row bound before its sample bound, and never
+        # passes it by more than one step's rows
+        flushes = []
+        flush = _BatchRun.flush
+
+        def counted(run):
+            if run._queue:
+                flushes.append((run._queued, run._rows))
+            flush(run)
+        monkeypatch.setattr(_BatchRun, "flush", counted)
+        sys_spec, X, T, dt = _block_configs(annulus, doubling, prey_predator)[
+            "prey_predator x512 sparse"]
+        batch = impulsive_trajectory_batch(sys_spec, X, T, dt)
+        assert not np.isnan(batch.samples).any()
+        bound = _QUEUE_BLOCKS * _SAMPLE_BLOCK
+        assert sum(q < _SAMPLE_BLOCK and r >= bound for q, r in flushes) >= 2
+        assert max(r for _, r in flushes) < bound + len(X)
 
 
 class TestExport:
