@@ -291,7 +291,8 @@ class _BatchRun:
                 a[0] if len(a) == 1 else np.concatenate(a, a[0].ndim // 3)  # F on axis 1
                 for a in zip(*self._queue))
             rows = np.arange(len(members)).repeat(counts)
-            g_idx = k0[rows] + np.arange(self._queued) - (counts.cumsum() - counts).repeat(counts)
+            g_idx = (k0[rows] + np.arange(self._queued)
+                     - (counts.cumsum() - counts).repeat(counts))
             u = np.minimum(np.maximum((self.grid[g_idx] - t0[rows]) / h[rows], 0.0),
                            cap[rows] / h[rows])
             self._samples[members[rows], g_idx] = dense_eval(y0[rows], F[:, rows], u)
