@@ -68,8 +68,7 @@ _MEMBERSHIP_TOL = 1e-9     # a state this close to a piece's level lies on it
 # 28 ulps of 1 at degree 7 (against errors below 2 ulps in exact-rational
 # checks); coefficients closer to zero count as either sign
 _ROUNDING = 2.0 ** -50
-_SAMPLE_BLOCK = 4096       # queued grid samples are evaluated this many at a time,
-_QUEUE_BLOCKS = 4          # or once the queue holds this many blocks of member rows
+_SAMPLE_BLOCK = 4096       # queued grid samples, or member rows, evaluated at a time
 
 
 class AmbiguousCrossing(RuntimeError):
@@ -236,8 +235,8 @@ class _BatchRun:
     """Recorder of one batched propagation: the grid samples, final states,
     hits, region exits and work counters of every member.  Grid samples are
     queued with their step's dense output, every running member's, and
-    evaluated ``_SAMPLE_BLOCK`` at a time, or sooner once the queue holds
-    ``_QUEUE_BLOCKS`` times as many member rows."""
+    evaluated once the queue holds ``_SAMPLE_BLOCK`` samples or as many
+    member rows."""
 
     def __init__(self, X0, sample_grid):
         self.n, self.dim = X0.shape
@@ -281,7 +280,7 @@ class _BatchRun:
                             np.full(len(members), h), y0, F))
         self._queued += total
         self._rows += len(members)
-        if self._queued >= _SAMPLE_BLOCK or self._rows >= _QUEUE_BLOCKS * _SAMPLE_BLOCK:
+        if max(self._queued, self._rows) >= _SAMPLE_BLOCK:
             self.flush()
 
     def flush(self):
@@ -514,23 +513,22 @@ class _RootScan:
 def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
     """Earliest admissible crossing of each member inside one step.
 
-    Member m's crossings are sought on the fraction [0, end[m]] of the step
-    (all of it for every member if ``end`` is None), on the Bernstein
-    coefficients of each piece's level form along the dense output, with the
-    level's values at the step's ends (``L_here``, ``L_new``) as the end
-    coefficients.  A member whose coefficients pass ``_RootScan``'s first
-    trial is root-free; for the others, ``_RootScan`` isolates each
-    member's earliest root of each piece, skipping a root in the direction
-    the piece forbids, and ``_bracketed_roots`` locates it to _TIME_TOL in
-    time.  A root whose state fails the piece's halfspace constraints is
-    discarded and the scan resumes past it.  The earliest crossing per member
-    counts (ties to the lowest piece index).  AmbiguousCrossing is raised
-    when a member's scan is stuck before that.
+    Member m's crossings are sought on the fraction [0, end[m]] of the step,
+    on the Bernstein coefficients of each piece's level form along the dense
+    output, with the level's values at the step's ends (``L_here``,
+    ``L_new``) as the end coefficients.  A member whose coefficients pass
+    ``_RootScan``'s first trial is root-free; for the others, ``_RootScan``
+    isolates each member's earliest root of each piece, skipping a root in
+    the direction the piece forbids, and ``_bracketed_roots`` locates it to
+    _TIME_TOL in time.  A root whose state fails the piece's halfspace
+    constraints is discarded and the scan resumes past it.  The earliest
+    crossing per member counts (ties to the lowest piece index).
+    AmbiguousCrossing is raised when a member's scan is stuck before that.
 
     Returns (members, u, piece, state) of the hits, in member order: the step
     fraction, the piece index and the pre-impulse state of each (or None).
     """
-    cut = () if end is None else (end != 1.0).nonzero()[0]
+    cut = (end != 1.0).nonzero()[0]
     B = dense_bernstein(y0, F)
     scans = []
     for j in range(len(pieces.sets)):
@@ -543,9 +541,8 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
         sb = np.sign(np.where(b[0] == 0, b[1], b[0])) * b
         cand = ((sb[-1] <= 0) | np.logical_or.reduce(sb[1:-1] <= eps)).nonzero()[0]
         if len(cand):
-            e_m = np.ones(len(cand)) if end is None else end[cand]
-            scans.append((j, cand, e_m, _RootScan(
-                b[:, cand], eps[cand], _TIME_TOL / (h * e_m), dirs[j])))
+            scans.append((j, cand, end[cand], _RootScan(
+                b[:, cand], eps[cand], _TIME_TOL / (h * end[cand]), dirs[j])))
     if not scans:
         return None
     n = len(y0)
@@ -644,17 +641,13 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
         y0 = stepper.y
         finish = rem <= h + _HORIZON_SLACK
-        finishing = np.logical_or.reduce(finish)
+        adv = np.where(finish, rem, h)
         L_new = pieces.level(y_prop)
         F = stepper.interpolant(h, y_prop, K)
-        if finishing:
-            adv = np.where(finish, rem, h)
-            # the fraction of the step whose hits count: to _HORIZON_SLACK
-            # past the horizon for a finishing member
-            scan_end = np.ones(len(rem))
-            scan_end[finish] = (rem[finish] + _HORIZON_SLACK) / h
-        else:
-            adv, scan_end = np.full(len(rem), h), None
+        # the fraction of the step whose hits count: to _HORIZON_SLACK past
+        # the horizon for a finishing member
+        scan_end = np.ones(len(rem))
+        scan_end[finish] = (rem[finish] + _HORIZON_SLACK) / h
         hits = _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, scan_end, stats)
         if hits is not None:
             hit, hit_u, hit_set, pre_states = hits
@@ -664,7 +657,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         t = t + adv
 
         y_commit = y_prop       # the step's own array
-        if finishing and np.logical_or.reduce(finish):
+        if np.logical_or.reduce(finish):
             y_commit[finish] = dense_eval(y0[finish], F[:, finish], rem[finish] / h)
         if hits is not None:
             taus = t[hit]

@@ -27,7 +27,6 @@ from impulseflow.flow_core import (
 from impulseflow import impulsive_system
 from impulseflow.impulsive_system import (
     _COINCIDE_TOL,
-    _QUEUE_BLOCKS,
     _ROUNDING,
     _SAMPLE_BLOCK,
     _TIME_TOL,
@@ -283,7 +282,8 @@ class TestRootScan:
         monkeypatch.setattr(impulsive_system, "_RootScan", Counted)
         pieces = _Pieces((ImpulsiveSetSpec(LinearLevel((1.0,)), 0.0),))
         return _first_crossings(pieces, np.array([0]), y0, F, 1.0, columns[0][:, None],
-                                columns[-1][:, None], None, RunStats()), scanned
+                                columns[-1][:, None], np.ones(columns.shape[1]),
+                                RunStats()), scanned
 
     @staticmethod
     def _direct_scan(b):
@@ -877,9 +877,8 @@ class TestSampleBlocks:
             "prey_predator x512 sparse"]
         batch = impulsive_trajectory_batch(sys_spec, X, T, dt)
         assert not np.isnan(batch.samples).any()
-        bound = _QUEUE_BLOCKS * _SAMPLE_BLOCK
-        assert sum(q < _SAMPLE_BLOCK and r >= bound for q, r in flushes) >= 2
-        assert max(r for _, r in flushes) < bound + len(X)
+        assert sum(q < _SAMPLE_BLOCK <= r for q, r in flushes) >= 2
+        assert max(r for _, r in flushes) < _SAMPLE_BLOCK + len(X)
 
 
 class TestExport:
