@@ -26,7 +26,7 @@ for name in ("annulus", "prey_predator", "tangent_degenerate"):
               f"{rep.min_abs_inner:.6f}, sign {rep.common_sign:+d} -> {verdict}")
     sep = separation_report(sys_spec, 400)
     print(f"  separation: dist(D, I(D)) = {sep.dist_D_ID:.6f}, "
-          f"forward-tube margin = {sep.xi_margin:.4f}")
+          f"first crossing of I(D) by the flow = {sep.xi_margin:.4f}")
 
 print("\nFirst-hitting time along incoming approaches to a point of the")
 print("impulsive set (annulus, base point (1.5, 0)): tau* equals the scale")

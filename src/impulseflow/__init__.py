@@ -52,7 +52,6 @@ from .entropy import (
     EntropyConfig,
     admissibility_check,
     entropy_estimate,
-    exhaustive_max_separated,
     gap_set,
     in_dynamical_ball,
     max_separated_set,

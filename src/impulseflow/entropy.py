@@ -42,7 +42,6 @@ __all__ = [
     "gap_set",
     "in_dynamical_ball",
     "max_separated_set",
-    "exhaustive_max_separated",
     "entropy_estimate",
     "admissibility_check",
 ]
@@ -356,41 +355,6 @@ def max_separated_set(sys: SystemSpec, candidates: np.ndarray, T: float,
     table = next(_pair_tables(trajectories, (T,), eps, (delta,)))
     admitted = _greedy_scan(len(candidates), table.lo, table.hi)
     return candidates[admitted], int(len(admitted))
-
-
-def exhaustive_max_separated(sys: SystemSpec, candidates: np.ndarray, T: float,
-                             eps: float, delta: float, dt_check: float,
-                             trajectories=None) -> int:
-    """Exact separated-set maximum by exhaustive subset search; calibration
-    oracle, practical for up to ~15 candidates."""
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    n = len(candidates)
-    if n > 20:
-        raise ValueError("exhaustive search is for small candidate sets")
-    if trajectories is None:
-        trajectories = impulsive_trajectory_batch(
-            sys, candidates, max(T, dt_check), dt_check)
-    table = next(_pair_tables(trajectories, (T,), eps, (delta,)))
-    conflict = np.zeros(n, dtype=np.int64)
-    for i, j in zip(table.lo.tolist(), table.hi.tolist()):
-        conflict[i] |= 1 << j
-        conflict[j] |= 1 << i
-    best = 0
-    for subset in range(1 << n):
-        size = int(subset).bit_count()
-        if size <= best:
-            continue
-        s = subset
-        ok = True
-        while s:
-            i = (s & -s).bit_length() - 1
-            if conflict[i] & subset:
-                ok = False
-                break
-            s &= s - 1
-        if ok:
-            best = size
-    return best
 
 
 # --------------------------------------------------------------------------

@@ -9,13 +9,13 @@ the worst witness so a failure is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow_core import eval_vector_field, flow
+from .flow_core import eval_vector_field
 from .impulsive_system import SystemSpec, _first_hits, _propagate
-from .neighbors import min_distance, radius_pairs
+from .neighbors import min_distance
 from .systems import sample_impulsive_set, sample_pieces
 
 __all__ = [
@@ -26,11 +26,9 @@ __all__ = [
     "hitting_continuity_probe",
 ]
 
-# The separation tube: the forward flow of the impulsive set is probed up to
-# _XI_CAP, and it is clear of the image while every slice stays farther than
-# _CLEAR_TOL from the image samples.
+# The forward flow of the impulsive set is searched for the image up to
+# this time.
 _XI_CAP = 2 * np.pi
-_CLEAR_TOL = 1e-3
 
 # A continuity probe that the flow reaches from the impulsive set in less
 # than this time counts as escaped.
@@ -92,37 +90,26 @@ def transversality_margin(sys: SystemSpec, which: str, n_samples: int,
 
 
 def separation_report(sys: SystemSpec, n_samples: int) -> SeparationReport:
-    """Distance between the impulsive set and its image, plus the largest
-    probed xi for which the forward tube of the impulsive set of width xi
-    stays clear of the image.
+    """Distance between the impulsive set and its image, plus the time the
+    forward flow of the impulsive set takes to reach the image.
 
-    Both sets are sampled quasi-uniformly; the tube is the forward flow of the
-    impulsive-set samples, one flow run sampled on a fine time grid up to
-    _XI_CAP, and the margin is the last slice time before the first slice
-    that comes within _CLEAR_TOL of the image.
-    The set distance is the all-pairs minimum, by brute force; one
-    fixed-radius cell search at _CLEAR_TOL between the tube and the image
-    samples finds the slices that come that close.
+    Both sets are sampled quasi-uniformly.  The set distance is the
+    all-pairs minimum, by brute force.  The margin is the earliest crossing
+    of an image piece, from either side, by the pure flow (no impulses) from
+    any impulsive-set sample, located to 1e-12 by one first-hit batch run
+    and capped at _XI_CAP; an orbit that leaves the admissible region first
+    never crosses.  A flow tangent to an image piece raises
+    AmbiguousCrossing, as in any engine run.
     """
     d_samples = sample_impulsive_set(sys, "D", n_samples)
     id_samples = sample_impulsive_set(sys, "ID", n_samples)
     dist = min_distance(d_samples, id_samples)
-
-    n_slices = 512
-    ts = _XI_CAP * np.arange(1, n_slices + 1) / n_slices
-    # forward tube of a subset of the D samples (pure flow, no impulses),
-    # sampled at every slice time from one run
-    probes = d_samples[:: max(1, len(d_samples) // 128)]
-    tube = flow(sys.field, probes, ts)
-    close, _ = radius_pairs(tube.reshape(-1, tube.shape[-1]), _CLEAR_TOL, id_samples)
-    if len(close):
-        first = int((close % n_slices).min())
-        xi_margin = float(ts[first - 1]) if first > 0 else 0.0
-    else:
-        xi_margin = float(_XI_CAP)
+    image_flow = replace(sys, impulse=lambda x, piece: x, impulsive_sets=tuple(
+        replace(piece, direction=0) for piece in sys.image_sets))
+    tau, _, _ = _first_hits(image_flow, d_samples, _XI_CAP)
     return SeparationReport(
         dist_D_ID=float(dist),
-        xi_margin=xi_margin,
+        xi_margin=float(np.nanmin(tau, initial=_XI_CAP)),
         n_samples=n_samples,
     )
 
@@ -139,10 +126,16 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
     _TUBE_XI, or whose forward orbit leaves the admissible region before
     hitting, are counted as escaped, not fatal.  All probes take three batch
     runs: the backward flow, one duration per probe, then a reversed and a
-    forward first-hit search.
+    forward first-hit search.  approach_dirs must be an integer >= 1, and
+    the system's dimension 2 or 3.
 
     Returns one row per scale: {"scale", "tau_star_max", "escaped"}.
     """
+    if isinstance(approach_dirs, bool) or not isinstance(approach_dirs, (int, np.integer)) \
+            or approach_dirs < 1:
+        raise ValueError(f"approach_dirs must be an integer >= 1, got {approach_dirs!r}")
+    if sys.dim not in (2, 3):
+        raise ValueError(f"the continuity probe needs dimension 2 or 3, not {sys.dim}")
     x = np.asarray(x_in_d, dtype=float)
     j = sys.in_impulsive_set(x, tol=1e-7)
     if j < 0:
@@ -176,17 +169,17 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
 
 
 def _tangent_directions(level, x: np.ndarray, m: int) -> np.ndarray:
+    """m >= 1 unit tangent directions of the level at x, in dimension 2
+    (at most two: t and -t) or 3 (m evenly spaced angles)."""
     g = level.grad(x)
     g = g / np.linalg.norm(g)
-    dim = len(x)
-    if dim == 2:
+    if len(x) == 2:
         t = np.array([-g[1], g[0]])
-        dirs = np.vstack([t, -t])
-        return dirs[: max(1, min(m, 2))]
+        return np.vstack([t, -t])[:m]
     # orthonormal basis of the tangent plane
-    a = np.eye(dim)[int(np.argmin(np.abs(g)))]
+    a = np.eye(3)[int(np.argmin(np.abs(g)))]
     u = a - np.dot(a, g) * g
     u /= np.linalg.norm(u)
-    v = np.cross(g, u) if dim == 3 else None
-    angles = 2 * np.pi * np.arange(m) / max(m, 1)
+    v = np.cross(g, u)
+    angles = 2 * np.pi * np.arange(m) / m
     return np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * v

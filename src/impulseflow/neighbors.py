@@ -9,21 +9,20 @@ import numpy as np
 _BLOCK = 1 << 15  # candidate pairs per block, to keep temporaries small
 
 
-def radius_pairs(points: np.ndarray, r: float, others: np.ndarray | None = None):
-    """Index arrays (i, j) of the pairs with |points[i] - y[j]| <= r, where y
-    is ``others`` (faster as the smaller cloud), or ``points`` with i < j.
+def radius_pairs(points: np.ndarray, r: float):
+    """Index arrays (i, j), i < j, of the pairs with |points[i] - points[j]|
+    <= r.
 
-    A fixed-radius cell search (Bentley, Stanat & Williams, 1977): ``points``
-    is sorted by cell key, with cells of side r * (1 + 1e-6) widened by the
+    A fixed-radius cell search (Bentley, Stanat & Williams, 1977): the points
+    are sorted by cell key, with cells of side r * (1 + 1e-6) widened by the
     rounding scale of the coordinates, so that rounding cannot put a pair
-    within r two cells apart.  Per neighbouring row of cells a query meets
-    one run of three cells; a point of ``points`` meets only later points:
-    in the rest of its own row's run and in the rows after its own.
+    within r two cells apart.  A point meets only later points: in the rest
+    of its own row's run of three cells and in the runs of the rows after its
+    own.
     """
-    y = points if others is None else others
-    if len(points) == 0 or len(y) == 0:
+    if len(points) == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    xt = np.ascontiguousarray((points if others is None else np.concatenate([points, y])).T)
+    xt = np.ascontiguousarray(points.T)
     ct = np.where(np.isfinite(xt), xt, 0.0)  # a non-finite point passes no test
     dim, n, low, high = len(xt), len(points), ct.min(axis=1), ct.max(axis=1)
     # The excess over r covers the rounding of the test and squares that
@@ -35,19 +34,15 @@ def radius_pairs(points: np.ndarray, r: float, others: np.ndarray | None = None)
     k -= k.min(axis=1, keepdims=True) - 1
     strides = np.r_[np.cumprod(k.max(axis=1)[:0:-1] + 2)[::-1], 1]
     key = strides @ k
-    del ct, k  # each as large as the clouds: a 70k-point tube takes 1.7 MB a copy
+    del ct, k  # each as large as the cloud
     rows = np.array(list(product((-1, 0, 1), repeat=dim - 1)), np.int64) @ strides[:-1]
-    order = np.argsort(key[:n])
+    rows = rows[rows >= 0]
+    order = np.argsort(key)
     sorted_key, xs = key[order], xt.take(order, axis=1)
-    if others is None:
-        q_key, q_pts, q_ids, rows = sorted_key, xs, order, rows[rows >= 0]
-    else:
-        q_key, q_pts, q_ids = key[n:], xt[:, n:], np.arange(len(y))
-    lo = np.searchsorted(sorted_key, q_key[:, None] + rows - 1, side="left")
-    hi = np.searchsorted(sorted_key, q_key[:, None] + rows + 1, side="right")
-    if others is None:  # in its own row, a point meets the later points only
-        lo[:, 0] = np.arange(1, n + 1)
-    q = np.repeat(np.arange(len(q_key)), lo.shape[1])
+    lo = np.searchsorted(sorted_key, sorted_key[:, None] + rows - 1, side="left")
+    hi = np.searchsorted(sorted_key, sorted_key[:, None] + rows + 1, side="right")
+    lo[:, 0] = np.arange(1, n + 1)  # in its own row, only the later points
+    q = np.repeat(np.arange(n), lo.shape[1])
     lo, count = lo.ravel(), (hi - lo).ravel()
     first = np.cumsum(count) - count
     bounds = np.r_[np.flatnonzero(np.diff(first // _BLOCK, prepend=-1)), len(count)]
@@ -58,10 +53,10 @@ def radius_pairs(points: np.ndarray, r: float, others: np.ndarray | None = None)
         xi = np.arange(c.sum()) + np.repeat(lo[s:e] - first[s:e] + first[s], c)
         # take and flatnonzero: several times faster than fancy or mask indexing
         near = np.flatnonzero(np.sqrt(_squared_distance(
-            xs.take(xi, axis=1), q_pts.take(qj, axis=1))) <= r)
-        found.append((order.take(xi.take(near)), q_ids.take(qj.take(near))))
+            xs.take(xi, axis=1), xs.take(qj, axis=1))) <= r)
+        found.append((order.take(xi.take(near)), order.take(qj.take(near))))
     i, j = map(np.concatenate, zip(*found))
-    return (np.minimum(i, j), np.maximum(i, j)) if others is None else (i, j)
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def min_distance(a: np.ndarray, b: np.ndarray) -> float:

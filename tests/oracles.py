@@ -5,7 +5,14 @@ from itertools import combinations
 
 import numpy as np
 
-from impulseflow import first_hitting_time, flow, gap_set
+from impulseflow import (
+    SystemSpec,
+    first_hitting_time,
+    flow,
+    gap_set,
+    impulsive_trajectory_batch,
+)
+from impulseflow.entropy import _pair_tables
 from impulseflow.flow_core import RegionEscape, eval_vector_field
 from impulseflow.hypotheses import _TUBE_XI, _tangent_directions
 from impulseflow.impulsive_system import _COINCIDE_TOL, _TIME_TOL
@@ -93,6 +100,43 @@ def packing_number(points: np.ndarray, eps: float) -> int:
             continue
         if all(d[i, j] >= eps for i, j in combinations(idx, 2)):
             best = len(idx)
+    return best
+
+
+def exhaustive_max_separated(sys: SystemSpec, candidates: np.ndarray, T: float,
+                             eps: float, delta: float, dt_check: float,
+                             trajectories=None) -> int:
+    """Exact separated-set maximum by exhaustive subset search; calibration
+    oracle, practical for up to ~15 candidates.  Its conflicts come from the
+    library's own pair table (``entropy._pair_tables``), so it checks the
+    greedy scan, not the table."""
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    n = len(candidates)
+    if n > 20:
+        raise ValueError("exhaustive search is for small candidate sets")
+    if trajectories is None:
+        trajectories = impulsive_trajectory_batch(
+            sys, candidates, max(T, dt_check), dt_check)
+    table = next(_pair_tables(trajectories, (T,), eps, (delta,)))
+    conflict = np.zeros(n, dtype=np.int64)
+    for i, j in zip(table.lo.tolist(), table.hi.tolist()):
+        conflict[i] |= 1 << j
+        conflict[j] |= 1 << i
+    best = 0
+    for subset in range(1 << n):
+        size = int(subset).bit_count()
+        if size <= best:
+            continue
+        s = subset
+        ok = True
+        while s:
+            i = (s & -s).bit_length() - 1
+            if conflict[i] & subset:
+                ok = False
+                break
+            s &= s - 1
+        if ok:
+            best = size
     return best
 
 

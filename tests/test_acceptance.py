@@ -18,7 +18,6 @@ from impulseflow import (
     candidate_cloud,
     entropy_estimate,
     equivalence_class,
-    exhaustive_max_separated,
     hitting_continuity_probe,
     impulsive_trajectory,
     impulsive_trajectory_batch,
@@ -31,7 +30,7 @@ from impulseflow import (
 )
 from impulseflow.cli import main as cli_main
 from conftest import polar
-from oracles import arc_cell_weights, packing_number
+from oracles import arc_cell_weights, exhaustive_max_separated, packing_number
 
 
 def report(criterion: str, ok: bool, detail: str, elapsed: float):

@@ -482,8 +482,8 @@ class TestHypothesesExperiment:
         assert len(table) == 5
 
     def test_four_engine_runs(self, tmp_path, monkeypatch):
-        # one BatchStepper per engine run: the separation tube's flow and the
-        # continuity probe's three batch runs
+        # one BatchStepper per engine run: the separation search's first-hit
+        # run and the continuity probe's three batch runs
         runs, init = [], BatchStepper.__init__
 
         def counted(stepper, *args):

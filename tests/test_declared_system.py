@@ -2,11 +2,15 @@
 rotation at angular speed 1/2, the chord 0.6 x + 0.8 y = 1.2 cut to the side
 where the orbits enter it, a translate along the chord's normal onto the
 parallel line at 0.6, with its preimage, and the band 0.5 <= r <= 2.5.
+The angular speed is a parameter of the system, so that a faster rotation
+reaches the image within the separation search's cap of 2 pi.
 
 On the circle of radius r the chord is entered at the angle
 phi0 - arccos(1.2 / r), phi0 = atan2(0.8, 0.6), and the translate moves the
 orbit to the radius sqrt(r^2 - 1.08), so the hit times have a closed form.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from impulseflow import (
     impulse_preimages,
     impulsive_trajectory_batch,
     quotient_distance,
+    separation_report,
     transversality_margin,
 )
 from conftest import polar
@@ -32,7 +37,7 @@ SHIFT = -0.6 * NORMAL
 HORIZON = 60.0
 
 
-def _system():
+def _system(omega=OMEGA):
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
     # the side of the chord where a counterclockwise orbit enters it
     entry = (((0.8, -0.6), 0.0),)
@@ -47,7 +52,7 @@ def _system():
 
     return SystemSpec(
         name="chord_translate",
-        field=VectorFieldSpec(2, lambda x: OMEGA * (x @ rotation)),
+        field=VectorFieldSpec(2, lambda x: omega * (x @ rotation)),
         impulsive_sets=(ImpulsiveSetSpec(LinearLevel(NORMAL), 1.2, halfspaces=entry,
                                          sampler=on_line(1.2)),),
         image_sets=(ImpulsiveSetSpec(LinearLevel(NORMAL), 0.6, halfspaces=entry,
@@ -124,3 +129,19 @@ def test_transversality_margin(chord, which):
     assert rep.passed and rep.common_sign == 1
     assert abs(rep.min_abs_inner - 0.5 * OMEGA) < 1e-12
 
+
+
+@pytest.mark.parametrize("direction", [0, -1, +1])
+def test_separation_margin_matches_the_closed_form(direction):
+    # From c NORMAL + s TANGENT on the chord, at the angle -arccos(1.2 / r)
+    # from NORMAL, the rotation at speed 2 crosses the image line where its
+    # angle reaches 2 pi - arccos(0.6 / r), on the halfspace's side; the
+    # crossing at +arccos(0.6 / r) is outside it.  That crossing raises the
+    # level, so an image piece declared with direction -1 also counts it.
+    fast = _system(omega=2.0)
+    fast = replace(fast, image_sets=tuple(
+        replace(piece, direction=direction) for piece in fast.image_sets))
+    r = np.hypot(1.2, np.linspace(-2.0, -0.5, 50))
+    want = (2 * np.pi - np.arccos(0.6 / r) + np.arccos(1.2 / r)) / 2.0
+    assert want.min() < 2 * np.pi
+    assert abs(separation_report(fast, 50).xi_margin - want.min()) < 1e-9

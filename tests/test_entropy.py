@@ -12,7 +12,6 @@ from impulseflow import (
     build_fixture,
     candidate_cloud,
     entropy_estimate,
-    exhaustive_max_separated,
     gap_set,
     in_dynamical_ball,
     impulsive_trajectory_batch,
@@ -23,6 +22,7 @@ from oracles import (
     ball_conflicts,
     ball_distances,
     doubling_separated_count,
+    exhaustive_max_separated,
     gap_intervals,
     greedy_count,
     packing_number,

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from impulseflow import (
+    ImpulsiveSetSpec,
+    LinearLevel,
+    SystemSpec,
+    VectorFieldSpec,
     build_fixture,
-    flow,
     hitting_continuity_probe,
     sample_impulsive_set,
     separation_report,
     transversality_margin,
 )
-from impulseflow.neighbors import min_distance, radius_pairs
+from impulseflow.neighbors import min_distance
 from dataclasses import replace
 
 from oracles import continuity_probe_per_probe, min_cross_distance
@@ -51,39 +54,15 @@ class TestTransversality:
             transversality_margin(annulus, "D", 0)
 
 
-def _check_tube_against_brute_force(name):
-    # the tube of 512 slices up to 2 pi from every third D sample: a slice is
-    # blocked when its clearance from the image, by brute force, is within
-    # 1e-3, and the margin ends before the first blocked slice
-    sys_spec = build_fixture(name)
-    d_samples = sample_impulsive_set(sys_spec, "D", 400)
-    id_samples = sample_impulsive_set(sys_spec, "ID", 400)
-    ts = 2 * np.pi * np.arange(1, 513) / 512
-    tube = flow(sys_spec.field, d_samples[::3], ts)
-    clearance = np.array([min_cross_distance(tube[:, k], id_samples)
-                          for k in range(512)])
-    close, _ = radius_pairs(tube.reshape(-1, tube.shape[-1]), 1e-3, id_samples)
-    verdicts = np.zeros(512, dtype=bool)
-    verdicts[close % 512] = True
-    assert np.array_equal(verdicts, clearance <= 1e-3)
-    blocked = np.flatnonzero(np.minimum.accumulate(clearance) <= 1e-3)
-    if len(blocked) == 0:
-        want = 2 * np.pi
-    else:
-        want = ts[blocked[0] - 1] if blocked[0] > 0 else 0.0
-    assert separation_report(sys_spec, 400).xi_margin == want
-
-
 class TestSeparation:
     def test_annulus_distance_two(self, annulus):
         rep = separation_report(annulus, 400)
         assert abs(rep.dist_D_ID - 2.0) < 0.01
-        assert abs(rep.xi_margin - np.pi) < 0.05
 
     def test_prey_predator_plane_distance(self, prey_predator):
         rep = separation_report(prey_predator, 400)
         assert abs(rep.dist_D_ID - 1 / np.sqrt(3)) < 1e-3
-        assert rep.xi_margin == 2 * np.pi  # tube recedes, search cap reached
+        assert rep.xi_margin == 2 * np.pi  # the flow recedes from the image
 
     def test_coincident_sets_give_zero(self, annulus):
         broken = replace(annulus, image_sets=annulus.impulsive_sets)
@@ -111,15 +90,18 @@ class TestSeparation:
                        rng.normal(size=(50, 3))):
             assert min_distance(points, grid) == min_cross_distance(points, grid)
 
-    @pytest.mark.parametrize("name", ["annulus", "prey_predator"])
-    def test_xi_margin_equals_per_slice_brute_force(self, name):
-        _check_tube_against_brute_force(name)
+    def test_annulus_margin_is_half_a_turn(self, annulus):
+        # from (r, 0), r <= 1.5, the rotation reaches (-r, 0) on the image at
+        # t = pi; for r > 1.5 that crossing misses the image's halfspace
+        rep = separation_report(annulus, 400)
+        assert abs(rep.xi_margin - np.pi) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["doubling_suspension", "static_null"])
-    def test_tied_tube_equals_per_slice_brute_force(self, name):
-        # every probe ties for its slice's nearest distance here (the flow
-        # keeps them level, or still)
-        _check_tube_against_brute_force(name)
+    @pytest.mark.parametrize("name", ["prey_predator", "doubling_suspension",
+                                      "static_null", "tangent_degenerate"])
+    def test_margin_capped_where_the_image_is_never_crossed(self, name):
+        # on the doubling suspension the orbits leave the region first
+        rep = separation_report(build_fixture(name), 400)
+        assert rep.xi_margin == 2 * np.pi
 
 
 class TestContinuityProbe:
@@ -174,6 +156,25 @@ class TestContinuityProbe:
     def test_scales_must_decrease(self, annulus):
         with pytest.raises(ValueError):
             hitting_continuity_probe(annulus, np.array([1.5, 0.0]), 2, [0.1, 0.2])
+
+    @pytest.mark.parametrize("dirs", [0, -1, 2.5, True, None])
+    def test_approach_dirs_must_be_a_positive_integer(self, annulus, dirs):
+        with pytest.raises(ValueError, match="approach_dirs"):
+            hitting_continuity_probe(annulus, np.array([1.5, 0.0]), dirs, [0.1])
+
+    def test_dimension_above_three_rejected(self):
+        # a rotation in the (x1, x2) plane of R^4, D the half-hyperplane x2 = 0
+        # with x1 >= 1
+        rotation = np.zeros((4, 4))
+        rotation[0, 1], rotation[1, 0] = 1.0, -1.0
+        d_set = ImpulsiveSetSpec(LinearLevel((0.0, 1.0, 0.0, 0.0)), 0.0,
+                                 halfspaces=(((1.0, 0.0, 0.0, 0.0), 1.0),))
+        sys4 = SystemSpec("rotation_4d", VectorFieldSpec(4, lambda x: x @ rotation),
+                          (d_set,), (d_set,), impulse=lambda x, piece: x,
+                          preimages=lambda p: [p],
+                          region=lambda x: np.ones(len(x), dtype=bool))
+        with pytest.raises(ValueError, match="dimension 2 or 3, not 4"):
+            hitting_continuity_probe(sys4, np.array([1.5, 0.0, 0.0, 0.0]), 2, [0.1])
 
     @pytest.mark.parametrize("scales", [
         [0.1, 0.1], [0.0], [-0.1], [np.nan], [0.1, np.nan]])

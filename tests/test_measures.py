@@ -42,6 +42,15 @@ class TestGridPartition:
         with pytest.raises(ValueError):
             GridPartition(lo=(-np.inf,), hi=(np.inf,), bins=(10,))
 
+    @pytest.mark.parametrize("bins", [(2.5,), (2.0,), (True,), (np.bool_(True),)])
+    def test_bins_must_be_integers(self, bins):
+        # int() would truncate these to 2 or 1 bins
+        with pytest.raises(ValueError, match="bins"):
+            GridPartition(lo=(0,), hi=(1,), bins=bins)
+
+    def test_numpy_integer_bins_accepted(self):
+        assert GridPartition(lo=(0,), hi=(1,), bins=(np.int64(3),)).bins == (3,)
+
     def test_centers_and_indices_align(self):
         g = GridPartition(lo=(0, 0), hi=(1, 1), bins=(3, 3))
         centers = g.cell_centers()

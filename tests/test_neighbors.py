@@ -7,13 +7,10 @@ from impulseflow.neighbors import min_distance, radius_pairs
 from oracles import min_cross_distance
 
 
-def brute_pairs(a, b, r, self_pairs):
-    """Every pair within r by sqrt(sum(diff**2)) over all pairs; i < j when
-    a cloud is paired with itself."""
-    near = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)) <= r
-    if self_pairs:
-        near = np.triu(near, 1)
-    return set(zip(*(idx.tolist() for idx in np.nonzero(near))))
+def brute_pairs(a, r):
+    """Every pair i < j within r by sqrt(sum(diff**2)) over all pairs."""
+    near = np.sqrt(np.sum((a[:, None, :] - a[None, :, :]) ** 2, axis=2)) <= r
+    return set(zip(*(idx.tolist() for idx in np.nonzero(np.triu(near, 1)))))
 
 
 @st.composite
@@ -53,12 +50,11 @@ def clouds(draw, max_points=40):
 # the squared difference underflows to 0, so the pair is within r = 0
 @example((np.array([[0.0, 0.0], [1e-200, 0.0]]), np.array([[1e-200, 1e-200]]), 0.0))
 def test_radius_pairs_equal_brute_force(data):
-    a, b, r = data
-    for other, self_pairs in ((None, True), (b, False)):
-        i, j = radius_pairs(a, r, other)
-        got = list(zip(i.tolist(), j.tolist()))
-        assert len(set(got)) == len(got)  # each pair once
-        assert set(got) == brute_pairs(a, a if self_pairs else b, r, self_pairs)
+    a, _, r = data
+    i, j = radius_pairs(a, r)
+    got = list(zip(i.tolist(), j.tolist()))
+    assert len(set(got)) == len(got)  # each pair once
+    assert set(got) == brute_pairs(a, r)
 
 
 def test_duplicates_pair_at_zero_radius():
