@@ -26,9 +26,7 @@ __all__ = [
     "hitting_continuity_probe",
 ]
 
-# The forward flow of the impulsive set is searched for the image up to
-# this time.
-_XI_CAP = 2 * np.pi
+_XI_CAP = 2 * np.pi  # the horizon of the search for the image's first crossing
 
 # A continuity probe that the flow reaches from the impulsive set in less
 # than this time counts as escaped.
@@ -93,13 +91,12 @@ def separation_report(sys: SystemSpec, n_samples: int) -> SeparationReport:
     """Distance between the impulsive set and its image, plus the time the
     forward flow of the impulsive set takes to reach the image.
 
-    Both sets are sampled quasi-uniformly.  The set distance is the
-    all-pairs minimum, by brute force.  The margin is the earliest crossing
-    of an image piece, from either side, by the pure flow (no impulses) from
-    any impulsive-set sample, located to 1e-12 by one first-hit batch run
-    and capped at _XI_CAP; an orbit that leaves the admissible region first
-    never crosses.  A flow tangent to an image piece raises
-    AmbiguousCrossing, as in any engine run.
+    Both sets are sampled quasi-uniformly; the set distance is the all-pairs
+    minimum, by brute force.  The margin is the earliest crossing of an image
+    piece, from either side, by the pure flow from any impulsive-set sample,
+    located to 1e-12 by one first-hit batch run and capped at _XI_CAP; an
+    orbit that leaves the admissible region first never crosses, and a flow
+    tangent to an image piece raises AmbiguousCrossing.
     """
     d_samples = sample_impulsive_set(sys, "D", n_samples)
     id_samples = sample_impulsive_set(sys, "ID", n_samples)
@@ -131,8 +128,8 @@ def hitting_continuity_probe(sys: SystemSpec, x_in_d: np.ndarray,
 
     Returns one row per scale: {"scale", "tau_star_max", "escaped"}.
     """
-    if isinstance(approach_dirs, bool) or not isinstance(approach_dirs, (int, np.integer)) \
-            or approach_dirs < 1:
+    if (isinstance(approach_dirs, bool)
+            or not isinstance(approach_dirs, (int, np.integer)) or approach_dirs < 1):
         raise ValueError(f"approach_dirs must be an integer >= 1, got {approach_dirs!r}")
     if sys.dim not in (2, 3):
         raise ValueError(f"the continuity probe needs dimension 2 or 3, not {sys.dim}")

@@ -39,7 +39,8 @@ class GridPartition:
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-        if any(isinstance(b, bool) or not isinstance(b, (int, np.integer)) for b in self.bins):
+        if any(isinstance(b, bool) or not isinstance(b, (int, np.integer))
+               for b in self.bins):
             raise ValueError(f"bins must be integers, got {self.bins!r}")
         object.__setattr__(self, "bins", tuple(int(b) for b in self.bins))
         if not (len(self.lo) == len(self.hi) == len(self.bins)):

@@ -10,8 +10,7 @@ _BLOCK = 1 << 15  # candidate pairs per block, to keep temporaries small
 
 
 def radius_pairs(points: np.ndarray, r: float):
-    """Index arrays (i, j), i < j, of the pairs with |points[i] - points[j]|
-    <= r.
+    """Index arrays (i, j), i < j, of the pairs with |points[i] - points[j]| <= r.
 
     A fixed-radius cell search (Bentley, Stanat & Williams, 1977): the points
     are sorted by cell key, with cells of side r * (1 + 1e-6) widened by the
