@@ -31,7 +31,7 @@ from .impulsive_system import (
     hit_times_batch,
     impulsive_trajectory_batch,
 )
-from .neighbors import radius_pairs
+from .neighbors import _squared_distance, radius_pairs
 from .systems import candidate_cloud
 
 __all__ = [
@@ -135,8 +135,8 @@ def in_dynamical_ball(sys: SystemSpec, x: np.ndarray, y: np.ndarray,
 # Separated sets
 # --------------------------------------------------------------------------
 
-# Pair x column entries (grid columns, or gap-set endpoints) per block of the
-# pair pass, so that its difference and distance temporaries stay near a
+# Pair x column entries (grid columns, gap-set endpoints or horizons) per block
+# of the pair pass, so that its difference and distance temporaries stay near a
 # megabyte whatever the size of the cloud.
 _PAIR_BLOCK = 1 << 15
 
@@ -185,7 +185,8 @@ def _endpoint_max(batch, E, own, n_ends, center, other, t_last):
 
     ``E``, ``own`` and ``n_ends`` hold each center's padded endpoints, its
     states there, and the number of endpoints up to each horizon.  Endpoints
-    after t_last[r] are skipped.
+    after t_last[r] are skipped.  Rows go _PAIR_BLOCK // (endpoints per
+    center) at a time, and ``evaluate`` blocks their queries in turn.
     """
     R, L = len(center), E.shape[1]
     out = np.full((R, n_ends.shape[1]), -np.inf)
@@ -202,6 +203,42 @@ def _endpoint_max(batch, E, own, n_ends, center, other, t_last):
     return out
 
 
+def _candidate_pairs(at_probes, vp, eps_max: float):
+    """The candidate pairs of ``_pair_tables`` that the probe prefilter keeps,
+    as index arrays lo < hi in (hi, lo) order, and the number of candidates.
+
+    The candidates are the pairs that a cell search at eps_max finds at one
+    of the probe columns of ``at_probes``, and the pairs of each member with
+    no valid probe (``vp`` marks the valid ones).  Each is taken from the
+    first search that finds it: a later search's pairs that are near at an
+    earlier probe, by the cell search's own test (squares summed in
+    coordinate order), are skipped.  The searches hand their pairs over a
+    block at a time, so no set of all the candidates is ever held.
+    """
+    n, n_probes = vp.shape
+    r, eps2, zero = eps_max * (1 + 1e-9), eps_max * eps_max, np.zeros(at_probes.shape[2])
+    members, seen = np.arange(n), vp.any(axis=1)
+    # a blind member pairs with every later member and every earlier seen one
+    blind = [(np.minimum(b, members[(members > b) | seen]),
+              np.maximum(b, members[(members > b) | seen])) for b in np.flatnonzero(~seen)]
+    sources = [*(radius_pairs(at_probes[:, k], r) for k in range(n_probes)), blind]
+    kept, found, step = [np.empty(0, np.intp)], 0, _PAIR_BLOCK // n_probes
+    for k, source in enumerate(sources):
+        for lo, hi in source:
+            for s in range(0, len(lo), step):
+                a, b = lo[s:s + step], hi[s:s + step]
+                diff = at_probes.take(b, axis=0) - at_probes.take(a, axis=0)
+                near = np.sqrt(_squared_distance(diff[:, :k].T, zero)) <= r
+                new = np.flatnonzero(~near.any(axis=0))
+                a, b, diff = a[new], b[new], diff[new]
+                far = np.einsum("ptd,ptd->pt", diff, diff) >= eps2
+                keep = ~((far & vp[a]).any(axis=1) & (far & vp[b]).any(axis=1))
+                found += len(new)
+                kept.append(b[keep] * n + a[keep])
+    hi, lo = np.divmod(np.sort(np.concatenate(kept)), n)
+    return lo, hi, found
+
+
 def _pair_tables(batch, T_list, eps_max: float, delta_list):
     """Conflict pairs of the batch's orbits for every horizon in T_list, one
     pass per window width in delta_list (a generator of _PairTable).
@@ -212,8 +249,8 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
     [0, T].  Those endpoints are the ones of its gap set on [0, max(T_list)]
     up to T, plus T itself when T lies in the gap set, so one pass over the
     trajectories at max(T_list) gives D_T(a, j) for every T as a running
-    maximum plus a term at T.  The grid maximum runs block by block up to
-    each T, and a pair leaves once both directions reach eps_max**2: the
+    maximum plus a term at T.  The grid maximum runs segment by segment up
+    to each T, and a pair leaves once both directions reach eps_max**2: the
     maximum never falls, so its later entries, left at inf, could not fall
     below.  Squared distances are einsum sums on grid columns and
     sum((a - b)**2) at endpoints, bit for bit a pair-by-pair test's.
@@ -222,7 +259,9 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
     columns up to min(T_list); a pair is dropped only when it is far at a
     probe valid for each of its two members, since then neither orbit is in
     the other's ball at any horizon.  A member with no valid probe keeps all
-    of its pairs.
+    of its pairs.  The pairs left go from the grid pass to the conflict test
+    _PAIR_BLOCK // len(T_list) at a time, and the live ones move down in
+    place, so that the memory held per pair is its lo, hi and dmin row.
     """
     T_list = np.asarray(T_list, dtype=float)
     if (T_list < 0).any():
@@ -246,10 +285,7 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
 
     probes = (np.array(_PROBE_FRACTIONS) * (bounds[0] - 1)).astype(int)
     probes = probes[np.diff(probes, prepend=-1) != 0]
-    at_probes = orbits[:, probes]
-    near = np.concatenate([np.ravel_multi_index(
-        radius_pairs(at_probes[:, k], eps_max * (1 + 1e-9)), (n, n))
-        for k in range(len(probes))])
+    at_probes = orbits.take(probes, axis=1)     # one row per member: fast gathers
 
     for delta in delta_list:
         E, _ = _gap_ends(batch.hit_times, batch.hit_offsets, T_max, delta)
@@ -261,78 +297,67 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
         T_in_gap = ((E[:, None, 0::2] <= T_list[:, None])
                     & (T_list[:, None] <= E[:, None, 1::2])).any(axis=2)
         valid = _valid_columns(batch, grid, delta)
-
-        # candidate pairs and the probe prefilter
-        vp = valid[:, probes]
-        blind = np.flatnonzero(~vp.any(axis=1))
-        members = np.arange(n)
-        blind_pairs = [np.minimum(b, members[members != b]) * n
-                       + np.maximum(b, members[members != b]) for b in blind]
-        codes = np.sort(np.concatenate([near, *blind_pairs]))
-        codes = codes[np.diff(codes, prepend=-1) != 0]
-        lo, hi = np.divmod(codes, n)
-        keep = np.empty(len(codes), dtype=bool)
-        pstep = _PAIR_BLOCK // len(probes)
-        for s in range(0, len(codes), pstep):
-            a, b = lo[s:s + pstep], hi[s:s + pstep]
-            diff = at_probes[b] - at_probes[a]
-            far = np.einsum("ptd,ptd->pt", diff, diff) >= eps2
-            keep[s:s + pstep] = ~((far & vp[a]).any(axis=1)
-                                  & (far & vp[b]).any(axis=1))
-        lo, hi = lo[keep], hi[keep]
+        lo, hi, kd_pairs = _candidate_pairs(at_probes, valid.take(probes, axis=1), eps_max)
         P = len(lo)
+        dmin, filled, block = np.empty((P, nT)), 0, max(1, _PAIR_BLOCK // nT)
+        for s in range(0, P, block):
+            lo_b, hi_b = lo[s:s + block], hi[s:s + block]
+            # directed distances on the grid and at T: D[0] centers lo, D[1] hi
+            D = np.full((2, len(lo_b), nT), np.inf)
+            run = np.full((2, len(lo_b)), -np.inf)  # running maxima of the pairs in act
+            act = np.arange(len(lo_b))
+            for c0, c1 in zip([0, *bounds[:-1]], bounds):
+                ks = np.flatnonzero(cols == c1)
+                step = max(1, _PAIR_BLOCK // (c1 - c0))
+                for r0 in range(0, len(act), step):
+                    p = act[r0:r0 + step]
+                    a, b = lo_b[p], hi_b[p]
+                    diff = orbits[b, c0:c1] - orbits[a, c0:c1]
+                    d2 = np.einsum("ptd,ptd->pt", diff, diff)
+                    at_t = np.sum((at_T[a[:, None], ks] - at_T[b[:, None], ks]) ** 2,
+                                  axis=-1)
+                    for side, c in enumerate((a, b)):
+                        r = run[side, p] = np.maximum(run[side, p], np.where(
+                            valid[c, c0:c1], d2, -np.inf).max(axis=1))
+                        D[side, p[:, None], ks] = np.maximum(r[:, None], np.where(
+                            T_in_gap[c[:, None], ks], at_t, -np.inf))
+                act = act[(run[:, act] < eps2).any(axis=0)]
 
-        # directed distances on the grid and at T: D[0] centers lo, D[1] hi
-        D = np.full((2, P, nT), np.inf)
-        run = np.full((2, P), -np.inf)     # running maxima of the pairs in act
-        act = np.arange(P)
-        for c0, c1 in zip([0, *bounds[:-1]], bounds):
-            ks = np.flatnonzero(cols == c1)
-            step = max(1, _PAIR_BLOCK // (c1 - c0))
-            for s in range(0, len(act), step):
-                p = act[s:s + step]
-                a, b = lo[p], hi[p]
-                diff = orbits[b, c0:c1] - orbits[a, c0:c1]
-                d2 = np.einsum("ptd,ptd->pt", diff, diff)
-                at_t = np.sum((at_T[a[:, None], ks] - at_T[b[:, None], ks]) ** 2, axis=-1)
-                for side, c in enumerate((a, b)):
-                    r = run[side, p] = np.maximum(run[side, p], np.where(
-                        valid[c, c0:c1], d2, -np.inf).max(axis=1))
-                    D[side, p[:, None], ks] = np.maximum(
-                        r[:, None], np.where(T_in_gap[c[:, None], ks], at_t, -np.inf))
-            act = act[(run[:, act] < eps2).any(axis=0)]
+            # gap-set endpoints, for the directions still below eps_max at some
+            # T; the second direction only where it can still lower the minimum
+            for side, (centers, others) in enumerate(((lo_b, hi_b), (hi_b, lo_b))):
+                need = D[side] < eps2
+                if side == 1:
+                    need &= D[1] < D[0]
+                rows = np.flatnonzero(need.any(axis=1))
+                t_last = np.where(need[rows], T_list, -np.inf).max(axis=1)
+                D[side, rows] = np.maximum(D[side, rows], _endpoint_max(
+                    batch, E, own, n_ends, centers[rows], others[rows], t_last))
 
-        # gap-set endpoints, for the directions still below eps_max at some
-        # T; the second direction only where it can still lower the minimum
-        for side, (centers, others) in enumerate(((lo, hi), (hi, lo))):
-            need = D[side] < eps2
-            if side == 1:
-                need &= D[1] < D[0]
-            rows = np.flatnonzero(need.any(axis=1))
-            t_last = np.where(need[rows], T_list, -np.inf).max(axis=1)
-            D[side, rows] = np.maximum(D[side, rows], _endpoint_max(
-                batch, E, own, n_ends, centers[rows], others[rows], t_last))
-
-        dmin = np.minimum(D[0], D[1])
-        live = np.flatnonzero((dmin < eps2).any(axis=1))
-        live = live[np.lexsort((lo[live], hi[live]))]
-        yield _PairTable(lo=lo[live], hi=hi[live], dmin=dmin[live],
-                         kd_pairs=len(codes), prefilter_pairs=P)
+            # the live pairs move down in place, in (hi, lo) order as the blocks
+            D = np.minimum(D[0], D[1])
+            live = np.flatnonzero((D < eps2).any(axis=1))
+            end = filled + len(live)
+            lo[filled:end], hi[filled:end], dmin[filled:end] = lo_b[live], hi_b[live], D[live]
+            filled = end
+        yield _PairTable(lo=lo[:filled], hi=hi[:filled], dmin=dmin[:filled],
+                         kd_pairs=kd_pairs, prefilter_pairs=P)
 
 
-def _greedy_scan(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Greedy mutual-exclusion scan in candidate order over the conflict
-    pairs lo < hi (sorted by hi): a candidate is admitted when no admitted
-    earlier candidate conflicts with it.  Returns the admitted indices."""
+def _greedy_scan(n: int, lo: np.ndarray, hi: np.ndarray,
+                 conflict: np.ndarray) -> np.ndarray:
+    """Greedy mutual-exclusion scan in candidate order over the pairs lo < hi
+    (sorted by hi) where ``conflict`` holds: a candidate is admitted when no
+    admitted earlier candidate conflicts with it.  A pair's lo is decided
+    before it is read, as the pairs run in hi order; they are read
+    _PAIR_BLOCK at a time.  Returns the admitted indices."""
     admitted = [True] * n
-    starts = np.searchsorted(hi, np.arange(n + 1))
-    later = np.flatnonzero(np.diff(starts)).tolist()
-    starts, lo = starts.tolist(), lo.tolist()
-    for j in later:
-        for k in range(starts[j], starts[j + 1]):
-            if admitted[lo[k]]:
-                admitted[j] = False
-                break
+    for s in range(0, len(lo), _PAIR_BLOCK):
+        c = conflict[s:s + _PAIR_BLOCK]
+        for a, b in zip(lo[s:s + _PAIR_BLOCK][c].tolist(),
+                        hi[s:s + _PAIR_BLOCK][c].tolist()):
+            if admitted[a]:
+                admitted[b] = False
     return np.flatnonzero(admitted)
 
 
@@ -353,7 +378,8 @@ def max_separated_set(sys: SystemSpec, candidates: np.ndarray, T: float,
         trajectories = impulsive_trajectory_batch(
             sys, candidates, max(T, dt_check), dt_check)
     table = next(_pair_tables(trajectories, (T,), eps, (delta,)))
-    admitted = _greedy_scan(len(candidates), table.lo, table.hi)
+    admitted = _greedy_scan(len(candidates), table.lo, table.hi,
+                            table.dmin[:, 0] < eps * eps)
     return candidates[admitted], int(len(admitted))
 
 
@@ -467,7 +493,7 @@ def entropy_estimate(sys: SystemSpec, cfg: EntropyConfig) -> EntropyEstimate:
         for e, eps in enumerate(cfg.eps_list):
             for k in range(len(cfg.T_list)):
                 hit = table.dmin[:, k] < eps * eps
-                S[d, e, k] = len(_greedy_scan(n, table.lo[hit], table.hi[hit]))
+                S[d, e, k] = len(_greedy_scan(n, table.lo, table.hi, hit))
                 conflicts[d, e, k] = hit.sum()
     work["conflict_pairs"] = conflicts.ravel().tolist()
     saturated = S >= n

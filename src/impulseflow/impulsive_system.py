@@ -802,7 +802,8 @@ class TrajectoryBatch:
 
     def evaluate(self, members, times) -> np.ndarray:
         """States of the orbits of ``members`` at ``times`` in [0, horizon],
-        broadcast together; the result has a trailing state axis.
+        broadcast together; the result has a trailing state axis.  Members
+        are integers in [0, len(batch)).
 
         A member's knots are its samples, the pre-impulse and post-impulse
         states at its hits and its final state.  A hit within _COINCIDE_TOL
@@ -811,14 +812,25 @@ class TrajectoryBatch:
         knot's state (at a hit, the post-impulse one); elsewhere the cubic
         Hermite interpolant from that knot to the next, whose error is far
         below every radius used by the ball tests.  A query's cost does not
-        grow with its member's hit count.
+        grow with its member's hit count.  Queries are evaluated
+        ``_SAMPLE_BLOCK`` at a time, each on its own, so the temporaries stay
+        small and the result does not depend on the blocking.
         """
-        m, t = np.broadcast_arrays(np.asarray(members, dtype=int),
-                                   np.asarray(times, dtype=float))
-        shape, m, t = t.shape, m.ravel(), t.ravel()
-        T, grid, off = self.horizon, self.sample_times, self.hit_offsets
-        if (t < -_COINCIDE_TOL).any() or (t > T + _COINCIDE_TOL).any():
+        m, t = np.broadcast_arrays(np.asarray(members), np.asarray(times, dtype=float))
+        if m.size and (m.dtype.kind not in "iu" or m.min() < 0 or m.max() >= len(self)):
+            raise ValueError("members must be integers in [0, len(batch))")
+        if not ((t >= -_COINCIDE_TOL) & (t <= self.horizon + _COINCIDE_TOL)).all():
             raise ValueError("evaluation time outside [0, horizon]")
+        shape, m, t = t.shape, m.ravel().astype(np.intp, copy=False), t.ravel()
+        y = np.empty((len(t), self.samples.shape[2]))
+        for s in range(0, len(t), _SAMPLE_BLOCK):
+            y[s:s + _SAMPLE_BLOCK] = self._hermite(m[s:s + _SAMPLE_BLOCK],
+                                                   t[s:s + _SAMPLE_BLOCK])
+        return y.reshape(*shape, y.shape[1])
+
+    def _hermite(self, m: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``evaluate`` at the checked member indices m and times t."""
+        T, grid, off = self.horizon, self.sample_times, self.hit_offsets
         # g: the last grid column at or before t (-1 before it), from t / dt_sample
         # and one step; k: the row of the member's first hit after t + _COINCIDE_TOL
         last = len(grid) - 1
@@ -862,7 +874,7 @@ class TrajectoryBatch:
             y[:, j] = h[0] * y0[:, j] + h[1] * f0[:, j] + h[2] * y1[:, j] + h[3] * f1[:, j]
         i = np.flatnonzero(t - t0 <= _TIME_TOL)
         y[i] = y0[i]
-        return y.reshape(*shape, y.shape[1])
+        return y
 
 
 def _grid_for(T: float, dt: float) -> np.ndarray:

@@ -10,7 +10,9 @@ _BLOCK = 1 << 15  # candidate pairs per block, to keep temporaries small
 
 
 def radius_pairs(points: np.ndarray, r: float):
-    """Index arrays (i, j), i < j, of the pairs with |points[i] - points[j]| <= r.
+    """Index arrays (i, j), i < j, of the pairs with |points[i] - points[j]| <= r,
+    a block at a time (a generator), so that no more than a block of them
+    need be held.
 
     A fixed-radius cell search (Bentley, Stanat & Williams, 1977): the points
     are sorted by cell key, with cells of side r * (1 + 1e-6) widened by the
@@ -20,7 +22,8 @@ def radius_pairs(points: np.ndarray, r: float):
     own.
     """
     if len(points) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        yield np.empty(0, np.int64), np.empty(0, np.int64)
+        return
     xt = np.ascontiguousarray(points.T)
     ct = np.where(np.isfinite(xt), xt, 0.0)  # a non-finite point passes no test
     dim, n, low, high = len(xt), len(points), ct.min(axis=1), ct.max(axis=1)
@@ -45,7 +48,6 @@ def radius_pairs(points: np.ndarray, r: float):
     lo, count = lo.ravel(), (hi - lo).ravel()
     first = np.cumsum(count) - count
     bounds = np.r_[np.flatnonzero(np.diff(first // _BLOCK, prepend=-1)), len(count)]
-    found = []
     for s, e in zip(bounds[:-1], bounds[1:]):
         c = count[s:e]
         qj = np.repeat(q[s:e], c)
@@ -53,9 +55,8 @@ def radius_pairs(points: np.ndarray, r: float):
         # take and flatnonzero: several times faster than fancy or mask indexing
         near = np.flatnonzero(np.sqrt(_squared_distance(
             xs.take(xi, axis=1), xs.take(qj, axis=1))) <= r)
-        found.append((order.take(xi.take(near)), order.take(qj.take(near))))
-    i, j = map(np.concatenate, zip(*found))
-    return np.minimum(i, j), np.maximum(i, j)
+        i, j = order.take(xi.take(near)), order.take(qj.take(near))
+        yield np.minimum(i, j), np.maximum(i, j)
 
 
 def min_distance(a: np.ndarray, b: np.ndarray) -> float:

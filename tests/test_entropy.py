@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from impulseflow import (
     impulsive_trajectory_batch,
     max_separated_set,
 )
+from impulseflow import entropy, impulsive_system, neighbors
 from impulseflow.entropy import _gap_ends, _pair_tables
 from oracles import (
     ball_conflicts,
@@ -297,6 +299,62 @@ class TestConflictPass:
         assert count == greedy_count(len(C),
                                      ball_conflicts(trajs, T, eps, delta))
 
+    # CASES start at T = 0, a single probe column; these two have four
+    BLOCK_CASES = CASES + [("annulus", (4.0, 6.0, 9.0), (0.6, 0.3), (0.3,)),
+                           ("doubling", (2.0, 3.0, 4.0), (0.3, 0.1), (0.1,))]
+
+    @pytest.mark.parametrize("name,T_list,eps_list,delta_list", BLOCK_CASES)
+    def test_candidate_pairs_equal_brute_force(self, request, monkeypatch, name,
+                                               T_list, eps_list, delta_list):
+        # the candidates are the pairs within eps_max at some probe, and the
+        # pairs of members with no valid probe, each counted once; the
+        # prefilter keeps a pair unless it is far at a valid probe of each
+        # member, and the pairs come out in (hi, lo) order
+        sys_spec = request.getfixturevalue(name)
+        C = _small_cloud(sys_spec, 36, np.random.default_rng(11))
+        trajs = impulsive_trajectory_batch(sys_spec, C, max(T_list), min(delta_list) / 2)
+        calls, candidate_pairs = [], entropy._candidate_pairs
+
+        def recorded(at_probes, vp, eps_max):
+            lo, hi, found = candidate_pairs(at_probes, vp, eps_max)
+            # copies: the pass moves its live pairs down in these arrays
+            calls.append((at_probes, vp, eps_max, (lo.copy(), hi.copy(), found)))
+            return lo, hi, found
+        monkeypatch.setattr(entropy, "_candidate_pairs", recorded)
+        list(_pair_tables(trajs, T_list, max(eps_list), delta_list))
+        assert len(calls) == len(delta_list)
+        for at_probes, vp, eps_max, (lo, hi, found) in calls:
+            d2 = np.sum((at_probes[:, None] - at_probes[None]) ** 2, axis=-1)
+            near = (np.sqrt(d2) <= eps_max * (1 + 1e-9)).any(axis=-1)
+            blind = ~vp.any(axis=1)
+            cand = np.triu(near | blind[:, None] | blind[None, :], 1)
+            far = d2 >= eps_max ** 2
+            dropped = (far & vp[:, None]).any(axis=-1) & (far & vp[None]).any(axis=-1)
+            want_hi, want_lo = np.nonzero((cand & ~dropped).T)
+            assert found == cand.sum()
+            assert lo.tolist() == want_lo.tolist() and hi.tolist() == want_hi.tolist()
+
+    @pytest.mark.parametrize("name,T_list,eps_list,delta_list", BLOCK_CASES)
+    def test_tables_do_not_depend_on_the_block_sizes(self, request, monkeypatch, name,
+                                                     T_list, eps_list, delta_list):
+        # pair blocks of 7 entries, evaluate blocks of 64 queries and cell
+        # search blocks of 5 checks; on the doubling suspension at delta 0.3
+        # the members above height 0.7 have no valid probe
+        sys_spec = request.getfixturevalue(name)
+        C = _small_cloud(sys_spec, 36, np.random.default_rng(11))
+        trajs = impulsive_trajectory_batch(sys_spec, C, max(T_list), min(delta_list) / 2)
+
+        def tables():
+            return [(t.lo.tobytes(), t.hi.tobytes(), t.dmin.tobytes(), t.kd_pairs,
+                     t.prefilter_pairs)
+                    for t in _pair_tables(trajs, T_list, max(eps_list), delta_list)]
+        want = tables()
+        assert all(len(t[0]) for t in want)
+        monkeypatch.setattr(entropy, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(impulsive_system, "_SAMPLE_BLOCK", 64)
+        monkeypatch.setattr(neighbors, "_BLOCK", 5)
+        assert tables() == want
+
     def test_pairs_that_separate_leave_the_pass(self, doubling):
         # a narrow arc at nearly equal heights: every pair is close before the
         # first horizon, and the doubling then separates most of them; a pair
@@ -370,6 +428,22 @@ class TestEntropyEstimate:
         assert entropy_estimate(annulus, cfg).diagnostics["separated"]["passes"] == 1
         samples = candidate_cloud(annulus, 6, np.random.default_rng(2))
         assert admissibility_check(annulus, samples, 10.0, n_triples=20).n_triples > 0
+
+    def test_pair_pass_memory_is_bounded(self, doubling):
+        # criterion 5's config at 2048 candidates: 32 768 pairs pass the
+        # prefilter.  The traced peak is 21.4 MB; holding every pair's arrays
+        # at once, as the pass did before it ran in pair blocks, took 32.9 MB.
+        cfg = EntropyConfig(T_list=tuple(float(T) for T in range(2, 11)),
+                            eps_list=(0.1,), delta_list=(0.1,),
+                            candidate_count=2048, seed=0)
+        tracemalloc.start()
+        try:
+            est = entropy_estimate(doubling, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.diagnostics["separated"]["prefilter_pairs"] == [32768]
+        assert peak < 26 * 2 ** 20, peak / 2 ** 20
 
     def test_two_horizon_fit_uses_both(self, annulus):
         # equal counts at both horizons: the rate is 0, fitted through two

@@ -752,6 +752,50 @@ class TestTrajectoryBatch:
             batch[len(batch)]
 
 
+    # a 4-member annulus batch: member 3 is at (1.012, -0.021) at t = 4.82,
+    # and before the check member -1 read the hit rows of member 0 there,
+    # member 0.7 was member 0, and a NaN time raised an IndexError
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("members,t,message", [
+        ([-1], 4.82, "members must be integers in"),
+        ([4], 4.82, "members must be integers in"),
+        ([0.7], 4.82, "members must be integers in"),
+        ([0], np.nan, "evaluation time outside"),
+    ])
+    def test_evaluate_rejects_bad_queries(self, annulus, members, t, message):
+        X = candidate_cloud(annulus, 4, np.random.default_rng(0))
+        batch = impulsive_trajectory_batch(annulus, X, 10.0, 0.1)
+        assert np.abs(batch.evaluate(3, 4.82) - [1.012, -0.021]).max() < 1e-3
+        with pytest.raises(ValueError, match=message):
+            batch.evaluate(members, t)
+
+    @pytest.mark.parametrize("name", ["annulus", "prey_predator", "doubling_suspension",
+                                      "static_null", "tangent_degenerate"])
+    def test_evaluate_in_blocks_equals_one_call(self, monkeypatch, name):
+        # runs of queries across each hit (on it, and either side of it by
+        # the tolerances and by a sample step), 0, the horizon and random
+        # times, in one block and in blocks of 7, which split the runs at
+        # every offset
+        sys_spec, T = build_fixture(name), 6.0
+        rng = np.random.default_rng(8)
+        batch = impulsive_trajectory_batch(
+            sys_spec, candidate_cloud(sys_spec, 10, rng), T, 0.1)
+        offsets = [-0.1, -_TIME_TOL, -_COINCIDE_TOL, 0.0, _COINCIDE_TOL, _TIME_TOL, 0.1]
+        times = np.clip(np.concatenate([(batch.hit_times[:, None] + offsets).ravel(),
+                                        [0.0, T], rng.uniform(0.0, T, 90)]), 0.0, T)
+        members = np.concatenate([np.repeat(batch.hit_members, len(offsets)),
+                                  rng.integers(0, len(batch), 92)])
+        every = np.arange(len(batch))[:, None]
+
+        def queries():
+            return [batch.evaluate(members, times).tobytes(),
+                    batch.evaluate(every, times).tobytes()]
+        monkeypatch.setattr(impulsive_system, "_SAMPLE_BLOCK", 10 ** 9)
+        one_call = queries()
+        monkeypatch.setattr(impulsive_system, "_SAMPLE_BLOCK", 7)
+        assert queries() == one_call
+
+
 # a state of each system that does not hit up to the horizons of
 # TestEvaluateReference (on the doubling suspension, below a horizon of 1)
 _NO_HIT = {"annulus": polar(1.5, 0.2), "doubling": np.array([1.0, 0.0, 0.0]),

@@ -7,6 +7,12 @@ from impulseflow.neighbors import min_distance, radius_pairs
 from oracles import min_cross_distance
 
 
+def _joined(blocks):
+    """The (i, j) blocks of radius_pairs as one pair of index arrays."""
+    i, j = map(np.concatenate, zip(*blocks))
+    return i, j
+
+
 def brute_pairs(a, r):
     """Every pair i < j within r by sqrt(sum(diff**2)) over all pairs."""
     near = np.sqrt(np.sum((a[:, None, :] - a[None, :, :]) ** 2, axis=2)) <= r
@@ -51,7 +57,7 @@ def clouds(draw, max_points=40):
 @example((np.array([[0.0, 0.0], [1e-200, 0.0]]), np.array([[1e-200, 1e-200]]), 0.0))
 def test_radius_pairs_equal_brute_force(data):
     a, _, r = data
-    i, j = radius_pairs(a, r)
+    i, j = _joined(radius_pairs(a, r))
     got = list(zip(i.tolist(), j.tolist()))
     assert len(set(got)) == len(got)  # each pair once
     assert set(got) == brute_pairs(a, r)
@@ -59,13 +65,13 @@ def test_radius_pairs_equal_brute_force(data):
 
 def test_duplicates_pair_at_zero_radius():
     pts = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0 + 1e-15], [1.0, 2.0]])
-    i, j = radius_pairs(pts, 0.0)
+    i, j = _joined(radius_pairs(pts, 0.0))
     assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 3), (1, 3)]
 
 
 def test_non_finite_points_pair_with_nothing():
     pts = np.array([[0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [0.1, 0.0]])
-    i, j = radius_pairs(pts, 10.0)
+    i, j = _joined(radius_pairs(pts, 10.0))
     assert list(zip(i.tolist(), j.tolist())) == [(0, 3)]
 
 
