@@ -155,7 +155,8 @@ class RadiusLevel:
     def form_along_step(self, B, c):
         P = B[..., :2]
         size = np.maximum.reduce(np.abs(P))
-        return (np.einsum("kij,imd,jmd->km", _PRODUCT_77, P, P) - c * c,
+        pairs = np.einsum("imd,jmd->ijm", P, P).reshape(64, P.shape[1])
+        return (_PRODUCT_77.reshape(15, 64) @ pairs - c * c,
                 np.add.reduce(size * size, axis=-1) + c * c)
 
 

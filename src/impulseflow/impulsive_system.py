@@ -10,9 +10,9 @@ impulsive-set pieces: each level's polynomial form, with the zero set and
 sign of L_j - c_j, and its halfspace test.  ``_first_crossings`` finds each
 member's earliest crossing in a step, whatever the step's length:
 ``_RootScan`` isolates it on the Bernstein coefficients of the level form
-along the step's dense output, and a bracketed secant (Illinois) iteration
-locates it.  ``_BatchRun`` records grid samples, hits, region exits and
-final states.
+along the step's dense output, and safeguarded Newton iteration on the
+form's polynomial locates it.  ``_BatchRun`` records grid samples, hits,
+region exits and final states.
 ``flow_core.flow`` is the engine's case with no impulsive-set pieces.
 Trajectories are right-continuous across impulses: the value at a hit time
 is the post-impulse state.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -342,18 +342,15 @@ class _BatchRun:
 class _Pieces:
     """The impulsive-set pieces of one run: each piece's level form, whose
     zero set and sign are those of L_j - c_j, and its halfspace test.
-    ``level`` evaluates every piece, one column per piece, or piece ``j``
-    alone."""
+    ``level`` evaluates every piece, one column per piece."""
 
     def __init__(self, sets):
         self.sets = sets
 
-    def level(self, x, j=None):
-        if j is not None:
-            return self.sets[j].level.form(x, self.sets[j].level_value)
+    def level(self, x):
         out = np.empty((len(x), len(self.sets)))
-        for k in range(len(self.sets)):
-            out[:, k] = self.level(x, k)
+        for k, piece in enumerate(self.sets):
+            out[:, k] = piece.level.form(x, piece.level_value)
         return out
 
     def along_step(self, j, B):
@@ -363,49 +360,62 @@ class _Pieces:
         return b, _ROUNDING * (len(b) - 1) * scale
 
 
-def _bracketed_roots(f, a, b, fa, fb, tol):
-    """Roots of f in the brackets [a, b] (f changes sign, fa != 0), by the
-    Illinois variant of regula falsi with a bisection fallback.
+@cache
+def _centring(n):
+    """The map from Bernstein coefficients of degree n to coefficients in powers
+    of x = s - 1/2: C(n, i) s^i (1 - s)^(n - i) is C(n, i) 2^-n (1 + 2x)^i (1 - 2x)^(n - i)."""
+    return np.array([[math.comb(n, i) * 2.0 ** (k - n) * sum(
+        math.comb(i, j) * math.comb(n - i, k - j) * (-1) ** (k - j) for j in range(k + 1))
+        for i in range(n + 1)] for k in range(n + 1)])
 
-    Each root is located to a bracket no wider than ``tol`` (returned as its
-    midpoint) or where f evaluates to exactly zero.  Trial points keep tol/2
-    clear of both ends, so a secant estimate that is already accurate
-    collapses the bracket on the next pass.  A member whose bracket failed
-    to halve on two consecutive passes is bisected.  ``f(u, rows)`` evaluates
-    the members ``rows`` at ``u``.  Returns (roots, passes).
-    """
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    sign_a = np.sign(fa)
-    root = np.full(len(a), np.nan)
-    kept = np.zeros(len(a), dtype=np.int8)   # end kept by the last pass: -1 a, +1 b
-    poor = np.zeros(len(a), dtype=np.int8)   # consecutive passes that did not halve
-    live = (b - a > tol).nonzero()[0]
-    passes = 0
-    while len(live):
-        passes += 1
-        A, B, FA, FB = a[live], b[live], fa[live], fb[live]
-        c = (A * FB - B * FA) / (FB - FA)
-        bisect = (poor[live] >= 2) | ~np.isfinite(c)
-        c = np.where(bisect, 0.5 * (A + B), c)
-        c = np.minimum(np.maximum(c, A + 0.5 * tol), B - 0.5 * tol)
-        fc = f(c, live)
-        zero = fc == 0
-        root[live[zero]] = c[zero]
-        left = (np.sign(fc) == sign_a[live]) & ~zero
-        right = ~left & ~zero
-        # Illinois: an end kept twice in a row has its value halved
-        i = live[left]
-        a[i], fa[i] = c[left], fc[left]
-        fb[i[kept[i] == 1]] *= 0.5
-        kept[i] = 1
-        i = live[right]
-        b[i], fb[i] = c[right], fc[right]
-        fa[i[kept[i] == -1]] *= 0.5
-        kept[i] = -1
-        poor[live] = np.where(b[live] - a[live] > 0.5 * (B - A), poor[live] + 1, 0)
-        live = live[~zero & (b[live] - a[live] > tol)]
-    todo = np.isnan(root)
-    root[todo] = 0.5 * (a[todo] + b[todo])
+
+def _newton_roots(q, lo, hi, f_lo, f_hi, tol):
+    """Roots of p(s) = sum_k q[k] (s - 1/2)^k, one per column of ``q`` (n + 1, k),
+    in the brackets [lo, hi] where p changes sign (``f_lo``, ``f_hi``: p there,
+    f_lo != 0), by safeguarded Newton iteration (rtsafe: Press et al.,
+    Numerical Recipes, 9.4).  The first trial is Newton's step from s = 1/2,
+    where p and p' are q[0] and q[1], else the secant of the end values; each
+    later one is Newton's step from the last, or the bracket's midpoint where
+    that step leaves the bracket or is not half the step before last.  Trials
+    keep tol/2 clear of both ends, so an accurate estimate collapses the bracket
+    on the next pass.  A root is the midpoint of a bracket no wider than ``tol``
+    (per column, or one for all) or an exact zero of p.  Every operation is
+    elementwise (Estrin's scheme for p and p'), so a column's iterates do not
+    depend on the other columns.  Returns (roots, passes)."""
+    n1, k = q.shape
+    # p and p', signed so that p < 0 at lo, padded to a power of two rows
+    P = np.zeros((1 << (n1 - 1).bit_length(), 2, k))
+    P[:n1, 0], P[:n1 - 1, 1] = q, q[1:] * np.arange(1.0, n1)[:, None]
+    P *= -np.sign(f_lo)
+    a, b, tol = np.array(lo, dtype=float), np.array(hi, dtype=float), np.broadcast_to(tol, (k,))
+    live, root, half, passes = np.arange(k), np.empty(k), 0.5 * tol, 0
+    dx = dx_old = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = 0.5 - q[0] / q[1]
+        c = np.where((c >= a) & (c <= b), c, (a * f_hi - b * f_lo) / (f_hi - f_lo))
+        while len(live):
+            done = b - a <= tol
+            if np.logical_or.reduce(done):
+                root[live[done]] = 0.5 * (a[done] + b[done])
+                if np.logical_and.reduce(done):
+                    break
+                keep = (~done).nonzero()[0]
+                live, a, b, c, tol, half, dx, dx_old, P = (
+                    w[..., keep] for w in (live, a, b, c, tol, half, dx, dx_old, P))
+            passes += 1
+            c = np.minimum(np.maximum(c, a + half), b - half)
+            e, x = P, c - 0.5
+            while len(e) > 1:
+                e = e[0::2] + e[1::2] * x
+                x = x * x
+            f, df = e[0]
+            # an exact zero closes the bracket on itself
+            a, b = np.where(f <= 0, c, a), np.where(f >= 0, c, b)
+            step = f / df
+            new = c - step
+            bisect = (new < a) | (new > b) | (np.abs(step + step) > dx_old)
+            new = np.where(bisect, 0.5 * (a + b), new)
+            dx, dx_old, c = np.abs(new - c), dx, new
     return root, passes
 
 
@@ -519,8 +529,9 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
     ``L_new``) as the end coefficients.  A member whose coefficients pass
     ``_RootScan``'s first trial is root-free; for the others, ``_RootScan``
     isolates each member's earliest root of each piece, skipping a root in
-    the direction the piece forbids, and ``_bracketed_roots`` locates it to
-    _TIME_TOL in time.  A root whose state fails the piece's halfspace
+    the direction the piece forbids, and ``_newton_roots`` locates it to
+    _TIME_TOL in time on the form's coefficients in powers of s - 1/2, s the
+    fraction of [0, end[m]].  A root whose state fails the piece's halfspace
     constraints is discarded and the scan resumes past it.  The earliest
     crossing per member counts (ties to the lowest piece index).
     AmbiguousCrossing is raised when a member's scan is stuck before that.
@@ -541,8 +552,8 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
         sb = np.sign(np.where(b[0] == 0, b[1], b[0])) * b
         cand = ((sb[-1] <= 0) | np.logical_or.reduce(sb[1:-1] <= eps)).nonzero()[0]
         if len(cand):
-            scans.append((j, cand, end[cand], _RootScan(
-                b[:, cand], eps[cand], _TIME_TOL / (h * end[cand]), dirs[j])))
+            scan = _RootScan(b[:, cand], eps[cand], _TIME_TOL / (h * end[cand]), dirs[j])
+            scans.append((j, cand, end[cand], _centring(len(b) - 1) @ scan.b, scan))
     if not scans:
         return None
     n = len(y0)
@@ -550,19 +561,17 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
     hit_set = np.zeros(n, dtype=int)
     hit_state = np.empty_like(y0)
     stuck = np.full(n, np.inf)
-    for j, m, e_m, scan in scans:
+    for j, m, e_m, q, scan in scans:
         rows = np.arange(len(m))
         while len(rows):
             rows, lo, hi, f_lo, f_hi = scan.brackets(rows)
             if not len(rows):
                 break
             i = m[rows]
-            y_c, F_c = y0[i], F[:, i]
-            u, passes = _bracketed_roots(
-                lambda u, r: pieces.level(dense_eval(y_c[r], F_c[:, r], u), j),
-                lo * e_m[rows], hi * e_m[rows], f_lo, f_hi, _TIME_TOL / h)
+            s, passes = _newton_roots(q[:, rows], lo, hi, f_lo, f_hi, scan.min_width[rows])
             stats.root_passes += passes
-            states = dense_eval(y_c, F_c, u)
+            u = s * e_m[rows]
+            states = dense_eval(y0[i], F[:, i], u)
             ok = pieces.sets[j].constraint_mask(states)
             first = ok & (u < hit_u[i])
             hit_u[i[first]] = u[first]
@@ -927,7 +936,7 @@ def first_hitting_time(sys: SystemSpec, x: np.ndarray, t_max: float,
     set, together with the hit state; None when the set is not reached.
 
     The one-member case of the batch search ``_first_hits``.  The crossing
-    is bracketed by integration steps and refined by a bracketed secant
+    is bracketed by integration steps and refined by safeguarded Newton
     iteration on the dense output to 1e-12 in time; crossings failing the
     set's halfspace constraints are discarded and the search continues.
     Raises RegionEscape when the orbit leaves the admissible region before

@@ -399,13 +399,14 @@ class TestSimulate:
         assert len(impulse_rows) == traj.n_impulses
 
     def test_segment_index_of_a_sample_just_before_a_hit(self, doubling, tmp_path):
-        # the hit at t = 1 is located just after the sample at t = 1, which
-        # carries the post-impulse state (height 0) and so opens segment 1
-        traj = impulsive_trajectory(doubling, np.array([1.0, 0.0, 0.0]), 3.0, 0.5)
-        assert 1.0 < traj.impulse_times[0] <= 1.0 + 1e-9
-        out = self._simulate(tmp_path, "doubling_suspension", [1.0, 0.0, 0.0], 3.0, 0.5)
+        # from height 0.5 - 5e-10 the hit is 5e-10 after the sample at t = 0.5,
+        # which carries the post-impulse state (height 0) and so opens segment 1
+        x0 = [1.0, 0.0, 0.5 - 5e-10]
+        traj = impulsive_trajectory(doubling, np.array(x0), 3.0, 0.5)
+        assert 0.5 < traj.impulse_times[0] <= 0.5 + 1e-9
+        out = self._simulate(tmp_path, "doubling_suspension", x0, 3.0, 0.5)
         lines = (out / "trajectory.csv").read_text().splitlines()
-        row = next(l for l in lines if l.startswith("1.0,"))
+        row = next(l for l in lines if l.startswith("0.5,"))
         assert row.split(",")[3:] == ["0.0", "1", "0"]
 
     def test_impulses_csv(self, annulus, tmp_path):

@@ -36,9 +36,10 @@ from impulseflow.impulsive_system import (
     _BatchRun,
     _Pieces,
     _RootScan,
-    _bracketed_roots,
+    _centring,
     _first_crossings,
     _first_hits,
+    _newton_roots,
     _propagate,
     _split,
     hit_times_batch,
@@ -106,35 +107,114 @@ class TestFirstHittingTime:
 
 
 class TestBracketedRoots:
+    """``_newton_roots`` on polynomials in powers of (s - 1/2)."""
+
     TOL = 1e-11
 
-    def _solve(self, fn, a, b):
+    @staticmethod
+    def _solve(columns, a, b, tol):
+        """The roots of the polynomials with the centred coefficients
+        ``columns`` (lowest power first, zero-padded to one length) in the
+        brackets [a, b]."""
+        q = np.zeros((max(map(len, columns)), len(columns)))
+        for k, col in enumerate(columns):
+            q[:len(col), k] = col
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        rows = np.arange(len(a))
-        return _bracketed_roots(fn, a, b, fn(a, rows), fn(b, rows), self.TOL)
+        ends = [np.polynomial.polynomial.polyval(x - 0.5, q, tensor=False) for x in (a, b)]
+        return _newton_roots(q, a, b, *ends, tol)
 
     def test_roots_within_tolerance(self):
-        # a linear, a curved, and a flat-then-steep level (regula falsi keeps
-        # one end there; the Illinois step and the bisection fallback must
-        # still shrink the bracket)
+        # a linear, a curved (degree-7 Taylor polynomial of expm1(3 (s - r)),
+        # whose only root is r), and a flat-then-steep level ((s / r)^25 - 1:
+        # Newton's step from the flat side leaves the bracket, and bisection
+        # must shrink it)
+        x = np.polynomial.Polynomial([0.5, 1.0])     # s, in powers of s - 1/2
         r = np.array([0.3, 0.61, 0.9])
-        fns = (lambda u: u - r[0], lambda u: np.expm1(3 * (u - r[1])),
-               lambda u: (u / r[2]) ** 25 - 1.0)
-
-        def f(u, rows):
-            return np.array([fns[k](x) for k, x in zip(rows, u)])
-        roots, passes = self._solve(f, np.zeros(3), np.ones(3))
+        curved = sum(((3 * (x - r[1])) ** j / math.factorial(j) for j in range(1, 8)),
+                     0 * x)
+        steep = (x / r[2]) ** 25 - 1.0
+        roots, passes = self._solve([(x - r[0]).coef, curved.coef, steep.coef],
+                                    np.zeros(3), np.ones(3), self.TOL)
         assert np.abs(roots - r).max() <= self.TOL
         assert passes <= 3 * 37
 
     def test_exact_zero_is_returned(self):
-        roots, passes = self._solve(lambda u, rows: u - 0.5, [0.0], [1.0])
-        assert roots[0] == 0.5 and passes == 1
+        roots, passes = self._solve([[0.25, 1.0]], [0.0], [1.0], self.TOL)
+        assert roots[0] == 0.25 and passes == 1
 
     def test_zero_at_bracket_end(self):
         # an exact zero at the step end counts as the crossing
-        roots, _ = self._solve(lambda u, rows: u - 1.0, [0.25], [1.0])
+        roots, _ = self._solve([[-0.5, 1.0]], [0.25], [1.0], self.TOL)
         assert 1.0 - self.TOL <= roots[0] <= 1.0
+
+    @staticmethod
+    def _crossing_form(seed, level):
+        """A level form along one random step, as in ``test_rounding_bound_holds``,
+        with its value taken on at a random fraction of the step: the step,
+        the value, the form's Bernstein coefficients on the step and their
+        rounding bound."""
+        rng = np.random.default_rng(seed)
+        y0 = rng.normal(size=(1, 3))
+        F = rng.normal(size=(7, 1, 3)) * np.array([1.0, 0.3, 0.1, 0.03, 0.01, 0.003,
+                                                   0.001])[:, None, None]
+        lvl = RadiusLevel() if level == "radius" else LinearLevel(level)
+        c = float(lvl.value(dense_eval(y0, F, rng.uniform(0.05, 0.95, 1)))[0])
+        b, eps = _Pieces((ImpulsiveSetSpec(lvl, c),)).along_step(0, dense_bernstein(y0, F))
+        return y0[0], F[:, 0], c, b[:, 0], eps[0]
+
+    @staticmethod
+    def _polish(b, eps, tol):
+        """The earliest root of each column of ``b`` as ``_first_crossings``
+        locates it: bracketed by ``_RootScan``, then polished."""
+        scan = _RootScan(b, eps, np.full(b.shape[1], 1e-12), 0)
+        rows, lo, hi, f_lo, f_hi = scan.brackets(np.arange(b.shape[1]))
+        q = _centring(len(b) - 1) @ b
+        return rows, _newton_roots(q[:, rows], lo, hi, f_lo, f_hi, tol[rows])[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           level=st.sampled_from([(0.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.6, -0.8, 0.0),
+                                  (-0.35, 2.5, -1.25), "radius"]))
+    def test_root_brackets_an_exact_sign_change(self, seed, level):
+        # against the form in exact rationals: at a transversal crossing (a
+        # slope of at least 1% of the form's magnitude scale), the form
+        # changes sign within _TIME_TOL of the located root
+        y0, F, c, b, eps = self._crossing_form(seed, level)
+        rows, roots = self._polish(b[:, None], np.array([eps]), np.array([_TIME_TOL]))
+        assume(len(rows))
+        exact = _exact_form_coefficients(level, c, y0, F, 0.0, 1.0)
+        n = len(exact) - 1
+
+        def p(s, coef=exact):
+            m = len(coef) - 1
+            return sum(math.comb(m, i) * s ** i * (1 - s) ** (m - i) * x
+                       for i, x in enumerate(coef))
+
+        root, tol = Fraction(float(roots[0])), Fraction(_TIME_TOL)
+        slope = p(root, [n * (y - x) for x, y in zip(exact, exact[1:])])
+        assume(abs(slope) >= 0.01 * eps / (_ROUNDING * n))
+        assert p(root - tol) * p(root + tol) <= 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=6),
+           radius=st.booleans(), scales=st.lists(st.floats(0.01, 100.0), min_size=6,
+                                                 max_size=6))
+    def test_each_member_gets_its_own_bits(self, seeds, radius, scales):
+        # a batch of forms, each with its own tolerance, solved together and
+        # one by one: the same bits
+        level = "radius" if radius else (0.6, -0.8, 0.0)
+        forms = [self._crossing_form(seed, level) for seed in seeds]
+        b = np.stack([f[3] for f in forms], axis=1)
+        eps = np.array([f[4] for f in forms])
+        tol = _TIME_TOL * np.array(scales[:len(seeds)])
+        rows, together = self._polish(b, eps, tol)
+        q = _centring(len(b) - 1) @ b
+        scan = _RootScan(b, eps, np.full(len(seeds), 1e-12), 0)
+        _, lo, hi, f_lo, f_hi = scan.brackets(np.arange(len(seeds)))
+        for k, row in enumerate(rows):
+            alone, _ = _newton_roots(q[:, [row]], lo[[k]], hi[[k]], f_lo[[k]],
+                                     f_hi[[k]], tol[[row]])
+            assert alone[0] == together[k]
 
 
 def _bernstein_from_roots(roots, positive, scale):
@@ -154,15 +234,14 @@ def _bernstein_from_roots(roots, positive, scale):
 
 def _scan_earliest(b, direction=0, min_width=1e-12):
     """The earliest root of the Bernstein polynomial b (n + 1,) by
-    ``_RootScan`` and ``_bracketed_roots``; (root or None, stuck position)."""
+    ``_RootScan`` and ``_newton_roots``; (root or None, stuck position)."""
     b = np.asarray(b, dtype=float)[:, None]
     eps = np.array([_ROUNDING * (len(b) - 1) * np.abs(b).max()])
     scan = _RootScan(b, eps, np.array([min_width]), direction)
     rows, lo, hi, f_lo, f_hi = scan.brackets(np.arange(1))
     if not len(rows):
         return None, scan.stuck[0]
-    u, _ = _bracketed_roots(lambda u, r: _split(b[:, r], u)[0][-1], lo, hi,
-                            f_lo, f_hi, 1e-12)
+    u, _ = _newton_roots(_centring(len(b) - 1) @ b, lo, hi, f_lo, f_hi, 1e-12)
     return u[0], scan.stuck[0]
 
 
