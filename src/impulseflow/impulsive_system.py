@@ -8,11 +8,11 @@ a member's run: at its horizon, at a first hit, or on leaving the admissible
 region; the member then leaves the shared step.  ``_Pieces`` evaluates the
 impulsive-set pieces: each level's polynomial form, with the zero set and
 sign of L_j - c_j, and its halfspace test.  ``_first_crossings`` finds each
-member's earliest crossing in a step, whatever the step's length:
-``_RootScan`` isolates it on the Bernstein coefficients of the level form
-along the step's dense output, and safeguarded Newton iteration on the
-form's polynomial locates it.  ``_BatchRun`` records grid samples, hits,
-region exits and final states.
+member's earliest crossing in a step, whatever the step's length: on the
+Bernstein coefficients of the level form along the step's dense output,
+``_first_trial``, or ``_RootScan`` where that leaves it undecided, isolates
+it, and safeguarded Newton iteration on the form's polynomial locates it.
+``_BatchRun`` records grid samples, hits, region exits and final states.
 ``flow_core.flow`` is the engine's case with no impulsive-set pieces.
 Trajectories are right-continuous across impulses: the value at a hit time
 is the post-impulse state.
@@ -233,72 +233,81 @@ class RunStats:
 
 class _BatchRun:
     """Recorder of one batched propagation: the grid samples, final states,
-    hits, region exits and work counters of every member.  Grid samples are
-    queued with their step's dense output, every running member's, and
-    evaluated once the queue holds ``_SAMPLE_BLOCK`` samples or as many
-    member rows."""
+    hits, region exits and work counters of every member.  A step queues its
+    running members' advances with its dense output; ``flush`` finds their
+    grid samples and evaluates them ``_SAMPLE_BLOCK`` at a time, once the
+    queue holds that many member rows or should hold a block of samples."""
 
     def __init__(self, X0, sample_grid):
         self.n, self.dim = X0.shape
         self.final = X0.copy()
         self.stats = RunStats()
         self.escaped, self.escape_message = np.zeros(self.n, dtype=bool), None
-        self._hits = []     # one (members, taus, pre, post) block per step with hits
+        # one (members, taus, pre, post) block per step with hits, after an empty one
+        self._hits = [(np.zeros(0, dtype=int), np.zeros(0), *2 * [np.zeros((0, self.dim))])]
         self._last_tau = np.full(self.n, np.nan)
-        self.grid = sample_grid
-        # the queued steps, their sample and member row counts, and
-        # post-impulse samples
-        self._queue, self._queued, self._rows, self._posts = [], 0, 0, []
-        if sample_grid is not None:
-            self._samples = np.full((self.n, len(sample_grid), self.dim), np.nan)
-            self.ptr = np.zeros(self.n, dtype=int)
-            if len(sample_grid) and sample_grid[0] <= _COINCIDE_TOL:
-                self._samples[:, 0] = X0
-                self.ptr[:] = 1
+        self.grid = g = sample_grid
+        # the queued steps; the member rows whose samples a flush left; the
+        # rows held, the samples expected, and post-impulse samples
+        self._queue, self._left, self._rows, self._expected, self._posts = [], None, 0, 0.0, []
+        if g is not None:
+            self._samples = np.full((self.n, len(g), self.dim), np.nan)
+            self._samples[:, :g.searchsorted(_COINCIDE_TOL, "right")] = X0[:, None]
+            self._rate = (len(g) - 1) / (g[-1] - g[0]) if len(g) > 1 else 0.0
 
     samples = property(lambda self: self.flush() or self._samples)   # flushed on read
 
     def fill_samples(self, members, t0, adv, y0, F, h):
-        """Queue the grid samples up to ``_COINCIDE_TOL`` past the end of the
-        advance by ``adv`` from ``t0`` on the step's dense output, ``y0`` and
-        the interpolant rows ``F``: one entry or row per member.
-        ``record_hits`` then owns a sample on a hit time."""
-        grid = self.grid
-        if grid is None:
-            return
-        k0 = self.ptr[members]
-        k1 = grid.searchsorted(t0 + adv + _COINCIDE_TOL, side="right")
-        counts = np.maximum(k1 - k0, 0)
-        total = int(np.add.reduce(counts))
-        if total == 0:
-            return
-        self.ptr[members] = np.maximum(k0, k1)
-        # a finishing member's advance may run up to _HORIZON_SLACK past the
-        # step, to its horizon; past the end of any other advance a sample
-        # takes the step's end state; ``flush`` skips the rows without one
-        self._queue.append((members, k0, counts, t0, np.maximum(adv, h),
-                            np.full(len(members), h), y0, F))
-        self._queued += total
-        self._rows += len(members)
-        if max(self._queued, self._rows) >= _SAMPLE_BLOCK:
-            self.flush()
+        """Queue the advance by ``adv`` from ``t0`` on the step's dense output,
+        ``y0`` and the interpolant rows ``F``: one entry or row per member."""
+        if self.grid is not None:
+            self._queue.append((members, t0, adv, y0, F, h))
+            self._rows += len(members)
+            # a member's advance holds adv * rate samples, give or take one
+            self._expected += float(np.add.reduce(adv)) * self._rate
+            if max(self._rows, self._expected - len(members)) >= _SAMPLE_BLOCK:
+                self.flush(whole=self._rows < _SAMPLE_BLOCK)
 
-    def flush(self):
-        """Evaluate the queued samples, then write the post-impulse ones."""
-        if self._queue:
-            members, k0, counts, t0, cap, h, y0, F = (
+    def flush(self, whole=False):
+        """Evaluate the queued samples, ``_SAMPLE_BLOCK`` at a time, then the
+        post-impulse ones; with ``whole``, whole blocks only, the rest queued."""
+        grid, queue = self.grid, self._queue
+        # a step's samples lie from _COINCIDE_TOL past t0 to that past the end
+        # of the advance; ``record_hits`` then owns a sample on a hit time
+        if queue:
+            members, t0, adv, y0, F = (
                 a[0] if len(a) == 1 else np.concatenate(a, a[0].ndim // 3)  # F on axis 1
-                for a in zip(*self._queue))
-            rows = np.arange(len(members)).repeat(counts)
-            g_idx = (k0[rows] + np.arange(self._queued)
-                     - (counts.cumsum() - counts).repeat(counts))
-            u = np.minimum(np.maximum((self.grid[g_idx] - t0[rows]) / h[rows], 0.0),
-                           cap[rows] / h[rows])
-            self._samples[members[rows], g_idx] = dense_eval(y0[rows], F[:, rows], u)
-            self._queue, self._queued, self._rows = [], 0, 0
-        for members, last, post in self._posts:
-            self._samples[members, last] = post
-        self._posts = []
+                for a in list(zip(*queue))[:5])
+            h = np.repeat([q[5] for q in queue], [len(q[0]) for q in queue])
+            k0 = grid.searchsorted(t0 + _COINCIDE_TOL, side="right")
+            # a finishing member's advance may run up to _HORIZON_SLACK past
+            # the step, to its horizon; past the end of any other advance a
+            # sample takes the step's end state
+            rows = (members, k0, grid.searchsorted(t0 + adv + _COINCIDE_TOL, side="right") - k0,
+                    t0, np.maximum(adv, h), h, y0, F)
+            self._left = rows if self._left is None else [
+                np.concatenate(a, a[0].ndim // 3) for a in zip(self._left, rows)]
+            self._queue = []
+        if self._left is not None:
+            members, k0, counts, t0, cap, h, y0, F = rows = self._left
+            total = int(np.add.reduce(counts))
+            stop = total - total % _SAMPLE_BLOCK if whole else total
+            row = np.arange(len(members)).repeat(counts)
+            g = k0[row] + np.arange(total) - (counts.cumsum() - counts)[row]
+            for s in range(0, stop, _SAMPLE_BLOCK):
+                r, gs = row[s:s + _SAMPLE_BLOCK], g[s:s + _SAMPLE_BLOCK]
+                u = np.minimum(np.maximum((grid[gs] - t0[r]) / h[r], 0.0), cap[r] / h[r])
+                self._samples[members[r], gs] = dense_eval(y0[r], F[:, r], u)
+            self._left, self._rows, self._expected = None, 0, float(total - stop)
+            if stop < total:    # the rows from the first sample left, from it on
+                r = row[stop]
+                counts[r], k0[r] = counts[r] - (g[stop] - k0[r]), g[stop]
+                self._left = [(a[:, r:] if a.ndim == 3 else a[r:]).copy() for a in rows]
+                self._rows = len(members) - r
+        if self._left is None:
+            for members, last, post in self._posts:
+                self._samples[members, last] = post
+            self._posts = []
 
     def record_hits(self, members, taus, pre, post, min_gap):
         gap = taus - self._last_tau[members]
@@ -312,11 +321,10 @@ class _BatchRun:
         self._hits.append((members, taus, pre, post))
         self.stats.hits += len(members)
         if self.grid is not None:
-            # a sample on the hit time carries the post-impulse state: it is
-            # the last one queued, by this step or by the one before
-            last = self.ptr[members] - 1
-            on = last >= 0
-            on[on] = np.abs(self.grid[last[on]] - taus[on]) <= _COINCIDE_TOL
+            # a sample on the hit time carries the post-impulse state: the
+            # last one up to _COINCIDE_TOL past it (none before grid[0])
+            last = np.maximum(self.grid.searchsorted(taus + _COINCIDE_TOL, side="right") - 1, 0)
+            on = np.abs(self.grid[last] - taus) <= _COINCIDE_TOL
             if np.logical_or.reduce(on):
                 self._posts.append((members[on], last[on], post[on]))
 
@@ -329,11 +337,7 @@ class _BatchRun:
     def hits_by_member(self):
         """The hits in compressed rows: offsets (n + 1,), hit times, pre- and
         post-impulse states; member i's, in time order, at offsets[i]:offsets[i + 1]."""
-        if self._hits:
-            members, taus, pre, post = (np.concatenate(a) for a in zip(*self._hits))
-        else:
-            members, taus = np.zeros(0, dtype=int), np.zeros(0)
-            pre = post = np.zeros((0, self.dim))
+        members, taus, pre, post = (np.concatenate(a) for a in zip(*self._hits))
         order = np.argsort(members, kind="stable")
         offsets = np.searchsorted(members[order], np.arange(self.n + 1))
         return offsets, taus[order], pre[order], post[order]
@@ -462,24 +466,22 @@ class _RootScan:
         self.hi, self.f_hi = np.ones(k), b[-1].copy()
         self.stuck = np.full(k, np.inf)
         self.subdivisions = 0
-        self._fresh = True
 
     def brackets(self, rows):
         """Isolate the next admissible root of each of the columns ``rows``.
         Returns the columns that have one, with their brackets (lo, hi) and
         the values of p there; the others are root-free to 1 or stuck."""
-        found = []
+        found = [rows[:0]]
         while len(rows):
             lo, width, s = self.lo[rows], self.width[rows], self.sign[rows]
             hi = np.minimum(lo + width, 1.0)
-            if self._fresh:     # the first trial of every column is [0, 1]
-                trial = self.b[:, rows].copy()
-                self._fresh = False
-            else:
-                _, right = _split(self.b[:, rows], lo)
-                trial, _ = _split(right, (hi - lo) / (1.0 - lo))
+            # p on [lo, 1], exact on [0, 1], and cut at hi short of 1
+            _, trial = _split(self.b[:, rows], lo)
             at_end = hi >= 1.0
-            trial[-1] = np.where(at_end, self.b[-1, rows], trial[-1])
+            inner = (~at_end).nonzero()[0]
+            if len(inner):
+                t = (hi - lo)[inner] / (1.0 - lo[inner])
+                trial[:, inner] = _split(trial[:, inner], t)[0]
             d = np.where(np.abs(trial[1:]) > self.eps[rows], np.sign(trial[1:]), 0.0)
             d[-1] = np.where(at_end, np.where(trial[-1] == 0, -s, np.sign(trial[-1])),
                              d[-1])
@@ -520,20 +522,39 @@ class _RootScan:
         return rows[self.lo[rows] < 1.0]
 
 
+def _first_trial(b, eps, direction):
+    """``_RootScan``'s first trial, [0, 1], on the Bernstein coefficients ``b``
+    (n + 1, k) with rounding bounds ``eps``: None if it passes every column,
+    else the columns ``cand`` it does not pass and, over them, the masks of
+    those with one admissible root and of those it halves; the rest have one
+    root, which ``direction`` forbids."""
+    # passed: every coefficient keeps the sign of the first, or of the second
+    # where the first is 0 (a state on the level that leaves it)
+    sb = np.sign(np.where(b[0] == 0, b[1], b[0])) * b
+    cand = ((sb[-1] <= 0) | np.logical_or.reduce(sb[1:-1] <= eps)).nonzero()[0]
+    if len(cand):
+        sb, e = sb[:, cand], eps[cand]
+        # one root: from a nonzero first coefficient the signs run +, ..., +,
+        # at most one within eps of 0, then -, ..., -, the last at face value
+        one = ((sb[0] != 0) & (sb[-1] <= 0)
+               & np.logical_and.reduce((sb[1:-2] > e) | (sb[2:-1] < -e)))
+        return cand, one & (direction * b[0, cand] <= 0), ~one
+
+
 def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
     """Earliest admissible crossing of each member inside one step.
 
     Member m's crossings are sought on the fraction [0, end[m]] of the step,
     on the Bernstein coefficients of each piece's level form along the dense
     output, with the level's values at the step's ends (``L_here``,
-    ``L_new``) as the end coefficients.  A member whose coefficients pass
-    ``_RootScan``'s first trial is root-free; for the others, ``_RootScan``
-    isolates each member's earliest root of each piece, skipping a root in
-    the direction the piece forbids, and ``_newton_roots`` locates it to
-    _TIME_TOL in time on the form's coefficients in powers of s - 1/2, s the
-    fraction of [0, end[m]].  A root whose state fails the piece's halfspace
-    constraints is discarded and the scan resumes past it.  The earliest
-    crossing per member counts (ties to the lowest piece index).
+    ``L_new``) as the end coefficients.  ``_first_trial`` brackets a
+    member's one root on the whole fraction, or ``_RootScan`` isolates its
+    earliest root of each piece where that trial leaves it undecided,
+    skipping a root in the direction the piece forbids; ``_newton_roots``
+    locates it to _TIME_TOL in time on the form's coefficients in powers of
+    s - 1/2, s the fraction of [0, end[m]].  A root whose state fails the
+    piece's halfspace constraints is discarded and the scan resumes past it.
+    The earliest crossing per member counts (ties to the lowest piece index).
     AmbiguousCrossing is raised when a member's scan is stuck before that.
 
     Returns (members, u, piece, state) of the hits, in member order: the step
@@ -547,13 +568,9 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
         b[0], b[-1] = L_here[:, j], L_new[:, j]
         if len(cut):
             b[:, cut] = _split(b[:, cut], end[cut])[0]
-        # no root where every coefficient keeps the sign of the first, or of
-        # the second where the first is 0 (a state on the level that leaves it)
-        sb = np.sign(np.where(b[0] == 0, b[1], b[0])) * b
-        cand = ((sb[-1] <= 0) | np.logical_or.reduce(sb[1:-1] <= eps)).nonzero()[0]
-        if len(cand):
-            scan = _RootScan(b[:, cand], eps[cand], _TIME_TOL / (h * end[cand]), dirs[j])
-            scans.append((j, cand, end[cand], _centring(len(b) - 1) @ scan.b, scan))
+        if trial := _first_trial(b, eps, dirs[j]):
+            cand, one, halve = trial
+            scans.append((j, cand, end[cand], b[:, cand], eps[cand], one.nonzero()[0], halve))
     if not scans:
         return None
     n = len(y0)
@@ -561,14 +578,18 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
     hit_set = np.zeros(n, dtype=int)
     hit_state = np.empty_like(y0)
     stuck = np.full(n, np.inf)
-    for j, m, e_m, q, scan in scans:
-        rows = np.arange(len(m))
+    for j, m, e_m, b, eps, rows, halve in scans:
+        # a round's roots at once; the first holds the brackets [0, 1] of the
+        # first trial and those the scan isolates
+        q, tol, scan = _centring(len(b) - 1) @ b, _TIME_TOL / (h * e_m), None
+        found = rows, np.zeros(len(rows)), np.ones(len(rows)), b[0, rows], b[-1, rows]
+        if np.logical_or.reduce(halve):
+            scan = _RootScan(b, eps, tol, dirs[j])
+            found = [np.concatenate(a) for a in zip(found, scan.brackets(halve.nonzero()[0]))]
+        rows, lo, hi, f_lo, f_hi = found
         while len(rows):
-            rows, lo, hi, f_lo, f_hi = scan.brackets(rows)
-            if not len(rows):
-                break
             i = m[rows]
-            s, passes = _newton_roots(q[:, rows], lo, hi, f_lo, f_hi, scan.min_width[rows])
+            s, passes = _newton_roots(q[:, rows], lo, hi, f_lo, f_hi, tol[rows])
             stats.root_passes += passes
             u = s * e_m[rows]
             states = dense_eval(y0[i], F[:, i], u)
@@ -578,9 +599,12 @@ def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
             hit_set[i[first]] = j
             hit_state[i[first]] = states[first]
             stats.discarded_crossings += int(np.add.reduce(~ok))
-            rows = scan.resume(rows[~ok])
-        stats.subdivisions += scan.subdivisions
-        stuck[m] = np.minimum(stuck[m], scan.stuck * e_m)
+            if scan is None:    # nothing of [0, 1] is left past the first trial's root
+                break
+            rows, lo, hi, f_lo, f_hi = scan.brackets(scan.resume(rows[~ok]))
+        if scan is not None:
+            stats.subdivisions += scan.subdivisions
+            stuck[m] = np.minimum(stuck[m], scan.stuck * e_m)
     bad = (stuck < hit_u).nonzero()[0]
     if len(bad):
         raise AmbiguousCrossing(

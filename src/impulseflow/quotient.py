@@ -152,13 +152,13 @@ def metric_axiom_audit(sys: SystemSpec, points: np.ndarray,
                   "distance": float(D[i, j])}
                  for i, j in np.argwhere(ident_mask)[:8]]
 
-    # triangle: d(a,c) <= min_b d(a,b) + d(b,c) + tol
+    # triangle: d(a,c) <= min_b d(a,b) + d(b,c) + tol, for c >= a (D is symmetric)
     best = np.full((n, n), np.inf)
-    for b in range(n):
-        np.minimum(best, D[:, b][:, None] + D[b, :][None, :], out=best)
+    for a in range(n):
+        best[a, a:] = (D[a, :, None] + D[:, a:]).min(axis=0)
     excess = D - best
     tri_mask = excess > tol
-    tri_viol = int(tri_mask.sum()) // 2
+    tri_viol = int(tri_mask.sum())
     if tri_viol and len(witnesses) < 8:
         ii, jj = np.argwhere(tri_mask)[0]
         witnesses.append({"kind": "triangle", "i": int(ii), "j": int(jj),

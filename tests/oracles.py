@@ -342,3 +342,23 @@ def reference_evaluate(batch, members, times) -> np.ndarray:
          + h01[:, None] * y1 + h11[:, None] * dt[:, None] * f1)
     knot = t - t0 <= _TIME_TOL
     return np.where(knot[:, None], y0, y).reshape(*shape, y0.shape[1])
+
+
+def triangle_audit_reference(D: np.ndarray, tol: float = 1e-9):
+    """The triangle part of ``metric_axiom_audit`` as it was before it ran on
+    the upper half only, kept verbatim: the best detour min_b D[a, b] +
+    D[b, c] over the full matrix, one b at a time.  Returns the violation
+    count, the worst excess and the first witness (i, j, excess) in row
+    order, or None."""
+    n = len(D)
+    best = np.full((n, n), np.inf)
+    for b in range(n):
+        np.minimum(best, D[:, b][:, None] + D[b, :][None, :], out=best)
+    excess = D - best
+    tri_mask = excess > tol
+    tri_viol = int(tri_mask.sum()) // 2
+    witness = None
+    if tri_viol:
+        ii, jj = np.argwhere(tri_mask)[0]
+        witness = (int(ii), int(jj), float(excess[ii, jj]))
+    return tri_viol, float(excess.max()) if n else 0.0, witness

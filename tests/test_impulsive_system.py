@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from impulseflow import (
     candidate_cloud,
     eval_vector_field,
     first_hitting_time,
+    flow,
     impulse_preimages,
     impulsive_trajectory,
     impulsive_trajectory_batch,
@@ -39,6 +41,7 @@ from impulseflow.impulsive_system import (
     _centring,
     _first_crossings,
     _first_hits,
+    _first_trial,
     _newton_roots,
     _propagate,
     _split,
@@ -406,21 +409,74 @@ class TestRootScan:
 
     def test_post_impulse_steps_build_no_root_scan(self, annulus, monkeypatch):
         # an impulse leaves the annulus state on y = 0, moving down: the next
-        # step's column starts at 0 and is root-free, so from below the axis
-        # the one scan of each hit step is the only scan, and the hits keep
-        # their schedule
-        starts = []
+        # step's column starts at 0 and is root-free, so the hit steps' are
+        # the only columns the first trial does not pass; it isolates each of
+        # their roots on the whole step, so no step builds a scan, and the
+        # hits keep their schedule
+        starts, scans = [], []
+        first_trial = impulsive_system._first_trial
 
-        class Counted(_RootScan):
-            def __init__(self, b, *args):
-                starts.extend(b[0])
-                super().__init__(b, *args)
-        monkeypatch.setattr(impulsive_system, "_RootScan", Counted)
+        def counted(b, eps, direction):
+            trial = first_trial(b, eps, direction)
+            if trial is not None:
+                cand, one, halve = trial
+                starts.extend(b[0, cand[one]])
+                scans.extend(cand[halve])
+            return trial
+        monkeypatch.setattr(impulsive_system, "_first_trial", counted)
+        monkeypatch.setattr(impulsive_system, "_RootScan", None)
         tr = impulsive_trajectory(annulus, polar(1.5, 4.0), 30.0, 0.1)
         want, _ = annulus_impulse_schedule(1.5, 4.0, 9)
-        assert tr.n_impulses == len(starts) == 9
+        assert tr.n_impulses == len(starts) == 9 and not scans
         assert 0.0 not in starts
         assert np.abs(tr.impulse_times - want).max() < 1e-8
+
+    @staticmethod
+    def _near_zero(eps):
+        """Values within, at and just past the rounding bound eps of 0."""
+        return st.sampled_from([0.0, -0.0, 5e-324, eps, -eps, 0.5 * eps, -0.5 * eps,
+                                eps * (1 + 2 ** -52), -eps * (1 - 2 ** -53)])
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([7, 14]), k=st.integers(1, 10),
+           direction=st.sampled_from([-1, 0, 1]))
+    def test_first_trial_equals_the_scans_own(self, data, n, k, direction):
+        # columns of degree-7 and degree-14 forms, many of one sign or one
+        # sign change, with coefficients within eps of 0 anywhere, exact
+        # zeros at either end included; a scan whose min_width exceeds 1/2
+        # stops after its first trial, [0, 1], so its verdicts are that
+        # trial's
+        eps = _ROUNDING * n
+        columns = []
+        for _ in range(k):
+            c = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1))
+            order = data.draw(st.sampled_from(["none", "down", "up", "one sign"]))
+            if order == "one sign":
+                c = [math.copysign(0.5 + abs(x), c[0]) for x in c]
+            elif order != "none":
+                c.sort(reverse=order == "down")
+            spots = data.draw(st.lists(st.integers(0, n), max_size=2))
+            spots += [end for end in (0, n) if data.draw(st.integers(0, 3)) == 0]
+            for i in spots:
+                c[i] = data.draw(self._near_zero(eps))
+            columns.append(c)
+        b = np.array(columns, dtype=float).T
+        none = np.zeros(0, dtype=int), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+        cand, one, halve = _first_trial(b, np.full(k, eps), direction) or none
+        scan = _RootScan(b, np.full(k, eps), np.full(k, 0.6), direction)
+        rows, lo, hi, f_lo, f_hi = scan.brackets(np.arange(k))
+        assert list(rows) == list(cand[one])
+        assert (lo == 0.0).all() and (hi == 1.0).all()
+        assert np.array_equal(f_lo, b[0, rows]) and np.array_equal(f_hi, b[-1, rows])
+        assert scan.subdivisions == np.count_nonzero(halve)
+        assert list(np.flatnonzero(scan.stuck == 0.0)) == list(cand[halve])
+        # the rest are passed or have their root skipped: scanned to 1, and
+        # a skipped root's column has the opposite sign there
+        done = np.setdiff1d(np.arange(k), np.concatenate([rows, cand[halve]]))
+        assert (scan.lo[done] == 1.0).all() and (scan.stuck[done] == np.inf).all()
+        skipped = cand[~one & ~halve]
+        assert direction != 0 or not len(skipped)
+        assert (scan.sign[skipped] == -np.sign(b[0, skipped])).all()
 
 
 def _exact_form_coefficients(level, c, y0, F, lo, hi):
@@ -924,8 +980,9 @@ class TestEvaluateReference:
 def _block_configs(annulus, doubling, prey_predator):
     """The sampled runs whose outputs must not depend on the sample block:
     one long orbit, large batches with staggered hits, a doubling batch
-    whose hits fall on grid times, its horizon among them, and a batch on a
-    grid coarser than its steps."""
+    whose hits fall on grid times, its horizon among them, a batch on a
+    grid coarser than its steps, and a flow sampled at uneven times (its
+    horizon the times, its dt None)."""
     rng = np.random.default_rng(5)
     a, k = rng.random(256), rng.integers(0, 8, 256)
     on_grid = np.c_[np.cos(2 * np.pi * a), np.sin(2 * np.pi * a), 0.125 * k]
@@ -941,6 +998,9 @@ def _block_configs(annulus, doubling, prey_predator):
         # steps: most queued rows have no sample
         "prey_predator x512 sparse": (prey_predator,
                                       candidate_cloud(prey_predator, 512, rng), 30.0, 1.0),
+        # gaps from 1e-6 to 0.2, clustered and sparse stretches
+        "flow x16 uneven": (prey_predator.field, candidate_cloud(prey_predator, 16, rng),
+                            np.cumsum(10.0 ** rng.uniform(-6.0, -0.7, 600)), None),
     }
 
 
@@ -949,12 +1009,14 @@ class TestSampleBlocks:
 
     @pytest.mark.parametrize("name", ["annulus x1", "annulus x512", "doubling x256",
                                       "doubling x1", "prey_predator x128",
-                                      "prey_predator x512 sparse"])
+                                      "prey_predator x512 sparse", "flow x16 uneven"])
     def test_outputs_independent_of_the_block(self, annulus, doubling, prey_predator,
                                               monkeypatch, name):
         sys_spec, X, T, dt = _block_configs(annulus, doubling, prey_predator)[name]
 
         def run():
+            if dt is None:
+                return flow(sys_spec, X, T).tobytes()
             b = impulsive_trajectory_batch(sys_spec, X, T, dt)
             return b"".join(a.tobytes() for a in (
                 b.samples, b.hit_offsets, b.hit_times, b.pre_impulse_states,
@@ -985,23 +1047,57 @@ class TestSampleBlocks:
 
     def test_sparse_grid_flushes_on_queued_rows(self, annulus, doubling, prey_predator,
                                                 monkeypatch):
-        # each step with a sample queues all 512 rows, most without one: the
-        # queue reaches its row bound before its sample bound, and never
-        # passes it by more than one step's rows
-        flushes = []
+        # each step queues all 512 rows, most without a sample: the queue
+        # reaches its row bound before it expects a block of samples, never
+        # passes the bound by more than one step's rows, and no flush passes
+        # more than one block to dense_eval
+        flushes, evaluated = [], []
         flush = _BatchRun.flush
 
-        def counted(run):
+        def counted(run, whole=False):
             if run._queue:
-                flushes.append((run._queued, run._rows))
-            flush(run)
+                flushes.append((run._expected, run._rows))
+            flush(run, whole)
+
+        def sized(y0, F, u):
+            evaluated.append(len(u))
+            return dense_eval(y0, F, u)
         monkeypatch.setattr(_BatchRun, "flush", counted)
+        monkeypatch.setattr(impulsive_system, "dense_eval", sized)
         sys_spec, X, T, dt = _block_configs(annulus, doubling, prey_predator)[
             "prey_predator x512 sparse"]
         batch = impulsive_trajectory_batch(sys_spec, X, T, dt)
         assert not np.isnan(batch.samples).any()
-        assert sum(q < _SAMPLE_BLOCK <= r for q, r in flushes) >= 2
+        assert sum(e < _SAMPLE_BLOCK <= r for e, r in flushes) >= 2
         assert max(r for _, r in flushes) < _SAMPLE_BLOCK + len(X)
+        assert max(evaluated) <= _SAMPLE_BLOCK
+
+    def test_a_step_of_many_blocks_is_evaluated_a_block_at_a_time(self, doubling,
+                                                                 monkeypatch):
+        # 512 doubling orbits to T = 10 sampled every 0.005: one step queues
+        # about 20 000 samples.  dense_eval takes at most one block of them
+        # at a time, and the run's traced peak stays within 15% of what the
+        # batch keeps (22% when a step's samples were evaluated at once)
+        evaluated = []
+
+        def sized(y0, F, u):
+            evaluated.append(len(u))
+            return dense_eval(y0, F, u)
+        monkeypatch.setattr(impulsive_system, "dense_eval", sized)
+        X = candidate_cloud(doubling, 512, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            batch = impulsive_trajectory_batch(doubling, X, 10.0, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (
+            batch.initial_states, batch.sample_times, batch.samples, batch.hit_offsets,
+            batch.hit_times, batch.pre_impulse_states, batch.post_impulse_states,
+            batch.final_states))
+        assert not np.isnan(batch.samples).any()
+        assert max(evaluated) <= _SAMPLE_BLOCK
+        assert peak <= 1.15 * kept
 
 
 class TestExport:

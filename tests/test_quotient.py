@@ -12,6 +12,7 @@ from impulseflow import (
     sample_impulsive_set,
 )
 from conftest import polar
+from oracles import triangle_audit_reference
 
 
 def _pairwise_matrix(classes):
@@ -188,6 +189,19 @@ class TestMetricAudit:
         assert (rep.symmetry_violations, rep.identity_violations,
                 rep.triangle_violations) == counts
         assert rep.witnesses == witnesses
+
+    @pytest.mark.parametrize("name", ["annulus", "doubling_suspension"])
+    def test_triangle_on_the_upper_half_equals_the_full_loop(self, name, rng):
+        # bridging classes that break the triangle inequality: the count,
+        # the worst excess and the first witness, bit for bit
+        sys_spec = build_fixture(name)
+        rep = metric_axiom_audit(sys_spec, _mixed_points(sys_spec, rng, 60, 20))
+        count, worst, witness = triangle_audit_reference(rep.distances)
+        assert count == rep.triangle_violations > 0
+        assert worst == rep.worst_triangle_excess
+        got = [(w["i"], w["j"], w["excess"]) for w in rep.witnesses
+               if w["kind"] == "triangle"]
+        assert got == [witness] and witness[0] < witness[1]
 
     def test_prey_predator_random_points_pass(self, prey_predator, rng):
         pts = candidate_cloud(prey_predator, 120, rng)
