@@ -32,8 +32,8 @@ from . import __version__
 from .entropy import EntropyConfig, entropy_estimate
 from .flow_core import IntegratorConfig
 from .hypotheses import hitting_continuity_probe, separation_report, transversality_margin
-from .impulsive_system import impulsive_trajectory_batch
-from .measures import GridPartition, occupation_measure, pushforward_discrepancy
+from .impulsive_system import _grid_for, impulsive_trajectory_batch
+from .measures import GridPartition, _window, occupation_measure, pushforward_discrepancy
 from .quotient import metric_axiom_audit
 from .systems import build_fixture, candidate_cloud, fixture_names, sample_impulsive_set
 
@@ -161,7 +161,11 @@ class MeasureParams(SimulateParams):
     dt_sample: float = _param(0.005, lambda v, p: v > 0, "> 0")
     burn_in: float = _param(lambda p: 0.1 * p.horizon,
                             lambda v, p: 0 <= v < p.horizon, "in [0, horizon)")
-    t_shift: float = _param(1.0, lambda v, p: 0 < v < p.horizon / 10, "in (0, horizon/10)")
+    # the measure's window and its two shifted ones each hold two samples
+    t_shift: float = _param(1.0, lambda v, p: 0 < v < p.horizon / 10 and all(
+        _window(_grid_for(p.horizon, p.dt_sample), a, b) for a, b in (
+            (p.burn_in, p.horizon), (p.burn_in, p.horizon - v), (p.burn_in + v, p.horizon))),
+        "in (0, horizon/10)")
     bins: int = _param(40, lambda v, p: v >= 1, "at least 1")
     # by default the system's measure box, with ``bins`` bins per coordinate
     grid: str = _param(lambda p: ",".join(f"{float(a)!r}:{float(b)!r}:{p.bins}"

@@ -5,13 +5,12 @@ The one propagation engine, ``_propagate``, advances a whole batch of
 independent initial states with one shared adaptive step (``BatchStepper``)
 and owns the step cap, the final dense evaluation and the one rule that ends
 a member's run: at its horizon, at a first hit, or on leaving the admissible
-region; the member then leaves the shared step.  ``_Pieces`` evaluates the
-impulsive-set pieces: each level's polynomial form, with the zero set and
-sign of L_j - c_j, and its halfspace test.  ``_first_crossings`` finds each
-member's earliest crossing in a step, whatever the step's length: on the
-Bernstein coefficients of the level form along the step's dense output,
-``_first_trial``, or ``_RootScan`` where that leaves it undecided, isolates
-it, and safeguarded Newton iteration on the form's polynomial locates it.
+region; the member then leaves the shared step.  ``_first_crossings``
+finds each member's earliest crossing of the impulsive-set pieces in a step,
+whatever the step's length: on the Bernstein coefficients of each piece's
+level form along the step's dense output, one isolation pass (``_isolate``)
+brackets its roots, and safeguarded Newton iteration on the form's
+polynomial locates them all at once.
 ``_BatchRun`` records grid samples, hits, region exits and final states.
 ``flow_core.flow`` is the engine's case with no impulsive-set pieces.
 Trajectories are right-continuous across impulses: the value at a hit time
@@ -217,8 +216,12 @@ class RunStats:
     are deterministic, so they can be recorded beside the outputs.
 
     ``h_min`` and ``h_max`` bound the accepted step sizes (inf and 0 before
-    any step); ``subdivisions`` counts the halvings of the root scan's trial
-    intervals that isolating the earliest crossings took.
+    any step).  Of the crossing search: ``subdivisions`` counts the halved
+    trial intervals of the isolation passes, which run past a member's first
+    root to the end of its step; ``root_passes`` the passes of Newton's
+    method, run once per piece and step over all the roots bracketed there;
+    and ``discarded_crossings`` the roots located whose states fail their
+    piece's halfspace constraints.
     """
 
     steps: int = 0
@@ -243,8 +246,10 @@ class _BatchRun:
         self.final = X0.copy()
         self.stats = RunStats()
         self.escaped, self.escape_message = np.zeros(self.n, dtype=bool), None
-        # one (members, taus, pre, post) block per step with hits, after an empty one
-        self._hits = [(np.zeros(0, dtype=int), np.zeros(0), *2 * [np.zeros((0, self.dim))])]
+        # the members, taus, pre and post blocks, one per step with hits,
+        # after an empty one
+        self._hits = ([np.zeros(0, dtype=int)], [np.zeros(0)],
+                      [np.zeros((0, self.dim))], [np.zeros((0, self.dim))])
         self._last_tau = np.full(self.n, np.nan)
         self.grid = g = sample_grid
         # the queued steps; the member rows whose samples a flush left; the
@@ -318,7 +323,8 @@ class _BatchRun:
                 "image is numerically touching the impulsive set"
             )
         self._last_tau[members] = taus
-        self._hits.append((members, taus, pre, post))
+        for blocks, a in zip(self._hits, (members, taus, pre, post)):
+            blocks.append(a)
         self.stats.hits += len(members)
         if self.grid is not None:
             # a sample on the hit time carries the post-impulse state: the
@@ -336,32 +342,23 @@ class _BatchRun:
 
     def hits_by_member(self):
         """The hits in compressed rows: offsets (n + 1,), hit times, pre- and
-        post-impulse states; member i's, in time order, at offsets[i]:offsets[i + 1]."""
-        members, taus, pre, post = (np.concatenate(a) for a in zip(*self._hits))
-        order = np.argsort(members, kind="stable")
-        offsets = np.searchsorted(members[order], np.arange(self.n + 1))
-        return offsets, taus[order], pre[order], post[order]
+        post-impulse states; member i's, in time order, at offsets[i]:offsets[i + 1].
+        Each field's blocks are joined, released and reordered in turn, so
+        at most one field's extra copy is held."""
+        order = np.argsort(np.concatenate(self._hits[0]), kind="stable")
+        for blocks in self._hits:
+            blocks[:] = [np.concatenate(blocks)]
+            blocks[0] = blocks[0][order]
+        offsets = np.searchsorted(self._hits[0][0], np.arange(self.n + 1))
+        return offsets, *(blocks[0] for blocks in self._hits[1:])
 
 
-class _Pieces:
-    """The impulsive-set pieces of one run: each piece's level form, whose
-    zero set and sign are those of L_j - c_j, and its halfspace test.
-    ``level`` evaluates every piece, one column per piece."""
-
-    def __init__(self, sets):
-        self.sets = sets
-
-    def level(self, x):
-        out = np.empty((len(x), len(self.sets)))
-        for k, piece in enumerate(self.sets):
-            out[:, k] = piece.level.form(x, piece.level_value)
-        return out
-
-    def along_step(self, j, B):
-        """Bernstein coefficients of piece j's form along the steps with the
-        interpolant coefficients ``B``, and their rounding bound."""
-        b, scale = self.sets[j].level.form_along_step(B, self.sets[j].level_value)
-        return b, _ROUNDING * (len(b) - 1) * scale
+def _forms(sets, x):
+    """Each piece's level form, with the zero set and sign of L_j - c_j, at x."""
+    out = np.empty((len(x), len(sets)))
+    for j, piece in enumerate(sets):
+        out[:, j] = piece.level.form(x, piece.level_value)
+    return out
 
 
 @cache
@@ -437,180 +434,149 @@ def _split(b, t):
     return left, right
 
 
-class _RootScan:
-    """Left-to-right isolation of the roots of polynomials p on [0, 1], one
-    per column of their Bernstein coefficients ``b`` (n + 1, k).
-
-    A trial interval [lo, hi] starts where p has the known sign s.  It is
-    passed when all of p's coefficients on it after the first have sign s,
-    and it holds exactly one root when they run s, ..., s, then at most one
-    coefficient of either sign, then -s to the end.  Descartes' rule of signs
-    for the Bernstein basis makes both verdicts exact for coefficients that
-    are exact to within ``eps``, so a coefficient within ``eps`` of zero
-    counts as either sign.  A trial that gets neither verdict is halved (one
-    subdivision); after a passed one the next trial is twice as wide.
-    p(0) and p(1) count at face value: an exact zero at 1 is a root, one at
-    0 is not, and the scan then takes the sign of p just past 0.
-
-    A root whose crossing ``direction`` forbids (+1: upward only, -1:
-    downward only, 0: either) is passed like a root-free trial.  A column
-    whose trial falls below ``min_width`` without a verdict is stuck at its
-    ``lo``: the roots there are too close to separate, a tangency.
-    """
-
-    def __init__(self, b, eps, min_width, direction):
-        k = b.shape[1]
-        self.b, self.eps, self.min_width, self.direction = b, eps, min_width, direction
-        self.lo, self.width = np.zeros(k), np.ones(k)
-        self.f_lo, self.sign = b[0].copy(), np.sign(b[0])
-        self.hi, self.f_hi = np.ones(k), b[-1].copy()
-        self.stuck = np.full(k, np.inf)
-        self.subdivisions = 0
-
-    def brackets(self, rows):
-        """Isolate the next admissible root of each of the columns ``rows``.
-        Returns the columns that have one, with their brackets (lo, hi) and
-        the values of p there; the others are root-free to 1 or stuck."""
-        found = [rows[:0]]
-        while len(rows):
-            lo, width, s = self.lo[rows], self.width[rows], self.sign[rows]
-            hi = np.minimum(lo + width, 1.0)
-            # p on [lo, 1], exact on [0, 1], and cut at hi short of 1
-            _, trial = _split(self.b[:, rows], lo)
-            at_end = hi >= 1.0
-            inner = (~at_end).nonzero()[0]
-            if len(inner):
-                t = (hi - lo)[inner] / (1.0 - lo[inner])
-                trial[:, inner] = _split(trial[:, inner], t)[0]
-            d = np.where(np.abs(trial[1:]) > self.eps[rows], np.sign(trial[1:]), 0.0)
-            d[-1] = np.where(at_end, np.where(trial[-1] == 0, -s, np.sign(trial[-1])),
-                             d[-1])
-            s = np.where(s == 0, d[0], s)
-            passed = np.logical_and.reduce(d == s) & (s != 0)
-            others = (d != s).cumsum(axis=0)
-            one = ((self.sign[rows] != 0) & (d[-1] == -s)
-                   & ~np.logical_or.reduce((d == s) & (others > 0))
-                   & np.logical_and.reduce((d != 0) | (others == 1)))
-            skip = one & (self.direction * s > 0)
-            one &= ~skip
-            # a passed trial or a skipped root: go on from hi
-            go = rows[passed | skip]
-            self.lo[go] = hi[passed | skip]
-            self.f_lo[go] = trial[-1, passed | skip]
-            self.sign[go] = np.where(skip, -s, s)[passed | skip]
-            self.width[go] *= 2.0
-            # a bracket: stop here until ``resume``
-            iso = rows[one]
-            self.hi[iso], self.f_hi[iso] = hi[one], trial[-1, one]
-            found.append(iso)
-            # no verdict: halve, down to min_width
-            halve = rows[~passed & ~skip & ~one]
-            self.subdivisions += len(halve)
-            self.width[halve] *= 0.5
-            low = self.width[halve] < self.min_width[halve]
-            self.stuck[halve[low]] = self.lo[halve[low]]
-            rows = np.concatenate([go[self.lo[go] < 1.0], halve[~low]])
-        rows = np.concatenate(found)
-        return (rows, self.lo[rows], self.hi[rows], self.f_lo[rows],
-                self.f_hi[rows])
-
-    def resume(self, rows):
-        """Continue the columns ``rows`` past their last bracket; returns
-        those that have some of [0, 1] left."""
-        self.lo[rows], self.f_lo[rows] = self.hi[rows], self.f_hi[rows]
-        self.sign[rows] *= -1.0
-        return rows[self.lo[rows] < 1.0]
+def _verdicts(sb, eps, at_end):
+    """Descartes' rule of signs for the Bernstein basis on a trial interval:
+    the masks of the columns of ``sb`` (n + 1, k) that the trial passes and
+    of those in which it holds one root (never both).  ``sb`` are the
+    coefficients of p on the trial, exact to within ``eps``, times the sign
+    of p at its start, with the first row 0 where that sign is unknown (p
+    starts at an exact zero).  Passed: all after the first are positive.
+    One root: the sign is known and they run +, ..., +, at most one of
+    either sign, then -, ..., -.  A coefficient within ``eps`` of 0 counts
+    as either sign, but where the trial ends at 1 (``at_end``) the last one
+    is p(1), at face value: a zero there is a root."""
+    pos = sb[1:-1] > eps
+    up, down = (sb[-1] > 0, sb[-1] <= 0) if at_end else (sb[-1] > eps, sb[-1] < -eps)
+    passed = np.logical_and.reduce(pos) & up
+    one = (sb[0] != 0) & down & np.logical_and.reduce(pos[:-1] | (sb[2:-1] < -eps))
+    return passed, one
 
 
-def _first_trial(b, eps, direction):
-    """``_RootScan``'s first trial, [0, 1], on the Bernstein coefficients ``b``
-    (n + 1, k) with rounding bounds ``eps``: None if it passes every column,
-    else the columns ``cand`` it does not pass and, over them, the masks of
-    those with one admissible root and of those it halves; the rest have one
-    root, which ``direction`` forbids."""
-    # passed: every coefficient keeps the sign of the first, or of the second
-    # where the first is 0 (a state on the level that leaves it)
-    sb = np.sign(np.where(b[0] == 0, b[1], b[0])) * b
-    cand = ((sb[-1] <= 0) | np.logical_or.reduce(sb[1:-1] <= eps)).nonzero()[0]
-    if len(cand):
-        sb, e = sb[:, cand], eps[cand]
-        # one root: from a nonzero first coefficient the signs run +, ..., +,
-        # at most one within eps of 0, then -, ..., -, the last at face value
-        one = ((sb[0] != 0) & (sb[-1] <= 0)
-               & np.logical_and.reduce((sb[1:-2] > e) | (sb[2:-1] < -e)))
-        return cand, one & (direction * b[0, cand] <= 0), ~one
+def _isolate(b, eps, min_width, direction):
+    """Brackets of the roots of the polynomials p on [0, 1] with the Bernstein
+    coefficients ``b`` (n + 1, k), exact to within ``eps``, one per column, in
+    one left-to-right pass of trial intervals from [0, 1] on ``b`` itself.
+    After a trial that ``_verdicts`` passes the next is twice as wide, after
+    one with a root as wide; one with neither is halved (a subdivision; the
+    scan state is allocated at the first).  p(0) and p(1) count at face value:
+    a zero at 1 is a root, one at 0 is not, and a trial from 0 takes the sign
+    of p just past it.  A root that ``direction`` forbids (+1: upward only, -1:
+    downward only, 0: either) is passed.  A column whose trial falls below
+    ``min_width`` without a verdict is stuck at its start, a tangency.  Returns
+    the brackets (cols, lo, hi, f_lo, f_hi) of every admissible root, p at
+    their ends, by column and then position; the subdivisions; and the stuck
+    positions (k,), inf where none (None if no trial was halved)."""
+    passed, one = _verdicts(np.sign(np.where(b[0] == 0, b[1], b[0])) * b, eps, True)
+    cols = (one & (direction * b[0] <= 0)).nonzero()[0]
+    found = [(cols, np.zeros(len(cols)), np.ones(len(cols)), b[0, cols], b[-1, cols])]
+    halve = (passed == one).nonzero()[0]     # neither verdict
+    if not len(halve):
+        return found[0], 0, None
+    lo, width, f_lo, sign = np.zeros_like(b[0]), np.ones_like(b[0]), b[0].copy(), np.sign(b[0])
+    subdivisions, stuck, rows = 0, np.full_like(b[0], np.inf), halve[:0]
+    while True:
+        # no verdict: halve, down to min_width
+        subdivisions += len(halve)
+        width[halve] *= 0.5
+        low = width[halve] < min_width[halve]
+        stuck[halve[low]] = lo[halve[low]]
+        rows = np.concatenate([rows[lo[rows] < 1.0], halve[~low]])
+        if not len(rows):
+            break
+        start, s, e = lo[rows], sign[rows], eps[rows]
+        hi = np.minimum(start + width[rows], 1.0)
+        # p on [start, 1], exact on [0, 1], and cut at hi short of 1
+        _, trial = _split(b[:, rows], start)
+        at_end = hi >= 1.0
+        inner = (~at_end).nonzero()[0]
+        if len(inner):
+            trial[:, inner] = _split(trial[:, inner], ((hi - start) / (1.0 - start))[inner])[0]
+        # where p starts at an exact zero, the sign of p just past it
+        s1 = np.where(s == 0, np.where(np.abs(trial[1]) > e, np.sign(trial[1]), 0.0), s)
+        sb = s1 * trial
+        sb[0] = s * s       # 0 where p's sign at start is unknown
+        passed, one = np.zeros((2, len(rows)), dtype=bool)
+        for part, end in ((inner, False), (at_end.nonzero()[0], True)):
+            passed[part], one[part] = _verdicts(sb[:, part], e[part], end)
+        on = passed | one
+        skip = one & (direction * s > 0)
+        one &= ~skip
+        found.append((rows[one], start[one], hi[one], f_lo[rows[one]], trial[-1, one]))
+        # on from hi, with p's sign there: twice as wide past a passed trial
+        # or a skipped root, as wide past a bracket
+        halve, rows = rows[~on], rows[on]
+        lo[rows], f_lo[rows] = hi[on], trial[-1, on]
+        sign[rows] = np.where(passed, s1, -s1)[on]
+        width[rows[~one[on]]] *= 2.0
+    found = [np.concatenate(a) for a in zip(*found)]
+    order = np.argsort(found[0], kind="stable")
+    return tuple(a[order] for a in found), subdivisions, stuck
 
 
-def _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, end, stats):
+def _first_crossings(sets, dirs, y0, F, h, L_here, L_new, end, stats):
     """Earliest admissible crossing of each member inside one step.
 
     Member m's crossings are sought on the fraction [0, end[m]] of the step,
     on the Bernstein coefficients of each piece's level form along the dense
     output, with the level's values at the step's ends (``L_here``,
-    ``L_new``) as the end coefficients.  ``_first_trial`` brackets a
-    member's one root on the whole fraction, or ``_RootScan`` isolates its
-    earliest root of each piece where that trial leaves it undecided,
-    skipping a root in the direction the piece forbids; ``_newton_roots``
-    locates it to _TIME_TOL in time on the form's coefficients in powers of
-    s - 1/2, s the fraction of [0, end[m]].  A root whose state fails the
-    piece's halfspace constraints is discarded and the scan resumes past it.
-    The earliest crossing per member counts (ties to the lowest piece index).
-    AmbiguousCrossing is raised when a member's scan is stuck before that.
+    ``L_new``) as the end coefficients.  Of the members that a sign filter
+    keeps, ``_isolate`` brackets every root, and ``_newton_roots`` locates
+    them all at once to _TIME_TOL in time, on the form's coefficients in
+    powers of s - 1/2, s the fraction of [0, end[m]].  A member's earliest
+    root whose state passes the piece's halfspace constraints is its
+    crossing, and the earliest over the pieces counts (ties to the lowest
+    index).  AmbiguousCrossing is raised when an isolation sticks before it.
 
     Returns (members, u, piece, state) of the hits, in member order: the step
     fraction, the piece index and the pre-impulse state of each (or None).
     """
     cut = (end != 1.0).nonzero()[0]
     B = dense_bernstein(y0, F)
-    scans = []
-    for j in range(len(pieces.sets)):
-        b, eps = pieces.along_step(j, B)
+    n, hit_u, stuck = len(y0), None, []
+    for j, piece in enumerate(sets):
+        b, scale = piece.level.form_along_step(B, piece.level_value)
         b[0], b[-1] = L_here[:, j], L_new[:, j]
         if len(cut):
             b[:, cut] = _split(b[:, cut], end[cut])[0]
-        if trial := _first_trial(b, eps, dirs[j]):
-            cand, one, halve = trial
-            scans.append((j, cand, end[cand], b[:, cand], eps[cand], one.nonzero()[0], halve))
-    if not scans:
+        eps = _ROUNDING * (len(b) - 1) * scale
+        # the filter: every coefficient keeps the sign of the first, or of the
+        # second where the first is 0 (a state on the level that leaves it)
+        sb = np.sign(np.where(b[0] == 0, b[1], b[0])) * b
+        m = ((sb[-1] <= 0) | np.logical_or.reduce(sb[1:-1] <= eps)).nonzero()[0]
+        if not len(m):
+            continue
+        b, e_m = b[:, m], end[m]
+        tol = _TIME_TOL / (h * e_m)
+        (k, lo, hi, f_lo, f_hi), subdivisions, st = _isolate(b, eps[m], tol, dirs[j])
+        if hit_u is None:
+            hit_u, hit_set, hit_state = np.full(n, np.inf), np.zeros(n, int), np.empty_like(y0)
+        if subdivisions:
+            stats.subdivisions += subdivisions
+            stuck.append((m, st * e_m))
+        if not len(k):
+            continue
+        # one product over the filtered columns: its rounding depends on its shape
+        s, passes = _newton_roots((_centring(len(b) - 1) @ b)[:, k], lo, hi, f_lo, f_hi, tol[k])
+        stats.root_passes += passes
+        i, u = m[k], s * e_m[k]
+        states = dense_eval(y0[i], F[:, i], u)
+        ok = piece.constraint_mask(states)
+        stats.discarded_crossings += int(np.add.reduce(~ok))
+        first = ok & (u < hit_u[i])
+        if subdivisions:    # a halved column may hold several roots: keep the first
+            f = first.nonzero()[0]
+            first[f[1:][i[f[1:]] == i[f[:-1]]]] = False
+        w = i[first]
+        hit_u[w], hit_set[w], hit_state[w] = u[first], j, states[first]
+    if hit_u is None:
         return None
-    n = len(y0)
-    hit_u = np.full(n, np.inf)
-    hit_set = np.zeros(n, dtype=int)
-    hit_state = np.empty_like(y0)
-    stuck = np.full(n, np.inf)
-    for j, m, e_m, b, eps, rows, halve in scans:
-        # a round's roots at once; the first holds the brackets [0, 1] of the
-        # first trial and those the scan isolates
-        q, tol, scan = _centring(len(b) - 1) @ b, _TIME_TOL / (h * e_m), None
-        found = rows, np.zeros(len(rows)), np.ones(len(rows)), b[0, rows], b[-1, rows]
-        if np.logical_or.reduce(halve):
-            scan = _RootScan(b, eps, tol, dirs[j])
-            found = [np.concatenate(a) for a in zip(found, scan.brackets(halve.nonzero()[0]))]
-        rows, lo, hi, f_lo, f_hi = found
-        while len(rows):
-            i = m[rows]
-            s, passes = _newton_roots(q[:, rows], lo, hi, f_lo, f_hi, tol[rows])
-            stats.root_passes += passes
-            u = s * e_m[rows]
-            states = dense_eval(y0[i], F[:, i], u)
-            ok = pieces.sets[j].constraint_mask(states)
-            first = ok & (u < hit_u[i])
-            hit_u[i[first]] = u[first]
-            hit_set[i[first]] = j
-            hit_state[i[first]] = states[first]
-            stats.discarded_crossings += int(np.add.reduce(~ok))
-            if scan is None:    # nothing of [0, 1] is left past the first trial's root
-                break
-            rows, lo, hi, f_lo, f_hi = scan.brackets(scan.resume(rows[~ok]))
-        if scan is not None:
-            stats.subdivisions += scan.subdivisions
-            stuck[m] = np.minimum(stuck[m], scan.stuck * e_m)
-    bad = (stuck < hit_u).nonzero()[0]
-    if len(bad):
-        raise AmbiguousCrossing(
-            f"level crossings {stuck[bad[0]] * h:.3e} into a step of {h:.3e} "
-            "cannot be separated to 1e-12 in time: the orbit is tangent to "
-            "the impulsive set")
+    for m, at in stuck:
+        bad = (at < hit_u[m]).nonzero()[0]
+        if len(bad):
+            raise AmbiguousCrossing(
+                f"level crossings {at[bad[0]] * h:.3e} into a step of {h:.3e} "
+                "cannot be separated to 1e-12 in time: the orbit is tangent to "
+                "the impulsive set")
     hit = np.isfinite(hit_u).nonzero()[0]
     return (hit, hit_u[hit], hit_set[hit], hit_state[hit]) if len(hit) else None
 
@@ -657,7 +623,6 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     check_dimension(field, X0)
     run = _BatchRun(X0, sample_grid)
     stats = run.stats
-    pieces = _Pieces(sets)
     dirs = np.array([p.direction if forward else 0 for p in sets])
 
     rhs = field.fn if forward else lambda x: -field.fn(x)
@@ -665,7 +630,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
     live = np.flatnonzero(durations > 0)
     stepper = BatchStepper(rhs, X0[live], cfg)
     dur, t = durations[live], np.zeros(len(live))
-    L_here = pieces.level(stepper.y)
+    L_here = _forms(sets, stepper.y)
     while len(live):
         rem = dur - t
         # a step of at least _HORIZON_SLACK: a scan never runs far past it
@@ -675,13 +640,13 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         y0 = stepper.y
         finish = rem <= h + _HORIZON_SLACK
         adv = np.where(finish, rem, h)
-        L_new = pieces.level(y_prop)
+        L_new = _forms(sets, y_prop)
         F = stepper.interpolant(h, y_prop, K)
         # the fraction of the step whose hits count: to _HORIZON_SLACK past
         # the horizon for a finishing member
         scan_end = np.ones(len(rem))
         scan_end[finish] = (rem[finish] + _HORIZON_SLACK) / h
-        hits = _first_crossings(pieces, dirs, y0, F, h, L_here, L_new, scan_end, stats)
+        hits = _first_crossings(sets, dirs, y0, F, h, L_here, L_new, scan_end, stats)
         if hits is not None:
             hit, hit_u, hit_set, pre_states = hits
             adv[hit] = hit_u * h
@@ -708,7 +673,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         L_here = L_new
         if hits is not None:
             stepper.refresh_derivative(hit)
-            L_here[hit] = pieces.level(stepper.y[hit])
+            L_here[hit] = _forms(sets, stepper.y[hit])
         if check_region:
             out = (~finish & ~sys.region(stepper.y)).nonzero()[0]
             if len(out):

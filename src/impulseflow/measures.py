@@ -104,16 +104,15 @@ def _burn_in(traj: ImpulsiveTrajectory, burn_in: float | None) -> float:
     return burn_in
 
 
-def _window(traj: ImpulsiveTrajectory, a: float, b: float):
-    """The samples of [a, b], as a slice of the orbit's sample arrays, and
+def _window(times: np.ndarray, a: float, b: float):
+    """The samples of [a, b], as a slice of an orbit's sample ``times``, and
     their trapezoid time weights: half the span of the two adjacent
     intervals."""
-    times = traj.sample_times
     s = slice(np.searchsorted(times, a - 1e-12, side="left"),
               np.searchsorted(times, b + 1e-12, side="right"))
     t = times[s]
     if len(t) < 2:
-        raise ValueError("window contains fewer than two samples")
+        raise ValueError(f"window [{a:g}, {b:g}] contains fewer than two samples")
     w = np.empty(len(t))
     w[1:-1] = 0.5 * (t[2:] - t[:-2])
     w[0] = 0.5 * (t[1] - t[0])
@@ -143,7 +142,7 @@ def occupation_measure(traj: ImpulsiveTrajectory, grid: GridPartition,
     burn_in defaults to 10% of the horizon.  Raises when more than 0.1% of
     the window's mass falls outside the grid box.
     """
-    s, w = _window(traj, _burn_in(traj, burn_in), traj.horizon)
+    s, w = _window(traj.sample_times, _burn_in(traj, burn_in), traj.horizon)
     weights, escaped_frac = _histogram(grid, grid.cell_of(traj.sample_states[s]), w)
     return OccupationMeasure(grid=grid, weights=weights, escaped_frac=escaped_frac)
 
@@ -158,7 +157,8 @@ def pushforward_discrepancy(traj: ImpulsiveTrajectory, grid: GridPartition,
     b = _burn_in(traj, burn_in)
     cells = grid.cell_of(traj.sample_states)
     mu1, mu2 = (_histogram(grid, cells[s], w)[0] for s, w in
-                (_window(traj, b, T - t_shift), _window(traj, b + t_shift, T)))
+                (_window(traj.sample_times, b, T - t_shift),
+                 _window(traj.sample_times, b + t_shift, T)))
     return float(np.abs(mu1 - mu2).max())
 
 
@@ -166,7 +166,7 @@ def birkhoff_average(traj: ImpulsiveTrajectory, f,
                      burn_in: float | None = None) -> float:
     """Time average of the observable f over [burn_in, horizon]; f maps an
     (n, dim) array of states to their n values."""
-    s, w = _window(traj, _burn_in(traj, burn_in), traj.horizon)
+    s, w = _window(traj.sample_times, _burn_in(traj, burn_in), traj.horizon)
     vals = np.asarray(f(traj.sample_states[s]), dtype=float)
     if vals.shape != w.shape:
         raise ValueError(f"observable must give one value per state, not {vals.shape}")

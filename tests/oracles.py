@@ -15,7 +15,7 @@ from impulseflow import (
 from impulseflow.entropy import _pair_tables
 from impulseflow.flow_core import RegionEscape, eval_vector_field
 from impulseflow.hypotheses import _TUBE_XI, _tangent_directions
-from impulseflow.impulsive_system import _COINCIDE_TOL, _TIME_TOL
+from impulseflow.impulsive_system import _COINCIDE_TOL, _TIME_TOL, _split
 
 
 def annulus_position(r0: float, theta0: float, t: float) -> np.ndarray:
@@ -362,3 +362,112 @@ def triangle_audit_reference(D: np.ndarray, tol: float = 1e-9):
         ii, jj = np.argwhere(tri_mask)[0]
         witness = (int(ii), int(jj), float(excess[ii, jj]))
     return tri_viol, float(excess.max()) if n else 0.0, witness
+
+
+# The root isolation of an earlier engine, kept verbatim as the reference of
+# ``impulsive_system._isolate``: a scan stopped at each column's first
+# admissible root until ``resume``, and its first trial, [0, 1], fused with
+# the crossing filter.
+
+class _RootScan:
+    """Left-to-right isolation of the roots of polynomials p on [0, 1], one
+    per column of their Bernstein coefficients ``b`` (n + 1, k).
+
+    A trial interval [lo, hi] starts where p has the known sign s.  It is
+    passed when all of p's coefficients on it after the first have sign s,
+    and it holds exactly one root when they run s, ..., s, then at most one
+    coefficient of either sign, then -s to the end.  Descartes' rule of signs
+    for the Bernstein basis makes both verdicts exact for coefficients that
+    are exact to within ``eps``, so a coefficient within ``eps`` of zero
+    counts as either sign.  A trial that gets neither verdict is halved (one
+    subdivision); after a passed one the next trial is twice as wide.
+    p(0) and p(1) count at face value: an exact zero at 1 is a root, one at
+    0 is not, and the scan then takes the sign of p just past 0.
+
+    A root whose crossing ``direction`` forbids (+1: upward only, -1:
+    downward only, 0: either) is passed like a root-free trial.  A column
+    whose trial falls below ``min_width`` without a verdict is stuck at its
+    ``lo``: the roots there are too close to separate, a tangency.
+    """
+
+    def __init__(self, b, eps, min_width, direction):
+        k = b.shape[1]
+        self.b, self.eps, self.min_width, self.direction = b, eps, min_width, direction
+        self.lo, self.width = np.zeros(k), np.ones(k)
+        self.f_lo, self.sign = b[0].copy(), np.sign(b[0])
+        self.hi, self.f_hi = np.ones(k), b[-1].copy()
+        self.stuck = np.full(k, np.inf)
+        self.subdivisions = 0
+
+    def brackets(self, rows):
+        """Isolate the next admissible root of each of the columns ``rows``.
+        Returns the columns that have one, with their brackets (lo, hi) and
+        the values of p there; the others are root-free to 1 or stuck."""
+        found = [rows[:0]]
+        while len(rows):
+            lo, width, s = self.lo[rows], self.width[rows], self.sign[rows]
+            hi = np.minimum(lo + width, 1.0)
+            # p on [lo, 1], exact on [0, 1], and cut at hi short of 1
+            _, trial = _split(self.b[:, rows], lo)
+            at_end = hi >= 1.0
+            inner = (~at_end).nonzero()[0]
+            if len(inner):
+                t = (hi - lo)[inner] / (1.0 - lo[inner])
+                trial[:, inner] = _split(trial[:, inner], t)[0]
+            d = np.where(np.abs(trial[1:]) > self.eps[rows], np.sign(trial[1:]), 0.0)
+            d[-1] = np.where(at_end, np.where(trial[-1] == 0, -s, np.sign(trial[-1])),
+                             d[-1])
+            s = np.where(s == 0, d[0], s)
+            passed = np.logical_and.reduce(d == s) & (s != 0)
+            others = (d != s).cumsum(axis=0)
+            one = ((self.sign[rows] != 0) & (d[-1] == -s)
+                   & ~np.logical_or.reduce((d == s) & (others > 0))
+                   & np.logical_and.reduce((d != 0) | (others == 1)))
+            skip = one & (self.direction * s > 0)
+            one &= ~skip
+            # a passed trial or a skipped root: go on from hi
+            go = rows[passed | skip]
+            self.lo[go] = hi[passed | skip]
+            self.f_lo[go] = trial[-1, passed | skip]
+            self.sign[go] = np.where(skip, -s, s)[passed | skip]
+            self.width[go] *= 2.0
+            # a bracket: stop here until ``resume``
+            iso = rows[one]
+            self.hi[iso], self.f_hi[iso] = hi[one], trial[-1, one]
+            found.append(iso)
+            # no verdict: halve, down to min_width
+            halve = rows[~passed & ~skip & ~one]
+            self.subdivisions += len(halve)
+            self.width[halve] *= 0.5
+            low = self.width[halve] < self.min_width[halve]
+            self.stuck[halve[low]] = self.lo[halve[low]]
+            rows = np.concatenate([go[self.lo[go] < 1.0], halve[~low]])
+        rows = np.concatenate(found)
+        return (rows, self.lo[rows], self.hi[rows], self.f_lo[rows],
+                self.f_hi[rows])
+
+    def resume(self, rows):
+        """Continue the columns ``rows`` past their last bracket; returns
+        those that have some of [0, 1] left."""
+        self.lo[rows], self.f_lo[rows] = self.hi[rows], self.f_hi[rows]
+        self.sign[rows] *= -1.0
+        return rows[self.lo[rows] < 1.0]
+
+
+def _first_trial(b, eps, direction):
+    """``_RootScan``'s first trial, [0, 1], on the Bernstein coefficients ``b``
+    (n + 1, k) with rounding bounds ``eps``: None if it passes every column,
+    else the columns ``cand`` it does not pass and, over them, the masks of
+    those with one admissible root and of those it halves; the rest have one
+    root, which ``direction`` forbids."""
+    # passed: every coefficient keeps the sign of the first, or of the second
+    # where the first is 0 (a state on the level that leaves it)
+    sb = np.sign(np.where(b[0] == 0, b[1], b[0])) * b
+    cand = ((sb[-1] <= 0) | np.logical_or.reduce(sb[1:-1] <= eps)).nonzero()[0]
+    if len(cand):
+        sb, e = sb[:, cand], eps[cand]
+        # one root: from a nonzero first coefficient the signs run +, ..., +,
+        # at most one within eps of 0, then -, ..., -, the last at face value
+        one = ((sb[0] != 0) & (sb[-1] <= 0)
+               & np.logical_and.reduce((sb[1:-2] > e) | (sb[2:-1] < -e)))
+        return cand, one & (direction * b[0, cand] <= 0), ~one

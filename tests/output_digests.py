@@ -12,12 +12,21 @@ line per output, the label being ``experiment/system`` (prefixed with
 acceptance config); a run that fails prints ``FAILED  label: message``
 instead.  The manifest is hashed without its
 ``output_dir`` line, the one line that differs between output directories.
-pytest does not collect this file.
+
+Then come library runs whose steps can span two crossings of the impulsive
+set, so that the engine must subdivide them: 64 annulus orbits from r = 1.5
+to T = 12 (dt 0.1) with the set moved to the chord y = c just below the
+orbit's top, in each crossing direction, with and without the halfspace
+x >= 0.1, at three integrator configs.  Each prints ``sha256  scan/label``
+over its hits, samples and final states and ``stats  scan/label: RunStats``,
+or ``FAILED  scan/label: message``.  They use only the public API, so the
+script runs unchanged on older versions.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -29,6 +38,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
+
+from impulseflow import (  # noqa: E402
+    ImpulsiveSetSpec,
+    IntegratorConfig,
+    LinearLevel,
+    build_fixture,
+    impulsive_trajectory_batch,
+)
 from impulseflow.cli import main  # noqa: E402
 from impulseflow.systems import fixture_names  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -49,6 +67,12 @@ ACCEPTANCE = {
     "doubling_suspension": {"T_list": [float(T) for T in range(2, 11)],
                             "eps_list": [0.1], "delta_list": [0.1],
                             "candidate_count": 4096},
+}
+CHORDS = (1.49, 1.499, 1.4999, 1.49999)
+CONFIGS = {
+    "coarse": IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, max_step=0.5),
+    "loose": IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, max_step=0.9),
+    "default": IntegratorConfig(),
 }
 _OUTPUT_DIR_LINE = re.compile(rb'\n *"output_dir": "[^"\n]*",?')
 
@@ -88,7 +112,48 @@ def digests(work: Path):
             yield f"{hashlib.sha256(data).hexdigest()}  {label}/{path.name}"
 
 
+def chord_systems():
+    """(label, system) of the annulus with its impulsive set moved to a chord
+    y = c, the impulse taking it to y = -1."""
+    annulus = build_fixture("annulus")
+    for c in CHORDS:
+        for direction in (-1, 0, 1):
+            for cut in (False, True):
+                piece = ImpulsiveSetSpec(
+                    LinearLevel((0.0, 1.0)), c, direction=direction,
+                    halfspaces=(((1.0, 0.0), 0.1),) if cut else ())
+                offset = np.array([0.0, -(c + 1.0)])
+                yield (f"c{c}/dir{direction:+d}/{'x>=0.1' if cut else 'all'}",
+                       dataclasses.replace(
+                           annulus, name="annulus_chord", impulsive_sets=(piece,),
+                           image_sets=(ImpulsiveSetSpec(LinearLevel((0.0, 1.0)), -1.0),),
+                           impulse=lambda x, _, offset=offset: x + offset,
+                           preimages=lambda p, offset=offset: [p - offset]))
+
+
+def scan_digests():
+    """Two listing lines per chord run of every config: the outputs'
+    digest and the work counters."""
+    angles = 2 * np.pi * np.arange(64) / 64
+    X = 1.5 * np.c_[np.cos(angles), np.sin(angles)]
+    for label, system in chord_systems():
+        for name, cfg in CONFIGS.items():
+            label_cfg = f"scan/{label}/{name}"
+            try:
+                b = impulsive_trajectory_batch(system, X, 12.0, 0.1, cfg)
+            except Exception as e:  # noqa: BLE001 - a failure is a listing line
+                yield f"FAILED  {label_cfg}: {type(e).__name__}: {e}"
+                continue
+            data = b"".join(a.tobytes() for a in (
+                b.hit_offsets, b.hit_times, b.pre_impulse_states,
+                b.post_impulse_states, b.samples, b.final_states))
+            yield f"{hashlib.sha256(data).hexdigest()}  {label_cfg}"
+            yield f"stats  {label_cfg}: {b.stats}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for line in digests(Path(tmp)):
             print(line, flush=True)
+    for line in scan_digests():
+        print(line, flush=True)

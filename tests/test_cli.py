@@ -524,6 +524,23 @@ class TestMeasureExperiment:
         manifest = read_json(out / "manifest.json")
         assert manifest["results"]["pushforward_discrepancy"] < 0.05
 
+    def test_window_short_of_samples_exits_2(self, tmp_path, capsys):
+        # samples at 0, 5 and 10 leave the shifted window [1, 9.5] one: a
+        # validation error naming t_shift, with the output directory as it was
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "keep.txt").write_text("an earlier run")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "system": {"name": "annulus"},
+            "params": {"horizon": 10, "dt_sample": 5, "t_shift": 0.5},
+        }))
+        assert run_cli("measure", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "params.t_shift" in err and "[1, 9.5]" in err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "an earlier run"
+
     def test_runtime_failure_removes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = tmp_path / "c.json"

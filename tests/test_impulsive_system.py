@@ -36,19 +36,17 @@ from impulseflow.impulsive_system import (
     GapUnderflow,
     RunStats,
     _BatchRun,
-    _Pieces,
-    _RootScan,
     _centring,
     _first_crossings,
     _first_hits,
-    _first_trial,
+    _isolate,
     _newton_roots,
     _propagate,
     _split,
     hit_times_batch,
 )
 from conftest import polar
-from oracles import annulus_impulse_schedule, reference_evaluate
+from oracles import _RootScan, _first_trial, annulus_impulse_schedule, reference_evaluate
 
 COORD0 = LinearLevel((1.0, 0.0))
 COORD1 = LinearLevel((0.0, 1.0))
@@ -109,6 +107,29 @@ class TestFirstHittingTime:
             first_hitting_time(annulus, polar(1.5, 1.0), 0.0)
 
 
+def _along_step(level, c, B):
+    """A level form's Bernstein coefficients along the steps with the
+    interpolant coefficients ``B``, and their rounding bound, as
+    ``_first_crossings`` computes them."""
+    b, scale = level.form_along_step(B, c)
+    return b, _ROUNDING * (len(b) - 1) * scale
+
+
+def _isolated(b, eps, min_width, direction=0):
+    """``_isolate``'s brackets, subdivisions and stuck positions, inf where
+    a column is not stuck."""
+    found, subdivisions, stuck = _isolate(b, eps, min_width, direction)
+    return found, subdivisions, np.full(b.shape[1], np.inf) if stuck is None else stuck
+
+
+def _first_brackets(b, eps, min_width, direction=0):
+    """``_isolate``'s first bracket of each column that has one: (cols, lo,
+    hi, f_lo, f_hi); with its subdivisions and stuck positions."""
+    found, subdivisions, stuck = _isolated(b, eps, min_width, direction)
+    _, first = np.unique(found[0], return_index=True)
+    return tuple(a[first] for a in found), subdivisions, stuck
+
+
 class TestBracketedRoots:
     """``_newton_roots`` on polynomials in powers of (s - 1/2)."""
 
@@ -162,15 +183,14 @@ class TestBracketedRoots:
                                                    0.001])[:, None, None]
         lvl = RadiusLevel() if level == "radius" else LinearLevel(level)
         c = float(lvl.value(dense_eval(y0, F, rng.uniform(0.05, 0.95, 1)))[0])
-        b, eps = _Pieces((ImpulsiveSetSpec(lvl, c),)).along_step(0, dense_bernstein(y0, F))
+        b, eps = _along_step(lvl, c, dense_bernstein(y0, F))
         return y0[0], F[:, 0], c, b[:, 0], eps[0]
 
     @staticmethod
     def _polish(b, eps, tol):
         """The earliest root of each column of ``b`` as ``_first_crossings``
-        locates it: bracketed by ``_RootScan``, then polished."""
-        scan = _RootScan(b, eps, np.full(b.shape[1], 1e-12), 0)
-        rows, lo, hi, f_lo, f_hi = scan.brackets(np.arange(b.shape[1]))
+        locates it: bracketed by ``_isolate``, then polished."""
+        (rows, lo, hi, f_lo, f_hi), _, _ = _first_brackets(b, eps, np.full(b.shape[1], 1e-12))
         q = _centring(len(b) - 1) @ b
         return rows, _newton_roots(q[:, rows], lo, hi, f_lo, f_hi, tol[rows])[0]
 
@@ -212,8 +232,7 @@ class TestBracketedRoots:
         tol = _TIME_TOL * np.array(scales[:len(seeds)])
         rows, together = self._polish(b, eps, tol)
         q = _centring(len(b) - 1) @ b
-        scan = _RootScan(b, eps, np.full(len(seeds), 1e-12), 0)
-        _, lo, hi, f_lo, f_hi = scan.brackets(np.arange(len(seeds)))
+        (_, lo, hi, f_lo, f_hi), _, _ = _first_brackets(b, eps, np.full(len(seeds), 1e-12))
         for k, row in enumerate(rows):
             alone, _ = _newton_roots(q[:, [row]], lo[[k]], hi[[k]], f_lo[[k]],
                                      f_hi[[k]], tol[[row]])
@@ -237,15 +256,17 @@ def _bernstein_from_roots(roots, positive, scale):
 
 def _scan_earliest(b, direction=0, min_width=1e-12):
     """The earliest root of the Bernstein polynomial b (n + 1,) by
-    ``_RootScan`` and ``_newton_roots``; (root or None, stuck position)."""
+    ``_isolate`` and ``_newton_roots``; (root or None, stuck position before
+    it)."""
     b = np.asarray(b, dtype=float)[:, None]
     eps = np.array([_ROUNDING * (len(b) - 1) * np.abs(b).max()])
-    scan = _RootScan(b, eps, np.array([min_width]), direction)
-    rows, lo, hi, f_lo, f_hi = scan.brackets(np.arange(1))
+    (rows, lo, hi, f_lo, f_hi), _, stuck = _first_brackets(b, eps, np.array([min_width]),
+                                                          direction)
     if not len(rows):
-        return None, scan.stuck[0]
+        return None, stuck[0]
+    # a column sticks only past its last bracket
     u, _ = _newton_roots(_centring(len(b) - 1) @ b, lo, hi, f_lo, f_hi, 1e-12)
-    return u[0], scan.stuck[0]
+    return u[0], np.inf
 
 
 class TestRootScan:
@@ -338,7 +359,7 @@ class TestRootScan:
         lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
         piece = ImpulsiveSetSpec(
             RadiusLevel() if level == "radius" else LinearLevel(level), c)
-        b, eps = _Pieces((piece,)).along_step(0, dense_bernstein(y0, F))
+        b, eps = _along_step(piece.level, c, dense_bernstein(y0, F))
         _, right = _split(b, np.array([lo]))
         tau = (hi - lo) / (1.0 - lo)
         trial, _ = _split(right, np.array([tau]))
@@ -351,19 +372,20 @@ class TestRootScan:
     def _crossings_of(columns, monkeypatch):
         """``_first_crossings`` on one-coordinate steps whose level form x
         has about the Bernstein coefficients ``columns`` (8, m), the end
-        ones exactly; returns its result and the coefficients of each scan
-        it built."""
+        ones exactly; returns its result and the coefficients of each
+        isolation that halved a trial, so built the scan state."""
         rows = np.linalg.solve(_TO_BERNSTEIN, columns)
         y0, F = rows[0][:, None], rows[1:, :, None]
         scanned = []
 
-        class Counted(_RootScan):
-            def __init__(self, b, *args):
+        def counted(b, *args):
+            found = _isolate(b, *args)
+            if found[1]:
                 scanned.append(b.copy())
-                super().__init__(b, *args)
-        monkeypatch.setattr(impulsive_system, "_RootScan", Counted)
-        pieces = _Pieces((ImpulsiveSetSpec(LinearLevel((1.0,)), 0.0),))
-        return _first_crossings(pieces, np.array([0]), y0, F, 1.0, columns[0][:, None],
+            return found
+        monkeypatch.setattr(impulsive_system, "_isolate", counted)
+        sets = (ImpulsiveSetSpec(LinearLevel((1.0,)), 0.0),)
+        return _first_crossings(sets, np.array([0]), y0, F, 1.0, columns[0][:, None],
                                 columns[-1][:, None], np.ones(columns.shape[1]),
                                 RunStats()), scanned
 
@@ -371,8 +393,7 @@ class TestRootScan:
     def _direct_scan(b):
         b = b[:, None]
         eps = np.array([_ROUNDING * 7 * np.abs(b).max()])
-        scan = _RootScan(b, eps, np.array([_TIME_TOL]), 0)
-        return scan.brackets(np.arange(1)), scan
+        return _isolated(b, eps, np.array([_TIME_TOL]))
 
     def test_a_column_leaving_the_level_is_scanned_only_if_it_can_return(
             self, monkeypatch):
@@ -384,17 +405,17 @@ class TestRootScan:
         columns[0] = 0.0
         (members, u, _, _), scanned = self._crossings_of(columns, monkeypatch)
         # only the returning column is scanned, and it gives the bracket and
-        # the root that a direct _RootScan of its coefficients gives
+        # the root that a direct _isolate of its coefficients gives
         assert len(scanned) == 1 and scanned[0].shape[1] == 1
-        (rows, lo, hi, _, _), _ = self._direct_scan(scanned[0][:, 0])
+        (rows, lo, hi, _, _), _, _ = self._direct_scan(scanned[0][:, 0])
         assert list(rows) == [0] and lo[0] <= 0.5 <= hi[0]
         assert list(members) == [0] and abs(u[0] - 0.5) <= 1e-12
         # a direct scan passes the others on its first trial: no bracket, no
         # subdivision, not stuck
         for b in (gone, -gone):
-            (rows, *_), scan = self._direct_scan(np.r_[0.0, b[1:]])
-            assert not len(rows) and scan.subdivisions == 0
-            assert scan.stuck[0] == np.inf
+            (rows, *_), subdivisions, stuck = self._direct_scan(np.r_[0.0, b[1:]])
+            assert not len(rows) and subdivisions == 0
+            assert stuck[0] == np.inf
 
     def test_a_column_with_no_clear_slope_off_the_level_is_scanned(self, monkeypatch):
         # b[0] = 0 and |b[1]| within the rounding bound: the orbit is tangent
@@ -404,27 +425,25 @@ class TestRootScan:
         columns[0] = 0.0
         with pytest.raises(AmbiguousCrossing):
             self._crossings_of(columns, monkeypatch)
-        (rows, *_), scan = self._direct_scan(np.r_[0.0, tangent[1:]])
-        assert not len(rows) and scan.stuck[0] == 0.0
+        (rows, *_), _, stuck = self._direct_scan(np.r_[0.0, tangent[1:]])
+        assert not len(rows) and stuck[0] == 0.0
 
     def test_post_impulse_steps_build_no_root_scan(self, annulus, monkeypatch):
         # an impulse leaves the annulus state on y = 0, moving down: the next
         # step's column starts at 0 and is root-free, so the hit steps' are
-        # the only columns the first trial does not pass; it isolates each of
-        # their roots on the whole step, so no step builds a scan, and the
+        # the only columns the filter keeps; the first trial isolates each of
+        # their roots on the whole step, so no step halves a trial, and the
         # hits keep their schedule
         starts, scans = [], []
-        first_trial = impulsive_system._first_trial
 
-        def counted(b, eps, direction):
-            trial = first_trial(b, eps, direction)
-            if trial is not None:
-                cand, one, halve = trial
-                starts.extend(b[0, cand[one]])
-                scans.extend(cand[halve])
-            return trial
-        monkeypatch.setattr(impulsive_system, "_first_trial", counted)
-        monkeypatch.setattr(impulsive_system, "_RootScan", None)
+        def counted(b, *args):
+            found = _isolate(b, *args)
+            (_, lo, hi, f_lo, _), subdivisions, _ = found
+            assert (lo == 0.0).all() and (hi == 1.0).all()
+            starts.extend(f_lo)
+            scans.extend([subdivisions] if subdivisions else [])
+            return found
+        monkeypatch.setattr(impulsive_system, "_isolate", counted)
         tr = impulsive_trajectory(annulus, polar(1.5, 4.0), 30.0, 0.1)
         want, _ = annulus_impulse_schedule(1.5, 4.0, 9)
         assert tr.n_impulses == len(starts) == 9 and not scans
@@ -439,13 +458,13 @@ class TestRootScan:
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), n=st.sampled_from([7, 14]), k=st.integers(1, 10),
-           direction=st.sampled_from([-1, 0, 1]))
-    def test_first_trial_equals_the_scans_own(self, data, n, k, direction):
+           direction=st.sampled_from([-1, 0, 1]),
+           min_width=st.sampled_from([0.6, 1e-3, 1e-12]))
+    def test_isolation_equals_the_reference_scan(self, data, n, k, direction, min_width):
         # columns of degree-7 and degree-14 forms, many of one sign or one
         # sign change, with coefficients within eps of 0 anywhere, exact
-        # zeros at either end included; a scan whose min_width exceeds 1/2
-        # stops after its first trial, [0, 1], so its verdicts are that
-        # trial's
+        # zeros at either end included, against the scan of tests/oracles.py
+        # (min_width 0.6 stops it after its first trial, [0, 1])
         eps = _ROUNDING * n
         columns = []
         for _ in range(k):
@@ -461,22 +480,30 @@ class TestRootScan:
                 c[i] = data.draw(self._near_zero(eps))
             columns.append(c)
         b = np.array(columns, dtype=float).T
-        none = np.zeros(0, dtype=int), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-        cand, one, halve = _first_trial(b, np.full(k, eps), direction) or none
-        scan = _RootScan(b, np.full(k, eps), np.full(k, 0.6), direction)
-        rows, lo, hi, f_lo, f_hi = scan.brackets(np.arange(k))
-        assert list(rows) == list(cand[one])
-        assert (lo == 0.0).all() and (hi == 1.0).all()
-        assert np.array_equal(f_lo, b[0, rows]) and np.array_equal(f_hi, b[-1, rows])
-        assert scan.subdivisions == np.count_nonzero(halve)
-        assert list(np.flatnonzero(scan.stuck == 0.0)) == list(cand[halve])
-        # the rest are passed or have their root skipped: scanned to 1, and
-        # a skipped root's column has the opposite sign there
-        done = np.setdiff1d(np.arange(k), np.concatenate([rows, cand[halve]]))
-        assert (scan.lo[done] == 1.0).all() and (scan.stuck[done] == np.inf).all()
-        skipped = cand[~one & ~halve]
-        assert direction != 0 or not len(skipped)
-        assert (scan.sign[skipped] == -np.sign(b[0, skipped])).all()
+        args = b, np.full(k, eps), np.full(k, min_width), direction
+        (cols, lo, hi, f_lo, f_hi), subdivisions, stuck = _isolated(*args)
+        # the same first admissible bracket per column, bit for bit, and the
+        # same stuck position where a column sticks before it
+        scan = _RootScan(*args)
+        rounds = [scan.brackets(np.arange(k))]
+        order = np.argsort(rounds[0][0], kind="stable")
+        for got, want in zip(_first_brackets(*args)[0], rounds[0]):
+            assert got.tobytes() == want[order].tobytes()
+        before = np.setdiff1d(np.arange(k), rounds[0][0])
+        assert stuck[before].tobytes() == scan.stuck[before].tobytes()
+        # resumed past each bracket, the scan gives every bracket of the pass,
+        # in its order, and its subdivisions and stuck positions
+        while len(rounds[-1][0]):
+            rounds.append(scan.brackets(scan.resume(rounds[-1][0])))
+        ref = [np.concatenate(a) for a in zip(*rounds)]
+        order = np.argsort(ref[0], kind="stable")
+        for got, want in zip((cols, lo, hi, f_lo, f_hi), ref):
+            assert got.tobytes() == want[order].tobytes()
+        assert subdivisions == scan.subdivisions
+        assert stuck.tobytes() == scan.stuck.tobytes()
+        # the brackets on the whole step are those of the fused first trial
+        cand, one, _ = _first_trial(b, np.full(k, eps), direction) or 3 * [np.zeros(0, int)]
+        assert list(cols[(lo == 0.0) & (hi == 1.0)]) == list(cand[one])
 
 
 def _exact_form_coefficients(level, c, y0, F, lo, hi):
@@ -1098,6 +1125,28 @@ class TestSampleBlocks:
         assert not np.isnan(batch.samples).any()
         assert max(evaluated) <= _SAMPLE_BLOCK
         assert peak <= 1.15 * kept
+
+
+    def test_hit_rows_are_ordered_one_field_at_a_time(self, doubling):
+        # 2048 doubling orbits hit at t = 1, ..., 10: 20 480 hits in ten
+        # per-step blocks.  Ordering them by member, field by field, peaks
+        # above its entry by less than the arrays it returns (2.3 times them
+        # when every field was joined before any was reordered)
+        X = candidate_cloud(doubling, 2048, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            run = _propagate(doubling, X, 10.0)
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            offsets, taus, pre, post = out = run.hits_by_member()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(offsets, 10 * np.arange(2049))
+        assert np.abs(taus - np.tile(np.arange(1.0, 11.0), 2048)).max() < 1e-9
+        assert peak - entry <= sum(a.nbytes for a in out)
+        # a second call gives the same rows
+        assert all(np.array_equal(a, b) for a, b in zip(out, run.hits_by_member()))
 
 
 class TestExport:
