@@ -193,13 +193,13 @@ def _endpoint_max(batch, E, own, n_ends, center, other, t_last):
     step = max(1, _PAIR_BLOCK // max(L, 1))
     for s in range(0, R if L else 0, step):
         c, o = center[s:s + step], other[s:s + step]
-        r, l = np.nonzero(E[c] <= t_last[s:s + step, None])
+        r, l = np.nonzero(E.take(c, axis=0) <= t_last[s:s + step, None])
         at = c[r] * L + l       # rows of the flattened E and own
         d2 = np.full((len(c), L + 1), -np.inf)     # column l + 1: endpoint l
         d2[r, l + 1] = np.sum((np.take(own.reshape(-1, own.shape[2]), at, axis=0)
                                - batch.evaluate(o[r], E.ravel()[at])) ** 2, axis=-1)
         run = np.maximum.accumulate(d2, axis=1)
-        out[s:s + step] = np.take_along_axis(run, n_ends[c], axis=1)
+        out[s:s + step] = np.take_along_axis(run, n_ends.take(c, axis=0), axis=1)
     return out
 
 
@@ -309,18 +309,18 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
             for c0, c1 in zip([0, *bounds[:-1]], bounds):
                 ks = np.flatnonzero(cols == c1)
                 step = max(1, _PAIR_BLOCK // (c1 - c0))
+                at_Tk, gap_k = at_T[:, ks], T_in_gap[:, ks]
                 for r0 in range(0, len(act), step):
                     p = act[r0:r0 + step]
                     a, b = lo_b[p], hi_b[p]
                     diff = orbits[b, c0:c1] - orbits[a, c0:c1]
                     d2 = np.einsum("ptd,ptd->pt", diff, diff)
-                    at_t = np.sum((at_T[a[:, None], ks] - at_T[b[:, None], ks]) ** 2,
-                                  axis=-1)
+                    at_t = np.sum((at_Tk.take(a, axis=0) - at_Tk.take(b, axis=0)) ** 2, axis=-1)
                     for side, c in enumerate((a, b)):
                         r = run[side, p] = np.maximum(run[side, p], np.where(
                             valid[c, c0:c1], d2, -np.inf).max(axis=1))
                         D[side, p[:, None], ks] = np.maximum(r[:, None], np.where(
-                            T_in_gap[c[:, None], ks], at_t, -np.inf))
+                            gap_k.take(c, axis=0), at_t, -np.inf))
                 act = act[(run[:, act] < eps2).any(axis=0)]
 
             # gap-set endpoints, for the directions still below eps_max at some

@@ -396,8 +396,9 @@ class BatchStepper:
     def keep(self, rows):
         """Keep only the members ``rows`` (a slice, index or mask array): a
         member leaves the shared step when its run ends."""
-        self.y, self.k1 = self.y[rows], self.k1[rows]
-        self.n = len(self.y)
+        rows = np.arange(self.n)[rows]
+        self.y, self.k1 = self.y.take(rows, axis=0), self.k1.take(rows, axis=0)
+        self.n = len(rows)
         # the step buffer, a contiguous prefix of the one allocated at the
         # start (a strided view would change the products' rounding): row 0
         # holds y and row s + 1 stage s, so that each stage state is one
@@ -421,8 +422,9 @@ class BatchStepper:
         return min(h0, cfg.max_step)
 
     def refresh_derivative(self, idx):
-        """Recompute f for members whose state changed out-of-band (impulses)."""
-        self.k1[idx] = self.rhs(self.y[idx])
+        """Recompute f for the members ``idx`` (an index array) whose state
+        changed out-of-band (impulses)."""
+        self.k1[idx] = self.rhs(self.y.take(idx, axis=0))
 
     def step(self, h_cap: float):
         """Take one accepted step of size <= h_cap.
@@ -501,18 +503,22 @@ def dense_eval(y0, F, u):
     ``y0`` (m, dim) are the states at the step's start and ``F`` (7, m, dim)
     the rows of ``BatchStepper.interpolant`` for the same members; ``u`` has
     one entry per member, in [0, 1].  Every operation is elementwise, so a
-    member's row does not depend on the batch it is evaluated in.
+    member's row does not depend on the batch it is evaluated in; they run
+    on the flat member-by-coordinate rows, with u repeated per coordinate,
+    so every loop is long.
     """
-    u = np.asarray(u, dtype=float)[:, None]
+    m, dim = y0.shape
+    u = np.repeat(np.asarray(u, dtype=float), dim)
     v = 1.0 - u
+    F = F.reshape(7, m * dim)
     # y = y0 + u (F0 + v (F1 + u (F2 + v (F3 + u (F4 + v (F5 + u F6)))))),
     # Horner from the inside out; the weight is u for even rows, v for odd
-    y = np.zeros(y0.shape)
+    y = np.zeros(m * dim)
     for k in range(6, -1, -1):
         y += F[k]
         y *= u if k % 2 == 0 else v
-    y += y0
-    return y
+    y += y0.reshape(-1)
+    return y.reshape(m, dim)
 
 
 def dense_bernstein(y0, F):

@@ -302,7 +302,11 @@ class _BatchRun:
             for s in range(0, stop, _SAMPLE_BLOCK):
                 r, gs = row[s:s + _SAMPLE_BLOCK], g[s:s + _SAMPLE_BLOCK]
                 u = np.minimum(np.maximum((grid[gs] - t0[r]) / h[r], 0.0), cap[r] / h[r])
-                self._samples[members[r], gs] = dense_eval(y0[r], F[:, r], u)
+                # rows move by take, and are stored a coordinate at a time:
+                # long loops, not one per short row
+                y, at = dense_eval(y0.take(r, axis=0), F.take(r, axis=1), u), members[r]
+                for d in range(self.dim):
+                    self._samples[at, gs, d] = y[:, d]
             self._left, self._rows, self._expected = None, 0, float(total - stop)
             if stop < total:    # the rows from the first sample left, from it on
                 r = row[stop]
@@ -402,7 +406,7 @@ def _newton_roots(q, lo, hi, f_lo, f_hi, tol):
                     break
                 keep = (~done).nonzero()[0]
                 live, a, b, c, tol, half, dx, dx_old, P = (
-                    w[..., keep] for w in (live, a, b, c, tol, half, dx, dx_old, P))
+                    w.take(keep, axis=-1) for w in (live, a, b, c, tol, half, dx, dx_old, P))
             passes += 1
             c = np.minimum(np.maximum(c, a + half), b - half)
             e, x = P, c - 0.5
@@ -530,6 +534,8 @@ def _first_crossings(sets, dirs, y0, F, h, L_here, L_new, end, stats):
     Returns (members, u, piece, state) of the hits, in member order: the step
     fraction, the piece index and the pre-impulse state of each (or None).
     """
+    if not sets:
+        return None
     cut = (end != 1.0).nonzero()[0]
     B = dense_bernstein(y0, F)
     n, hit_u, stuck = len(y0), None, []
@@ -545,7 +551,7 @@ def _first_crossings(sets, dirs, y0, F, h, L_here, L_new, end, stats):
         m = ((sb[-1] <= 0) | np.logical_or.reduce(sb[1:-1] <= eps)).nonzero()[0]
         if not len(m):
             continue
-        b, e_m = b[:, m], end[m]
+        b, e_m = b.take(m, axis=1), end[m]
         tol = _TIME_TOL / (h * e_m)
         (k, lo, hi, f_lo, f_hi), subdivisions, st = _isolate(b, eps[m], tol, dirs[j])
         if hit_u is None:
@@ -556,10 +562,11 @@ def _first_crossings(sets, dirs, y0, F, h, L_here, L_new, end, stats):
         if not len(k):
             continue
         # one product over the filtered columns: its rounding depends on its shape
-        s, passes = _newton_roots((_centring(len(b) - 1) @ b)[:, k], lo, hi, f_lo, f_hi, tol[k])
+        s, passes = _newton_roots((_centring(len(b) - 1) @ b).take(k, axis=1),
+                                  lo, hi, f_lo, f_hi, tol[k])
         stats.root_passes += passes
         i, u = m[k], s * e_m[k]
-        states = dense_eval(y0[i], F[:, i], u)
+        states = dense_eval(y0.take(i, axis=0), F.take(i, axis=1), u)
         ok = piece.constraint_mask(states)
         stats.discarded_crossings += int(np.add.reduce(~ok))
         first = ok & (u < hit_u[i])
@@ -567,7 +574,7 @@ def _first_crossings(sets, dirs, y0, F, h, L_here, L_new, end, stats):
             f = first.nonzero()[0]
             first[f[1:][i[f[1:]] == i[f[:-1]]]] = False
         w = i[first]
-        hit_u[w], hit_set[w], hit_state[w] = u[first], j, states[first]
+        hit_u[w], hit_set[w], hit_state[w] = u[first], j, states.compress(first, axis=0)
     if hit_u is None:
         return None
     for m, at in stuck:
@@ -578,7 +585,7 @@ def _first_crossings(sets, dirs, y0, F, h, L_here, L_new, end, stats):
                 "cannot be separated to 1e-12 in time: the orbit is tangent to "
                 "the impulsive set")
     hit = np.isfinite(hit_u).nonzero()[0]
-    return (hit, hit_u[hit], hit_set[hit], hit_state[hit]) if len(hit) else None
+    return (hit, hit_u[hit], hit_set[hit], hit_state.take(hit, axis=0)) if len(hit) else None
 
 
 def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
@@ -656,7 +663,8 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
 
         y_commit = y_prop       # the step's own array
         if np.logical_or.reduce(finish):
-            y_commit[finish] = dense_eval(y0[finish], F[:, finish], rem[finish] / h)
+            f = finish.nonzero()[0]
+            y_commit[f] = dense_eval(y0.take(f, axis=0), F.take(f, axis=1), rem[f] / h)
         if hits is not None:
             taus = t[hit]
             post_states = sys.impulse(pre_states, hit_set)
@@ -673,7 +681,7 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
         L_here = L_new
         if hits is not None:
             stepper.refresh_derivative(hit)
-            L_here[hit] = _forms(sets, stepper.y[hit])
+            L_here[hit] = _forms(sets, stepper.y.take(hit, axis=0))
         if check_region:
             out = (~finish & ~sys.region(stepper.y)).nonzero()[0]
             if len(out):
@@ -683,9 +691,9 @@ def _propagate(sys: SystemSpec | VectorFieldSpec, x0: np.ndarray, durations,
                     f"near state {stepper.y[out[0]]}")
                 finish[out] = True
         if np.logical_or.reduce(finish):
-            run.final[live[finish]] = stepper.y[finish]
-            go_on = ~finish
-            live, dur, t, L_here = live[go_on], dur[go_on], t[go_on], L_here[go_on]
+            run.final[live[finish]] = stepper.y.compress(finish, axis=0)
+            go_on = (~finish).nonzero()[0]
+            live, dur, t, L_here = (a.take(go_on, axis=0) for a in (live, dur, t, L_here))
             stepper.keep(go_on)
 
     run.flush()
@@ -848,9 +856,9 @@ class TrajectoryBatch:
         flat = self.samples.reshape(-1, self.samples.shape[2])
         t0, y0 = grid[g], np.take(flat, m * (last + 1) + g, axis=0)
         i = np.flatnonzero((k > off[m]) & (taus[k - 1] >= t0))
-        t0[i], y0[i] = taus[k[i] - 1], self.post_impulse_states[k[i] - 1]
+        t0[i], y0[i] = taus[k[i] - 1], self.post_impulse_states.take(k[i] - 1, axis=0)
         i = np.flatnonzero((T <= t) & (T >= t0))
-        t0[i], y0[i] = T, self.final_states[m[i]]
+        t0[i], y0[i] = T, self.final_states.take(m[i], axis=0)
         # the next knot, the first at the earliest time of: the next hit's
         # pre-impulse state, a sample and the final state, the hit's time less
         # _COINCIDE_TOL (knots that close after a hit hold its post-impulse
@@ -858,9 +866,9 @@ class TrajectoryBatch:
         t1 = np.where(g < g1, grid[g1], np.inf)
         y1 = np.take(flat, m * (last + 1) + g1, axis=0)
         i = np.flatnonzero(T < t1)
-        t1[i], y1[i] = T, self.final_states[m[i]]
+        t1[i], y1[i] = T, self.final_states.take(m[i], axis=0)
         i = np.flatnonzero((k < end) & (taus[k] - _COINCIDE_TOL <= t1))
-        t1[i], y1[i] = taus[k[i]], self.pre_impulse_states[k[i]]
+        t1[i], y1[i] = taus[k[i]], self.pre_impulse_states.take(k[i], axis=0)
 
         dt = t1 - t0
         s = np.where(dt > 0, (t - t0) / np.where(dt > 0, dt, 1.0), 0.0)
@@ -871,7 +879,7 @@ class TrajectoryBatch:
         for j in range(y.shape[1]):     # a coordinate at a time: long loops
             y[:, j] = h[0] * y0[:, j] + h[1] * f0[:, j] + h[2] * y1[:, j] + h[3] * f1[:, j]
         i = np.flatnonzero(t - t0 <= _TIME_TOL)
-        y[i] = y0[i]
+        y[i] = y0.take(i, axis=0)
         return y
 
 

@@ -344,6 +344,22 @@ def reference_evaluate(batch, members, times) -> np.ndarray:
     return np.where(knot[:, None], y0, y).reshape(*shape, y0.shape[1])
 
 
+def reference_dense_eval(y0, F, u) -> np.ndarray:
+    """``flow_core.dense_eval`` as it was before it ran on flat rows, kept
+    verbatim: the degree-7 in-step interpolant at the step fractions ``u``
+    (one per member), by Horner's scheme broadcast over the state axis."""
+    u = np.asarray(u, dtype=float)[:, None]
+    v = 1.0 - u
+    # y = y0 + u (F0 + v (F1 + u (F2 + v (F3 + u (F4 + v (F5 + u F6)))))),
+    # Horner from the inside out; the weight is u for even rows, v for odd
+    y = np.zeros(y0.shape)
+    for k in range(6, -1, -1):
+        y += F[k]
+        y *= u if k % 2 == 0 else v
+    y += y0
+    return y
+
+
 def triangle_audit_reference(D: np.ndarray, tol: float = 1e-9):
     """The triangle part of ``metric_axiom_audit`` as it was before it ran on
     the upper half only, kept verbatim: the best detour min_b D[a, b] +

@@ -15,7 +15,7 @@ from impulseflow import (
 )
 from impulseflow.flow_core import StepSizeUnderflow, dense_bernstein, dense_eval
 from conftest import polar
-from oracles import annulus_position, prey_predator_rhs
+from oracles import annulus_position, prey_predator_rhs, reference_dense_eval
 
 
 ANNULUS = build_fixture("annulus").field
@@ -269,3 +269,39 @@ class TestDop853:
         for i in range(9):
             one = dense_eval(x0[i:i + 1], F[:, i:i + 1], u[i:i + 1])
             assert one.tobytes() == batch[i:i + 1].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3]), m=st.sampled_from([0, 1, 5000]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           picks=st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_dense_eval_matches_the_broadcast_horner_bit_for_bit(self, dim, m, seed, picks):
+        rng = np.random.default_rng(seed)
+        y0 = rng.normal(size=(m, dim))
+        # rows of several magnitudes, as in a step's interpolant
+        F = rng.normal(size=(7, m, dim)) * 10.0 ** rng.integers(-9, 2, size=(7, 1, 1))
+        u = rng.uniform(0.0, 1.0, m)
+        if m:
+            u[rng.integers(0, m, len(picks) + 2)] = [0.0, 1.0, *picks]
+        ours, ref = dense_eval(y0, F, u), reference_dense_eval(y0, F, u)
+        assert ours.shape == ref.shape == (m, dim) and ours.dtype == ref.dtype
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_keep_forms_and_refresh_agree_byte_for_byte(self, rng):
+        # keep's three forms of the same rows, and refresh_derivative with an
+        # index array, against the rows of the full committed step
+        x0 = rng.uniform(0.2, 1.5, (7, 3))
+        kept = np.array([1, 3, 5])
+        full, h, y_new, K = self._one_step(x0, 0.05)
+        full.commit(y_new, K)
+        for rows in (slice(1, None, 2), kept, np.isin(np.arange(7), kept)):
+            stepper, h, y_new, K = self._one_step(x0, 0.05)
+            stepper.commit(y_new, K)
+            stepper.keep(rows)
+            assert stepper.n == 3
+            assert stepper.y.tobytes() == full.y[kept].tobytes()
+            assert stepper.k1.tobytes() == full.k1[kept].tobytes()
+        # an impulse replaces rows 0 and 2: their f is recomputed, row 1's kept
+        stepper.y[[0, 2]] = rng.uniform(0.2, 1.5, (2, 3))
+        stepper.refresh_derivative(np.array([0, 2]))
+        assert stepper.k1[[0, 2]].tobytes() == PREY_PREDATOR.fn(stepper.y[[0, 2]]).tobytes()
+        assert stepper.k1[1].tobytes() == full.k1[3].tobytes()
