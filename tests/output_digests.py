@@ -12,6 +12,9 @@ line per output, the label being ``experiment/system`` (prefixed with
 acceptance config); a run that fails prints ``FAILED  label: message``
 instead.  The manifest is hashed without its
 ``output_dir`` line, the one line that differs between output directories.
+After a run's digest lines, a run with propagation counters in its manifest
+(``results.propagation``, or ``results.diagnostics.propagation`` for
+entropy) prints them as ``stats  label: {...}``, in sorted-key JSON.
 
 Then come library runs whose steps can span two crossings of the impulsive
 set, so that the engine must subdivide them: 64 annulus orbits from r = 1.5
@@ -95,7 +98,8 @@ def calls():
 
 
 def digests(work: Path):
-    """One listing line per output file of every run in ``calls``."""
+    """One listing line per output file of every run in ``calls``, and one
+    of its propagation counters where its manifest has them."""
     for i, (label, experiment, config) in enumerate(calls()):
         cfg, out = work / f"c{i}.json", work / f"run{i}"
         cfg.write_text(json.dumps(config), encoding="utf-8")
@@ -110,6 +114,10 @@ def digests(work: Path):
             if path.name == "manifest.json":
                 data = _OUTPUT_DIR_LINE.sub(b"", data)
             yield f"{hashlib.sha256(data).hexdigest()}  {label}/{path.name}"
+        results = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["results"]
+        counters = results.get("propagation", results.get("diagnostics", {}).get("propagation"))
+        if counters is not None:
+            yield f"stats  {label}: {json.dumps(counters, sort_keys=True)}"
 
 
 def chord_systems():
