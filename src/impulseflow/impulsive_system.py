@@ -797,14 +797,15 @@ class TrajectoryBatch:
 
     @cached_property
     def _hit_index(self):
-        """[i, j] for j <= len(sample_times): the row of member i's first hit
-        after sample_times[j - 1] + _COINCIDE_TOL (after none for j = 0); and
-        the hit times, then inf.  The rows are int32, counted in place."""
-        rows = np.zeros((len(self), len(self.sample_times) + 2), dtype=np.int32)
-        np.add.at(rows, (self.hit_members, np.searchsorted(
-            self.sample_times + _COINCIDE_TOL, self.hit_times) + 1), 1)
-        rows[:, 0] = self.hit_offsets[:-1]
-        return np.cumsum(rows, axis=1, out=rows), np.append(self.hit_times, np.inf)
+        """The increasing key i * w + j of each hit row, i its member, w =
+        len(sample_times) + 1 and j the count of grid times more than
+        _COINCIDE_TOL before the hit: the row of member i's first hit after
+        sample_times[g] + _COINCIDE_TOL (g >= -1) is the count of keys up to
+        i * w + g.  Returns the keys, w, and the hit times, then inf."""
+        w = len(self.sample_times) + 1
+        keys = self.hit_members * w + np.searchsorted(
+            self.sample_times + _COINCIDE_TOL, self.hit_times)
+        return keys, w, np.append(self.hit_times, np.inf)
 
     def evaluate(self, members, times) -> np.ndarray:
         """States of the orbits of ``members`` at ``times`` in [0, horizon],
@@ -843,8 +844,8 @@ class TrajectoryBatch:
         g = np.minimum((t / self.dt_sample).astype(np.intp), last)
         g -= grid[g] > t
         g += (g < last) & (grid[np.minimum(g + 1, last)] <= t)
-        rows, taus = self._hit_index
-        k, end = np.take(rows, m * rows.shape[1] + g + 1), off[m + 1]
+        keys, w, taus = self._hit_index
+        k, end = keys.searchsorted(m * w + g, side="right"), off[m + 1]
         i = np.flatnonzero((k < end) & (taus[k] <= t + _COINCIDE_TOL))
         while len(i):
             k[i] += 1
