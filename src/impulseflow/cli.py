@@ -59,8 +59,9 @@ def _resolve(args) -> dict:
             raise ConfigError(f"cannot read config: {e}") from e
     if not isinstance(cfg, dict):
         _fail("<root>", "must be a JSON object")
-    if cfg.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        _fail("schema_version", f"unsupported version {cfg['schema_version']}")
+    version = cfg.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:   # not true, not 1.0
+        _fail("schema_version", f"must be the integer {SCHEMA_VERSION}, not {version!r}")
     # the worker count cannot affect any output (the entropy cloud runs as one
     # batch): the legacy key is dropped, so manifests stay byte-identical
     cfg.pop("workers", None)

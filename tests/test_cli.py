@@ -100,12 +100,20 @@ class TestValidation:
         assert rc == 2
         assert "system.name" in capsys.readouterr().err
 
-    def test_bad_schema_version(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"schema_version": 99,
-                                   "system": {"name": "annulus"}}))
-        assert run_cli("simulate", "--config", str(cfg),
-                       "--out", str(tmp_path)) == 2
+    def test_bad_schema_version(self, tmp_path, capsys):
+        # only the integer 1: JSON's true and 1.0 compare equal to it in Python
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "kept.txt").write_text("before")
+        for version in (99, True, 1.0, "1"):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"schema_version": version,
+                                       "system": {"name": "annulus"}}))
+            assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert "schema_version" in err and repr(version) in err
+            assert [p.name for p in out.iterdir()] == ["kept.txt"]
+            assert (out / "kept.txt").read_text() == "before"
 
     @pytest.mark.parametrize("experiment,field,value", [
         ("quotient", "n_points", "abc"),
