@@ -57,7 +57,7 @@ __all__ = [
     "psi_batch",
 ]
 
-_TIME_TOL = 1e-12          # hit times are located to a bracket this wide
+_TIME_TOL = 1e-12          # hit times are located to this: Newton's last step moves under half
 _HORIZON_SLACK = 1e-9      # hits this close past a horizon still count (right continuity)
 _COINCIDE_TOL = 1e-9       # sample time equals a hit time within this -> post state
 _MIN_GAP = 1e-9            # consecutive hits closer than this raise GapUnderflow
@@ -219,9 +219,9 @@ class RunStats:
     any step).  Of the crossing search: ``subdivisions`` counts the halved
     trial intervals of the isolation passes, which run past a member's first
     root to the end of its step; ``root_passes`` the passes of Newton's
-    method, run once per piece and step over all the roots bracketed there;
-    and ``discarded_crossings`` the roots located whose states fail their
-    piece's halfspace constraints.
+    method, run once per piece and step over every root bracketed there until
+    the last is located; and ``discarded_crossings`` the roots whose states
+    fail their piece's halfspace constraints.
     """
 
     steps: int = 0
@@ -381,46 +381,39 @@ def _newton_roots(q, lo, hi, f_lo, f_hi, tol):
     Numerical Recipes, 9.4).  The first trial is Newton's step from s = 1/2,
     where p and p' are q[0] and q[1], else the secant of the end values; each
     later one is Newton's step from the last, or the bracket's midpoint where
-    that step leaves the bracket or is not half the step before last.  Trials
-    keep tol/2 clear of both ends, so an accurate estimate collapses the bracket
-    on the next pass.  A root is the midpoint of a bracket no wider than ``tol``
-    (per column, or one for all) or an exact zero of p.  Every operation is
-    elementwise (Estrin's scheme for p and p'), so a column's iterates do not
-    depend on the other columns.  Returns (roots, passes)."""
+    that step leaves the bracket or is not half the step before last.  A root
+    is a trial where p is 0, else the first next trial that moves less than
+    tol/2 (per column, or one for all): after a bisection it is within tol/2 of
+    the root, and after Newton's step at a simple root (a transversal crossing)
+    within the order of that step squared.  Finished columns iterate on, unread;
+    every operation is elementwise (Estrin's scheme for p and p'), so a column's
+    iterates do not depend on the other columns.  Returns (roots, passes)."""
     n1, k = q.shape
     # p and p', signed so that p < 0 at lo, padded to a power of two rows
     P = np.zeros((1 << (n1 - 1).bit_length(), 2, k))
     P[:n1, 0], P[:n1 - 1, 1] = q, q[1:] * np.arange(1.0, n1)[:, None]
     P *= -np.sign(f_lo)
-    a, b, tol = np.array(lo, dtype=float), np.array(hi, dtype=float), np.broadcast_to(tol, (k,))
-    live, root, half, passes = np.arange(k), np.empty(k), 0.5 * tol, 0
+    a, b, root, done, passes = lo, hi, np.empty(k), np.zeros(k, dtype=bool), 0
     dx = dx_old = b - a
     with np.errstate(divide="ignore", invalid="ignore"):
         c = 0.5 - q[0] / q[1]
         c = np.where((c >= a) & (c <= b), c, (a * f_hi - b * f_lo) / (f_hi - f_lo))
-        while len(live):
-            done = b - a <= tol
-            if np.logical_or.reduce(done):
-                root[live[done]] = 0.5 * (a[done] + b[done])
-                if np.logical_and.reduce(done):
-                    break
-                keep = (~done).nonzero()[0]
-                live, a, b, c, tol, half, dx, dx_old, P = (
-                    w.take(keep, axis=-1) for w in (live, a, b, c, tol, half, dx, dx_old, P))
+        while not np.logical_and.reduce(done):
             passes += 1
-            c = np.minimum(np.maximum(c, a + half), b - half)
             e, x = P, c - 0.5
             while len(e) > 1:
                 e = e[0::2] + e[1::2] * x
                 x = x * x
             f, df = e[0]
-            # an exact zero closes the bracket on itself
+            # p = 0 closes the bracket on c, and the step, 0 or NaN (a bisection), keeps c
             a, b = np.where(f <= 0, c, a), np.where(f >= 0, c, b)
             step = f / df
             new = c - step
-            bisect = (new < a) | (new > b) | (np.abs(step + step) > dx_old)
+            bisect = (new < a) | (new > b) | ~(np.abs(step + step) <= dx_old)
             new = np.where(bisect, 0.5 * (a + b), new)
+            root = np.where(done, root, new)
             dx, dx_old, c = np.abs(new - c), dx, new
+            done |= dx + dx < tol
     return root, passes
 
 
@@ -797,11 +790,11 @@ class TrajectoryBatch:
 
     @cached_property
     def _hit_index(self):
-        """The increasing key i * w + j of each hit row, i its member, w =
-        len(sample_times) + 1 and j the count of grid times more than
-        _COINCIDE_TOL before the hit: the row of member i's first hit after
-        sample_times[g] + _COINCIDE_TOL (g >= -1) is the count of keys up to
-        i * w + g.  Returns the keys, w, and the hit times, then inf."""
+        """The increasing key i * w + j of each hit row: i its member, w =
+        len(sample_times) + 1, j the count of grid times more than _COINCIDE_TOL
+        before it.  The keys up to i * w + g (g >= -1) count the rows before
+        member i's first hit after sample_times[g] + _COINCIDE_TOL.  Returns
+        the keys, w, and the hit times, then inf."""
         w = len(self.sample_times) + 1
         keys = self.hit_members * w + np.searchsorted(
             self.sample_times + _COINCIDE_TOL, self.hit_times)

@@ -220,23 +220,42 @@ class TestBracketedRoots:
 
     @settings(max_examples=30, deadline=None)
     @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=6),
-           radius=st.booleans(), scales=st.lists(st.floats(0.01, 100.0), min_size=6,
-                                                 max_size=6))
-    def test_each_member_gets_its_own_bits(self, seeds, radius, scales):
+           form=st.sampled_from(["linear level", "radius", "steep"]),
+           scales=st.lists(st.floats(0.01, 100.0), min_size=6, max_size=6))
+    def test_each_member_gets_its_own_bits(self, seeds, form, scales):
         # a batch of forms, each with its own tolerance, solved together and
-        # one by one: the same bits
-        level = "radius" if radius else (0.6, -0.8, 0.0)
-        forms = [self._crossing_form(seed, level) for seed in seeds]
-        b = np.stack([f[3] for f in forms], axis=1)
-        eps = np.array([f[4] for f in forms])
+        # one by one: the same bits.  "steep" puts the flat-then-steep form of
+        # test_roots_within_tolerance beside linear ones: it needs many more
+        # passes, and the columns that finish first run on, unread
         tol = _TIME_TOL * np.array(scales[:len(seeds)])
-        rows, together = self._polish(b, eps, tol)
-        q = _centring(len(b) - 1) @ b
-        (_, lo, hi, f_lo, f_hi), _, _ = _first_brackets(b, eps, np.full(len(seeds), 1e-12))
-        for k, row in enumerate(rows):
-            alone, _ = _newton_roots(q[:, [row]], lo[[k]], hi[[k]], f_lo[[k]],
-                                     f_hi[[k]], tol[[row]])
+        if form == "steep":
+            x = np.polynomial.Polynomial([0.5, 1.0])     # s, in powers of s - 1/2
+            rng = np.random.default_rng(seeds)
+            r = np.r_[rng.uniform(0.7, 0.95), rng.uniform(0.1, 0.9, len(seeds) - 1)]
+            columns = [((x / r[0]) ** 25 - 1.0).coef, *((x - ri).coef for ri in r[1:])]
+            q = np.zeros((26, len(seeds)))
+            for k, col in enumerate(columns):
+                q[:len(col), k] = col
+            lo, hi = np.zeros(len(seeds)), np.ones(len(seeds))
+            f_lo, f_hi = (np.polynomial.polynomial.polyval(s - 0.5, q, tensor=False)
+                          for s in (lo, hi))
+        else:
+            forms = [self._crossing_form(seed, "radius" if form == "radius"
+                                         else (0.6, -0.8, 0.0)) for seed in seeds]
+            b = np.stack([f[3] for f in forms], axis=1)
+            eps = np.array([f[4] for f in forms])
+            (rows, lo, hi, f_lo, f_hi), _, _ = _first_brackets(
+                b, eps, np.full(len(seeds), 1e-12))
+            q, tol = (_centring(len(b) - 1) @ b)[:, rows], tol[rows]
+        together, _ = _newton_roots(q, lo, hi, f_lo, f_hi, tol)
+        passes = []
+        for k in range(q.shape[1]):
+            alone, n = _newton_roots(q[:, [k]], lo[[k]], hi[[k]], f_lo[[k]],
+                                     f_hi[[k]], tol[[k]])
             assert alone[0] == together[k]
+            passes.append(n)
+        if form == "steep":
+            assert passes[0] > 2 * max(passes[1:])
 
 
 def _bernstein_from_roots(roots, positive, scale):
@@ -588,6 +607,13 @@ class TestTrajectory:
         expected = theta0 * 2.0 ** np.arange(1, 9)
         wrap = np.angle(np.exp(1j * (angles - expected)))
         assert np.abs(wrap).max() < 1e-10
+
+    def test_hit_times_do_not_drift(self, doubling):
+        # each hit starts the next leg, so a root located off its crossing
+        # would move every later hit time: the 100th stays within 2e-12 of 100
+        traj = impulsive_trajectory(doubling, np.array([1.0, 0.0, 0.0]), 100.5, 0.05)
+        assert traj.n_impulses == 100
+        assert np.abs(traj.impulse_times - np.arange(1, 101)).max() <= 2e-12
 
     def test_recursion_consistency(self, annulus):
         # each gap equals the first hitting time of the previous post state
