@@ -166,11 +166,13 @@ class SystemSpec:
         return bool(ok[0]) if single else ok
 
     def in_impulsive_set(self, x: np.ndarray, tol: float | None = None):
-        """Index of the first impulsive-set piece containing x, or -1."""
-        for j, piece in enumerate(self.impulsive_sets):
-            if piece.contains(x, tol):
-                return j
-        return -1
+        """Index of the first impulsive-set piece containing x, or -1; for
+        states x (n, dim), the (n,) array of them."""
+        xs = np.atleast_2d(np.asarray(x, dtype=float))
+        piece = np.full(len(xs), -1)
+        for j in reversed(range(len(self.impulsive_sets))):
+            piece[self.impulsive_sets[j].contains(xs, tol)] = j
+        return int(piece[0]) if np.ndim(x) == 1 else piece
 
 
 def apply_impulse(sys: SystemSpec, x: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -188,22 +190,30 @@ def apply_impulse(sys: SystemSpec, x: np.ndarray, tol: float | None = None) -> n
 
 def impulse_preimages(sys: SystemSpec, p: np.ndarray) -> list[np.ndarray]:
     """All impulsive-set states mapping to ``p`` under the impulse map
-    (the system's ``preimages``); empty when p is off the image.
+    (the system's ``preimages``); empty when p is off the image."""
+    return list(_verified_preimages(sys, np.asarray(p, dtype=float)[None])[0])
 
-    Every inverse branch is validated by the forward map: q counts only when
-    q lies on the impulsive set and I(q) reproduces p.
-    """
-    p = np.asarray(p, dtype=float)
-    out = []
-    tol = 1e-7 * (1.0 + float(np.linalg.norm(p)))
-    for q in sys.preimages(p):
-        j = sys.in_impulsive_set(q, tol=1e-7)
-        if j < 0:
-            continue
-        back = sys.impulse(q[None, :], np.array([j]))[0]
-        if np.linalg.norm(back - p) <= tol:
-            out.append(q)
-    return out
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Norms over the last axis, summed as np.linalg.norm sums one vector."""
+    return np.sqrt((d[..., None, :] @ d[..., None])[..., 0, 0])
+
+
+def _verified_preimages(sys: SystemSpec, P: np.ndarray):
+    """The preimages of the states P (n, dim), in the order ``preimages``
+    lists them, and the row of P each maps to.  Every inverse branch is
+    validated by the forward map: q counts only when q lies on the impulsive
+    set and I(q) reproduces p."""
+    cands = [sys.preimages(p) for p in P]
+    owner = np.repeat(np.arange(len(P)), [len(c) for c in cands])
+    Q = np.array([q for c in cands for q in c], dtype=float).reshape(len(owner), P.shape[1])
+    piece = sys.in_impulsive_set(Q, tol=1e-7)
+    ok = piece >= 0
+    if ok.any():
+        tol = 1e-7 * (1.0 + _norms(P))
+        back = sys.impulse(Q[ok], piece[ok])
+        ok[ok] = _norms(back - P[owner[ok]]) <= tol[owner[ok]]
+    return Q[ok], owner[ok]
 
 
 # --------------------------------------------------------------------------

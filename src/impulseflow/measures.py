@@ -155,10 +155,11 @@ def pushforward_discrepancy(traj: ImpulsiveTrajectory, grid: GridPartition,
     if not 0 < t_shift < T / 10:
         raise ValueError("t_shift must lie in (0, horizon/10)")
     b = _burn_in(traj, burn_in)
-    cells = grid.cell_of(traj.sample_states)
-    mu1, mu2 = (_histogram(grid, cells[s], w)[0] for s, w in
-                (_window(traj.sample_times, b, T - t_shift),
-                 _window(traj.sample_times, b + t_shift, T)))
+    (s1, w1), (s2, w2) = (_window(traj.sample_times, b, T - t_shift),
+                          _window(traj.sample_times, b + t_shift, T))
+    cells = grid.cell_of(traj.sample_states[s1.start:])  # s2 starts there or later
+    mu1 = _histogram(grid, cells[:s1.stop - s1.start], w1)[0]
+    mu2 = _histogram(grid, cells[s2.start - s1.start:s2.stop - s1.start], w2)[0]
     return float(np.abs(mu1 - mu2).max())
 
 

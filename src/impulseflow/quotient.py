@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .impulsive_system import SystemSpec, apply_impulse, impulse_preimages
+from .flow_core import check_dimension
+from .impulsive_system import SystemSpec, _norms, _verified_preimages
 from .neighbors import _squared_distance, min_distance
 
 __all__ = [
@@ -42,14 +43,6 @@ class EquivalenceClass:
         return len(self.members)
 
 
-def _dedupe(points: list[np.ndarray]) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) <= _MERGE_TOL for q in out):
-            out.append(p)
-    return np.array(out)
-
-
 def equivalence_class(sys: SystemSpec, x: np.ndarray) -> EquivalenceClass:
     """The identification class of x.
 
@@ -57,18 +50,33 @@ def equivalence_class(sys: SystemSpec, x: np.ndarray) -> EquivalenceClass:
     sharing the image I(x); elsewhere it is {x} plus the preimages of x.
     For injective impulse maps this reduces to pairs.
     """
-    x = np.asarray(x, dtype=float)
-    if not sys.admissible(x):
+    return _classes(sys, np.asarray(x, dtype=float)[None])[0]
+
+
+def _classes(sys: SystemSpec, X: np.ndarray) -> list[EquivalenceClass]:
+    """The classes of the states X (n, dim), all in one pass: x, I(x) when x
+    is on the impulsive set (within 1e-7), the preimages of x, then those of
+    I(x); a member within _MERGE_TOL of an earlier kept member is dropped."""
+    check_dimension(sys.field, X)
+    if not sys.region(X).all():
         raise ValueError("state outside the admissible region")
-    members = [x]
-    if sys.in_impulsive_set(x, tol=1e-7) >= 0:
-        image = apply_impulse(sys, x, tol=1e-7)
-        members.append(image)
-        members.extend(impulse_preimages(sys, x))      # empty when sets are disjoint
-        members.extend(impulse_preimages(sys, image))  # includes x itself
-    else:
-        members.extend(impulse_preimages(sys, x))
-    return EquivalenceClass(members=_dedupe(members), base_point=x.copy())
+    piece = sys.in_impulsive_set(X, tol=1e-7)
+    on = np.flatnonzero(piece >= 0)
+    images = sys.impulse(X[on], piece[on]) if len(on) else X[on]
+    pre_x, of_x = _verified_preimages(sys, X)   # none for x on D when D, I(D) are disjoint
+    pre_i, of_i = _verified_preimages(sys, images)
+    owner = np.concatenate([np.arange(len(X)), on, of_x, on[of_i]])
+    order = np.argsort(owner, kind="stable")    # by class, in the order above
+    owner, rows = owner[order], np.concatenate([X, images, pre_x, pre_i])[order]
+    slot = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    M = np.zeros((len(X), slot.max(initial=0) + 1, X.shape[1]))
+    keep = np.zeros(M.shape[:2], dtype=bool)
+    M[owner, slot], keep[owner, slot] = rows, True
+    for k in range(1, M.shape[1]):  # member positions, for every class at once
+        near = _norms(M[:, k, None] - M[:, :k]) <= _MERGE_TOL
+        keep[:, k] &= ~(near & keep[:, :k]).any(axis=1)
+    parts = np.split(M[keep], np.cumsum(keep.sum(axis=1))[:-1])
+    return [EquivalenceClass(members=m, base_point=x) for m, x in zip(parts, X.copy())]
 
 
 def quotient_distance(a: EquivalenceClass, b: EquivalenceClass) -> float:
@@ -125,7 +133,7 @@ class MetricAuditReport:
 
 def metric_axiom_audit(sys: SystemSpec, points: np.ndarray,
                        tol: float = 1e-9) -> MetricAuditReport:
-    """Audit the class distance on the classes generated by ``points``.
+    """Audit the class distance on the classes of ``points``, built at once.
 
     The squared class-distance matrix is computed once, one class row at a
     time against all stacked class members, and every check reads it:
@@ -138,7 +146,7 @@ def metric_axiom_audit(sys: SystemSpec, points: np.ndarray,
     classes and the distance matrix.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    classes = [equivalence_class(sys, p) for p in points]
+    classes = _classes(sys, points)
     n = len(classes)
     D2 = _sq_distance_matrix(classes)
     D = np.sqrt(D2)
@@ -152,10 +160,11 @@ def metric_axiom_audit(sys: SystemSpec, points: np.ndarray,
                   "distance": float(D[i, j])}
                  for i, j in np.argwhere(ident_mask)[:8]]
 
-    # triangle: d(a,c) <= min_b d(a,b) + d(b,c) + tol, for c >= a (D is symmetric)
-    best = np.full((n, n), np.inf)
+    # triangle: d(a,c) <= min_b d(a,b) + d(b,c) + tol, for c >= a (D is
+    # symmetric); the minima run along the rows c of DT, DT[c, b] = d(b,c)
+    best, DT = np.full((n, n), np.inf), D.T.copy()
     for a in range(n):
-        best[a, a:] = (D[a, :, None] + D[:, a:]).min(axis=0)
+        best[a, a:] = (DT[a:] + D[a]).min(axis=1)
     excess = D - best
     tri_mask = excess > tol
     tri_viol = int(tri_mask.sum())

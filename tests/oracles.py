@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 
 from impulseflow import (
+    EquivalenceClass,
     SystemSpec,
     first_hitting_time,
     flow,
@@ -378,6 +379,67 @@ def triangle_audit_reference(D: np.ndarray, tol: float = 1e-9):
         ii, jj = np.argwhere(tri_mask)[0]
         witness = (int(ii), int(jj), float(excess[ii, jj]))
     return tri_viol, float(excess.max()) if n else 0.0, witness
+
+
+# The identification classes of an earlier version, one point at a time,
+# kept verbatim as the reference of ``quotient._classes``; the system's
+# piece lookup and impulse application are copied in beside them, so the
+# reference never runs the batched membership test.
+
+_MERGE_TOL = 1e-9
+
+
+def _in_impulsive_set(sys: SystemSpec, x, tol=None):
+    """Index of the first impulsive-set piece containing x, or -1."""
+    for j, piece in enumerate(sys.impulsive_sets):
+        if piece.contains(x, tol):
+            return j
+    return -1
+
+
+def _apply_impulse(sys: SystemSpec, x, tol=None):
+    x = np.asarray(x, dtype=float)
+    j = _in_impulsive_set(sys, x, tol)
+    if j < 0:
+        raise ValueError("state is not on the impulsive set")
+    return sys.impulse(x[None, :], np.array([j]))[0]
+
+
+def impulse_preimages_reference(sys: SystemSpec, p) -> list[np.ndarray]:
+    p = np.asarray(p, dtype=float)
+    out = []
+    tol = 1e-7 * (1.0 + float(np.linalg.norm(p)))
+    for q in sys.preimages(p):
+        j = _in_impulsive_set(sys, q, tol=1e-7)
+        if j < 0:
+            continue
+        back = sys.impulse(q[None, :], np.array([j]))[0]
+        if np.linalg.norm(back - p) <= tol:
+            out.append(q)
+    return out
+
+
+def _dedupe(points: list[np.ndarray]) -> np.ndarray:
+    out: list[np.ndarray] = []
+    for p in points:
+        if not any(np.linalg.norm(p - q) <= _MERGE_TOL for q in out):
+            out.append(p)
+    return np.array(out)
+
+
+def equivalence_class_reference(sys: SystemSpec, x) -> EquivalenceClass:
+    x = np.asarray(x, dtype=float)
+    if not sys.admissible(x):
+        raise ValueError("state outside the admissible region")
+    members = [x]
+    if _in_impulsive_set(sys, x, tol=1e-7) >= 0:
+        image = _apply_impulse(sys, x, tol=1e-7)
+        members.append(image)
+        members.extend(impulse_preimages_reference(sys, x))      # empty when sets are disjoint
+        members.extend(impulse_preimages_reference(sys, image))  # includes x itself
+    else:
+        members.extend(impulse_preimages_reference(sys, x))
+    return EquivalenceClass(members=_dedupe(members), base_point=x.copy())
 
 
 # The root isolation of an earlier engine, kept verbatim as the reference of

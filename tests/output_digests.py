@@ -9,9 +9,11 @@ workloads.py) at seeds 1, 4 and 7, and the entropy configs of acceptance
 criteria 4 and 5 (about 8 s of the total).  Prints one ``sha256  label/file``
 line per output, the label being ``experiment/system`` (prefixed with
 ``bench/<workload>/seed<N>/`` for a benchmark call, ``acceptance/`` for an
-acceptance config); a run that fails prints ``FAILED  label: message``
-instead.  The manifest is hashed without its
-``output_dir`` line, the one line that differs between output directories.
+acceptance config, ``quotient-set/<system>`` for a quotient run on the
+points of a CSV of impulsive-set and image samples); a run that fails prints
+``FAILED  label: message`` instead.  The manifest is hashed without its
+``output_dir`` and ``points_csv`` lines, the lines that differ between work
+directories.
 After a run's digest lines, a run with propagation counters in its manifest
 (``results.propagation``, or ``results.diagnostics.propagation`` for
 entropy) prints them as ``stats  label: {...}``, in sorted-key JSON.
@@ -49,6 +51,7 @@ from impulseflow import (  # noqa: E402
     LinearLevel,
     build_fixture,
     impulsive_trajectory_batch,
+    sample_impulsive_set,
 )
 from impulseflow.cli import main  # noqa: E402
 from impulseflow.systems import fixture_names  # noqa: E402
@@ -71,17 +74,21 @@ ACCEPTANCE = {
                             "eps_list": [0.1], "delta_list": [0.1],
                             "candidate_count": 4096},
 }
+# D and I(D) samples of each set-sample quotient run: their classes take the
+# image, preimage and merge branches that cloud points rarely reach
+SET_SAMPLES = 20
 CHORDS = (1.49, 1.499, 1.4999, 1.49999)
 CONFIGS = {
     "coarse": IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, max_step=0.5),
     "loose": IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, max_step=0.9),
     "default": IntegratorConfig(),
 }
-_OUTPUT_DIR_LINE = re.compile(rb'\n *"output_dir": "[^"\n]*",?')
+_WORKDIR_LINE = re.compile(rb'\n *"(output_dir|points_csv)": "[^"\n]*",?')
 
 
-def calls():
-    """(label, experiment, config) of every run, in a fixed order."""
+def calls(work: Path):
+    """(label, experiment, config) of every run, in a fixed order; the
+    points CSVs of the set-sample quotient runs are written to ``work``."""
     for experiment, params in SMALL.items():
         for name in fixture_names():
             yield (f"{experiment}/{name}", experiment,
@@ -95,12 +102,23 @@ def calls():
     for name, params in ACCEPTANCE.items():
         yield (f"acceptance/entropy/{name}", "entropy",
                {"system": {"name": name}, "seed": 0, "params": params})
+    for name in fixture_names():
+        system = build_fixture(name)
+        pts = np.vstack([sample_impulsive_set(system, which, SET_SAMPLES)
+                         for which in ("D", "ID")])
+        path = work / f"set_{name}.csv"
+        path.write_text("\n".join([",".join(f"x{i + 1}" for i in range(system.dim))]
+                                  + [",".join(map(repr, p)) for p in pts.tolist()]),
+                        encoding="utf-8")
+        yield (f"quotient-set/{name}", "quotient",
+               {"system": {"name": name}, "seed": 0,
+                "params": {"points_csv": str(path)}})
 
 
 def digests(work: Path):
     """One listing line per output file of every run in ``calls``, and one
     of its propagation counters where its manifest has them."""
-    for i, (label, experiment, config) in enumerate(calls()):
+    for i, (label, experiment, config) in enumerate(calls(work)):
         cfg, out = work / f"c{i}.json", work / f"run{i}"
         cfg.write_text(json.dumps(config), encoding="utf-8")
         err = io.StringIO()
@@ -112,7 +130,7 @@ def digests(work: Path):
         for path in sorted(out.iterdir()):
             data = path.read_bytes()
             if path.name == "manifest.json":
-                data = _OUTPUT_DIR_LINE.sub(b"", data)
+                data = _WORKDIR_LINE.sub(b"", data)
             yield f"{hashlib.sha256(data).hexdigest()}  {label}/{path.name}"
         results = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["results"]
         counters = results.get("propagation", results.get("diagnostics", {}).get("propagation"))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +8,32 @@ from impulseflow import (
     build_fixture,
     candidate_cloud,
     equivalence_class,
+    impulse_preimages,
     metric_axiom_audit,
     quotient_distance,
     representative_pair,
     sample_impulsive_set,
 )
+from impulseflow.quotient import _classes
+from impulseflow.systems import fixture_names
 from conftest import polar
-from oracles import triangle_audit_reference
+from oracles import equivalence_class_reference, triangle_audit_reference
+
+
+def _repeating_annulus():
+    """The annulus with a preimage map that lists its one branch q three
+    times, moved 0, 6e-10 and 1.2e-9 along x: all pass the forward check;
+    the class merge drops the second, within 1e-9 of q, and keeps the third,
+    within 1e-9 only of the dropped one."""
+    def preimages(p):
+        q = np.array([-2.0 * p[0] - 1.0, 0.0])
+        return [q + np.array([dx, 0.0]) for dx in (0.0, 6e-10, 1.2e-9)]
+    return replace(build_fixture("annulus"), name="annulus_repeat",
+                   preimages=preimages)
+
+
+SYSTEMS = {name: build_fixture(name) for name in fixture_names()}
+SYSTEMS["annulus_repeat"] = _repeating_annulus()
 
 
 def _pairwise_matrix(classes):
@@ -99,6 +120,54 @@ class TestEquivalenceClass:
     def test_outside_region_rejected(self, annulus):
         with pytest.raises(ValueError):
             equivalence_class(annulus, np.array([5.0, 5.0]))
+
+
+class TestBatchedClasses:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(SYSTEMS)), seed=st.integers(0, 2**32 - 1),
+           n_cloud=st.integers(0, 12), n_set=st.integers(1, 8),
+           near=st.floats(0.0, 1e-7))
+    def test_classes_match_the_per_point_reference(self, name, seed, n_cloud,
+                                                   n_set, near):
+        # cloud points, D and I(D) samples, and those samples moved by at
+        # most ``near``: every member bit for bit, in the same order
+        sys_spec = SYSTEMS[name]
+        rng = np.random.default_rng(seed)
+        on_set = np.vstack([sample_impulsive_set(sys_spec, which, n_set)
+                            for which in ("D", "ID")])
+        shift = rng.normal(size=on_set.shape)
+        shift *= near * rng.uniform(size=(len(shift), 1)) / np.linalg.norm(
+            shift, axis=1, keepdims=True)
+        pts = np.vstack([candidate_cloud(sys_spec, n_cloud, rng), on_set,
+                         on_set + shift])
+        pts = pts[sys_spec.admissible(pts)]
+        classes = _classes(sys_spec, pts)
+        assert len(classes) == len(pts)
+        for x, c in zip(pts, classes):
+            ref = equivalence_class_reference(sys_spec, x)
+            for got in (c, equivalence_class(sys_spec, x)):
+                assert got.members.shape == ref.members.shape
+                assert got.members.tobytes() == ref.members.tobytes()
+                assert got.base_point.tobytes() == ref.base_point.tobytes()
+
+    def test_a_repeated_preimage_is_merged(self):
+        sys_spec = SYSTEMS["annulus_repeat"]
+        p = np.array([-1.25, 0.0])
+        q, _, last = impulse_preimages(sys_spec, p)
+        assert np.array_equal(equivalence_class(sys_spec, p).members, [p, q, last])
+        # on the set: x, I(x), and of I(x)'s preimages only the last
+        c = equivalence_class(sys_spec, q)
+        assert np.array_equal(c.members, [q, p, last])
+
+    @pytest.mark.parametrize("name, x", [("annulus", [1.5, 0.0, 0.0]),
+                                         ("doubling_suspension", [1.0, 0.0]),
+                                         ("annulus", [1.5])])
+    def test_wrong_dimension_is_a_value_error(self, name, x):
+        sys_spec = SYSTEMS[name]
+        with pytest.raises(ValueError, match="dimension"):
+            equivalence_class(sys_spec, x)
+        with pytest.raises(ValueError, match="dimension"):
+            metric_axiom_audit(sys_spec, [x, x])
 
 
 class TestQuotientDistance:
