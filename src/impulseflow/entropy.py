@@ -286,13 +286,13 @@ def _pair_tables(batch, T_list, eps_max: float, delta_list):
     probes = (np.array(_PROBE_FRACTIONS) * (bounds[0] - 1)).astype(int)
     probes = probes[np.diff(probes, prepend=-1) != 0]
     at_probes = orbits.take(probes, axis=1)     # one row per member: fast gathers
+    at_T = batch.evaluate(np.arange(n)[:, None], T_list)
 
     for delta in delta_list:
         E, _ = _gap_ends(batch.hit_times, batch.hit_offsets, T_max, delta)
         real = np.isfinite(E)
         own = np.zeros((*E.shape, orbits.shape[2]))
         own[real] = batch.evaluate(np.nonzero(real)[0], E[real])
-        at_T = batch.evaluate(np.arange(n)[:, None], T_list)
         n_ends = np.count_nonzero(E[:, None, :] <= T_list[:, None], axis=2)
         T_in_gap = ((E[:, None, 0::2] <= T_list[:, None])
                     & (T_list[:, None] <= E[:, None, 1::2])).any(axis=2)

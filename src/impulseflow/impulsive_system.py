@@ -262,9 +262,9 @@ class _BatchRun:
                       [np.zeros((0, self.dim))], [np.zeros((0, self.dim))])
         self._last_tau = np.full(self.n, np.nan)
         self.grid = g = sample_grid
-        # the queued steps; the member rows whose samples a flush left; the
-        # rows held, the samples expected, and post-impulse samples
-        self._queue, self._left, self._rows, self._expected, self._posts = [], None, 0, 0.0, []
+        # the queued steps, the rows they hold, the samples expected, and
+        # post-impulse samples
+        self._queue, self._rows, self._expected, self._posts = [], 0, 0.0, []
         if g is not None:
             self._samples = np.full((self.n, len(g), self.dim), np.nan)
             self._samples[:, :g.searchsorted(_COINCIDE_TOL, "right")] = X0[:, None]
@@ -281,11 +281,11 @@ class _BatchRun:
             # a member's advance holds adv * rate samples, give or take one
             self._expected += float(np.add.reduce(adv)) * self._rate
             if max(self._rows, self._expected - len(members)) >= _SAMPLE_BLOCK:
-                self.flush(whole=self._rows < _SAMPLE_BLOCK)
+                self.flush()
 
-    def flush(self, whole=False):
+    def flush(self):
         """Evaluate the queued samples, ``_SAMPLE_BLOCK`` at a time, then the
-        post-impulse ones; with ``whole``, whole blocks only, the rest queued."""
+        post-impulse ones."""
         grid, queue = self.grid, self._queue
         # a step's samples lie from _COINCIDE_TOL past t0 to that past the end
         # of the advance; ``record_hits`` then owns a sample on a hit time
@@ -295,21 +295,15 @@ class _BatchRun:
                 for a in list(zip(*queue))[:5])
             h = np.repeat([q[5] for q in queue], [len(q[0]) for q in queue])
             k0 = grid.searchsorted(t0 + _COINCIDE_TOL, side="right")
+            counts = grid.searchsorted(t0 + adv + _COINCIDE_TOL, side="right") - k0
             # a finishing member's advance may run up to _HORIZON_SLACK past
             # the step, to its horizon; past the end of any other advance a
             # sample takes the step's end state
-            rows = (members, k0, grid.searchsorted(t0 + adv + _COINCIDE_TOL, side="right") - k0,
-                    t0, np.maximum(adv, h), h, y0, F)
-            self._left = rows if self._left is None else [
-                np.concatenate(a, a[0].ndim // 3) for a in zip(self._left, rows)]
-            self._queue = []
-        if self._left is not None:
-            members, k0, counts, t0, cap, h, y0, F = rows = self._left
+            cap = np.maximum(adv, h)
             total = int(np.add.reduce(counts))
-            stop = total - total % _SAMPLE_BLOCK if whole else total
             row = np.arange(len(members)).repeat(counts)
             g = k0[row] + np.arange(total) - (counts.cumsum() - counts)[row]
-            for s in range(0, stop, _SAMPLE_BLOCK):
+            for s in range(0, total, _SAMPLE_BLOCK):
                 r, gs = row[s:s + _SAMPLE_BLOCK], g[s:s + _SAMPLE_BLOCK]
                 u = np.minimum(np.maximum((grid[gs] - t0[r]) / h[r], 0.0), cap[r] / h[r])
                 # rows move by take, and are stored a coordinate at a time:
@@ -317,16 +311,10 @@ class _BatchRun:
                 y, at = dense_eval(y0.take(r, axis=0), F.take(r, axis=1), u), members[r]
                 for d in range(self.dim):
                     self._samples[at, gs, d] = y[:, d]
-            self._left, self._rows, self._expected = None, 0, float(total - stop)
-            if stop < total:    # the rows from the first sample left, from it on
-                r = row[stop]
-                counts[r], k0[r] = counts[r] - (g[stop] - k0[r]), g[stop]
-                self._left = [(a[:, r:] if a.ndim == 3 else a[r:]).copy() for a in rows]
-                self._rows = len(members) - r
-        if self._left is None:
-            for members, last, post in self._posts:
-                self._samples[members, last] = post
-            self._posts = []
+            self._queue, self._rows, self._expected = [], 0, 0.0
+        for members, last, post in self._posts:
+            self._samples[members, last] = post
+        self._posts = []
 
     def record_hits(self, members, taus, pre, post, min_gap):
         gap = taus - self._last_tau[members]

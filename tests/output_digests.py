@@ -24,8 +24,18 @@ to T = 12 (dt 0.1) with the set moved to the chord y = c just below the
 orbit's top, in each crossing direction, with and without the halfspace
 x >= 0.1, at three integrator configs.  Each prints ``sha256  scan/label``
 over its hits, samples and final states and ``stats  scan/label: RunStats``,
-or ``FAILED  scan/label: message``.  They use only the public API, so the
-script runs unchanged on older versions.  pytest does not collect this file.
+or ``FAILED  scan/label: message``.
+
+Last come the two sample-queue paths that no CLI run reaches: 512
+prey_predator orbits on a grid coarser than their steps (T 30, dt 1.0),
+whose flushes are set off by queued rows rather than samples, and ``flow``
+of 16 prey_predator states at 600 uneven times (gaps 1e-6 to 0.2).  Each
+prints ``sha256  queue/label`` over its samples and final states (the flow's
+states at its times, the last of them final), and the batch also
+``stats  queue/label: RunStats``.
+
+The library runs use only the public API, so the script runs unchanged on
+older versions.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -50,6 +60,8 @@ from impulseflow import (  # noqa: E402
     IntegratorConfig,
     LinearLevel,
     build_fixture,
+    candidate_cloud,
+    flow,
     impulsive_trajectory_batch,
     sample_impulsive_set,
 )
@@ -177,9 +189,23 @@ def scan_digests():
             yield f"stats  {label_cfg}: {b.stats}"
 
 
+def queue_digests():
+    """The listing lines of the sparse-grid batch and the uneven-time flow."""
+    prey_predator = build_fixture("prey_predator")
+    rng = np.random.default_rng(5)
+    b = impulsive_trajectory_batch(prey_predator, candidate_cloud(prey_predator, 512, rng),
+                                   30.0, 1.0)
+    data = b.samples.tobytes() + b.final_states.tobytes()
+    yield f"{hashlib.sha256(data).hexdigest()}  queue/prey_predator x512 sparse"
+    yield f"stats  queue/prey_predator x512 sparse: {b.stats}"
+    X = candidate_cloud(prey_predator, 16, rng)
+    Y = flow(prey_predator.field, X, np.cumsum(10.0 ** rng.uniform(-6.0, -0.7, 600)))
+    yield f"{hashlib.sha256(Y.tobytes()).hexdigest()}  queue/flow x16 uneven"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for line in digests(Path(tmp)):
             print(line, flush=True)
-    for line in scan_digests():
+    for line in (*scan_digests(), *queue_digests()):
         print(line, flush=True)

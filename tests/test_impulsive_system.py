@@ -1080,23 +1080,31 @@ class TestSampleBlocks:
             assert run() == want, block
 
     def test_sampling_evaluates_whole_blocks(self, annulus, monkeypatch):
-        # the measure orbit: 1531 steps, 96 hits and 60 001 samples; the
-        # sampled run's dense_eval calls beyond those of the same run without
-        # a grid are the sampling's own
-        calls = []
+        # the measure orbit: 1531 steps, 96 hits and 60 001 samples; every
+        # flush evaluates all it holds, a block at a time, so at most its
+        # last dense_eval call is short of a block, and the sampling makes
+        # far fewer calls than the run has steps
+        flushes, calls = [], []
+        flush = _BatchRun.flush
+
+        def flushed(run):
+            calls[:] = []
+            flush(run)
+            flushes.append(list(calls))
 
         def counted(y0, F, u):
             calls.append(len(u))
             return dense_eval(y0, F, u)
+        monkeypatch.setattr(_BatchRun, "flush", flushed)
         monkeypatch.setattr(impulsive_system, "dense_eval", counted)
         x = candidate_cloud(annulus, 1, np.random.default_rng(1))
         grid = 0.005 * np.arange(60001)
         run = _propagate(annulus, x, 300.0, IntegratorConfig(), sample_grid=grid)
         assert not np.isnan(run.samples).any()
-        sampled, calls[:] = len(calls), []
-        _propagate(annulus, x, 300.0, IntegratorConfig())
         assert run.stats.steps == 1531 and run.stats.hits == 96
-        assert 0 < sampled - len(calls) <= math.ceil(60001 / _SAMPLE_BLOCK)
+        assert all(sum(n < _SAMPLE_BLOCK for n in f) <= 1 for f in flushes)
+        sampled = sum(map(len, flushes))
+        assert 0 < sampled <= 1531 // 20
 
     def test_sparse_grid_flushes_on_queued_rows(self, annulus, doubling, prey_predator,
                                                 monkeypatch):
@@ -1107,10 +1115,10 @@ class TestSampleBlocks:
         flushes, evaluated = [], []
         flush = _BatchRun.flush
 
-        def counted(run, whole=False):
+        def counted(run):
             if run._queue:
                 flushes.append((run._expected, run._rows))
-            flush(run, whole)
+            flush(run)
 
         def sized(y0, F, u):
             evaluated.append(len(u))
